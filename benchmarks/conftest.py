@@ -12,6 +12,15 @@ The scale can be tuned with the ``REPRO_BENCH_SCALE`` environment variable:
   minutes on a laptop CPU while still showing the paper's qualitative shapes.
 * ``smoke``           — the test-suite scale (fastest, weakest signal).
 * ``default`` / ``paper`` — the larger presets from :mod:`repro.eval.scale`.
+
+The tracked tables under ``benchmarks/results/`` are rewritten only when the
+run asks for it with ``--bench-results`` (give the benchmark files on the
+command line, so pytest loads this conftest and knows the option)::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_train.py --bench-results
+
+A plain ``pytest`` run still runs every benchmark and its gates, and leaves
+the recorded results as they are.
 """
 
 from __future__ import annotations
@@ -51,9 +60,24 @@ def resolve_bench_scale() -> ExperimentScale:
     return get_scale(name)
 
 
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption("--bench-results", action="store_true", default=False,
+                     help="write the regenerated tables to benchmarks/results/")
+
+
 @pytest.fixture(scope="session")
 def bench_scale() -> ExperimentScale:
     return resolve_bench_scale()
+
+
+@pytest.fixture
+def benchmark(benchmark, request):
+    """pytest-benchmark's fixture, marked with whether to record results."""
+    # getoption's default covers runs that load this conftest only after
+    # parsing the command line (``pytest`` from the root), where the option
+    # cannot have been given.
+    benchmark.write_results = request.config.getoption("--bench-results", default=False)
+    return benchmark
 
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -62,14 +86,15 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing.
 
-    The regenerated table is also written to ``benchmarks/results/<id>.md``
-    (human-readable, survives pytest's stdout capture) and
-    ``benchmarks/results/<id>.json`` (the full ``ExperimentResult`` record,
-    reloadable via ``ExperimentResult.from_json`` for downstream tooling).
+    With ``--bench-results`` the regenerated table is also written to
+    ``benchmarks/results/<id>.md`` (human-readable, survives pytest's stdout
+    capture) and ``benchmarks/results/<id>.json`` (the full
+    ``ExperimentResult`` record, reloadable via ``ExperimentResult.from_json``
+    for downstream tooling).
     """
     result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
     experiment_id = getattr(result, "experiment_id", None)
-    if experiment_id is not None:
+    if experiment_id is not None and benchmark.write_results:
         os.makedirs(RESULTS_DIR, exist_ok=True)
         path = os.path.join(RESULTS_DIR, f"{experiment_id}.md")
         with open(path, "w", encoding="utf-8") as handle:

@@ -85,8 +85,8 @@ def _run_engine(strategy_name, engine, bundle, clients, factory, scale,
                               callbacks=[timer])
     sim.run()
     # Best (minimum) round, not the mean: the first round pays dtype-
-    # independent one-off costs (im2col index plans, einsum contraction
-    # paths, BLAS thread-pool spin-up) and a shared 1-core runner adds
+    # independent one-off costs (im2col index plans, BLAS thread-pool
+    # spin-up) and a shared 1-core runner adds
     # scheduling noise; the fastest round is the engine's steady-state cost.
     per_round = min(timer.durations)
     return per_round, state_fingerprint(sim.global_state), sim.global_state

@@ -5,11 +5,13 @@ path:
 
 * ``"flat"`` (the default) — the flat-parameter engine: fused single-node
   autograd kernels (:func:`repro.nn.functional.linear`,
-  :func:`repro.nn.functional.cross_entropy`), a bincount-based col2im scatter,
-  and whole-vector optimizer steps over a contiguous
-  :class:`~repro.nn.flat.FlatParams` arena.
+  :func:`repro.nn.functional.cross_entropy`), convolution contractions
+  lowered straight to ``np.matmul``, a pointwise-conv path without im2col or
+  col2im, a bincount-based col2im scatter, and whole-vector optimizer steps
+  over a contiguous :class:`~repro.nn.flat.FlatParams` arena.
 * ``"reference"`` — the seed per-parameter path: operator-composed autograd
-  graphs, ``np.add.at`` col2im, and per-parameter optimizer loops.
+  graphs, ``np.einsum`` contractions, ``np.add.at`` col2im, and
+  per-parameter optimizer loops.
 
 Both engines produce bitwise-identical weights and metrics (the equivalence
 suite in ``tests/fl/test_train_engine.py`` pins this for every strategy and

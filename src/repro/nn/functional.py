@@ -16,6 +16,13 @@ are cached by ``(C, H, W, kernel, stride, padding)`` in both engines — the
 index arrays are a pure function of the geometry, which is fixed across the
 batches of a training run.
 
+The reference engine contracts convolution columns with
+``np.einsum(optimize=True)``; the flat engine calls ``np.matmul`` on exactly
+the operands einsum's batch-matmul step would build, skipping einsum's
+per-call equation parse.  Pointwise convs (1x1 kernel, stride 1, no padding)
+skip im2col and col2im on the flat engine, and both convolutions scatter an
+input gradient only for an input that takes one.
+
 Every engine-dispatched kernel is split into a ``_<name>_dispatch`` body and
 a thin public wrapper guarded by ``if _PROF.enabled:`` — a single attribute
 read when profiling is off (:mod:`repro.obs.profiling`), a per-call timer
@@ -187,35 +194,6 @@ def _col2im_reference(
     return x_padded
 
 
-@lru_cache(maxsize=256)
-def _einsum_path(equation: str, *shapes: Tuple[int, ...]):
-    """Cached contraction path for an einsum call signature.
-
-    ``np.einsum(..., optimize=True)`` re-derives the contraction path on
-    every call — pure Python overhead that dominates small convolutions.  The
-    path is a function of the equation and operand shapes only, so the flat
-    engine computes it once and replays it; the replayed contraction is the
-    byte-for-byte computation ``optimize=True`` would have run.
-    """
-    dummies = [np.empty(shape) for shape in shapes]
-    return np.einsum_path(equation, *dummies, optimize=True)[0]
-
-
-def _einsum_dispatch(equation: str, *operands: np.ndarray) -> np.ndarray:
-    """Engine-dispatched einsum: seed per-call optimize, or cached path."""
-    if current_engine() == "reference":
-        return np.einsum(equation, *operands, optimize=True)
-    path = _einsum_path(equation, *(op.shape for op in operands))
-    return np.einsum(equation, *operands, optimize=path)
-
-
-def _einsum(equation, *operands):
-    if _PROF.enabled:
-        with _PROF.time("einsum"):
-            return _einsum_dispatch(equation, *operands)
-    return _einsum_dispatch(equation, *operands)
-
-
 def _col2im_dispatch(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -272,6 +250,95 @@ def _col2im(cols, x_shape, indices, padding):
         with _PROF.time("col2im"):
             return _col2im_dispatch(cols, x_shape, indices, padding)
     return _col2im_dispatch(cols, x_shape, indices, padding)
+
+
+# --------------------------------------------------------------------------- #
+# Convolution contractions lowered to matmul
+# --------------------------------------------------------------------------- #
+# ``np.einsum(eq, a, b, optimize=True)`` evaluates a two-operand contraction
+# through numpy's batch-matmul step: it swaps the operands, transposes each
+# into (batch, kept, contracted) axis order, reshapes — copying, in C order,
+# only when the transposed view cannot be reshaped in place — calls
+# ``np.matmul``, then reshapes and transposes the product back to the output
+# axes.  Each lowering below is that sequence written out for one equation,
+# so ``matmul`` sees the same operands in the same memory layout and returns
+# the same bits, and the result is the same (often non-contiguous) view —
+# without einsum's per-call parse.  Layout matters downstream: equal values in
+# another memory order make later reductions sum in another order.
+def _conv_out(w_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``of,nfp->nop``: conv2d forward."""
+    n, f, p = cols.shape
+    product = np.matmul(cols.transpose(0, 2, 1).reshape(n * p, f), w_flat.T)
+    return product.reshape(n, p, -1).transpose(0, 2, 1)
+
+
+def _conv_grad_weight(grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``nop,nfp->of``: conv2d weight gradient."""
+    n, f, p = cols.shape
+    columns = cols.transpose(1, 0, 2).reshape(f, n * p)
+    return np.matmul(columns, grad_flat.transpose(0, 2, 1).reshape(n * p, -1)).T
+
+
+def _conv_grad_cols(w_flat: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
+    """``of,nop->nfp``: conv2d column gradient."""
+    n, o, p = grad_flat.shape
+    product = np.matmul(grad_flat.transpose(0, 2, 1).reshape(n * p, o), w_flat)
+    return product.reshape(n, p, -1).transpose(0, 2, 1)
+
+
+def _depthwise_out(w_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``ck,nckp->ncp``: depthwise forward, one matmul per channel."""
+    n, c, k, p = cols.shape
+    product = np.matmul(cols.transpose(1, 0, 3, 2).reshape(c, n * p, k),
+                        w_flat.reshape(c, k, 1))
+    return product.reshape(c, n, p).transpose(1, 0, 2)
+
+
+def _depthwise_grad_weight(grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``ncp,nckp->ck``: depthwise weight gradient."""
+    n, c, k, p = cols.shape
+    product = np.matmul(cols.transpose(1, 2, 0, 3).reshape(c, k, n * p),
+                        grad_flat.transpose(1, 0, 2).reshape(c, n * p, 1))
+    return product.reshape(c, k)
+
+
+def _depthwise_grad_cols(w_flat: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
+    """``ck,ncp->nckp``: depthwise column gradient.
+
+    No axis is contracted, so einsum broadcasts a multiply instead of calling
+    ``matmul``; singleton axes do not change that step.
+    """
+    n, c, p = grad_flat.shape
+    return np.multiply(grad_flat.reshape(n, c, 1, p), w_flat.reshape(1, c, -1, 1))
+
+
+_LOWERINGS = {
+    "of,nfp->nop": _conv_out,
+    "nop,nfp->of": _conv_grad_weight,
+    "of,nop->nfp": _conv_grad_cols,
+    "ck,nckp->ncp": _depthwise_out,
+    "ncp,nckp->ck": _depthwise_grad_weight,
+    "ck,ncp->nckp": _depthwise_grad_cols,
+}
+
+
+def _contract_dispatch(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Engine-dispatched contraction: seed ``np.einsum``, or its lowering.
+
+    einsum drops size-1 axes before its matmul step, which lays the operands
+    out differently; such rare shapes (a batch of one, a 1x1 output map) keep
+    going through ``np.einsum`` so their bits do not change either.
+    """
+    if current_engine() == "reference" or 1 in a.shape or 1 in b.shape:
+        return np.einsum(equation, a, b, optimize=True)
+    return _LOWERINGS[equation](a, b)
+
+
+def _contract(equation, a, b):
+    if _PROF.enabled:
+        with _PROF.time("matmul"):
+            return _contract_dispatch(equation, a, b)
+    return _contract_dispatch(equation, a, b)
 
 
 # --------------------------------------------------------------------------- #
@@ -502,7 +569,11 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution on NCHW tensors.
 
-    ``weight`` has shape ``(out_channels, in_channels, kh, kw)``.
+    ``weight`` has shape ``(out_channels, in_channels, kh, kw)``.  Under the
+    flat engine a pointwise conv (1x1 kernel, stride 1, no padding) skips
+    im2col and col2im: its columns are the input's pixels and its input
+    gradient is the column gradient, each made C-contiguous as the gather and
+    the scatter would leave them.
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -511,9 +582,15 @@ def conv2d(
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {ic}")
 
-    cols, indices, out_h, out_w = _im2col(x.data, (kh, kw), stride, padding)
+    pointwise = ((kh, kw, stride, padding) == (1, 1, (1, 1), (0, 0))
+                 and current_engine() == "flat")
+    if pointwise:
+        cols = np.ascontiguousarray(x.data).reshape(n, c, h * w)
+        indices, out_h, out_w = None, h, w
+    else:
+        cols, indices, out_h, out_w = _im2col(x.data, (kh, kw), stride, padding)
     w_flat = weight.data.reshape(oc, -1)  # (oc, C*kh*kw)
-    out_data = _einsum("of,nfp->nop", w_flat, cols)
+    out_data = _contract("of,nfp->nop", w_flat, cols)
     out_data = out_data.reshape(n, oc, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, oc, 1, 1)
@@ -523,12 +600,16 @@ def conv2d(
     def backward(grad: np.ndarray, out: Tensor) -> None:
         grad_flat = grad.reshape(n, oc, out_h * out_w)
         # dL/dW
-        grad_w = _einsum("nop,nfp->of", grad_flat, cols)
+        grad_w = _contract("nop,nfp->of", grad_flat, cols)
         out._send(weight, grad_w.reshape(weight.shape))
-        # dL/dx
-        grad_cols = _einsum("of,nop->nfp", w_flat, grad_flat)
-        grad_x = _col2im(grad_cols, x.shape, indices, padding)
-        out._send(x, grad_x)
+        # dL/dx, only for an input that takes a gradient (not raw images)
+        if x.requires_grad:
+            grad_cols = _contract("of,nop->nfp", w_flat, grad_flat)
+            if pointwise:
+                grad_x = np.ascontiguousarray(grad_cols).reshape(x.shape)
+            else:
+                grad_x = _col2im(grad_cols, x.shape, indices, padding)
+            out._send(x, grad_x)
         if bias is not None:
             out._send(bias, grad.sum(axis=(0, 2, 3)))
 
@@ -558,7 +639,7 @@ def depthwise_conv2d(
     # cols: (N, C*kh*kw, P) -> (N, C, kh*kw, P)
     cols_grouped = cols.reshape(n, c, kh * kw, out_h * out_w)
     w_flat = weight.data.reshape(c, kh * kw)
-    out_data = _einsum("ck,nckp->ncp", w_flat, cols_grouped)
+    out_data = _contract("ck,nckp->ncp", w_flat, cols_grouped)
     out_data = out_data.reshape(n, c, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c, 1, 1)
@@ -567,12 +648,12 @@ def depthwise_conv2d(
 
     def backward(grad: np.ndarray, out: Tensor) -> None:
         grad_flat = grad.reshape(n, c, out_h * out_w)
-        grad_w = _einsum("ncp,nckp->ck", grad_flat, cols_grouped)
+        grad_w = _contract("ncp,nckp->ck", grad_flat, cols_grouped)
         out._send(weight, grad_w.reshape(weight.shape))
-        grad_cols = _einsum("ck,ncp->nckp", w_flat, grad_flat)
-        grad_cols = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
-        grad_x = _col2im(grad_cols, x.shape, indices, padding)
-        out._send(x, grad_x)
+        if x.requires_grad:
+            grad_cols = _contract("ck,ncp->nckp", w_flat, grad_flat)
+            grad_cols = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
+            out._send(x, _col2im(grad_cols, x.shape, indices, padding))
         if bias is not None:
             out._send(bias, grad.sum(axis=(0, 2, 3)))
 

@@ -246,8 +246,6 @@ class Tensor:
                 node._pending_grads = grads  # type: ignore[attr-defined]
                 node._backward(node_grad)
                 del node._pending_grads  # type: ignore[attr-defined]
-                if node.requires_grad and node in (self,):
-                    pass
 
     # Helper used inside backward closures to route gradients to parents.
     def _send(self, parent: "Tensor", grad: np.ndarray) -> None:

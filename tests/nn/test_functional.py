@@ -370,6 +370,85 @@ class TestEngineKernelEquivalence:
 
         self._assert_bitwise(*self._run_both(build))
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("source", ["contiguous", "conv2d", "depthwise"])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (1, 1)])
+    def test_one_by_one_conv_layout_bitwise(self, stride, padding, source, dtype):
+        """1x1 convs on the pointwise path (stride 1, no padding) and on the
+        im2col path must match the reference in value and in memory layout.
+
+        The conv's input is a C-contiguous tensor or a real conv output (NHWC
+        memory order for conv2d, CNHW for depthwise), batch-normalized first:
+        the input gradient flows back into batch-norm reductions, whose sums
+        round differently when the same values arrive in another layout.  The
+        3x3 source conv's own input takes no gradient: under float32 the flat
+        col2im sums overlapping taps in float64, the reference in float32.
+        """
+        from repro.nn.engine import dtype_mode
+        from repro.nn.layers import Parameter
+
+        rng = np.random.default_rng(7)
+        # Spatial axes of at least 8 so numpy's pairwise summation (not a
+        # plain loop) runs when they are the contiguous ones.
+        x_np = rng.normal(size=(3, 4, 10, 10))
+        gamma_np, beta_np = rng.normal(size=4), rng.normal(size=4)
+        w_np, b_np = rng.normal(size=(5, 4, 1, 1)), rng.normal(size=5)
+        source_np = rng.normal(size=(4, 4, 3, 3) if source == "conv2d" else (4, 1, 3, 3))
+
+        def build():
+            with dtype_mode(dtype):
+                x = Tensor(x_np.copy(), requires_grad=source == "contiguous")
+                gamma, beta, w, b = (Parameter(a.copy()) for a in (gamma_np, beta_np, w_np, b_np))
+                leaves = [gamma, beta, w, b]
+                h = x
+                if source == "contiguous":
+                    leaves.append(x)
+                else:
+                    source_w = Parameter(source_np.copy())
+                    leaves.append(source_w)
+                    conv = F.conv2d if source == "conv2d" else F.depthwise_conv2d
+                    h = conv(x, source_w, None, padding=1)
+                h, _, _ = F.batch_norm_train(h, gamma, beta, (0, 2, 3), (1, 4, 1, 1), 1e-5)
+                out = F.conv2d(h, w, b, stride=stride, padding=padding)
+                upstream = np.random.default_rng(8).normal(size=out.shape).astype(dtype)
+                out.backward(upstream)
+                assert all(leaf.grad is not None for leaf in leaves)
+                return (out.data,) + tuple(leaf.grad for leaf in leaves)
+
+        flat, reference = self._run_both(build)
+        assert flat[0].dtype == np.dtype(dtype)
+        self._assert_bitwise(flat, reference)
+
+    @pytest.mark.parametrize("kernel", ["conv2d", "depthwise_conv2d"])
+    def test_input_without_grad_skips_input_gradient(self, kernel):
+        """An input that takes no gradient gets none and costs no col2im
+        scatter; the weight and bias gradients stay bitwise the same."""
+        from repro.nn.layers import Parameter
+        from repro.obs.profiling import profile_kernels
+
+        rng = np.random.default_rng(9)
+        x_np = rng.normal(size=(2, 3, 7, 7))
+        w_shape = (4, 3, 3, 3) if kernel == "conv2d" else (3, 1, 3, 3)
+        w_np, b_np = rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+        conv = getattr(F, kernel)
+
+        def grads(requires_grad):
+            x = Tensor(x_np.copy(), requires_grad=requires_grad)
+            w, b = Parameter(w_np.copy()), Parameter(b_np.copy())
+            with profile_kernels() as profiler:
+                profiler.drain()
+                conv(x, w, b, stride=2, padding=1).sum().backward()
+                col2im_calls = profiler.drain().get("col2im", (0, 0.0))[0]
+            return x.grad, col2im_calls, w.grad, b.grad
+
+        x_grad, col2im_calls, w_grad, b_grad = grads(requires_grad=False)
+        assert x_grad is None
+        assert col2im_calls == 0
+        x_grad_ref, col2im_calls_ref, w_grad_ref, b_grad_ref = grads(requires_grad=True)
+        assert x_grad_ref is not None and col2im_calls_ref == 1
+        assert w_grad.tobytes() == w_grad_ref.tobytes()
+        assert b_grad.tobytes() == b_grad_ref.tobytes()
+
     def test_hardswish_fused_bitwise(self):
         rng = np.random.default_rng(5)
         x_np = rng.normal(scale=4.0, size=(16, 8))
