@@ -6,19 +6,25 @@ and the image is resized into the tensor the model trains on.  Capturing the
 *same* scenes with *different* device profiles yields the per-device datasets
 used throughout Sections 3, 4 and 6.
 
-The whole path is vectorized over the batch dimension: one capture makes zero
-per-scene Python iterations (sensor exposure, noise, Bayer sampling, all six
-ISP stages and the final resize are ``(N, ...)`` kernels) while remaining
+The whole path is vectorized over the batch dimension: sensor exposure,
+noise, Bayer sampling, all six ISP stages and the final resize are
+``(n, ...)`` kernels, run over fixed chunks of :data:`CAPTURE_CHUNK` scenes
+that share the capture's one noise generator in order.  A capture's
+temporaries are therefore O(chunk) whatever the pool size, and its output is
 bit-identical to the scalar reference loop kept in
-:func:`capture_with_device_scalar`.  Captured datasets can additionally be
-persisted in a :class:`~repro.data.capture_cache.CaptureCache`, so repeated
-sweeps over one device fleet rebuild nothing.
+:func:`capture_with_device_scalar`.  :func:`build_device_datasets` runs a
+fleet's captures on one thread per core, so a build holds O(threads x chunk)
+temporaries.  Captured datasets can additionally be persisted in a
+:class:`~repro.data.capture_cache.CaptureCache`, so repeated sweeps over one
+device fleet rebuild nothing.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from .dataset import ArrayDataset, hwc_to_nchw
 from .scenes import generate_scene_dataset
 
 __all__ = [
+    "CAPTURE_CHUNK",
     "CaptureConfig",
     "capture_with_device",
     "capture_with_device_scalar",
@@ -38,6 +45,10 @@ __all__ = [
     "derive_capture_seeds",
     "DeviceDatasetBundle",
 ]
+
+#: Scenes per chunk of one capture.  Every stage kernel treats scenes
+#: independently, so the chunk size bounds memory and never changes a value.
+CAPTURE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -92,22 +103,27 @@ def capture_with_device(
 ) -> ArrayDataset:
     """Capture a batch of scenes with one device, returning an NCHW dataset.
 
-    The entire scene -> RAW -> ISP -> tensor path runs as batched ``(N, ...)``
-    kernels; the result is bit-identical to the per-scene reference loop
-    (:func:`capture_with_device_scalar`) including the sensor-noise RNG
-    stream.
+    The scene -> RAW -> ISP -> tensor path runs as batched kernels over
+    chunks of :data:`CAPTURE_CHUNK` scenes.  The chunks draw from one
+    generator in scene order, so the result is bit-identical to the
+    per-scene reference loop (:func:`capture_with_device_scalar`), sensor
+    noise included.
     """
     scenes, labels = _validate_capture_inputs(scenes, labels)
     rng = np.random.default_rng(config.seed)
-    raw_batch = device.sensor.capture_raw_batch(scenes, rng)
-    if config.raw:
-        processed = raw_to_training_array_batch(raw_batch)
-    else:
-        pipeline = ISPPipeline(config.isp_override or device.isp)
-        processed = pipeline.process_batch(raw_batch)
-    images = resize_bilinear_batch(processed, (config.image_size, config.image_size))
-    return ArrayDataset(hwc_to_nchw(images), labels,
-                        metadata=_capture_metadata(device, config))
+    pipeline = None if config.raw else ISPPipeline(config.isp_override or device.isp)
+    size = (config.image_size, config.image_size)
+    features = np.empty((len(scenes), 3) + size)
+    images = features.transpose(0, 2, 3, 1)  # the (N, S, S, 3) view each chunk fills
+    for start in range(0, len(scenes), CAPTURE_CHUNK):
+        chunk = slice(start, start + CAPTURE_CHUNK)
+        raw_batch = device.sensor.capture_raw_batch(scenes[chunk], rng)
+        if pipeline is None:
+            processed = raw_to_training_array_batch(raw_batch)
+        else:
+            processed = pipeline.process_batch(raw_batch)
+        images[chunk] = resize_bilinear_batch(processed, size)
+    return ArrayDataset(features, labels, metadata=_capture_metadata(device, config))
 
 
 def capture_with_device_scalar(
@@ -185,10 +201,19 @@ def build_device_datasets(
     device), so differences between the per-device datasets are purely
     system-induced.
 
+    The captures that are not cached run on a thread pool of one thread per
+    core (at most one per capture); numpy and scipy release the GIL in the
+    stage kernels, so the threads need no pickling.  Results are assigned
+    by (device, split), so the bundle never depends on thread scheduling,
+    and the pool is joined before this returns: no capture thread outlives
+    the build.
+
     With ``cache`` set (a :class:`~repro.data.capture_cache.CaptureCache` or a
     directory path), every per-device capture is persisted on first build and
-    loaded bitwise-identically on subsequent builds; a fully cached bundle
-    skips scene generation and the ISP entirely.
+    loaded bitwise-identically on subsequent builds.  Cache lookups, hit/miss
+    counting, stores and scene-pool generation stay on the calling thread; a
+    fully cached bundle skips scene generation and the ISP entirely and
+    starts no thread.
     """
     device_names = list(devices) if devices is not None else list(DEVICE_PROFILES)
     unknown = [d for d in device_names if d not in DEVICE_PROFILES]
@@ -205,40 +230,49 @@ def build_device_datasets(
             return samples_per_class_train, seed
         return samples_per_class_test, seed + 10_000
 
-    # Scene pools are generated lazily: a fully cached build never pays for
-    # scene synthesis (that is what makes cache hits near-instant).
-    pools: Dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def scene_pool(split: str) -> tuple[np.ndarray, np.ndarray]:
-        if split not in pools:
-            per_class, pool_seed = pool_params(split)
-            pools[split] = generate_scene_dataset(
-                per_class, num_classes=num_classes, image_size=scene_size, seed=pool_seed
-            )
-        return pools[split]
-
-    def capture(split: str, profile: DeviceProfile, capture_cfg: CaptureConfig) -> ArrayDataset:
-        per_class, pool_seed = pool_params(split)
-        builder: Callable[[], ArrayDataset] = lambda: capture_with_device(
-            *scene_pool(split), profile, capture_cfg
-        )
-        if cache is None:
-            return builder()
-        key = cache.capture_key(
-            scene_seed=pool_seed, samples_per_class=per_class, num_classes=num_classes,
-            scene_size=scene_size, device=profile, config=capture_cfg,
-        )
-        return cache.get_or_build(key, builder)
-
-    train: Dict[str, ArrayDataset] = {}
-    test: Dict[str, ArrayDataset] = {}
+    datasets: Dict[tuple[str, str], ArrayDataset] = {}
+    pending: List[tuple[str, str, CaptureConfig, Optional[str]]] = []
     for offset, name in enumerate(device_names):
-        profile = DEVICE_PROFILES[name]
-        train_seed, test_seed = derive_capture_seeds(seed, offset)
-        train_cfg = CaptureConfig(image_size=image_size, raw=raw,
-                                  isp_override=isp_override, seed=train_seed)
-        test_cfg = CaptureConfig(image_size=image_size, raw=raw,
-                                 isp_override=isp_override, seed=test_seed)
-        train[name] = capture("train", profile, train_cfg)
-        test[name] = capture("test", profile, test_cfg)
+        for split, capture_seed in zip(("train", "test"), derive_capture_seeds(seed, offset)):
+            config = CaptureConfig(image_size=image_size, raw=raw,
+                                   isp_override=isp_override, seed=capture_seed)
+            key = None
+            if cache is not None:
+                per_class, pool_seed = pool_params(split)
+                key = cache.capture_key(
+                    scene_seed=pool_seed, samples_per_class=per_class,
+                    num_classes=num_classes, scene_size=scene_size,
+                    device=DEVICE_PROFILES[name], config=config,
+                )
+                cached = cache.lookup(key)
+                if cached is not None:
+                    datasets[split, name] = cached
+                    continue
+            pending.append((split, name, config, key))
+
+    if pending:
+        # Only the splits with a capture to run pay for scene synthesis.
+        pools: Dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for split, _, _, _ in pending:
+            if split not in pools:
+                per_class, pool_seed = pool_params(split)
+                pools[split] = generate_scene_dataset(
+                    per_class, num_classes=num_classes, image_size=scene_size, seed=pool_seed
+                )
+        executor = ThreadPoolExecutor(max_workers=min(len(pending), os.cpu_count() or 1))
+        try:
+            futures = [executor.submit(capture_with_device, *pools[split],
+                                       DEVICE_PROFILES[name], config)
+                       for split, name, config, _ in pending]
+            built = [future.result() for future in futures]
+        finally:
+            # After a failed capture, drop the captures not yet started.
+            executor.shutdown(wait=True, cancel_futures=True)
+        for (split, name, _, key), dataset in zip(pending, built):
+            if key is not None:
+                cache.store(key, dataset)
+            datasets[split, name] = dataset
+
+    train = {name: datasets["train", name] for name in device_names}
+    test = {name: datasets["test", name] for name in device_names}
     return DeviceDatasetBundle(train=train, test=test, num_classes=num_classes, image_size=image_size)

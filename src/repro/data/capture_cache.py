@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 import numpy as np
 
@@ -141,16 +141,14 @@ class CaptureCache:
         }
         write_checkpoint(self.path_for(key), tree, extra_meta={"capture_key": key})
 
-    def get_or_build(self, key: str, builder: Callable[[], ArrayDataset]) -> ArrayDataset:
-        """Return the cached dataset for ``key``, building and storing on miss."""
+    def lookup(self, key: str) -> "ArrayDataset | None":
+        """:meth:`load`, counting the outcome as a hit or a miss."""
         cached = self.load(key)
-        if cached is not None:
+        if cached is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return cached
-        self.misses += 1
-        dataset = builder()
-        self.store(key, dataset)
-        return dataset
+        return cached
 
     # -- introspection ----------------------------------------------------- #
     @property

@@ -275,6 +275,14 @@ class AsyncFederatedSimulation:
                 f"the async simulation needs an AsyncStrategy "
                 f"('fedasync' or 'fedbuff')"
             )
+        faulty = [name for name in ("faults", "fault_policy")
+                  if getattr(config, name) is not None]
+        if faulty:
+            raise ValueError(
+                f"the async simulation does not support config {faulty}: its "
+                f"dispatch has no retry or quorum path, so injected faults "
+                f"would go unhandled and a fault policy would be ignored"
+            )
         self.model_fn = model_fn
         self.clients = list(clients)
         self.test_sets = dict(test_sets)

@@ -181,6 +181,15 @@ class RunSpec:
                     "client scheduling is driven by the latency/availability "
                     "models (latency_kwargs)"
                 )
+            # Async dispatch has no retry/quorum path yet: injected faults
+            # would fire unhandled and a fault policy would be ignored.
+            faulty = [name for name in ("faults", "fault_policy")
+                      if self.config_overrides.get(name) is not None]
+            if faulty:
+                raise ValueError(
+                    f"federated_async specs do not support {faulty}; fault "
+                    f"injection and fault policies apply to kind='federated'"
+                )
             unknown = set(self.latency_kwargs) - set(_LATENCY_KWARGS_FIELDS)
             if unknown:
                 raise ValueError(

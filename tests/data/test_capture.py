@@ -1,17 +1,22 @@
 """Tests for the device capture simulation (scene -> RAW -> ISP -> tensor)."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.data.capture import (
+    CAPTURE_CHUNK,
     CaptureConfig,
     build_device_datasets,
     capture_with_device,
     capture_with_device_scalar,
+    derive_capture_seeds,
 )
 from repro.data.scenes import generate_scene_dataset
 from repro.devices.profiles import DEVICE_PROFILES, get_device
-from repro.isp.pipeline import BASELINE_CONFIG, OPTION2_CONFIG
+from repro.isp.pipeline import BASELINE_CONFIG, OPTION1_CONFIG, OPTION2_CONFIG
+from repro.isp.raw import bayer_mosaic
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +143,64 @@ class TestBatchedScalarEquivalence:
         np.testing.assert_array_equal(batched.mosaics, np.stack(legacy_mosaics))
 
 
+# One full chunk, and two full chunks plus a one-scene tail.
+CHUNKED_POOL_SIZES = [CAPTURE_CHUNK, 2 * CAPTURE_CHUNK + 1]
+
+
+@pytest.fixture(scope="module", params=CHUNKED_POOL_SIZES, ids=lambda n: f"{n}scenes")
+def chunked_scenes(request):
+    scenes, labels = generate_scene_dataset(6, num_classes=3, image_size=32, seed=5)
+    return scenes[:request.param], labels[:request.param]
+
+
+def assert_matches_scalar(scenes, labels, device, cfg):
+    chunked = capture_with_device(scenes, labels, device, cfg)
+    scalar = capture_with_device_scalar(scenes, labels, device, cfg)
+    np.testing.assert_array_equal(chunked.features, scalar.features)
+    np.testing.assert_array_equal(chunked.labels, scalar.labels)
+    assert chunked.features.flags.c_contiguous
+    assert chunked.metadata == scalar.metadata
+
+
+class TestChunkBoundaryEquivalence:
+    """Pools that fill a chunk exactly or cross chunk boundaries: the chunks
+    share one generator, so they must still match the per-scene loop."""
+
+    @pytest.mark.parametrize("device", sorted(DEVICE_PROFILES))
+    def test_every_device_isp(self, device, chunked_scenes):
+        assert_matches_scalar(*chunked_scenes, get_device(device),
+                              CaptureConfig(image_size=16, seed=21))
+
+    @pytest.mark.parametrize("device", ["Pixel5", "S22", "S6"])
+    def test_raw_path(self, device, chunked_scenes):
+        assert_matches_scalar(*chunked_scenes, get_device(device),
+                              CaptureConfig(image_size=16, raw=True, seed=22))
+
+    @pytest.mark.parametrize("override", [OPTION1_CONFIG, OPTION2_CONFIG], ids=lambda c: c.name)
+    def test_isp_override(self, override, chunked_scenes):
+        assert_matches_scalar(*chunked_scenes, get_device("G4"),
+                              CaptureConfig(image_size=16, isp_override=override, seed=23))
+
+    def test_rng_stream_matches_legacy_per_scene_draws(self, chunked_scenes):
+        """Chunk-by-chunk noise draws from one generator consume it exactly
+        like the legacy loop: per scene, a shot-noise then a read-noise draw."""
+        scenes, _ = chunked_scenes
+        sensor = get_device("S9").sensor
+        rng_legacy = np.random.default_rng(99)
+        legacy_mosaics = []
+        for scene in scenes:
+            irradiance = sensor.expose(scene)
+            shot_sigma = np.sqrt(np.maximum(irradiance, 0.0)) * sensor.shot_noise_scale
+            noisy = irradiance + rng_legacy.normal(0.0, 1.0, size=irradiance.shape) * shot_sigma
+            noisy = noisy + rng_legacy.normal(0.0, sensor.read_noise, size=irradiance.shape)
+            legacy_mosaics.append(bayer_mosaic(np.clip(noisy, 0.0, 1.0),
+                                               pattern=sensor.bayer_pattern))
+        rng = np.random.default_rng(99)
+        chunked = [sensor.capture_raw_batch(scenes[start:start + CAPTURE_CHUNK], rng).mosaics
+                   for start in range(0, len(scenes), CAPTURE_CHUNK)]
+        np.testing.assert_array_equal(np.concatenate(chunked), np.stack(legacy_mosaics))
+
+
 class TestBuildDeviceDatasets:
     def test_bundle_structure(self):
         bundle = build_device_datasets(
@@ -179,3 +242,43 @@ class TestBuildDeviceDatasets:
             image_size=16, scene_size=32, devices=["Pixel5", "S6"], seed=0,
         )
         assert bundle.devices() == ["Pixel5", "S6"]
+
+
+class TestThreadedBuild:
+    """The threaded build returns exactly what sequential captures return."""
+
+    KW = dict(samples_per_class_train=3, samples_per_class_test=2, num_classes=3,
+              image_size=16, scene_size=32, seed=4)
+
+    def test_equals_sequential_captures(self):
+        bundle = build_device_datasets(**self.KW)
+        assert bundle.devices() == list(DEVICE_PROFILES)
+        pools = {
+            "train": generate_scene_dataset(3, num_classes=3, image_size=32, seed=4),
+            "test": generate_scene_dataset(2, num_classes=3, image_size=32, seed=10_004),
+        }
+        for offset, (name, profile) in enumerate(DEVICE_PROFILES.items()):
+            for split, capture_seed in zip(("train", "test"), derive_capture_seeds(4, offset)):
+                expected = capture_with_device(*pools[split], profile,
+                                               CaptureConfig(image_size=16, seed=capture_seed))
+                actual = getattr(bundle, split)[name]
+                np.testing.assert_array_equal(actual.features, expected.features)
+                np.testing.assert_array_equal(actual.labels, expected.labels)
+                assert actual.metadata == expected.metadata
+
+    def test_joins_every_thread(self):
+        before = threading.active_count()
+        build_device_datasets(**{**self.KW, "devices": ["Pixel5", "S6", "G7"]})
+        assert threading.active_count() == before
+
+    def test_capture_error_propagates(self, monkeypatch):
+        def failing(scenes, labels, device, config):
+            if device.name == "S6":
+                raise RuntimeError("sensor fault")
+            return capture_with_device(scenes, labels, device, config)
+
+        monkeypatch.setattr("repro.data.capture.capture_with_device", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="sensor fault"):
+            build_device_datasets(**{**self.KW, "devices": ["Pixel5", "S6", "G7"]})
+        assert threading.active_count() == before

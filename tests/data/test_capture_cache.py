@@ -82,19 +82,12 @@ class TestCacheStorage:
         path.write_bytes(b"not a checkpoint")
         assert cache.load(make_key()) is None
 
-    def test_get_or_build_counts_hits_and_misses(self, tmp_path):
+    def test_lookup_counts_hits_and_misses(self, tmp_path):
         cache = CaptureCache(tmp_path)
-        dataset = ArrayDataset(np.zeros((2, 1, 4, 4)), np.array([0, 1]))
-        built = []
-
-        def builder():
-            built.append(True)
-            return dataset
-
         key = make_key()
-        cache.get_or_build(key, builder)
-        cache.get_or_build(key, builder)
-        assert len(built) == 1
+        assert cache.lookup(key) is None
+        cache.store(key, ArrayDataset(np.zeros((2, 1, 4, 4)), np.array([0, 1])))
+        assert cache.lookup(key) is not None
         assert cache.stats == {"hits": 1, "misses": 1, "entries": 1}
 
 
@@ -132,6 +125,33 @@ class TestBuildWithCache:
         monkeypatch.setattr("repro.data.capture.generate_scene_dataset", boom)
         bundle = build_device_datasets(cache=cache, **BUILD_KW)
         assert set(bundle.train) == {"Pixel5", "S6"}
+
+    def test_full_hit_starts_no_thread(self, tmp_path, monkeypatch):
+        cache = CaptureCache(tmp_path)
+        build_device_datasets(cache=cache, **BUILD_KW)
+
+        def boom(*args, **kwargs):  # pragma: no cover - should never run
+            raise AssertionError("a fully cached build started a capture thread")
+
+        monkeypatch.setattr("repro.data.capture.ThreadPoolExecutor", boom)
+        build_device_datasets(cache=cache, **BUILD_KW)
+        assert cache.hits == 4
+
+    def test_partly_warm_cache_counts_exactly(self, tmp_path):
+        cache = CaptureCache(tmp_path)
+        build_device_datasets(cache=cache, **BUILD_KW)
+        assert (cache.hits, cache.misses) == (0, 4)
+        # Noise seeds derive from a device's position, so new devices go last.
+        wider = {**BUILD_KW, "devices": ["Pixel5", "S6", "G7", "S22"]}
+        bundle = build_device_datasets(cache=cache, **wider)
+        assert (cache.hits, cache.misses) == (4, 8)
+        assert bundle.devices() == wider["devices"]
+        assert len(cache.entries()) == 8
+        reference = build_device_datasets(**wider)
+        for name in wider["devices"]:
+            for split in ("train", "test"):
+                np.testing.assert_array_equal(getattr(bundle, split)[name].features,
+                                              getattr(reference, split)[name].features)
 
     def test_different_seed_misses(self, tmp_path):
         cache = CaptureCache(tmp_path)

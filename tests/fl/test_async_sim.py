@@ -12,6 +12,7 @@ The headline guarantees under test:
   function of the run seed.
 """
 
+import dataclasses
 import multiprocessing
 
 import numpy as np
@@ -104,6 +105,17 @@ class TestBasics:
         with pytest.raises(ValueError, match="no latency model"):
             AsyncFederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
                                      FedAsync(), async_config(), latency=partial)
+
+    @pytest.mark.parametrize("override", [
+        {"faults": {"seed": 0, "crash_rate": 0.1}},
+        {"fault_policy": {"max_retries": 1}},
+    ], ids=["faults", "fault_policy"])
+    def test_rejects_fault_settings(self, override, tiny_bundle, tiny_clients,
+                                    tiny_model_fn):
+        config = dataclasses.replace(async_config(), **override)
+        with pytest.raises(ValueError, match="does not support config"):
+            AsyncFederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                     FedAsync(), config)
 
     def test_event_budget_guard(self, tiny_bundle, tiny_clients, tiny_model_fn):
         sim = AsyncFederatedSimulation(

@@ -226,6 +226,18 @@ class TestAsyncSpec:
         with pytest.raises(ValueError, match="trainer_kwargs only applies"):
             self._async_spec(trainer_kwargs={"epochs": 2})
 
+    @pytest.mark.parametrize("override", [
+        {"faults": {"seed": 0, "crash_rate": 0.1}},
+        {"fault_policy": {"max_retries": 1}},
+    ], ids=["faults", "fault_policy"])
+    def test_async_rejects_fault_settings(self, override):
+        with pytest.raises(ValueError, match="federated_async specs do not support"):
+            self._async_spec(config_overrides={"num_rounds": 3, **override})
+
+    def test_async_accepts_fault_settings_left_unset(self):
+        self._async_spec(config_overrides={"num_rounds": 3, "faults": None,
+                                           "fault_policy": None})
+
     def test_unknown_latency_kwargs_rejected(self):
         with pytest.raises(ValueError, match="unknown latency_kwargs.*jitter"):
             self._async_spec(latency_kwargs={"jitter": 0.5})
