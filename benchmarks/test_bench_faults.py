@@ -4,7 +4,7 @@ Two questions, answered on a mid-sized synthetic workload (24 clients,
 8/round, SimpleMLP):
 
 * What does the fault layer cost when nothing fails?  The tolerant round
-  path (``run_attempts`` waves + update sanitization) with a policy attached
+  path (``iter_round`` waves + update sanitization) with a policy attached
   but **zero faults injected** is timed against the plain fail-fast path;
   the overhead is gated at <2% of per-round wall clock.
 * What does a degraded round cost?  Rounds are timed at 10/25/50% injected

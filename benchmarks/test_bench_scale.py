@@ -82,21 +82,14 @@ def _run_round(executor_name: str, num_clients: int):
     global_state = get_weights(_model_fn())
     start = time.perf_counter()
     with create_executor(executor_name) as executor:
-        if getattr(executor, "streaming", False):
-            stream = executor.iter_round(strategy, _model_fn, specs,
-                                         global_state, context)
-            tracemalloc.start()
-            new_state, results = strategy.aggregate_stream(
-                global_state, specs, stream, context)
-            _, agg_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-        else:
-            results = executor.run_round(strategy, _model_fn, specs,
-                                         global_state, context)
-            tracemalloc.start()
-            new_state = strategy.aggregate(global_state, results, context)
-            _, agg_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
+        stream = executor.iter_round(strategy, _model_fn,
+                                     [(spec, 0) for spec in specs],
+                                     global_state, context)
+        tracemalloc.start()
+        new_state, results = strategy.aggregate_stream(
+            global_state, specs, stream, context)
+        _, agg_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
     round_s = time.perf_counter() - start
     assert len(results) == num_clients
     return state_fingerprint(new_state), round_s, agg_peak

@@ -59,10 +59,11 @@ def main() -> None:
     print(f"Available strategies: {', '.join(STRATEGY_REGISTRY.available())}")
 
     # Parallel execution is one more spec field: fan client training out over
-    # a process pool (or "thread", or the CLI's --executor/--workers flags).
+    # the shared-memory process pool (or "thread", or the CLI's
+    # --executor/--workers flags).
     # Every backend produces bit-identical metrics and weights — the executor
     # only changes wall clock — so it is safe to flip on for any experiment.
-    parallel = spec.with_overrides(executor="process", max_workers=4)
+    parallel = spec.with_overrides(executor="shm", max_workers=4)
     print(f"Parallel variant: executor={parallel.executor!r}, "
           f"max_workers={parallel.max_workers} (same numbers, faster rounds)")
 

@@ -14,7 +14,7 @@ the global model:
   staleness-weighted average.
 
 Everything stays deterministic: the clock is simulated (no wall time), ties
-are broken by seeded draws, and serial/thread/process executors produce
+are broken by seeded draws, and serial/thread/shm executors produce
 bit-identical histories — as do checkpoint/resume mid-queue.
 
 Run it with:  python examples/quickstart_async.py

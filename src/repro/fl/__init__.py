@@ -22,7 +22,6 @@ from .errors import (
 from .execution import (
     EXECUTOR_REGISTRY,
     ClientExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     client_rng,
@@ -91,7 +90,6 @@ __all__ = [
     "ClientExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "EXECUTOR_REGISTRY",
     "create_executor",
     "derive_client_seed",

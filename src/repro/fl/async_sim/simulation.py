@@ -19,7 +19,7 @@ does.  Real parallelism comes from the standard
 share a broadcast version form a *batch*, and a batch is (incrementally)
 flushed through the executor the moment one of its completions pops.  Because
 each client's update is a pure function of (broadcast weights, derived seed),
-when the flush happens — eagerly, lazily, serially or on a process pool —
+when the flush happens — eagerly, lazily, serially or on a worker pool —
 cannot change any value, so every backend produces bit-identical runs.
 
 **Checkpoint/resume.**  :meth:`snapshot` flushes pending batches (making all
@@ -49,6 +49,7 @@ from ...obs import MetricsRegistry, Tracer, merge_client_spans
 from ..callbacks import Callback, CallbackList, PeriodicEvaluation, SwitchTelemetry
 from ..config import FLConfig
 from ..execution import ClientExecutor, create_executor
+from ..faults import run_tolerant_round
 from ..simulation import FLHistory, RoundRecord
 from ..strategies.base import FLContext
 from ..training import ClientResult, evaluate_metric
@@ -492,9 +493,10 @@ class AsyncFederatedSimulation:
             tracer = self.tracer
             with (tracer.span("flush_batch", batch=batch_id, jobs=len(specs))
                   if tracer is not None else nullcontext()) as flush_span:
-                results = self._executor.run_round(
-                    self.strategy, self.model_fn, specs, broadcast, self.context
-                )
+                _, stream, _ = run_tolerant_round(
+                    self._executor, self.strategy, self.model_fn, specs,
+                    broadcast, self.context)
+                results = list(stream)
             if tracer is not None:
                 merge_client_spans(tracer, flush_span.start, results,
                                    {spec.client_id: spec.device for spec in specs})

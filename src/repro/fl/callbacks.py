@@ -165,8 +165,8 @@ class SwitchTelemetry(Callback):
 class FaultTelemetry(Callback):
     """Counts failures/retries/drops and records run-level fault totals.
 
-    Per-round counts already live on each :class:`RoundRecord` (filled by the
-    fault-tolerant path in ``run_round``); this callback streams them into a
+    Per-round counts already live on each :class:`RoundRecord` (filled from
+    the fault layer's report in ``run_round``); this callback streams them into a
     :class:`repro.obs.MetricsRegistry` (labeled ``client_failures`` counters,
     one series per failure kind, plus ``client_retries`` and
     ``dropped_clients``) and, like :class:`SwitchTelemetry`, derives run

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..nn.engine import validate_dtype, validate_engine
@@ -94,17 +94,18 @@ class FLConfig:
             raise ValueError("profile must be a bool")
         if not isinstance(self.trace, bool):
             raise ValueError("trace must be a bool")
-        if isinstance(self.faults, dict):
-            object.__setattr__(self, "faults", FaultPlan(**self.faults))
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise ValueError(
-                f"faults must be a FaultPlan, a dict of its fields, or None; "
-                f"got {self.faults!r}")
-        if isinstance(self.fault_policy, dict):
-            object.__setattr__(self, "fault_policy",
-                               FaultPolicy(**self.fault_policy))
-        if self.fault_policy is not None and not isinstance(self.fault_policy,
-                                                            FaultPolicy):
-            raise ValueError(
-                f"fault_policy must be a FaultPolicy, a dict of its fields, "
-                f"or None; got {self.fault_policy!r}")
+        for name, cls in (("faults", FaultPlan), ("fault_policy", FaultPolicy)):
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                known = [f.name for f in fields(cls)]
+                unknown = sorted(set(value) - set(known))
+                if unknown:
+                    raise ValueError(
+                        f"unknown {name} field(s) {unknown}; {cls.__name__} "
+                        f"has {known}")
+                value = cls(**value)
+                object.__setattr__(self, name, value)
+            if value is not None and not isinstance(value, cls):
+                raise ValueError(
+                    f"{name} must be a {cls.__name__}, a dict of its fields, "
+                    f"or None; got {value!r}")

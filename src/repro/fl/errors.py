@@ -15,9 +15,10 @@ Failures must survive two hostile transports:
   the context fields and the worker-side ``remote_traceback`` text (the
   chained ``__cause__`` itself cannot be pickled, so its formatted traceback
   travels instead).
-* **deferred raising** — under a :class:`~repro.fl.faults.FaultPolicy` the
-  orchestrator *collects* failures per attempt instead of raising them, so
-  the instances double as plain data (see ``ClientExecutor.run_attempts``).
+* **deferred raising** — executors *yield* failures as outcomes instead of
+  raising them (see ``ClientExecutor.iter_round``), so the instances double
+  as plain data: under a :class:`~repro.fl.faults.FaultPolicy` the fault
+  layer collects and retries them, and without one it raises the first.
 
 This module is intentionally dependency-free: everything in ``repro.fl`` may
 import it without cycles.

@@ -1,28 +1,29 @@
 """Pluggable client-execution backends for the FL simulation loop.
 
-:class:`~repro.fl.simulation.FederatedSimulation.run_round` fans the per-client
-local-training step out through a :class:`ClientExecutor`.  Three backends are
-registered in :data:`EXECUTOR_REGISTRY`:
+Every round fans the per-client local-training step out through a
+:class:`ClientExecutor`, whose whole protocol is one generator,
+:meth:`ClientExecutor.iter_round`: it takes a wave of ``(spec, attempt)``
+jobs and yields one outcome per job, in job order — the job's
+:class:`~repro.fl.training.ClientResult`, or the
+:class:`~repro.fl.errors.ExecutorError` it failed with.  The fault layer
+(:func:`repro.fl.faults.run_tolerant_round`) decides what a failure means
+(fatal without a policy; retried or dropped under one), and the simulation
+folds the surviving results into the aggregate one at a time.  Three
+backends are registered in :data:`EXECUTOR_REGISTRY`:
 
-* ``serial``  — the reference path: one scratch model, clients trained in
-  selection order on the calling thread.
-* ``thread``  — a ``concurrent.futures.ThreadPoolExecutor`` with one scratch
+* ``serial`` — the reference path: one scratch model, jobs trained in order
+  on the calling thread, each when the consumer asks for its outcome.
+* ``thread`` — a ``concurrent.futures.ThreadPoolExecutor`` with one scratch
   model per worker thread.  Useful when the training step releases the GIL
   (large BLAS calls) and for exercising the parallel protocol cheaply.
-* ``process`` — a ``multiprocessing`` process pool (``fork`` start method).
-  Clients train in worker processes, so the Python-heavy training loop scales
-  with cores.  Inputs reach workers by fork inheritance (no pickling of model
-  factories or datasets); only the :class:`~repro.fl.training.ClientResult`
-  payloads return through pickle, made contiguous/pickle-safe via
-  :func:`repro.nn.serialization.clone_state`.
-* ``shm``     — the fleet-scale backend: a *persistent* fork-based worker pool
+* ``shm``    — the multi-core backend: a *persistent* fork-based worker pool
   plus a ``multiprocessing.shared_memory`` broadcast segment.  The server
   packs the global weights into the segment once per round
   (:class:`~repro.nn.serialization.StateLayout` order); workers attach
   read-only views, train, and ship back only a compact packed update vector.
-  Results stream to the server in selection order (``streaming = True``), so
-  together with the strategies' streaming reductions one round is O(1) in
-  clients/round on the server side.
+  Outcomes stream back as they complete, so together with the strategies'
+  streaming reductions one round is O(1) in clients/round on the server
+  side.  Dead workers are respawned in place mid-round.
 
 Determinism contract (why every backend produces bit-identical runs):
 
@@ -33,8 +34,8 @@ Determinism contract (why every backend produces bit-identical runs):
 2. ``client_update`` must treat the shared :class:`~repro.fl.strategies.base.
    FLContext` as read-only; per-client state updates travel in
    ``ClientResult.metadata`` and are applied server-side after the round.
-3. Executors return results in *selection order* regardless of completion
-   order, and strategies reduce them in canonical order (see
+3. Executors yield outcomes in *job order* regardless of completion order,
+   and strategies reduce them in canonical order (see
    :func:`repro.fl.strategies.base.canonical_results`), so aggregation is
    independent of both submission interleaving and worker count.
 """
@@ -51,13 +52,24 @@ import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
 from concurrent.futures import wait as _futures_wait
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..data.partition import ClientSpec
 from ..nn.engine import engine_scope
-from ..nn.serialization import StateLayout, clone_state
+from ..nn.serialization import StateLayout
 from ..obs.profiling import PROFILER
 from ..registry import Registry
 from .errors import ClientFailure, ExecutorError, RoundTimeout, WorkerDied
@@ -65,7 +77,6 @@ from .training import ClientResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (strategies import us)
     from ..nn.layers import Module
-    from .faults import FaultPolicy
     from .strategies.base import FLContext, Strategy
 
 __all__ = [
@@ -76,14 +87,15 @@ __all__ = [
     "ClientExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "SharedMemoryExecutor",
     "EXECUTOR_REGISTRY",
     "create_executor",
 ]
 
-#: A (spec, attempt) pair: one client job inside a fault-tolerant wave.
+#: A (spec, attempt) pair: one client job of a wave.
 AttemptJob = Tuple[ClientSpec, int]
+#: What :meth:`ClientExecutor.iter_round` yields for one job.
+Outcome = Union[ClientResult, ExecutorError]
 
 # Exit code of a worker killed by an injected "kill" fault: distinctive in
 # logs and never produced by CPython itself.
@@ -129,20 +141,30 @@ def validate_max_workers(max_workers: Optional[int]) -> None:
         )
 
 
+class _InjectedKill(BaseException):
+    """An injected ``kill`` fault inside an shm worker.
+
+    A ``BaseException`` so no handler on the way up mistakes it for a client
+    failure; :func:`_shm_worker_main` catches it and exits the process with
+    ``os._exit`` — no reply, no cleanup handlers, the realistic OOM-kill
+    shape — once the worker's earlier replies are fully written.
+    """
+
+
 def _inject_pre_compute_fault(fault: str, spec: ClientSpec,
                               context: "FLContext", attempt: int,
                               client_timeout: Optional[float]) -> None:
     """Apply an injected fault that fires *before* the local update runs.
 
-    ``crash`` raises a :class:`ClientFailure`; ``kill`` terminates the worker
-    process mid-task (``os._exit``, bypassing every cleanup handler — the
-    realistic OOM-kill shape) or, in the main process where dying would take
-    the server down, degrades to a raised :class:`WorkerDied` so the failure
-    schedule and retry behaviour stay identical across backends; ``hang``
-    sleeps for the plan's ``hang_seconds``.  A hang is judged against the
-    policy's per-client deadline *deterministically* — configured value
-    against configured value, with the sleep capped at the deadline — so a
-    chaos run's timeouts replay bit-for-bit regardless of host speed.
+    ``crash`` raises a :class:`ClientFailure`; ``kill`` terminates an shm
+    worker mid-task (see :class:`_InjectedKill`) or, in the main process
+    where dying would take the server down, degrades to a raised
+    :class:`WorkerDied` so the failure schedule and retry behaviour stay
+    identical across backends; ``hang`` sleeps for the plan's
+    ``hang_seconds``.  A hang is judged against the policy's per-client
+    deadline *deterministically* — configured value against configured
+    value, with the sleep capped at the deadline — so a chaos run's timeouts
+    replay bit-for-bit regardless of host speed.
     """
     client_id, round_index = spec.client_id, context.round_index
     if fault == "crash":
@@ -152,7 +174,7 @@ def _inject_pre_compute_fault(fault: str, spec: ClientSpec,
             round_index=round_index, attempt=attempt, kind="crash")
     if fault == "kill":
         if multiprocessing.current_process().name != "MainProcess":
-            os._exit(_KILL_EXIT_CODE)
+            raise _InjectedKill
         raise WorkerDied(
             f"injected kill: the worker training client {client_id} died on "
             f"attempt {attempt} of round {round_index} (simulated in-process)",
@@ -284,10 +306,10 @@ def run_client(
 
 def _capture_attempt(strategy: "Strategy", model: "Module", spec: ClientSpec,
                      global_state: Dict[str, np.ndarray],
-                     context: "FLContext", attempt: int):
+                     context: "FLContext", attempt: int) -> Outcome:
     """Run one attempt, returning failures as values instead of raising.
 
-    The building block of every backend's ``run_attempts``: client-level
+    The building block of every backend's ``iter_round``: client-level
     failures become :class:`~repro.fl.errors.ExecutorError` outcomes (with
     the formatted traceback attached for cross-process diagnosis), while
     non-``Exception`` escapes like ``KeyboardInterrupt`` still propagate.
@@ -302,7 +324,7 @@ def _capture_attempt(strategy: "Strategy", model: "Module", spec: ClientSpec,
 
 
 class ClientExecutor:
-    """Interface: fan out one round's client updates, reduce deterministically.
+    """Interface: train one wave of client jobs, yield outcomes in job order.
 
     Parameters
     ----------
@@ -315,67 +337,29 @@ class ClientExecutor:
 
     name = "executor"
 
-    #: Whether the simulation should consume this backend through
-    #: :meth:`iter_round` + ``Strategy.aggregate_stream`` (results folded into
-    #: the aggregate one at a time) instead of materializing the round with
-    #: :meth:`run_round`.  Only backends whose ``iter_round`` is genuinely
-    #: incremental should set this; the golden-path backends keep it ``False``
-    #: so their behaviour is byte-for-byte unchanged.
-    streaming = False
-
     def __init__(self, max_workers: Optional[int] = None) -> None:
         validate_max_workers(max_workers)
         self.max_workers = max_workers
 
-    def run_round(
-        self,
-        strategy: "Strategy",
-        model_fn: ModelFactory,
-        selected: Sequence[ClientSpec],
-        global_state: Dict[str, np.ndarray],
-        context: "FLContext",
-    ) -> List[ClientResult]:
-        """Train every selected client and return results in selection order."""
-        raise NotImplementedError
-
     def iter_round(
-        self,
-        strategy: "Strategy",
-        model_fn: ModelFactory,
-        selected: Sequence[ClientSpec],
-        global_state: Dict[str, np.ndarray],
-        context: "FLContext",
-    ) -> Iterator[ClientResult]:
-        """Yield the round's client results in selection order.
-
-        The streaming counterpart of :meth:`run_round`: consumers may fold
-        each result into an accumulator and release it before the next one
-        arrives.  The default materializes the round first, so every backend
-        supports the protocol; backends that can produce results
-        incrementally override this and advertise it via :attr:`streaming`.
-        """
-        yield from self.run_round(strategy, model_fn, selected, global_state,
-                                  context)
-
-    def run_attempts(
         self,
         strategy: "Strategy",
         model_fn: ModelFactory,
         jobs: Sequence[AttemptJob],
         global_state: Dict[str, np.ndarray],
         context: "FLContext",
-        policy: Optional["FaultPolicy"] = None,
-    ) -> List[object]:
-        """Train one wave of ``(spec, attempt)`` jobs, capturing failures.
+    ) -> Iterator[Outcome]:
+        """Train ``(spec, attempt)`` jobs; yield one outcome per job, in job order.
 
-        The fault-tolerant counterpart of :meth:`run_round`, used by
-        :func:`repro.fl.faults.run_tolerant_round`: instead of failing fast,
-        every job produces an outcome — a :class:`ClientResult` on success or
-        an :class:`~repro.fl.errors.ExecutorError` describing the failure —
-        aligned with ``jobs``.  Backends never raise for client-level faults
-        here (worker deaths included: the process backend detects lost jobs
-        via ``policy.worker_timeout``, the shm backend heals its pool in
-        place), so one bad client can never abort its round-mates.
+        An outcome is the job's :class:`ClientResult`, or the
+        :class:`~repro.fl.errors.ExecutorError` it failed with.  Client
+        exceptions, timeouts, rejected updates and worker deaths are all
+        yielded, never raised, so one bad client cannot abort its round-mates;
+        :func:`repro.fl.faults.run_tolerant_round` decides what a failure
+        means.  Consumers may fold each result into an accumulator and release
+        it before the next one arrives, and may close the generator early (a
+        fail-fast round does, on its first failure): the backend then cancels
+        or tears down whatever is still running.
         """
         raise NotImplementedError
 
@@ -397,7 +381,11 @@ class ClientExecutor:
 
 
 class SerialExecutor(ClientExecutor):
-    """The reference backend: clients train sequentially on one scratch model."""
+    """The reference backend: jobs train in order on one scratch model.
+
+    Each job runs only when the consumer asks for its outcome, so a
+    fail-fast round that stops at the first failure trains no later client.
+    """
 
     name = "serial"
 
@@ -418,21 +406,11 @@ class SerialExecutor(ClientExecutor):
             self._model_dtype = dtype
         return self._model
 
-    def run_round(self, strategy, model_fn, selected, global_state, context):
-        return list(self.iter_round(strategy, model_fn, selected, global_state,
-                                    context))
-
-    def iter_round(self, strategy, model_fn, selected, global_state, context):
+    def iter_round(self, strategy, model_fn, jobs, global_state, context):
         model = self._scratch_model(model_fn, context)
-        for spec in selected:
-            yield run_client(strategy, model, spec, global_state, context)
-
-    def run_attempts(self, strategy, model_fn, jobs, global_state, context,
-                     policy=None):
-        model = self._scratch_model(model_fn, context)
-        return [_capture_attempt(strategy, model, spec, global_state, context,
-                                 attempt)
-                for spec, attempt in jobs]
+        for spec, attempt in jobs:
+            yield _capture_attempt(strategy, model, spec, global_state, context,
+                                   attempt)
 
 
 class ThreadExecutor(ClientExecutor):
@@ -468,54 +446,32 @@ class ThreadExecutor(ClientExecutor):
             cache.dtype = dtype
         return cache.model
 
-    def _run_one(self, strategy, model_fn, spec, global_state, context):
-        model = self._thread_model(model_fn, context)
-        return run_client(strategy, model, spec, global_state, context)
-
     def _attempt_one(self, strategy, model_fn, spec, global_state, context,
                      attempt):
         model = self._thread_model(model_fn, context)
         return _capture_attempt(strategy, model, spec, global_state, context,
                                 attempt)
 
-    def run_round(self, strategy, model_fn, selected, global_state, context):
-        if not selected:
-            return []
-        pool = self._ensure_pool(self._effective_workers(len(selected)))
-        futures = [pool.submit(self._run_one, strategy, model_fn, spec,
-                               global_state, context)
-                   for spec in selected]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            # Fail fast: without this, a failing first client would still wait
-            # for (and silently discard) every later client's result one
-            # ``future.result()`` at a time.  Cancel whatever has not started,
-            # then drain the already-running jobs so the pool is quiescent —
-            # and safely reusable — when the error propagates.
-            for future in futures:
-                future.cancel()
-            _futures_wait(futures)
-            raise
-
-    def run_attempts(self, strategy, model_fn, jobs, global_state, context,
-                     policy=None):
+    def iter_round(self, strategy, model_fn, jobs, global_state, context):
+        jobs = list(jobs)
         if not jobs:
-            return []
+            return
         pool = self._ensure_pool(self._effective_workers(len(jobs)))
         futures = [pool.submit(self._attempt_one, strategy, model_fn, spec,
                                global_state, context, attempt)
                    for spec, attempt in jobs]
         try:
-            # _attempt_one captures client-level failures as values, so a
-            # result() raise here is a non-Exception escape — drain and
-            # propagate just like the fail-fast path above.
-            return [future.result() for future in futures]
-        except BaseException:
+            for future in futures:
+                yield future.result()
+        finally:
+            # A consumer that stops early (a fail-fast round closes the
+            # generator on its first failure) must not wait for the later
+            # jobs one at a time, nor leave them running: cancel whatever has
+            # not started, then drain the running jobs so the pool is
+            # quiescent — and safely reusable — when control returns.
             for future in futures:
                 future.cancel()
             _futures_wait(futures)
-            raise
 
     def close(self) -> None:
         if self._pool is not None:
@@ -538,177 +494,10 @@ def _require_fork_platform(executor_name: str) -> None:
         )
 
 
-# Handoff slot for the fork-based process pool.  The parent stores the round's
-# job just before forking; children inherit it (copy-on-write) so neither the
-# model factory (usually a closure) nor the client datasets are ever pickled.
-_FORK_JOB: Optional[Tuple] = None
-# Child-side scratch model, built on first use and reused for every client the
-# child handles this round (children never outlive a round's pool).  Keyed on
-# (factory, compute dtype) so mixed-precision runs in one process never share
-# a wrong-dtype scratch model.
-_FORK_MODEL: Optional[Tuple[ModelFactory, str, "Module"]] = None
-
-
-def _fork_scratch_model(model_fn: ModelFactory, context: "FLContext") -> "Module":
-    """The forked child's scratch model, built once per (factory, dtype)."""
-    global _FORK_MODEL
-    dtype = getattr(context.config, "dtype", "float64")
-    if (_FORK_MODEL is None or _FORK_MODEL[0] is not model_fn
-            or _FORK_MODEL[1] != dtype):
-        with engine_scope(context.config):
-            _FORK_MODEL = (model_fn, dtype, model_fn())
-    return _FORK_MODEL[2]
-
-
-def _fork_client(position: int) -> ClientResult:
-    """Process-pool entry point: train the round's ``position``-th client."""
-    strategy, model_fn, selected, global_state, context = _FORK_JOB
-    model = _fork_scratch_model(model_fn, context)
-    result = run_client(strategy, model, selected[position], global_state,
-                        context)
-    # The only pickled payload: make the weights contiguous owned arrays so
-    # the transfer back to the server is cheap and alias-free.
-    result.state = clone_state(result.state)
-    return result
-
-
-# Handoff slot for fault-tolerant process waves (same copy-on-write trick as
-# _FORK_JOB, but the job list carries (spec, attempt) pairs).
-_FORK_ATTEMPTS: Optional[Tuple] = None
-
-
-def _fork_attempt(index: int):
-    """Process-pool entry point for one fault-tolerant attempt job."""
-    strategy, model_fn, jobs, global_state, context = _FORK_ATTEMPTS
-    spec, attempt = jobs[index]
-    model = _fork_scratch_model(model_fn, context)
-    outcome = _capture_attempt(strategy, model, spec, global_state, context,
-                               attempt)
-    if isinstance(outcome, ClientResult):
-        outcome.state = clone_state(outcome.state)
-    return outcome
-
-
-class ProcessExecutor(ClientExecutor):
-    """Process-pool backend (``fork`` start method, POSIX only).
-
-    A fresh pool is forked per round: inputs travel by address-space
-    inheritance (zero serialization), results return through pickle.  Workers
-    see the context exactly as it was at the start of the round — the same
-    snapshot semantics the read-only ``client_update`` contract guarantees for
-    the serial and thread backends.
-    """
-
-    name = "process"
-
-    def run_round(self, strategy, model_fn, selected, global_state, context):
-        global _FORK_JOB
-        if not selected:
-            return []
-        _require_fork_platform(self.name)
-        workers = self._effective_workers(len(selected))
-        mp_context = multiprocessing.get_context("fork")
-        # The module-global handoff supports one in-flight round per process:
-        # the payload is set immediately before the fork and cleared before
-        # returning, whatever happens in between.
-        pool = None
-        try:
-            _FORK_JOB = (strategy, model_fn, list(selected), global_state, context)
-            pool = mp_context.Pool(processes=workers)
-            # Pool.map preserves submission order; chunksize=1 load-balances
-            # heterogeneous client dataset sizes across workers.
-            results = pool.map(_fork_client, range(len(selected)), chunksize=1)
-            pool.close()
-        except Exception:
-            if pool is not None:
-                pool.terminate()
-            raise
-        finally:
-            if pool is not None:
-                pool.join()
-            _FORK_JOB = None
-        return list(results)
-
-    def run_attempts(self, strategy, model_fn, jobs, global_state, context,
-                     policy=None):
-        global _FORK_ATTEMPTS
-        if not jobs:
-            return []
-        _require_fork_platform(self.name)
-        jobs = list(jobs)
-        worker_timeout = policy.worker_timeout if policy is not None else 30.0
-        workers = self._effective_workers(len(jobs))
-        mp_context = multiprocessing.get_context("fork")
-        outcomes: List[object] = [None] * len(jobs)
-        pool = None
-        try:
-            _FORK_ATTEMPTS = (strategy, model_fn, jobs, global_state, context)
-            pool = mp_context.Pool(processes=workers)
-            handles = [pool.apply_async(_fork_attempt, (index,))
-                       for index in range(len(jobs))]
-            pool.close()
-            # A worker killed mid-task (os._exit, OOM) loses its job: the
-            # pool respawns the worker and finishes the *queued* jobs, but
-            # the in-flight AsyncResult never becomes ready.  Lost jobs are
-            # therefore detected by stall: when no job completes for
-            # worker_timeout, whatever is still pending belonged to dead
-            # workers.  The deadline resets on every completion so slow
-            # healthy rounds never trip it.
-            pending = set(range(len(jobs)))
-            deadline = time.monotonic() + worker_timeout
-            while pending:
-                progressed = False
-                for index in sorted(pending):
-                    handle = handles[index]
-                    if not handle.ready():
-                        continue
-                    pending.discard(index)
-                    progressed = True
-                    try:
-                        outcomes[index] = handle.get()
-                    except ExecutorError as exc:
-                        outcomes[index] = exc
-                    except Exception as exc:
-                        spec, attempt = jobs[index]
-                        failure = ClientFailure(
-                            f"client {spec.client_id} failed on attempt "
-                            f"{attempt} of round {context.round_index}: "
-                            f"{type(exc).__name__}: {exc}",
-                            client_id=spec.client_id,
-                            round_index=context.round_index, attempt=attempt)
-                        failure.__cause__ = exc
-                        outcomes[index] = failure
-                if progressed:
-                    deadline = time.monotonic() + worker_timeout
-                elif time.monotonic() >= deadline:
-                    for index in pending:
-                        spec, attempt = jobs[index]
-                        outcomes[index] = WorkerDied(
-                            f"process worker owning client {spec.client_id} "
-                            f"died (no result within {worker_timeout:g}s) on "
-                            f"attempt {attempt} of round "
-                            f"{context.round_index}",
-                            client_id=spec.client_id,
-                            round_index=context.round_index, attempt=attempt)
-                    pool.terminate()
-                    break
-                else:
-                    time.sleep(0.01)
-        except BaseException:
-            if pool is not None:
-                pool.terminate()
-            raise
-        finally:
-            if pool is not None:
-                pool.join()
-            _FORK_ATTEMPTS = None
-        return outcomes
-
-
 # Fork handoff for the persistent shared-memory pool: the (strategy, model
 # factory) pair is staged here immediately before the workers fork and cleared
-# right after, so neither object is ever pickled — same trick as _FORK_JOB,
-# but inherited once for the pool's whole lifetime instead of per round.
+# right after, so neither object (the factory is usually a closure) is ever
+# pickled — children inherit it by copy-on-write for the pool's lifetime.
 _SHM_STATIC: Optional[Tuple["Strategy", ModelFactory]] = None
 
 
@@ -732,12 +521,13 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
     Failures reply ``("err", worker_index, position, failure)`` — a pickled
     :class:`~repro.fl.errors.ExecutorError` carrying the client/round/attempt
     context and the worker-side traceback text — and keep the worker alive.
-    An update that does not fit the broadcast layout (wrong shape/keys) is
-    rejected *here*, at the streaming aggregation boundary, as a
-    ``ClientFailure(kind="sanitize")``: a misshapen tensor cannot travel
-    through the packed vector at all.  The segment is mapped read-only via
-    ``np.memmap``
-    on its ``/dev/shm`` backing file rather than ``SharedMemory(name=...)``:
+    A failure on a ``"round"`` message replies with position ``-1``; the
+    server fails the whole round with it.  An update that does not fit the
+    broadcast layout (wrong shape/keys) is rejected *here*, at the streaming
+    aggregation boundary, as a ``ClientFailure(kind="sanitize")``: a
+    misshapen tensor cannot travel through the packed vector at all.  The
+    segment is mapped read-only via ``np.memmap`` on its ``/dev/shm`` backing
+    file rather than ``SharedMemory(name=...)``:
     attaching through the class would enroll the segment with this process's
     ``resource_tracker``, whose cleanup would fight the parent's over who
     unlinks it.
@@ -813,6 +603,13 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                                   result.num_samples, result.train_loss,
                                   result.init_loss, result.client_id,
                                   result.metadata))
+        except _InjectedKill:
+            # Flush before dying: a kill landing while this worker's queue
+            # feeder thread holds the shared result queue's write lock would
+            # strand the lock and block every other worker's replies.
+            result_queue.close()
+            result_queue.join_thread()
+            os._exit(_KILL_EXIT_CODE)
         except BaseException as exc:
             position = message[1] if kind == "client" else -1
             if isinstance(exc, ExecutorError):
@@ -829,8 +626,7 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
 class SharedMemoryExecutor(ClientExecutor):
     """Fleet-scale backend: persistent fork pool + shared-memory broadcast.
 
-    Differences from :class:`ProcessExecutor` that make hundreds of clients
-    per round tractable:
+    What makes hundreds of clients per round tractable:
 
     * **Persistent workers** — the pool forks once (per ``(strategy,
       model_fn)`` pair) and survives across rounds and runs, so scratch
@@ -841,11 +637,11 @@ class SharedMemoryExecutor(ClientExecutor):
       (segment name, layout, context snapshot), not a copy of the model.
     * **Compact returns** — workers reply with the layout-packed update
       vector; the server unpacks straight into the streaming aggregation.
-    * **Streaming rounds** — :meth:`iter_round` yields results in selection
-      order as they complete (a reorder buffer bridges completion order to
-      selection order), and advertises ``streaming = True`` so the simulation
-      folds each update into the aggregate and frees it immediately: server
-      memory per round is O(model), not O(clients x model).
+    * **Streaming rounds** — :meth:`iter_round` yields each outcome as soon
+      as every earlier position is in (a reorder buffer bridges completion
+      order to job order), so the simulation folds each update into the
+      aggregate and frees it immediately: server memory per round is
+      O(model), not O(clients x model).
 
     Task dispatch is dynamically load-balanced: each worker gets one client
     up front and receives the next one when its result arrives.  Determinism
@@ -855,7 +651,6 @@ class SharedMemoryExecutor(ClientExecutor):
     """
 
     name = "shm"
-    streaming = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         super().__init__(max_workers)
@@ -1008,95 +803,33 @@ class SharedMemoryExecutor(ClientExecutor):
         }
 
     # -- round execution -------------------------------------------------- #
-    def run_round(self, strategy, model_fn, selected, global_state, context):
-        return list(self.iter_round(strategy, model_fn, selected, global_state,
-                                    context))
+    def iter_round(self, strategy, model_fn, jobs, global_state, context):
+        """Stream one wave through the pool, healing dead workers in place.
 
-    def iter_round(self, strategy, model_fn, selected, global_state, context):
-        if not selected:
+        A worker found dead has its in-flight job yielded as a
+        :class:`~repro.fl.errors.WorkerDied` outcome (consuming that job's
+        attempt) and is respawned *in place* — same slot, same result queue,
+        same broadcast segment — so the pool is back at full strength for the
+        remaining jobs without re-packing the weights.  A worker that fails
+        on the round header itself fails the whole round with that error: it
+        has no valid context to train any job with.
+        """
+        jobs = list(jobs)
+        if not jobs:
             return
         _require_fork_platform(self.name)
-        selected = list(selected)
-        workers = self._effective_workers(len(selected))
-        self._ensure_pool(strategy, model_fn, workers)
-        layout = StateLayout(global_state)
-        self._ensure_segment(layout)
-        layout.pack(global_state, out=self._segment_vector)
-        header = self._round_header(layout, context)
-        active = self._workers[:workers]
-        for _, task_queue in active:
-            task_queue.put(("round", header))
-        sent = 0
-        for _, task_queue in active:
-            if sent >= len(selected):
-                break
-            self._send_client(task_queue, sent, selected[sent], context)
-            sent += 1
-        buffered: Dict[int, ClientResult] = {}
-        next_position = 0
-        received = 0
-        try:
-            while next_position < len(selected):
-                while next_position not in buffered:
-                    message = self._next_result(active)
-                    if message[0] == "err":
-                        # The worker already shaped this into an ExecutorError
-                        # with client/round/attempt context and its traceback
-                        # text attached; fail the round with it directly.
-                        raise message[3]
-                    (_, worker_index, position, vector, num_samples,
-                     train_loss, init_loss, client_id, metadata) = message
-                    buffered[position] = ClientResult(
-                        state=layout.unpack(vector), num_samples=num_samples,
-                        train_loss=train_loss, init_loss=init_loss,
-                        client_id=client_id, metadata=metadata)
-                    received += 1
-                    if sent < len(selected):
-                        self._send_client(active[worker_index][1], sent,
-                                          selected[sent], context)
-                        sent += 1
-                yield buffered.pop(next_position)
-                next_position += 1
-        except BaseException:
-            # A failed (or abandoned — GeneratorExit lands here too) round
-            # may leave workers mid-task and results in flight; terminate the
-            # pool so stale results cannot leak into the next round.  The
-            # broadcast segment stays for close() to unlink.  One abandonment
-            # is *normal*: consumers driven by zip() (consume_stream) never
-            # resume the generator after its final yield, so GeneratorExit
-            # arrives here with every result already received — the workers
-            # are idle and the pool must survive for the next round.
-            if received < len(selected):
-                self._shutdown_pool(graceful=False)
-            raise
-
-    def run_attempts(self, strategy, model_fn, jobs, global_state, context,
-                     policy=None):
-        """Fault-tolerant wave with a self-healing pool.
-
-        Unlike :meth:`iter_round`'s fail-fast protocol, worker deaths do not
-        abort the wave: a dead worker's in-flight job becomes a
-        :class:`~repro.fl.errors.WorkerDied` outcome (consuming that job's
-        attempt), and the worker is respawned *in place* — same slot, same
-        result queue, same broadcast segment — so the pool is back at full
-        strength for the remaining jobs without re-packing the weights.
-        """
-        if not jobs:
-            return []
-        _require_fork_platform(self.name)
-        jobs = list(jobs)
         workers = self._effective_workers(len(jobs))
         self._ensure_pool(strategy, model_fn, workers)
         layout = StateLayout(global_state)
         self._ensure_segment(layout)
         layout.pack(global_state, out=self._segment_vector)
         header = self._round_header(layout, context)
-        active = list(range(min(workers, len(self._workers))))
+        active = range(workers)
         for index in active:
             self._workers[index][1].put(("round", header))
-        outcomes: List[object] = [None] * len(jobs)
         pending = deque(range(len(jobs)))
         in_flight: Dict[int, int] = {}  # worker slot -> job position
+        buffered: Dict[int, Outcome] = {}  # job position -> outcome
 
         def dispatch(index: int) -> None:
             if pending:
@@ -1108,32 +841,48 @@ class SharedMemoryExecutor(ClientExecutor):
 
         for index in active:
             dispatch(index)
-        # Invariant: pending jobs imply in-flight jobs — every completion
-        # dispatches the next pending job, and healing re-dispatches after a
-        # respawn — so draining in_flight drains the whole wave.
-        while in_flight:
-            try:
-                message = self._result_queue.get(timeout=0.25)
-            except queue_module.Empty:
-                self._heal_workers(active, in_flight, jobs, outcomes, header,
-                                   dispatch, context)
-                continue
-            tag, worker_index, position = message[0], message[1], message[2]
-            if in_flight.get(worker_index) == position:
-                del in_flight[worker_index]
-            if tag == "ok":
-                (_, _, _, vector, num_samples, train_loss, init_loss,
-                 client_id, metadata) = message
-                outcomes[position] = ClientResult(
-                    state=layout.unpack(vector), num_samples=num_samples,
-                    train_loss=train_loss, init_loss=init_loss,
-                    client_id=client_id, metadata=metadata)
-            else:
-                outcomes[position] = message[3]
-            dispatch(worker_index)
-        return outcomes
+        try:
+            # Invariant: pending jobs imply in-flight jobs — every arrival
+            # dispatches the next pending job, and healing re-dispatches after
+            # a respawn — so a position not yet buffered is always in flight.
+            for next_position in range(len(jobs)):
+                while next_position not in buffered:
+                    try:
+                        message = self._result_queue.get(timeout=0.25)
+                    except queue_module.Empty:
+                        self._heal_workers(active, in_flight, jobs, buffered,
+                                           header, dispatch, context)
+                        continue
+                    tag, worker_index, position = message[0], message[1], message[2]
+                    if position < 0:
+                        # The worker failed on the ("round", header) message.
+                        raise message[3]
+                    if in_flight.get(worker_index) == position:
+                        del in_flight[worker_index]
+                    if tag == "ok":
+                        (_, _, _, vector, num_samples, train_loss, init_loss,
+                         client_id, metadata) = message
+                        buffered[position] = ClientResult(
+                            state=layout.unpack(vector), num_samples=num_samples,
+                            train_loss=train_loss, init_loss=init_loss,
+                            client_id=client_id, metadata=metadata)
+                    else:
+                        buffered[position] = message[3]
+                    dispatch(worker_index)
+                yield buffered.pop(next_position)
+        except BaseException:
+            # A failed or abandoned round (GeneratorExit lands here too) may
+            # leave workers mid-job and results in flight; terminate the pool
+            # so stale results cannot leak into the next round.  The broadcast
+            # segment stays for close() to unlink.  One abandonment is
+            # *normal*: consumers driven by zip() never resume the generator
+            # after its final yield, so GeneratorExit arrives with nothing in
+            # flight — the workers are idle and the pool must survive.
+            if in_flight:
+                self._shutdown_pool(graceful=False)
+            raise
 
-    def _heal_workers(self, active, in_flight, jobs, outcomes, header,
+    def _heal_workers(self, active, in_flight, jobs, buffered, header,
                       dispatch, context) -> None:
         """Detect dead workers, fail their in-flight jobs, respawn in place."""
         for index in active:
@@ -1143,7 +892,7 @@ class SharedMemoryExecutor(ClientExecutor):
             position = in_flight.pop(index, None)
             if position is not None:
                 spec, attempt = jobs[position]
-                outcomes[position] = WorkerDied(
+                buffered[position] = WorkerDied(
                     f"shm worker (pid {process.pid}) died with exit code "
                     f"{process.exitcode} while training client "
                     f"{spec.client_id} on attempt {attempt} of round "
@@ -1159,17 +908,6 @@ class SharedMemoryExecutor(ClientExecutor):
         task_queue.put(("client", position, spec,
                         context.client_storage.get(spec.client_id, {}),
                         attempt))
-
-    def _next_result(self, active) -> Tuple:
-        while True:
-            try:
-                return self._result_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                for process, _ in active:
-                    if not process.is_alive():
-                        raise WorkerDied(
-                            f"shm worker (pid {process.pid}) died unexpectedly "
-                            f"with exit code {process.exitcode}")
 
     def close(self) -> None:
         # The segment must be unlinked even if a wedged worker makes the
@@ -1190,7 +928,6 @@ class SharedMemoryExecutor(ClientExecutor):
 EXECUTOR_REGISTRY: Registry[ClientExecutor] = Registry("executor", {
     "serial": SerialExecutor,
     "thread": ThreadExecutor,
-    "process": ProcessExecutor,
     "shm": SharedMemoryExecutor,
 })
 

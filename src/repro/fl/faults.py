@@ -34,8 +34,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import ClientFailure, ExecutorError, RoundFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..data.partition import ClientSpec
-    from .execution import ClientExecutor, ModelFactory
+    from .execution import ClientExecutor, ModelFactory, Outcome
     from .strategies.base import FLContext, Strategy
     from .training import ClientResult
 
@@ -186,10 +187,6 @@ class FaultPolicy:
         survivors, bitwise-equal to a survivors-only round — while at least
         this many clients succeed, and raises
         :class:`~repro.fl.errors.RoundFailedError` otherwise.
-    worker_timeout:
-        How long the process backend waits without *any* job completing
-        before declaring the in-flight jobs lost to dead workers (the shm
-        backend detects dead workers directly and ignores this).
     sanitize:
         Reject non-finite or out-of-layout client updates at the aggregation
         boundary (counted as per-client failures, retried under the policy)
@@ -200,7 +197,6 @@ class FaultPolicy:
     backoff_seconds: float = 0.0
     client_timeout: Optional[float] = None
     min_clients: int = 1
-    worker_timeout: float = 30.0
     sanitize: bool = True
 
     def __post_init__(self) -> None:
@@ -220,8 +216,6 @@ class FaultPolicy:
             raise ValueError(
                 f"min_clients must be a positive integer, got "
                 f"{self.min_clients!r}")
-        if not self.worker_timeout > 0:
-            raise ValueError("worker_timeout must be positive")
         if not isinstance(self.sanitize, bool):
             raise ValueError("sanitize must be a bool")
 
@@ -285,24 +279,36 @@ def run_tolerant_round(
     selected: Sequence["ClientSpec"],
     global_state: Dict[str, np.ndarray],
     context: "FLContext",
-    policy: FaultPolicy,
-) -> Tuple[List["ClientSpec"], List["ClientResult"], RoundFaultReport]:
-    """Run one round under a :class:`FaultPolicy`; return the survivors.
+    policy: Optional[FaultPolicy] = None,
+) -> Tuple[List["ClientSpec"], Iterable["ClientResult"], Optional[RoundFaultReport]]:
+    """Run one round's client jobs; return ``(cohort, results, report)``.
 
-    Jobs run in *waves*: the full selection first, then one retry wave per
-    remaining attempt containing only the failed jobs.  Each wave fans out
-    through ``executor.run_attempts``, which captures per-job failures
-    instead of failing the whole round.  Returns ``(survivor_specs,
-    survivor_results, report)`` with both lists in selection order — the
-    canonical reduction order — so aggregating them is bitwise-equal to a
-    round that selected only the survivors.
+    ``results`` are the cohort's client results in selection order — the
+    canonical reduction order — ready for ``Strategy.aggregate_stream``.
 
-    Raises :class:`~repro.fl.errors.RoundFailedError` when fewer than
+    Without a policy the round is fail-fast: the cohort is the selection,
+    ``results`` streams the executor's outcomes straight through, and the
+    first :class:`~repro.fl.errors.ExecutorError` (in selection order) is
+    raised, closing the executor's generator so no later client keeps
+    training.  ``report`` is ``None``.
+
+    Under a policy, jobs run in *waves*: the full selection first, then one
+    retry wave per remaining attempt containing only the failed jobs.
+    Failures are collected and retried (after sanitization, when enabled)
+    up to the policy's budget; the cohort is the survivors, so aggregating
+    it is bitwise-equal to a round that selected only the survivors.  Raises
+    :class:`~repro.fl.errors.RoundFailedError` when fewer than
     ``policy.min_clients`` survive every retry.
     """
+    selected = list(selected)
+    if policy is None:
+        outcomes = executor.iter_round(strategy, model_fn,
+                                       [(spec, 0) for spec in selected],
+                                       global_state, context)
+        return selected, _raise_first_error(outcomes), None
+
     from .training import ClientResult  # runtime import: cycle-free leaf
 
-    selected = list(selected)
     layout = StateLayout(global_state) if policy.sanitize else None
     plan = getattr(context.config, "faults", None)
     backoff_seed = plan.seed if plan is not None else context.config.seed
@@ -312,34 +318,30 @@ def run_tolerant_round(
     wave_index = 0
     while wave:
         jobs = [(selected[pos], attempt) for pos, attempt in wave]
-        outcomes = executor.run_attempts(strategy, model_fn, jobs,
-                                         global_state, context, policy)
         retry: List[Tuple[int, int]] = []
-        for (pos, attempt), outcome in zip(wave, outcomes):
-            spec = selected[pos]
-            if isinstance(outcome, ClientResult):
-                reason = (sanitize_result(outcome, layout)
-                          if layout is not None else None)
-                if reason is None:
-                    results_by_pos[pos] = outcome
-                    continue
-                outcome = ClientFailure(
-                    f"client {spec.client_id} update rejected on attempt "
-                    f"{attempt} of round {context.round_index}: {reason}",
-                    client_id=spec.client_id,
-                    round_index=context.round_index,
-                    attempt=attempt, kind="sanitize")
-            if not isinstance(outcome, ExecutorError):  # pragma: no cover
-                raise TypeError(
-                    f"run_attempts must return ClientResult or ExecutorError "
-                    f"outcomes, got {type(outcome).__name__}")
-            report.num_failures += 1
-            report.failure_kinds[outcome.kind] = (
-                report.failure_kinds.get(outcome.kind, 0) + 1)
-            report.messages[spec.client_id] = str(outcome)
-            if attempt < policy.max_retries:
-                retry.append((pos, attempt + 1))
-                report.num_retries += 1
+        with closing(executor.iter_round(strategy, model_fn, jobs,
+                                         global_state, context)) as outcomes:
+            for (pos, attempt), outcome in zip(wave, outcomes, strict=True):
+                spec = selected[pos]
+                if isinstance(outcome, ClientResult):
+                    reason = (sanitize_result(outcome, layout)
+                              if layout is not None else None)
+                    if reason is None:
+                        results_by_pos[pos] = outcome
+                        continue
+                    outcome = ClientFailure(
+                        f"client {spec.client_id} update rejected on attempt "
+                        f"{attempt} of round {context.round_index}: {reason}",
+                        client_id=spec.client_id,
+                        round_index=context.round_index,
+                        attempt=attempt, kind="sanitize")
+                report.num_failures += 1
+                report.failure_kinds[outcome.kind] = (
+                    report.failure_kinds.get(outcome.kind, 0) + 1)
+                report.messages[spec.client_id] = str(outcome)
+                if attempt < policy.max_retries:
+                    retry.append((pos, attempt + 1))
+                    report.num_retries += 1
         wave = retry
         wave_index += 1
         if wave and policy.backoff_seconds > 0:
@@ -363,3 +365,12 @@ def run_tolerant_round(
     survivors = [selected[pos] for pos in survivor_pos]
     results = [results_by_pos[pos] for pos in survivor_pos]
     return survivors, results, report
+
+
+def _raise_first_error(outcomes: Iterator["Outcome"]) -> Iterator["ClientResult"]:
+    """Pass results through; raise the first failure and stop the executor."""
+    with closing(outcomes):
+        for outcome in outcomes:
+            if isinstance(outcome, ExecutorError):
+                raise outcome
+            yield outcome

@@ -12,12 +12,17 @@ the observer API of :mod:`repro.fl.callbacks`; client selection is delegated to
 a pluggable :class:`~repro.fl.sampling.ClientSampler` whose draws depend only
 on ``(seed, round_index)`` so any round can be replayed in isolation.
 
-The per-client local-training step is fanned out through a pluggable
-:class:`~repro.fl.execution.ClientExecutor` (serial, thread pool, process
-pool, or shared-memory streaming pool); every backend produces bit-identical
-runs because client randomness
-derives from ``(seed, round, client_id)`` and results are reduced in canonical
-order (see :mod:`repro.fl.execution` for the full determinism contract).
+Every round runs one pipeline.  The per-client local-training step is fanned
+out through a pluggable :class:`~repro.fl.execution.ClientExecutor` (serial,
+thread pool, or shared-memory process pool), whose one protocol yields each
+job's outcome in selection order; the fault layer
+(:func:`~repro.fl.faults.run_tolerant_round`) turns outcomes into the round's
+cohort — failing fast without a fault policy, retrying and degrading to a
+quorum under one — and the strategy folds the cohort's results into the new
+global model through one ``aggregate_stream`` call.  Every backend produces
+bit-identical runs because client randomness derives from ``(seed, round,
+client_id)`` and results are reduced in canonical order (see
+:mod:`repro.fl.execution` for the full determinism contract).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .faults import run_tolerant_round
 from .metrics import summarize_per_device
 from .sampling import ClientSampler, UniformSampler
 from .strategies.base import FLContext, Strategy
-from .training import ClientResult, evaluate_metric
+from .training import evaluate_metric
 
 __all__ = ["RoundRecord", "FLHistory", "FederatedSimulation", "history_from_dict"]
 
@@ -179,8 +184,7 @@ class FederatedSimulation:
     executor:
         Client-execution backend fanning out the per-client training step: a
         :class:`~repro.fl.execution.ClientExecutor` instance, a registry name
-        (``"serial"``, ``"thread"``, ``"process"``, ``"shm"``), or ``None``
-        for serial.
+        (``"serial"``, ``"thread"``, ``"shm"``), or ``None`` for serial.
         A bare name uses one worker per CPU core; pass a constructed instance
         (``create_executor("thread", max_workers=4)``) to cap the pool.
         Backends the simulation creates itself are closed at the end of each
@@ -350,70 +354,32 @@ class FederatedSimulation:
         # Record the selection order: it is the canonical reduction order the
         # strategies aggregate in, whatever order parallel workers finish in.
         self.context.round_selection = [spec.client_id for spec in selected]
-        # Server-side reduction runs under the configured training engine so
-        # "reference" rounds reproduce the seed dict-based aggregation exactly
-        # (the flat and reference reductions are bitwise-identical either way;
-        # see tests/fl/test_train_engine.py).
-        clients_span = None
-        policy = self.config.fault_policy
-        report = None
-        if policy is not None:
-            # Fault-tolerant path (repro.fl.faults): clients run in waves of
-            # attempts — failures are collected instead of raised, retried up
-            # to the policy's budget, and the round degrades gracefully to the
-            # surviving cohort as long as the quorum holds.  Training and
-            # retries interleave, so the whole window traces as one span.
-            with self._obs_span("clients", round=round_index, count=len(selected),
-                                tolerant=True) as clients_span:
-                survivors, results, report = run_tolerant_round(
-                    self._executor, self.strategy, self.model_fn, selected,
-                    self.global_state, self.context, policy)
+        # One path for every backend and policy: the fault layer runs the
+        # client jobs (fail-fast without a policy, retries and quorum under
+        # one) and hands back the cohort whose results the strategy folds
+        # into the aggregate one at a time, in selection order.  Training
+        # and the fold interleave, so they trace as one "clients" span.
+        with self._obs_span("clients", round=round_index,
+                            count=len(selected)) as clients_span:
+            cohort, results, report = run_tolerant_round(
+                self._executor, self.strategy, self.model_fn, selected,
+                self.global_state, self.context, self.config.fault_policy)
             # Aggregation (and the strategies' canonical-order checks) must
             # see exactly the surviving cohort: a degraded round is then
             # bitwise-identical to a round that selected only the survivors.
-            self.context.round_selection = [spec.client_id for spec in survivors]
-            with self._obs_span("aggregate", round=round_index,
-                                survivors=len(survivors)):
-                with engine_scope(self.config):
-                    if getattr(self._executor, "streaming", False):
-                        self._global_state, results = self.strategy.aggregate_stream(
-                            self._global_state, survivors, iter(results),
-                            self.context)
-                    else:
-                        self._global_state = self.strategy.aggregate(
-                            self._global_state, results, self.context)
-                    self.strategy.on_round_end(self.context, results)
-        elif getattr(self._executor, "streaming", False):
-            # Streaming backend (e.g. "shm"): results are folded into the
-            # aggregate one at a time in selection order and released, so the
-            # server's peak memory is O(model) regardless of clients/round.
-            # Bitwise-identical to the materialized path below.  Training and
-            # aggregation interleave, so the whole window traces as one
-            # "clients" span.
-            with self._obs_span("clients", round=round_index, count=len(selected),
-                                streaming=True) as clients_span:
-                stream = self._executor.iter_round(
-                    self.strategy, self.model_fn, selected, self.global_state, self.context
-                )
-                with engine_scope(self.config):
-                    self._global_state, results = self.strategy.aggregate_stream(
-                        self._global_state, selected, stream, self.context)
-                    self.strategy.on_round_end(self.context, results)
-        else:
-            with self._obs_span("clients", round=round_index,
-                                count=len(selected)) as clients_span:
-                results: List[ClientResult] = self._executor.run_round(
-                    self.strategy, self.model_fn, selected, self.global_state, self.context
-                )
-            with self._obs_span("aggregate", round=round_index):
-                with engine_scope(self.config):
-                    self._global_state = self.strategy.aggregate(
-                        self._global_state, results, self.context)
-                    self.strategy.on_round_end(self.context, results)
+            self.context.round_selection = [spec.client_id for spec in cohort]
+            # The fold runs under the configured engine and dtype, so
+            # "reference" rounds reproduce the seed dict-based reduction.
+            with engine_scope(self.config):
+                self._global_state, results = self.strategy.aggregate_stream(
+                    self._global_state, cohort, results, self.context)
+        with self._obs_span("aggregate", round=round_index, survivors=len(cohort)):
+            with engine_scope(self.config):
+                self.strategy.on_round_end(self.context, results)
         if self.tracer is not None:
             merge_client_spans(
                 self.tracer,
-                clients_span.start if clients_span is not None else self.tracer.now(),
+                clients_span.start,
                 results,
                 {spec.client_id: spec.device for spec in selected})
 

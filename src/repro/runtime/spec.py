@@ -77,7 +77,7 @@ class RunSpec:
     sampler / sampler_kwargs:
         Client-sampler registry key and constructor arguments.
     executor / max_workers:
-        Client-execution backend (``"serial"``, ``"thread"``, ``"process"``, ``"shm"``)
+        Client-execution backend (``"serial"``, ``"thread"``, ``"shm"``)
         and its worker cap (``None`` = one per CPU core).  Every backend
         produces bit-identical results, so this is purely a wall-clock knob
         (federated only).

@@ -44,13 +44,17 @@ class TestParser:
 
     def test_bench_executor_flags_parse(self):
         args = build_parser().parse_args(
-            ["bench", "--executor", "process", "--workers", "4"])
-        assert args.executor == "process"
+            ["bench", "--executor", "shm", "--workers", "4"])
+        assert args.executor == "shm"
         assert args.workers == 4
 
     def test_bench_rejects_unknown_executor(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--executor", "gpu"])
+
+    def test_bench_rejects_removed_process_executor(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--executor", "process"])
 
     def test_sweep_executor_flags_parse(self):
         args = build_parser().parse_args(

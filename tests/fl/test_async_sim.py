@@ -2,7 +2,7 @@
 
 The headline guarantees under test:
 
-* **Cross-executor bit-identity** — serial, thread and process backends
+* **Cross-executor bit-identity** — serial, thread and shm backends
   produce identical final weights, commit records and metadata.
 * **Checkpoint/resume transparency** — a snapshot taken mid-event-queue
   (through the npz codec) restores into a fresh simulation that finishes
@@ -14,6 +14,8 @@ The headline guarantees under test:
 
 import dataclasses
 import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -35,12 +37,13 @@ from repro.nn.serialization import state_fingerprint
 from repro.store.checkpoint import read_checkpoint, write_checkpoint
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 
 EXECUTORS = [
     pytest.param("serial", id="serial"),
     pytest.param("thread", id="thread"),
-    pytest.param("process", id="process",
-                 marks=pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")),
+    pytest.param("shm", id="shm",
+                 marks=pytest.mark.skipif(not HAS_SHM, reason="needs Linux fork + /dev/shm")),
 ]
 
 

@@ -3,7 +3,7 @@
 Guarantees under test (FLConfig.dtype="float32"):
 
 * **Cross-executor bit-identity is dtype-independent** — a float32 run is
-  bitwise identical across serial/thread/process/shm backends, exactly like
+  bitwise identical across serial/thread/shm backends, exactly like
   the float64 golden path.
 * **Tolerance equivalence to float64** — final weights and metrics of a
   float32 run match the float64 run of the same spec within
@@ -40,9 +40,6 @@ HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 BACKENDS = [
     pytest.param("serial", id="serial"),
     pytest.param("thread", id="thread"),
-    pytest.param("process", id="process",
-                 marks=pytest.mark.skipif(not HAS_FORK,
-                                          reason="needs fork start method")),
     pytest.param("shm", id="shm",
                  marks=pytest.mark.skipif(not HAS_SHM,
                                           reason="shm executor needs Linux fork + /dev/shm")),

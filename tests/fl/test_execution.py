@@ -3,7 +3,7 @@
 The guarantees under test (see :mod:`repro.fl.execution`):
 
 * a short FL run produces **bit-identical** history metrics and final global
-  weights on the serial, thread, and process backends, for any worker count;
+  weights on the serial, thread, and shm backends, for any worker count;
 * every registered strategy's aggregation is **permutation-invariant**: the
   order client results arrive in cannot change the aggregated state;
 * client randomness derives from ``(seed, round, client_id)`` — the exact
@@ -12,6 +12,9 @@ The guarantees under test (see :mod:`repro.fl.execution`):
 
 import copy
 import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,14 +24,15 @@ from repro.fl.callbacks import Callback
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
     EXECUTOR_REGISTRY,
-    ProcessExecutor,
     SerialExecutor,
+    SharedMemoryExecutor,
     ThreadExecutor,
     client_rng,
     create_executor,
     derive_client_seed,
     run_client,
 )
+from repro.fl.faults import run_tolerant_round
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import FLContext, canonical_results, create_strategy
 from repro.fl.training import local_train
@@ -36,10 +40,12 @@ from repro.nn.serialization import get_weights, states_equal
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
+HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
+
 PARALLEL_BACKENDS = [
     pytest.param("thread", id="thread"),
-    pytest.param("process", id="process",
-                 marks=pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")),
+    pytest.param("shm", id="shm",
+                 marks=pytest.mark.skipif(not HAS_SHM, reason="needs Linux fork + /dev/shm")),
 ]
 
 AGGREGATING_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold"]
@@ -113,6 +119,7 @@ class TestCrossBackendEquivalence:
     def test_executor_reusable_after_close(self, backend, tiny_bundle, tiny_clients,
                                            tiny_fl_config, tiny_model_fn):
         """close() releases pools but the executor lazily re-creates them."""
+        threads_before = threading.active_count()
         executor = create_executor(backend, max_workers=2)
         first = run_simulation("fedavg", tiny_bundle, tiny_clients,
                                tiny_fl_config, tiny_model_fn)
@@ -126,18 +133,19 @@ class TestCrossBackendEquivalence:
                                     executor=executor)
         history_b = sim_b.run()
         executor.close()
+        assert threading.active_count() == threads_before
         assert_bit_identical(first, (history_a, sim.global_state))
         assert_bit_identical(first, (history_b, sim_b.global_state))
 
 
 class TestExecutorRegistry:
     def test_backends_registered(self):
-        assert {"serial", "thread", "process", "shm"} <= set(EXECUTOR_REGISTRY)
+        assert set(EXECUTOR_REGISTRY) == {"serial", "thread", "shm"}
 
     def test_create_executor_types(self):
         assert isinstance(create_executor("serial"), SerialExecutor)
         assert isinstance(create_executor("thread", max_workers=2), ThreadExecutor)
-        assert isinstance(create_executor("process"), ProcessExecutor)
+        assert isinstance(create_executor("shm"), SharedMemoryExecutor)
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(KeyError, match="serial"):
@@ -233,6 +241,13 @@ class _FailFastStrategy:
         return self._inner.client_update(model, spec, global_state, context)
 
 
+def fail_fast_round(executor, strategy, model_fn, specs, global_state, context):
+    """A round without a fault policy: results, or the first failure raised."""
+    _, results, _ = run_tolerant_round(executor, strategy, model_fn, specs,
+                                       global_state, context)
+    return list(results)
+
+
 class TestRoundFailFast:
     """A failing client must abort the round instead of training the rest."""
 
@@ -267,12 +282,13 @@ class TestRoundFailFast:
         global_state = get_weights(model_fn())
         with create_executor("thread", max_workers=1) as executor:
             with pytest.raises(RuntimeError, match="boom"):
-                executor.run_round(strategy, model_fn, specs, global_state, context)
+                fail_fast_round(executor, strategy, model_fn, specs,
+                                global_state, context)
             # At most the one job the worker raced into before cancel landed.
             assert len(strategy.trained) <= 1
             # The pool drained cleanly and stays usable.
-            results = executor.run_round(create_strategy("fedavg"), model_fn,
-                                         specs, global_state, context)
+            results = fail_fast_round(executor, create_strategy("fedavg"),
+                                      model_fn, specs, global_state, context)
             assert [r.client_id for r in results] == [s.client_id for s in specs]
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
@@ -282,9 +298,10 @@ class TestRoundFailFast:
         global_state = get_weights(model_fn())
         with create_executor(backend, max_workers=2) as executor:
             with pytest.raises(RuntimeError, match="boom"):
-                executor.run_round(strategy, model_fn, specs, global_state, context)
-            results = executor.run_round(create_strategy("fedavg"), model_fn,
-                                         specs, global_state, context)
+                fail_fast_round(executor, strategy, model_fn, specs,
+                                global_state, context)
+            results = fail_fast_round(executor, create_strategy("fedavg"),
+                                      model_fn, specs, global_state, context)
             assert [r.client_id for r in results] == [s.client_id for s in specs]
 
 
@@ -342,8 +359,9 @@ class TestDerivedClientStreams:
         sim.context.round_index = 0
         selected = sim.select_clients(0)
         sim.context.round_selection = [spec.client_id for spec in selected]
-        results = sim.executor.run_round(sim.strategy, tiny_model_fn, selected,
-                                         global_before, sim.context)
+        results = list(sim.executor.iter_round(
+            sim.strategy, tiny_model_fn, [(spec, 0) for spec in selected],
+            global_before, sim.context))
         for spec, result in zip(selected, results):
             seed = derive_client_seed(tiny_fl_config.seed, 0, spec.client_id)
             expected = local_train(tiny_model_fn(), spec.dataset, tiny_fl_config,
@@ -357,7 +375,7 @@ class TestDerivedClientStreams:
 class TestReadOnlyClientContext:
     @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
     def test_client_update_never_writes_context(self, strategy_name):
-        """The contract that makes process workers safe: client steps only read."""
+        """The contract that makes shm workers safe: client steps only read."""
         strategy, global_state, _, context = make_round_results(strategy_name)
         assert context.client_storage == {}
         assert context.server_storage == {}

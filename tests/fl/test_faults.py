@@ -1,7 +1,7 @@
 """Tests for deterministic fault injection and fault-tolerance policies.
 
 The guarantees under test (see :mod:`repro.fl.faults`, :mod:`repro.fl.errors`
-and the executors' ``run_attempts``):
+and the executors' ``iter_round``):
 
 * fault schedules are pure functions of the plan seed: two chaos runs with
   the same :class:`FaultPlan` produce identical failure schedules and
@@ -10,7 +10,7 @@ and the executors' ``run_attempts``):
   recovered chaos run equals the fault-free run exactly;
 * a quorum-degraded round aggregates the survivors bitwise-equal to a round
   that selected only the survivors — for every strategy, both training
-  engines, and both the materialized and streaming execution paths;
+  engines, and both the in-process and shm execution paths;
 * the shared-memory pool self-heals: killed workers are detected mid-round,
   their jobs failed over, and the pool respawned without leaking segments;
 * structured :class:`ExecutorError`\\ s survive pickling across process
@@ -46,6 +46,7 @@ from repro.fl.faults import (
     FaultPlan,
     FaultPolicy,
     fault_rng,
+    run_tolerant_round,
     sanitize_result,
 )
 from repro.fl.sampling import ClientSampler
@@ -66,8 +67,6 @@ requires_shm = pytest.mark.skipif(
 ALL_BACKENDS = [
     pytest.param("serial", id="serial"),
     pytest.param("thread", id="thread"),
-    pytest.param("process", id="process",
-                 marks=pytest.mark.skipif(not HAS_FORK, reason="needs fork")),
     pytest.param("shm", id="shm",
                  marks=pytest.mark.skipif(not HAS_SHM, reason="needs shm")),
 ]
@@ -175,6 +174,16 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="client_timeout"):
             FaultPolicy(client_timeout=0.0)
 
+    def test_removed_worker_timeout_refused(self):
+        """The old process-pool stall timeout is gone; setting it is refused."""
+        with pytest.raises(TypeError, match="worker_timeout"):
+            FaultPolicy(worker_timeout=5.0)
+        with pytest.raises(ValueError, match=r"unknown fault_policy field\(s\) "
+                                             r"\['worker_timeout'\]"):
+            make_config(fault_policy={"max_retries": 1, "worker_timeout": 5.0})
+        with pytest.raises(ValueError, match="unknown faults field"):
+            make_config(faults={"seed": 1, "crash_rat": 0.5})
+
     def test_config_coerces_dicts(self):
         config = make_config(
             faults={"seed": 5, "crash_rate": 0.1},
@@ -225,7 +234,7 @@ class TestErrorPickling:
 
 
 class TestExecutorFailurePaths:
-    """run_attempts captures per-job failures instead of failing the wave."""
+    """iter_round yields per-job failures instead of failing the wave."""
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("fail_position", range(3))
@@ -245,9 +254,8 @@ class TestExecutorFailurePaths:
                 for position, spec in enumerate(selected)]
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
-            outcomes = executor.run_attempts(
-                strategy, model_fn, jobs, get_weights(model_fn()), context,
-                config.fault_policy)
+            outcomes = list(executor.iter_round(
+                strategy, model_fn, jobs, get_weights(model_fn()), context))
         for position, outcome in enumerate(outcomes):
             if position == fail_position:
                 assert isinstance(outcome, ClientFailure)
@@ -274,24 +282,20 @@ class TestExecutorFailurePaths:
         jobs = [(selected[0], 0), (selected[1], 1), (selected[2], 0)]
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
-            outcomes = executor.run_attempts(
-                strategy, model_fn, jobs, get_weights(model_fn()), context,
-                config.fault_policy)
+            outcomes = list(executor.iter_round(
+                strategy, model_fn, jobs, get_weights(model_fn()), context))
         assert isinstance(outcomes[0], ClientFailure)
         assert isinstance(outcomes[1], ClientResult)
         assert outcomes[1].client_id == selected[1].client_id
         assert isinstance(outcomes[2], ClientFailure)
 
     @pytest.mark.parametrize("backend", [
-        pytest.param("process", id="process",
-                     marks=pytest.mark.skipif(not HAS_FORK, reason="fork")),
         pytest.param("shm", id="shm", marks=requires_shm)])
     def test_worker_exit_becomes_worker_died(self, backend):
         config = make_config(
             clients_per_round=2,
             faults=FaultPlan(seed=0, kill_rate=1.0),
-            fault_policy=FaultPolicy(max_retries=0, min_clients=1,
-                                     worker_timeout=5.0))
+            fault_policy=FaultPolicy(max_retries=0, min_clients=1))
         clients = make_population()
         context = FLContext(config=config, ema=EMALossTracker())
         context.round_index = 0
@@ -300,11 +304,36 @@ class TestExecutorFailurePaths:
         jobs = [(spec, 0) for spec in selected]
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
-            outcomes = executor.run_attempts(
-                strategy, model_fn, jobs, get_weights(model_fn()), context,
-                config.fault_policy)
+            outcomes = list(executor.iter_round(
+                strategy, model_fn, jobs, get_weights(model_fn()), context))
         assert all(isinstance(outcome, WorkerDied) for outcome in outcomes)
         assert {outcome.kind for outcome in outcomes} == {"worker_died"}
+
+    @requires_shm
+    @pytest.mark.parametrize("policy", [
+        pytest.param(None, id="fail_fast"),
+        pytest.param(FaultPolicy(max_retries=0, min_clients=1), id="policy")])
+    def test_round_header_failure_fails_the_round(self, policy, monkeypatch):
+        """A worker that cannot apply the round header has no context to
+        train with: the round fails with the header's own error, with or
+        without a policy, instead of every job failing on a missing one."""
+        def broken_load(self, state):
+            raise RuntimeError("header boom")
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(EMALossTracker, "load_state_dict", broken_load)
+        config = make_config(clients_per_round=3, fault_policy=policy)
+        context = FLContext(config=config, ema=EMALossTracker())
+        selected = make_population()[:3]
+        context.round_selection = [spec.client_id for spec in selected]
+        before = shm_entries()
+        with create_executor("shm", max_workers=2) as executor:
+            with pytest.raises(ClientFailure, match="header boom"):
+                _, results, _ = run_tolerant_round(
+                    executor, create_strategy("fedavg"), model_fn, selected,
+                    get_weights(model_fn()), context, policy)
+                list(results)
+        assert shm_entries() <= before
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_injected_hang_times_out(self, backend):
@@ -320,9 +349,9 @@ class TestExecutorFailurePaths:
         context.round_selection = [spec.client_id for spec in selected]
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
-            outcomes = executor.run_attempts(
+            outcomes = list(executor.iter_round(
                 strategy, model_fn, [(spec, 0) for spec in selected],
-                get_weights(model_fn()), context, config.fault_policy)
+                get_weights(model_fn()), context))
         assert all(isinstance(outcome, RoundTimeout) for outcome in outcomes)
         assert "deadline" in str(outcomes[0])
 
@@ -421,8 +450,6 @@ class TestChaosDeterminism:
             faults=FaultPlan(seed=21, crash_rate=0.25, nan_rate=0.2),
             fault_policy=FaultPolicy(max_retries=1, min_clients=1))
         backends = ["serial", "thread"]
-        if HAS_FORK:
-            backends.append("process")
         if HAS_SHM:
             backends.append("shm")
         runs = {backend: run_sim(config, backend) for backend in backends}

@@ -25,6 +25,7 @@ import pytest
 from test_execution import (
     HAS_FORK,
     assert_bit_identical,
+    fail_fast_round,
     run_simulation,
     serial_baseline,
 )
@@ -36,10 +37,7 @@ from repro.fl.callbacks import Callback
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
     EXECUTOR_REGISTRY,
-    ProcessExecutor,
-    SerialExecutor,
     SharedMemoryExecutor,
-    ThreadExecutor,
     create_executor,
 )
 from repro.fl.simulation import FederatedSimulation
@@ -206,15 +204,11 @@ class TestFleetSmoke:
             specs, global_state, context, model_fn = make_round(64)
             strategy = create_strategy("fedavg")
             with create_executor(executor_name) as executor:
-                if getattr(executor, "streaming", False):
-                    stream = executor.iter_round(strategy, model_fn, specs,
-                                                 global_state, context)
-                    new_state, results = strategy.aggregate_stream(
-                        global_state, specs, stream, context)
-                else:
-                    results = executor.run_round(strategy, model_fn, specs,
-                                                 global_state, context)
-                    new_state = strategy.aggregate(global_state, results, context)
+                stream = executor.iter_round(strategy, model_fn,
+                                             [(spec, 0) for spec in specs],
+                                             global_state, context)
+                new_state, results = strategy.aggregate_stream(
+                    global_state, specs, stream, context)
             assert len(results) == 64
             assert [r.client_id for r in results] == [s.client_id for s in specs]
             fingerprints[executor_name] = state_fingerprint(new_state)
@@ -255,10 +249,11 @@ class TestShmLifecycle:
         try:
             strategy = _ExplodingStrategy(fail_client=specs[2].client_id)
             with pytest.raises(RuntimeError, match="boom"):
-                executor.run_round(strategy, model_fn, specs, global_state, context)
+                fail_fast_round(executor, strategy, model_fn, specs,
+                                global_state, context)
             # The executor stays usable: the next round forks a fresh pool.
-            results = executor.run_round(FedAvg(), model_fn, specs,
-                                         global_state, context)
+            results = fail_fast_round(executor, FedAvg(), model_fn, specs,
+                                      global_state, context)
             assert [r.client_id for r in results] == [s.client_id for s in specs]
         finally:
             executor.close()
@@ -271,7 +266,8 @@ class TestShmLifecycle:
         try:
             strategy = _CrashingStrategy(crash_client=specs[1].client_id)
             with pytest.raises(RuntimeError, match="died"):
-                executor.run_round(strategy, model_fn, specs, global_state, context)
+                fail_fast_round(executor, strategy, model_fn, specs,
+                                global_state, context)
         finally:
             executor.close()
         assert shm_entries() <= before, "leaked /dev/shm segments"
@@ -289,29 +285,10 @@ class TestShmLifecycle:
 
 
 class TestStreamingProtocol:
-    def test_streaming_flags(self):
-        assert SharedMemoryExecutor.streaming is True
-        for backend in [SerialExecutor, ThreadExecutor, ProcessExecutor]:
-            assert backend.streaming is False
-
     def test_registry_contains_shm(self):
         assert "shm" in EXECUTOR_REGISTRY
         assert isinstance(create_executor("shm", max_workers=2),
                           SharedMemoryExecutor)
-
-    def test_iter_round_default_matches_run_round(self, tiny_bundle, tiny_clients,
-                                                  tiny_fl_config, tiny_model_fn):
-        """Every backend supports iter_round; the default yields run_round."""
-        specs, global_state, context, model_fn = make_round(3)
-        strategy = create_strategy("fedavg")
-        with create_executor("serial") as executor:
-            eager = executor.run_round(strategy, model_fn, specs,
-                                       global_state, context)
-            lazy = list(executor.iter_round(strategy, model_fn, specs,
-                                            global_state, context))
-        assert [r.client_id for r in lazy] == [r.client_id for r in eager]
-        for a, b in zip(eager, lazy):
-            assert states_equal(a.state, b.state)
 
     @requires_shm
     def test_custom_aggregate_override_still_runs(self, tiny_bundle, tiny_clients,

@@ -12,6 +12,8 @@ that.
 
 import dataclasses
 import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -24,12 +26,13 @@ from repro.nn.serialization import state_fingerprint, states_equal
 from repro.store.checkpoint import read_checkpoint, write_checkpoint
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 
 BACKENDS = [
     pytest.param("serial", id="serial"),
     pytest.param("thread", id="thread"),
-    pytest.param("process", id="process",
-                 marks=pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")),
+    pytest.param("shm", id="shm",
+                 marks=pytest.mark.skipif(not HAS_SHM, reason="needs Linux fork + /dev/shm")),
 ]
 
 ALL_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold", "heteroswitch"]

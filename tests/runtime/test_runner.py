@@ -121,6 +121,15 @@ class TestSpecComponents:
                        config_overrides={"num_rounds": 1}, seeds=[0])
         assert len(runner.run(spec).history.rounds) == 1
 
+    def test_removed_fault_policy_field_refused(self, runner):
+        """A spec still setting FaultPolicy.worker_timeout is refused when
+        its FLConfig is built, not silently ignored."""
+        spec = RunSpec(dataset_kwargs={"devices": DEVICES},
+                       config_overrides={"fault_policy": {"worker_timeout": 5.0}},
+                       seeds=[0])
+        with pytest.raises(ValueError, match="worker_timeout"):
+            runner.run(spec)
+
     def test_eval_every_override_records_evaluations(self, runner):
         spec = RunSpec(dataset_kwargs={"devices": DEVICES},
                        config_overrides={"num_rounds": 2, "eval_every": 1}, seeds=[0])

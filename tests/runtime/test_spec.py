@@ -75,7 +75,7 @@ class TestValidation:
             RunSpec(trainer_kwargs={"averager": "swad"})
 
     def test_unknown_executor_lists_available(self):
-        with pytest.raises(KeyError, match="unknown executor 'gpu'.*process"):
+        with pytest.raises(KeyError, match="unknown executor 'gpu'.*shm"):
             RunSpec(executor="gpu")
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "four"])
@@ -89,13 +89,17 @@ class TestValidation:
         assert spec.max_workers is None
 
     def test_parallel_executor_valid(self):
-        spec = RunSpec(executor="process", max_workers=4)
-        assert spec.executor == "process"
+        spec = RunSpec(executor="shm", max_workers=4)
+        assert spec.executor == "shm"
         assert spec.max_workers == 4
+
+    def test_removed_process_executor_refused(self):
+        with pytest.raises(KeyError, match="unknown executor 'process'.*shm"):
+            RunSpec(executor="process")
 
     def test_centralized_rejects_executor_fields(self):
         with pytest.raises(ValueError, match="centralized specs do not use.*executor"):
-            RunSpec(kind="centralized", dataset="scenes", executor="process")
+            RunSpec(kind="centralized", dataset="scenes", executor="shm")
         with pytest.raises(ValueError, match="centralized specs do not use.*max_workers"):
             RunSpec(kind="centralized", dataset="scenes", max_workers=2)
 
@@ -122,7 +126,7 @@ class TestSerialization:
             dataset="device_capture",
             dataset_kwargs={"devices": ["Pixel5", "S6"]},
             sampler="round_robin",
-            executor="process",
+            executor="shm",
             max_workers=4,
             scale="smoke",
             config_overrides={"num_rounds": 2, "learning_rate": 0.05},
