@@ -76,17 +76,9 @@ def main() -> None:
     print(f"Cached-capture variant: {cached.dataset_kwargs['capture_cache']!r} "
           f"(same data, near-instant rebuilds)")
 
-    # Training itself runs on the flat-parameter engine by default: fused
-    # whole-vector optimizer steps, single-node autograd kernels and flat
-    # aggregation, bitwise-identical to the seed per-parameter path.  The
-    # reference path stays one override away for A/B timing or debugging:
-    reference = spec.with_overrides(
-        config_overrides={**spec.config_overrides, "train_engine": "reference"})
-    print(f"Reference-engine variant: "
-          f"{reference.config_overrides['train_engine']!r} "
-          f"(same numbers, ~1.5x slower rounds)")
-
-    # Compute precision is one more engine axis: float64 is the bitwise
+    # Training runs on the flat-parameter engine: fused whole-vector
+    # optimizer steps, single-node autograd kernels and flat aggregation.
+    # Compute precision is its one knob: float64 is the bitwise
     # golden path; dtype="float32" (or --dtype float32 on the CLI) trades
     # bit-identity to float64 for ~1.2x faster rounds, validated by
     # tolerance — aggregation still accumulates in float64, and runs stay

@@ -6,6 +6,10 @@ running average, and — if the switch condition holds — the averaged weights
 are returned to the server instead of the final SGD iterate.  Conventional SWA
 (Izmailov et al., 2018) averages once per *epoch*; Fig. 7 compares the two and
 finds the denser averaging more robust, which is why HeteroSwitch uses SWAD.
+
+The running average is one flat vector; the seed per-key dict loop it
+replaced is kept as a test oracle (``tests/oracle/seed_engine.py``) and the
+two are pinned bitwise equal.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..nn.engine import current_engine
 from ..nn.flat import flat_arena_of
 from ..nn.layers import Module
 from ..nn.serialization import StateLayout, get_weights
@@ -32,16 +35,15 @@ class WeightAverager:
 
     Internally the average lives as one flat vector: SWAD folds a state in
     after *every* batch, and the incremental mean over the concatenated
-    vector is elementwise — hence bitwise — identical to the per-key dict
-    loop it replaces, at a fraction of the interpreter overhead.  When the
+    vector is elementwise — hence bitwise — identical to a per-key dict
+    loop, at a fraction of the interpreter overhead.  When the
     model carries a :class:`~repro.nn.flat.FlatParams` arena,
     :meth:`update_from_model` flattens straight from the arena without
     materialising an intermediate state dict at all.
     """
 
     def __init__(self, initial_state: Optional[StateDict] = None) -> None:
-        self._average: Optional[StateDict] = None  # reference-engine storage
-        self._layout: Optional[StateLayout] = None  # flat-engine storage
+        self._layout: Optional[StateLayout] = None
         self._flat: Optional[np.ndarray] = None
         self._count = 0
         if initial_state is not None:
@@ -61,42 +63,17 @@ class WeightAverager:
         self._flat = (self._flat * k + vector) / (k + 1)
         self._count += 1
 
-    def _update_reference(self, state: StateDict) -> None:
-        """Seed per-key incremental mean (the reference-engine path)."""
-        if self._average is None:
-            self._average = {key: value.copy() for key, value in state.items()}
-            self._count = 1
-            return
-        if state.keys() != self._average.keys():
-            raise KeyError("state dict keys do not match the averaged state")
-        k = self._count
-        for key, value in state.items():
-            self._average[key] = (self._average[key] * k + value) / (k + 1)
-        self._count += 1
-
     def update(self, state: StateDict) -> None:
-        """Fold one state dict into the running average.
-
-        The storage representation (flat vector vs per-key dict) is chosen by
-        the engine mode at the *first* update and is sticky afterwards, so an
-        averager never mixes representations mid-stream.
-        """
-        if self._layout is not None:
-            if set(state.keys()) != set(self._layout.keys):
-                raise KeyError("state dict keys do not match the averaged state")
-            self._fold(self._layout.pack(state))
-            return
-        if self._average is not None or current_engine() == "reference":
-            self._update_reference(state)
-            return
-        self._layout = StateLayout(state)
+        """Fold one state dict into the running average."""
+        if self._layout is None:
+            self._layout = StateLayout(state)
+        elif set(state.keys()) != set(self._layout.keys):
+            raise KeyError("state dict keys do not match the averaged state")
         self._fold(self._layout.pack(state))
 
     def update_from_model(self, model: Module) -> None:
         """Convenience: fold the model's current weights into the average."""
-        arena = None
-        if self._average is None and current_engine() != "reference":
-            arena = flat_arena_of(model)
+        arena = flat_arena_of(model)
         if arena is None:
             self.update(get_weights(model))
             return
@@ -110,14 +87,11 @@ class WeightAverager:
 
     def average(self) -> StateDict:
         """Return a copy of the current average."""
-        if self._average is not None:
-            return {key: value.copy() for key, value in self._average.items()}
         if self._flat is None:
             raise RuntimeError("no states have been averaged yet")
         return {key: value.copy() for key, value in self._layout.unpack(self._flat).items()}
 
     def reset(self) -> None:
-        self._average = None
         self._layout = None
         self._flat = None
         self._count = 0

@@ -42,7 +42,7 @@ from ...core.ema import EMALossTracker
 from ...data.dataset import ArrayDataset
 from ...data.partition import ClientSpec
 from ...devices.latency import DeviceLatencyModel, LatencyRegime, build_latency_models
-from ...nn.engine import engine_scope
+from ...nn.engine import dtype_mode
 from ...nn.layers import Module
 from ...nn.serialization import StateLayout, get_weights, set_weights
 from ...obs import MetricsRegistry, Tracer, merge_client_spans
@@ -316,7 +316,7 @@ class AsyncFederatedSimulation:
         if len(self._client_by_id) != len(self.clients):
             raise ValueError("client ids must be unique")
 
-        with engine_scope(config):
+        with dtype_mode(config.dtype):
             template = get_weights(model_fn())
         self._layout = StateLayout(template)
         self._global_vec = self._layout.pack(template)
@@ -385,7 +385,7 @@ class AsyncFederatedSimulation:
 
     def global_model(self) -> Module:
         """A model instance loaded with the current global weights."""
-        with engine_scope(self.config):
+        with dtype_mode(self.config.dtype):
             model = self.model_fn()
         set_weights(model, self._layout.unpack(self._global_vec))
         return model
@@ -607,7 +607,7 @@ class AsyncFederatedSimulation:
         with (self.tracer.span("evaluate", devices=len(self.test_sets))
               if self.tracer is not None else nullcontext()):
             model = self.global_model()
-            with engine_scope(self.config):
+            with dtype_mode(self.config.dtype):
                 metrics = {
                     device: evaluate_metric(model, dataset, self.config.task)
                     for device, dataset in self.test_sets.items()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from ..nn.engine import validate_dtype, validate_engine
+from ..nn.engine import validate_dtype
 from .faults import FaultPlan, FaultPolicy
 
 __all__ = ["FLConfig", "TASKS"]
@@ -36,17 +36,12 @@ class FLConfig:
     ema_alpha: float = 0.9  # smoothing factor for L_EMA (Eq. 1, appendix: alpha = 0.9)
     seed: int = 0
     eval_every: int = 0  # 0 = evaluate only at the end
-    # Training substrate: "flat" = flat-parameter engine (fused optimizer
-    # steps, single-node hot-path kernels, arena broadcast/collect);
-    # "reference" = the seed per-parameter path.  Both are bitwise-identical
-    # (tests/fl/test_train_engine.py); "reference" exists as the golden
-    # baseline for equivalence tests and the training-throughput benchmark.
-    train_engine: str = "flat"
     # Compute precision for the whole pipeline (tensors, parameter arena,
     # optimizer buffers, fused kernels, shm segments, checkpoints).
-    # "float64" is the golden path — bitwise-identical to the seed
-    # implementation; "float32" is the opt-in fast path, equivalent to
-    # float64 within tolerance (tests/fl/test_dtype_equivalence.py) at
+    # "float64" is the golden path the run fingerprints pin (bitwise equal
+    # to the seed kernels on MLP-sized shapes, a few ulp from them at Table 4
+    # conv shapes — see tests/oracle/seed_engine.py); "float32" is the opt-in
+    # fast path, equivalent to float64 within tolerance (tests/fl/test_dtype_equivalence.py) at
     # roughly half the memory-bandwidth cost.  Aggregation reductions
     # accumulate in float64 either way.  Changes results -> in the spec hash.
     dtype: str = "float64"
@@ -88,7 +83,6 @@ class FLConfig:
             raise ValueError(f"task must be one of {TASKS}, got '{self.task}'")
         if not 0.0 < self.ema_alpha <= 1.0:
             raise ValueError("ema_alpha must be in (0, 1]")
-        validate_engine(self.train_engine)
         validate_dtype(self.dtype)
         if not isinstance(self.profile, bool):
             raise ValueError("profile must be a bool")

@@ -68,7 +68,7 @@ from typing import (
 import numpy as np
 
 from ..data.partition import ClientSpec
-from ..nn.engine import engine_scope
+from ..nn.engine import dtype_mode
 from ..nn.serialization import StateLayout
 from ..obs.profiling import PROFILER
 from ..registry import Registry
@@ -219,10 +219,9 @@ def run_client(
     """Run one client's local update and stamp the provenance aggregation needs.
 
     The whole update — including strategy-side evaluation such as
-    HeteroSwitch's bias measurement — runs under the config's training engine
-    (``flat`` or ``reference``) *and* compute dtype (``float64`` or
-    ``float32``); both modes are thread-local, so concurrent clients on
-    different engines or precisions cannot interfere.
+    HeteroSwitch's bias measurement — runs under the config's compute dtype
+    (``float64`` or ``float32``); the dtype is thread-local, so concurrent
+    clients at different precisions cannot interfere.
 
     When the config asks for observability (``trace``/``profile``), the
     update is wall-clock timed — and, under ``profile``, run with the kernel
@@ -263,7 +262,7 @@ def run_client(
     timed = observed or client_timeout is not None
     start = time.perf_counter() if timed else 0.0
     try:
-        with engine_scope(config):
+        with dtype_mode(config.dtype):
             if profile:
                 PROFILER.drain()  # drop residue from a previously aborted client
                 PROFILER.activate()
@@ -401,7 +400,7 @@ class SerialExecutor(ClientExecutor):
         # model would silently serve a float32 round (and vice versa).
         dtype = getattr(context.config, "dtype", "float64")
         if self._factory is not model_fn or self._model_dtype != dtype:
-            with engine_scope(context.config):
+            with dtype_mode(context.config.dtype):
                 self._factory, self._model = model_fn, model_fn()
             self._model_dtype = dtype
         return self._model
@@ -441,7 +440,7 @@ class ThreadExecutor(ClientExecutor):
         dtype = getattr(context.config, "dtype", "float64")
         if (getattr(cache, "factory", None) is not model_fn
                 or getattr(cache, "dtype", None) != dtype):
-            with engine_scope(context.config):
+            with dtype_mode(context.config.dtype):
                 cache.factory, cache.model = model_fn, model_fn()
             cache.dtype = dtype
         return cache.model
@@ -584,7 +583,7 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                 global_state = layout.unpack(np.asarray(shm_vector))
                 dtype = getattr(round_context.config, "dtype", "float64")
                 if model is None or model_dtype != dtype:
-                    with engine_scope(round_context.config):
+                    with dtype_mode(round_context.config.dtype):
                         model = model_fn()
                     model_dtype = dtype
                 result = run_client(strategy, model, spec, global_state,

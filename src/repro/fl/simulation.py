@@ -37,7 +37,7 @@ import numpy as np
 from ..core.ema import EMALossTracker
 from ..data.dataset import ArrayDataset
 from ..data.partition import ClientSpec
-from ..nn.engine import engine_scope
+from ..nn.engine import dtype_mode
 from ..nn.layers import Module
 from ..nn.serialization import get_weights, set_weights
 from ..obs import Tracer, merge_client_spans
@@ -232,7 +232,7 @@ class FederatedSimulation:
             self._executor = executor
             self._owns_executor = False
 
-        with engine_scope(config):
+        with dtype_mode(config.dtype):
             self._global_state: StateDict = get_weights(model_fn())
         self.context = FLContext(
             config=config,
@@ -265,7 +265,7 @@ class FederatedSimulation:
 
     def global_model(self) -> Module:
         """A model instance loaded with the current global weights."""
-        with engine_scope(self.config):
+        with dtype_mode(self.config.dtype):
             model = self.model_fn()
         set_weights(model, self._global_state)
         return model
@@ -368,13 +368,12 @@ class FederatedSimulation:
             # see exactly the surviving cohort: a degraded round is then
             # bitwise-identical to a round that selected only the survivors.
             self.context.round_selection = [spec.client_id for spec in cohort]
-            # The fold runs under the configured engine and dtype, so
-            # "reference" rounds reproduce the seed dict-based reduction.
-            with engine_scope(self.config):
+            # The fold runs under the configured compute dtype.
+            with dtype_mode(self.config.dtype):
                 self._global_state, results = self.strategy.aggregate_stream(
                     self._global_state, cohort, results, self.context)
         with self._obs_span("aggregate", round=round_index, survivors=len(cohort)):
-            with engine_scope(self.config):
+            with dtype_mode(self.config.dtype):
                 self.strategy.on_round_end(self.context, results)
         if self.tracer is not None:
             merge_client_spans(
@@ -418,9 +417,9 @@ class FederatedSimulation:
         """Evaluate the current global model on every per-device test set."""
         with self._obs_span("evaluate", devices=len(self.test_sets)):
             model = self.global_model()
-            # Evaluation forwards under the same engine scope as training so
+            # Evaluation forwards under the same dtype as training so
             # test batches are fed to the model in its own compute dtype.
-            with engine_scope(self.config):
+            with dtype_mode(self.config.dtype):
                 metrics = {
                     device: evaluate_metric(model, dataset, self.config.task)
                     for device, dataset in self.test_sets.items()

@@ -41,10 +41,9 @@ class FedProx(Strategy):
         # from the broadcast global state keyed by parameter names.
         from ..training import broadcast_weights
 
-        arena = broadcast_weights(model, global_state, config)
+        broadcast_weights(model, global_state)
         optimizer = ProximalSGD(model.parameters(), lr=config.learning_rate, mu=self.mu,
-                                momentum=config.momentum, weight_decay=config.weight_decay,
-                                fused=arena is not None)
+                                momentum=config.momentum, weight_decay=config.weight_decay)
         named = dict(model.named_parameters())
         optimizer.set_reference([named[name].data for name in named])
         result = local_train(model, spec.dataset, config, global_state,

@@ -19,15 +19,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ...data.partition import ClientSpec
-from ...nn.engine import current_engine
-from ...nn.serialization import (
-    StateLayout,
-    add_states,
-    scale_state,
-    state_norm,
-    subtract_states,
-    zeros_like_state,
-)
+from ...nn.serialization import StateLayout
 from ..training import ClientResult
 from .base import FLContext, StateDict, Strategy, canonical_results, consume_stream
 
@@ -90,15 +82,12 @@ class QFedAvg(Strategy):
         the accumulator as it arrives (and released when ``drop_states``).
         """
         lipschitz = 1.0 / context.config.learning_rate
-        if current_engine() == "reference":
-            return self._reduce_reference(global_state, ordered, lipschitz, drop_states)
-
         # Flat reduction over (n_clients, P): every step below is the exact
-        # whole-vector form of the dict-based reference (kept as the pinned
-        # baseline in tests/fl/test_train_engine.py).  Elementwise ops
-        # (subtract, scale, accumulate) are bitwise-identical flattened; the
-        # delta norm replays state_norm's per-key partial sums segment by
-        # segment in layout (key-insertion) order, including its
+        # whole-vector form of the seed dict-based reduction (pinned bitwise
+        # against the test oracle, tests/oracle/seed_engine.py).
+        # Elementwise ops (subtract, scale, accumulate) are bitwise-identical
+        # flattened; the delta norm replays state_norm's per-key partial sums
+        # segment by segment in layout (key-insertion) order, including its
         # sqrt-then-square round trip, so h_k matches bit-for-bit.
         layout = StateLayout(global_state)
         global_vec = layout.pack(global_state)
@@ -133,33 +122,6 @@ class QFedAvg(Strategy):
         if new_vec.dtype != layout.dtype:
             new_vec = new_vec.astype(layout.dtype)
         return layout.unpack(new_vec), consumed
-
-    def _reduce_reference(
-        self,
-        global_state: StateDict,
-        ordered: Iterable[ClientResult],
-        lipschitz: float,
-        drop_states: bool,
-    ) -> Tuple[StateDict, List[ClientResult]]:
-        """The seed dict-based aggregation, kept as the pinned golden path."""
-        weighted_delta_sum = zeros_like_state(global_state)
-        h_sum = 0.0
-        consumed: List[ClientResult] = []
-        for result in ordered:
-            delta = scale_state(subtract_states(global_state, result.state), lipschitz)
-            if drop_states:
-                result.state = None
-            consumed.append(result)
-            loss = max(result.init_loss, 1e-10)
-            loss_pow_q = loss ** self.q
-            delta_norm_sq = state_norm(delta) ** 2
-            h_k = self.q * (loss ** (self.q - 1.0)) * delta_norm_sq + lipschitz * loss_pow_q
-            weighted_delta_sum = add_states(weighted_delta_sum, scale_state(delta, loss_pow_q))
-            h_sum += h_k
-        if h_sum <= 0:
-            raise RuntimeError("q-FedAvg aggregation produced a non-positive normalizer")
-        update = scale_state(weighted_delta_sum, 1.0 / h_sum)
-        return subtract_states(global_state, update), consumed
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"QFedAvg(q={self.q})"

@@ -63,7 +63,7 @@ class Scaffold(Strategy):
 
         from ..training import broadcast_weights
 
-        arena = broadcast_weights(model, global_state, config)
+        arena = broadcast_weights(model, global_state)
         param_template = _parameter_state(model)
 
         # Read-only context access: absent control variates mean zeros, but the
@@ -82,27 +82,17 @@ class Scaffold(Strategy):
         named_params = dict(model.named_parameters())
         steps = {"count": 0}
 
-        if arena is not None:
-            # Flat engine: the per-batch drift correction is one whole-vector
-            # axpy on the arena instead of a per-parameter loop — elementwise
-            # identical to the reference hook below.
-            correction_flat = np.concatenate(
-                [correction[name].reshape(-1) for name in named_params]
-            )
+        # The drift correction w <- w - lr * (c - c_i), applied after each
+        # plain SGD step, is one whole-vector axpy on the arena — elementwise
+        # identical to a per-parameter loop.
+        correction_flat = np.concatenate(
+            [correction[name].reshape(-1) for name in named_params]
+        )
 
-            def batch_hook(hook_model: Module, batch_index: int, epoch_index: int) -> None:
-                del hook_model, batch_index, epoch_index
-                arena.vector -= lr * correction_flat
-                steps["count"] += 1
-
-        else:
-            def batch_hook(hook_model: Module, batch_index: int, epoch_index: int) -> None:
-                del hook_model, batch_index, epoch_index
-                # Apply the SCAFFOLD drift correction after the plain SGD step:
-                # w <- w - lr * (c - c_i).
-                for name, param in named_params.items():
-                    param.data -= lr * correction[name]
-                steps["count"] += 1
+        def batch_hook(hook_model: Module, batch_index: int, epoch_index: int) -> None:
+            del hook_model, batch_index, epoch_index
+            arena.vector -= lr * correction_flat
+            steps["count"] += 1
 
         result = local_train(model, spec.dataset, config, global_state,
                              batch_hook=batch_hook, seed=seed)

@@ -19,7 +19,6 @@ from ..nn import functional as F
 from ..nn.flat import FlatParams
 from ..nn.layers import Module
 from ..nn.optim import SGD, Optimizer
-from ..nn.serialization import get_weights, set_weights
 from ..nn.tensor import Tensor, no_grad
 from ..data.dataset import ArrayDataset, DataLoader
 from .config import FLConfig
@@ -49,23 +48,18 @@ class ClientResult:
     metadata: Dict[str, object] = field(default_factory=dict)
 
 
-def broadcast_weights(model: Module, global_state: StateDict,
-                      config: FLConfig) -> Optional[FlatParams]:
-    """Load the broadcast global weights under the configured training engine.
+def broadcast_weights(model: Module, global_state: StateDict) -> FlatParams:
+    """Load the broadcast global weights into the model's parameter arena.
 
-    Flat engine: the model's parameters live in one contiguous
+    The model's parameters live in one contiguous
     :class:`~repro.nn.flat.FlatParams` arena (built and cached on first use),
     so the load writes straight into it and collecting the trained weights is
-    a single vector copy; the cached arena is returned.  Reference engine:
-    the seed per-key ``set_weights`` path; returns ``None``.  The dict
-    ``StateDict`` stays the wire/serialization format either way.
+    a single vector copy; the cached arena is returned.  The dict
+    ``StateDict`` stays the wire/serialization format.
     """
-    if config.train_engine == "flat":
-        arena = FlatParams.from_module(model)
-        arena.load_state_dict(global_state)
-        return arena
-    set_weights(model, global_state)
-    return None
+    arena = FlatParams.from_module(model)
+    arena.load_state_dict(global_state)
+    return arena
 
 
 def compute_loss(model: Module, features: np.ndarray, labels: np.ndarray, task: str) -> Tensor:
@@ -175,14 +169,13 @@ def local_train(
         batches (the paper's ``L_train``), and the pre-training loss on the
         client's data (``L_init``).
     """
-    arena = broadcast_weights(model, global_state, config)
+    arena = broadcast_weights(model, global_state)
     if init_loss is None:
         init_loss = evaluate_loss(model, dataset, config.task, batch_size=max(config.batch_size, 32))
 
     if optimizer is None:
         optimizer = SGD(model.parameters(), lr=config.learning_rate,
-                        momentum=config.momentum, weight_decay=config.weight_decay,
-                        fused=arena is not None)
+                        momentum=config.momentum, weight_decay=config.weight_decay)
     rng = rng or np.random.default_rng(seed)
 
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, seed=seed)
@@ -204,7 +197,7 @@ def local_train(
             batch_index += 1
 
     return ClientResult(
-        state=arena.state_dict() if arena is not None else get_weights(model),
+        state=arena.state_dict(),
         num_samples=len(dataset),
         train_loss=train_loss,
         init_loss=init_loss,

@@ -7,7 +7,6 @@ the model zoo.
 """
 
 from . import functional
-from .engine import TRAIN_ENGINES, current_engine, engine_mode
 from .flat import FlatParams, flat_arena_of
 from .layers import (
     AvgPool2d,
@@ -50,9 +49,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "functional",
-    "TRAIN_ENGINES",
-    "current_engine",
-    "engine_mode",
     "FlatParams",
     "flat_arena_of",
     "StateLayout",

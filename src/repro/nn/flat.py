@@ -75,7 +75,7 @@ class FlatParams:
                 raise TypeError(
                     f"flat arena requires parameters in the engine compute "
                     f"dtype {dtype} (got {param.data.dtype}); build the model "
-                    f"under the matching dtype_mode/engine_scope")
+                    f"under the matching dtype_mode")
             offsets.append(total)
             total += param.data.size
         self.offsets: List[int] = offsets

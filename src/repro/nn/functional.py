@@ -4,27 +4,30 @@ Convolutions use an im2col lowering so the inner computation is a single large
 matrix multiplication (vectorized in BLAS) rather than Python loops, following
 the vectorization guidance for NumPy ML-systems code.
 
-Hot-path kernels come in two bit-identical flavours selected by the
-thread-local engine mode (:mod:`repro.nn.engine`): the default ``"flat"``
-engine fuses :func:`linear` and :func:`cross_entropy` into single autograd
-nodes whose hand-written backward closures replicate the operator-composed
-graph expression-for-expression, and replaces the ``np.add.at`` col2im
-scatter with a bincount-based kernel; the ``"reference"`` engine keeps the
-seed operator-composed implementations as the golden path the fused kernels
-are tested against (``tests/nn/test_functional.py``).  im2col gather plans
-are cached by ``(C, H, W, kernel, stride, padding)`` in both engines — the
-index arrays are a pure function of the geometry, which is fixed across the
-batches of a training run.
+The hot-path kernels — :func:`linear`, :func:`batch_norm_train`,
+:func:`batch_norm_eval`, :func:`hardswish` and :func:`cross_entropy` — are
+single autograd nodes whose hand-written backward closures replicate the
+seed's operator-composed graphs expression for expression.  im2col gathers
+through one ``np.take`` over a plan cached by ``(C, H, W, kernel, stride,
+padding)`` — the index arrays are a pure function of the geometry, which is
+fixed across the batches of a training run — and col2im scatters with
+``np.bincount``.  Convolution contractions call ``np.matmul`` on exactly the
+operands ``np.einsum(optimize=True)``'s batch-matmul step would build,
+skipping einsum's per-call equation parse.  Pointwise convs (1x1 kernel,
+stride 1, no padding) skip im2col and col2im, and both convolutions scatter
+an input gradient only for an input that takes one.
 
-The reference engine contracts convolution columns with
-``np.einsum(optimize=True)``; the flat engine calls ``np.matmul`` on exactly
-the operands einsum's batch-matmul step would build, skipping einsum's
-per-call equation parse.  Pointwise convs (1x1 kernel, stride 1, no padding)
-skip im2col and col2im on the flat engine, and both convolutions scatter an
-input gradient only for an input that takes one.
+The seed compositions live on as a test-only oracle
+(``tests/oracle/seed_engine.py``).  The fused kernels match it bitwise
+wherever both see their operands in the same memory layout.  Where the
+layouts differ they round differently: at Table 4 shapes a 1x1 conv's
+weight-gradient contraction gets a C-contiguous gradient and batch-fastest
+columns from the seed kernels, a channel-major gradient and C-contiguous
+columns from these, and the two agree only to about an ulp (the oracle's
+whole-step test pins the bound).
 
-Every engine-dispatched kernel is split into a ``_<name>_dispatch`` body and
-a thin public wrapper guarded by ``if _PROF.enabled:`` — a single attribute
+Every timed kernel is split into a ``_<name>_dispatch`` body and a thin
+public wrapper guarded by ``if _PROF.enabled:`` — a single attribute
 read when profiling is off (:mod:`repro.obs.profiling`), a per-call timer
 when ``FLConfig.profile`` turns it on.  The ``_dispatch`` twins stay
 addressable so the overhead gate in ``tests/obs/test_profiling.py`` can
@@ -39,7 +42,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ..obs.profiling import PROFILER as _PROF
-from .engine import current_engine
 from .tensor import Tensor
 
 __all__ = [
@@ -87,7 +89,7 @@ def _seed_im2col_indices(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """The seed's per-call im2col index computation (reference engine)."""
+    """im2col ``(k, i, j)`` gather indices and the output size for one geometry."""
     c, h, w = chw
     kh, kw = kernel
     sh, sw = stride
@@ -142,24 +144,11 @@ def _im2col_dispatch(
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int, int]:
     """Lower an NCHW batch to im2col columns.
 
-    Both engines produce identical columns — gathering moves bytes, it never
-    rounds.  The flat engine pulls its (cached) plan's flattened index matrix
-    through one ``np.take`` per batch and zero-pads by slice assignment; the
-    reference engine keeps the seed's ``np.pad`` + triple-fancy-index gather.
+    The (cached) plan's flattened index matrix is pulled through one
+    ``np.take`` per batch, after zero-padding by slice assignment.
     """
     n, c, h, w = x.shape
     ph, pw = padding
-    if current_engine() == "reference":
-        # Seed path: k/i/j indices rebuilt per call (no plan cache, no
-        # scatter-target matrix — exactly the work the seed implementation
-        # did), np.pad, fancy-index gather.
-        k, i, j, out_h, out_w = _seed_im2col_indices((c, h, w), kernel, stride, padding)
-        if ph or pw:
-            x_padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-        else:
-            x_padded = x
-        cols = x_padded[:, k, i, j]  # (N, C*kh*kw, out_h*out_w)
-        return cols, (k, i, j), out_h, out_w
     k, i, j, flat, out_h, out_w = _im2col_plan((c, h, w), kernel, stride, padding)
     if ph or pw:
         x_padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
@@ -177,23 +166,6 @@ def _im2col(x, kernel, stride, padding):
     return _im2col_dispatch(x, kernel, stride, padding)
 
 
-def _col2im_reference(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    indices: Tuple[np.ndarray, ...],
-    padding: Tuple[int, int],
-) -> np.ndarray:
-    """Seed col2im scatter via ``np.add.at`` (the reference-engine path)."""
-    n, c, h, w = x_shape
-    ph, pw = padding
-    k, i, j = indices[:3]
-    x_padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    np.add.at(x_padded, (slice(None), k, i, j), cols)
-    if ph or pw:
-        return x_padded[:, :, ph : ph + h, pw : pw + w]
-    return x_padded
-
-
 def _col2im_dispatch(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -202,19 +174,14 @@ def _col2im_dispatch(
 ) -> np.ndarray:
     """Scatter im2col columns back onto the (padded) input grid.
 
-    The flat engine sums duplicate contributions with ``np.bincount`` — a
-    tight C loop — instead of ``np.add.at``'s buffered fancy-indexing
-    machinery (typically several times faster on conv-sized scatters).  Both
-    kernels visit the ``(N, F, P)`` contributions in the same C iteration
-    order, so duplicates targeting the same padded pixel accumulate in the
-    same sequence and the floating-point sums round identically (pinned
-    bitwise in ``tests/nn/test_functional.py``).
+    Duplicate contributions are summed with ``np.bincount`` — a tight C loop
+    — instead of ``np.add.at``'s buffered fancy-indexing machinery (typically
+    several times faster on conv-sized scatters).  Both visit the ``(N, F,
+    P)`` contributions in the same C iteration order, so duplicates targeting
+    the same padded pixel accumulate in the same sequence and the sums round
+    identically (pinned bitwise against the seed scatter in
+    ``tests/nn/test_functional.py``).
     """
-    if current_engine() == "reference" or len(indices) < 4:
-        # The 3-index tuple comes from a reference-engine forward; a graph
-        # built there scatters through the seed kernel even if backward runs
-        # under the flat engine.
-        return _col2im_reference(cols, x_shape, indices, padding)
     n, c, h, w = x_shape
     ph, pw = padding
     flat = indices[3]  # (F, P) per-image flattened targets from the cached plan
@@ -323,13 +290,13 @@ _LOWERINGS = {
 
 
 def _contract_dispatch(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Engine-dispatched contraction: seed ``np.einsum``, or its lowering.
+    """A convolution contraction through its ``np.matmul`` lowering.
 
     einsum drops size-1 axes before its matmul step, which lays the operands
     out differently; such rare shapes (a batch of one, a 1x1 output map) keep
-    going through ``np.einsum`` so their bits do not change either.
+    going through ``np.einsum`` so their bits match it too.
     """
-    if current_engine() == "reference" or 1 in a.shape or 1 in b.shape:
+    if 1 in a.shape or 1 in b.shape:
         return np.einsum(equation, a, b, optimize=True)
     return _LOWERINGS[equation](a, b)
 
@@ -344,8 +311,8 @@ def _contract(equation, a, b):
 # --------------------------------------------------------------------------- #
 # Linear / convolution
 # --------------------------------------------------------------------------- #
-def _linear_reference(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Operator-composed affine transform (the seed path): three graph nodes."""
+def _linear_composed(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Operator-composed affine transform: three graph nodes, any ``x.ndim``."""
     out = x @ weight.T
     if bias is not None:
         out = out + bias
@@ -376,13 +343,13 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
 
 
 def _linear_dispatch(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
-    if x.ndim != 2 or current_engine() == "reference":
-        return _linear_reference(x, weight, bias)
+    if x.ndim != 2:
+        return _linear_composed(x, weight, bias)
     return _linear_fused(x, weight, bias)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine transform ``x @ weight.T + bias`` for 2-D inputs."""
+    """Affine transform ``x @ weight.T + bias``: fused for 2-D ``x``, composed otherwise."""
     if _PROF.enabled:
         with _PROF.time("linear"):
             return _linear_dispatch(x, weight, bias)
@@ -402,25 +369,7 @@ def _seq_reduce(grad: np.ndarray, param_shape: Tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _batch_norm_train_reference(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-    axes: Tuple[int, ...],
-    param_shape: Tuple[int, ...],
-    eps: float,
-) -> Tuple[Tensor, np.ndarray, np.ndarray]:
-    """Operator-composed training batch norm (~12 graph nodes per call)."""
-    mean = x.mean(axis=axes, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=axes, keepdims=True)
-    inv_std = (var + eps) ** -0.5
-    normalized = centered * inv_std
-    out = normalized * weight.reshape(*param_shape) + bias.reshape(*param_shape)
-    return out, mean.data, var.data
-
-
-def _batch_norm_train_fused(
+def _batch_norm_train_dispatch(
     x: Tensor,
     weight: Tensor,
     bias: Tensor,
@@ -476,12 +425,6 @@ def _batch_norm_train_fused(
     return out, mean, var
 
 
-def _batch_norm_train_dispatch(x, weight, bias, axes, param_shape, eps):
-    if current_engine() == "reference":
-        return _batch_norm_train_reference(x, weight, bias, axes, param_shape, eps)
-    return _batch_norm_train_fused(x, weight, bias, axes, param_shape, eps)
-
-
 def batch_norm_train(
     x: Tensor,
     weight: Tensor,
@@ -501,20 +444,7 @@ def batch_norm_train(
     return _batch_norm_train_dispatch(x, weight, bias, axes, param_shape, eps)
 
 
-def _batch_norm_eval_reference(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-    mean: np.ndarray,
-    var: np.ndarray,
-    param_shape: Tuple[int, ...],
-    eps: float,
-) -> Tensor:
-    normalized = (x - Tensor(mean)) * Tensor(1.0 / np.sqrt(var + eps))
-    return normalized * weight.reshape(*param_shape) + bias.reshape(*param_shape)
-
-
-def _batch_norm_eval_fused(
+def _batch_norm_eval_dispatch(
     x: Tensor,
     weight: Tensor,
     bias: Tensor,
@@ -536,12 +466,6 @@ def _batch_norm_eval_fused(
 
     out = Tensor._make(out_data, (x, weight, bias), lambda g: backward(g, out))
     return out
-
-
-def _batch_norm_eval_dispatch(x, weight, bias, mean, var, param_shape, eps):
-    if current_engine() == "reference":
-        return _batch_norm_eval_reference(x, weight, bias, mean, var, param_shape, eps)
-    return _batch_norm_eval_fused(x, weight, bias, mean, var, param_shape, eps)
 
 
 def batch_norm_eval(
@@ -569,9 +493,9 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution on NCHW tensors.
 
-    ``weight`` has shape ``(out_channels, in_channels, kh, kw)``.  Under the
-    flat engine a pointwise conv (1x1 kernel, stride 1, no padding) skips
-    im2col and col2im: its columns are the input's pixels and its input
+    ``weight`` has shape ``(out_channels, in_channels, kh, kw)``.  A
+    pointwise conv (1x1 kernel, stride 1, no padding) skips im2col and
+    col2im: its columns are the input's pixels and its input
     gradient is the column gradient, each made C-contiguous as the gather and
     the scatter would leave them.
     """
@@ -582,8 +506,7 @@ def conv2d(
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {ic}")
 
-    pointwise = ((kh, kw, stride, padding) == (1, 1, (1, 1), (0, 0))
-                 and current_engine() == "flat")
+    pointwise = (kh, kw, stride, padding) == (1, 1, (1, 1), (0, 0))
     if pointwise:
         cols = np.ascontiguousarray(x.data).reshape(n, c, h * w)
         indices, out_h, out_w = None, h, w
@@ -746,7 +669,7 @@ def hardsigmoid(x: Tensor) -> Tensor:
     return relu6(x + 3.0) * (1.0 / 6.0)
 
 
-def _hardswish_fused(x: Tensor) -> Tensor:
+def _hardswish_dispatch(x: Tensor) -> Tensor:
     """Single-node hard-swish, bitwise-equal to the composed chain.
 
     Replicates ``x * (clip(x + 3, 0, 6) * (1/6))`` and its backward —
@@ -762,12 +685,6 @@ def _hardswish_fused(x: Tensor) -> Tensor:
 
     out = Tensor._make(out_data, (x,), lambda g: backward(g, out))
     return out
-
-
-def _hardswish_dispatch(x: Tensor) -> Tensor:
-    if current_engine() == "reference":
-        return x * hardsigmoid(x)
-    return _hardswish_fused(x)
 
 
 def hardswish(x: Tensor) -> Tensor:
@@ -824,16 +741,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 # --------------------------------------------------------------------------- #
 # Losses
 # --------------------------------------------------------------------------- #
-def _cross_entropy_reference(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Operator-composed cross-entropy (the seed path): ~10 graph nodes."""
-    targets = np.asarray(targets)
-    n = logits.shape[0]
-    log_probs = log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(n), targets]
-    return -picked.mean()
-
-
-def _cross_entropy_fused(logits: Tensor, targets: np.ndarray) -> Tensor:
+def _cross_entropy_dispatch(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Single-node cross-entropy, bitwise-equal to the composed graph.
 
     The composed graph (shift by max -> exp -> sum -> log -> gather -> mean
@@ -841,7 +749,7 @@ def _cross_entropy_fused(logits: Tensor, targets: np.ndarray) -> Tensor:
     kernel evaluates the same NumPy expressions in the same order (including
     the ``sum * (1/n)`` mean and the row-sum the broadcast-add backward
     performs) inside one node, so both the loss value and the logits gradient
-    match the reference bit-for-bit (``tests/nn/test_functional.py``).
+    match the seed composition bit-for-bit (``tests/nn/test_functional.py``).
     """
     targets = np.asarray(targets)
     n, num_classes = logits.shape
@@ -867,12 +775,6 @@ def _cross_entropy_fused(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     out = Tensor._make(np.asarray(out_data), (logits,), lambda g: backward(g, out))
     return out
-
-
-def _cross_entropy_dispatch(logits: Tensor, targets: np.ndarray) -> Tensor:
-    if current_engine() == "reference":
-        return _cross_entropy_reference(logits, targets)
-    return _cross_entropy_fused(logits, targets)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -4,28 +4,23 @@ Only first-order methods are needed by the paper's experiments: plain SGD with
 optional momentum and weight decay, which is what FedAvg-style local training
 uses, plus a proximal variant used by the FedProx baseline.
 
-Two bit-identical execution paths are provided:
-
-* **fused** (default) — parameters are flattened into a contiguous
-  :class:`~repro.nn.flat.FlatParams` arena and every step is a handful of
-  whole-vector NumPy ops (gather grads, one fused momentum/weight-decay/
-  proximal update, one axpy into the weights).  This removes the
-  per-parameter Python loop from the training hot path.
-* **reference** (``fused=False``) — the seed per-parameter loop, kept as the
-  golden implementation the fused path is tested against
-  (``tests/nn/test_optim.py`` asserts bitwise equality across momentum /
-  weight-decay / mu combinations).
+Parameters are flattened into a contiguous :class:`~repro.nn.flat.FlatParams`
+arena and every step is a handful of whole-vector NumPy ops (gather grads,
+one fused momentum/weight-decay/proximal update, one axpy into the weights),
+with no per-parameter Python loop on the training hot path.
 
 The fusion is exact because every update is element-wise: ``v = m*v + g`` and
 ``w -= lr*u`` round identically whether applied per-parameter or over the
-concatenated vector.  Momentum state is keyed by *parameter index* (not
-``id(param)``, whose addresses the allocator may reuse after garbage
-collection, silently adopting another parameter's velocity).
+concatenated vector.  ``tests/nn/test_optim.py`` pins the fused step bitwise
+against the seed per-parameter loop (kept as a test oracle in
+``tests/oracle/seed_engine.py``) across momentum / weight-decay / mu
+combinations.  Momentum lives in one flat vector laid out like the arena, so
+it is keyed by parameter position, never by ``id(param)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -59,10 +54,9 @@ class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay.
 
     .. note::
-       Constructing a fused optimizer (``fused=True``, the default) flattens
-       the parameters into a contiguous arena: each ``param.data`` is rebound
-       to a view of the arena (values preserved, in-place update semantics
-       preserved).  Hold references to :class:`Parameter` objects — not to
+       Constructing the optimizer flattens the parameters into a contiguous
+       arena: each ``param.data`` is rebound to a view of the arena (values
+       preserved, in-place update semantics preserved).  Hold references to :class:`Parameter` objects — not to
        their ``.data`` arrays — across optimizer construction; an array
        reference captured beforehand stops tracking updates.
     """
@@ -73,7 +67,6 @@ class SGD(Optimizer):
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        fused: bool = True,
     ) -> None:
         super().__init__(params, lr)
         if not 0.0 <= momentum < 1.0:
@@ -82,23 +75,20 @@ class SGD(Optimizer):
             raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.fused = bool(fused)
-        # Reference-path momentum state, keyed by parameter index.
-        self._velocity: Dict[int, np.ndarray] = {}
-        # Fused-path state: the arena and one flat velocity vector.
-        self._flat: Optional[FlatParams] = FlatParams.adopt(self.params) if self.fused else None
+        # The arena and one flat velocity vector.
+        self._flat = FlatParams.adopt(self.params)
         self._velocity_flat: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Per-parameter gradient adjustments (overridden by ProximalSGD).
     # ------------------------------------------------------------------ #
     def _adjusted_grad(self, index: int, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        """Reference-path hook: extra gradient terms applied *before* weight decay."""
+        """Per-parameter hook: extra gradient terms applied *before* weight decay."""
         del index, param
         return grad
 
     def _adjust_flat_grad(self, grad: np.ndarray) -> np.ndarray:
-        """Fused-path counterpart of :meth:`_adjusted_grad` over the flat vector."""
+        """Whole-vector counterpart of :meth:`_adjusted_grad`."""
         return grad
 
     # ------------------------------------------------------------------ #
@@ -113,28 +103,25 @@ class SGD(Optimizer):
 
     def _step_dispatch(self) -> None:
         flat = self._flat
-        if flat is not None:
-            if not flat.is_valid():
-                # The parameters were re-flattened into a different arena
-                # after this optimizer was built (e.g. the training loop
-                # called FlatParams.from_module on the model).  Writing into
-                # the orphaned vector would silently update nothing, so
-                # re-adopt the parameters' current arena; the velocity layout
-                # (same params, same order) stays valid.
-                flat = self._flat = FlatParams.adopt(self.params)
-            grad, any_grad = flat.gather_grad()
-            if not any_grad:
-                return
-            if grad is not None:
-                self._flat_step(grad)
-            else:
-                # Some parameters have no gradient this step: preserve the
-                # reference "skip missing grads" semantics by updating only
-                # the covered arena segments (velocity stays a flat vector,
-                # so fused and partial steps can interleave freely).
-                self._partial_flat_step()
+        if not flat.is_valid():
+            # The parameters were re-flattened into a different arena after
+            # this optimizer was built (e.g. the training loop called
+            # FlatParams.from_module on the model).  Writing into the
+            # orphaned vector would silently update nothing, so re-adopt the
+            # parameters' current arena; the velocity layout (same params,
+            # same order) stays valid.
+            flat = self._flat = FlatParams.adopt(self.params)
+        grad, any_grad = flat.gather_grad()
+        if not any_grad:
             return
-        self._reference_step()
+        if grad is not None:
+            self._flat_step(grad)
+        else:
+            # Some parameters have no gradient this step: skip them, as the
+            # per-parameter loop would, by updating only the covered arena
+            # segments (velocity stays a flat vector, so fused and partial
+            # steps can interleave freely).
+            self._partial_flat_step()
 
     def _flat_step(self, grad: np.ndarray) -> None:
         flat = self._flat
@@ -172,24 +159,6 @@ class SGD(Optimizer):
                 update = grad
             param.data -= self.lr * update
 
-    def _reference_step(self) -> None:
-        for index, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = self._adjusted_grad(index, param, param.grad)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity.get(index)
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[index] = velocity
-                update = velocity
-            else:
-                update = grad
-            param.data -= self.lr * update
-
 
 class ProximalSGD(SGD):
     """SGD with a FedProx proximal term pulling weights toward a reference point.
@@ -209,9 +178,8 @@ class ProximalSGD(SGD):
         mu: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        fused: bool = True,
     ) -> None:
-        super().__init__(params, lr, momentum=momentum, weight_decay=weight_decay, fused=fused)
+        super().__init__(params, lr, momentum=momentum, weight_decay=weight_decay)
         if mu < 0:
             raise ValueError(f"mu must be non-negative, got {mu}")
         self.mu = mu
@@ -233,11 +201,7 @@ class ProximalSGD(SGD):
                     f"reference shape {ref.shape} does not match parameter "
                     f"shape {param.data.shape}"
                 )
-        self._reference_flat = (
-            np.concatenate([ref.reshape(-1) for ref in self._reference])
-            if self._flat is not None
-            else None
-        )
+        self._reference_flat = np.concatenate([ref.reshape(-1) for ref in self._reference])
 
     def _adjusted_grad(self, index: int, param: Parameter, grad: np.ndarray) -> np.ndarray:
         if self.mu and self._reference is not None:

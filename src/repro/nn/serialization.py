@@ -21,7 +21,6 @@ from typing import Dict, Iterable, Optional, Sequence
 import numpy as np
 
 from ..io import atomic_write
-from .engine import current_engine
 from .layers import Module
 
 __all__ = [
@@ -57,7 +56,7 @@ class StateLayout:
     (not sorted order): per-key reductions such as :func:`state_norm` sum
     their per-key partials in iteration order, and replaying that exact order
     segment-by-segment is what keeps flat reductions bitwise-identical to the
-    dict-based reference.
+    seed dict-based reductions (the test oracle).
     """
 
     def __init__(self, template: StateDict) -> None:
@@ -88,10 +87,8 @@ class StateLayout:
 
         Every entry must match the layout's recorded shape exactly.  A
         same-size-but-wrong-shape entry (e.g. ``(1, 4)`` where the layout
-        records ``(4,)``) would flatten silently here while the dict-based
-        reference path broadcasts differently or raises — the flat and
-        reference engines must *refuse* malformed input identically rather
-        than diverge on it.
+        records ``(4,)``) would otherwise flatten silently in the wrong
+        element order; a dict-based reduction refuses it, and so must this.
         """
         _check_keys(self._template, state)
         if out is None:
@@ -306,18 +303,18 @@ class StreamingAverager:
     """Weighted state average consuming one state at a time in O(1) memory.
 
     The number of states (and their weights) must be known up front — the
-    reference reduction normalizes weights by their total *before* the first
+    seed reduction normalizes weights by their total *before* the first
     multiply-add, so a one-pass streaming reduction can only replay its exact
     float ops if the normalizer is available before the first state arrives.
-    Given that, :meth:`add` folds each state into a single accumulator (flat
-    engine: accumulator + one reused pack buffer; reference engine: one
-    per-key result dict), so peak memory is independent of how many states
-    are averaged — the property the fleet-scale execution path relies on.
+    Given that, :meth:`add` packs each state into one reused buffer and folds
+    it into a single flat accumulator, so peak memory is independent of how
+    many states are averaged — the property the fleet-scale execution path
+    relies on.
 
-    Element-for-element both engines perform the same multiply-add sequence
-    as :func:`average_states` (states outermost, starting from zeros, weights
-    normalized up front), so streaming is bitwise-identical to materializing
-    the full list first.
+    Element for element this is the multiply-add sequence of the seed
+    per-key reduction (states outermost, starting from zeros, weights
+    normalized up front), and :func:`average_states` delegates here, so
+    streaming is bitwise-identical to materializing the full list first.
 
     Precision: the running accumulator is **always float64**, whatever the
     input states' compute dtype; the result is cast back to the input dtype
@@ -334,9 +331,6 @@ class StreamingAverager:
         self._weights = _normalized_weights(weights, count)
         self._count = count
         self._index = 0
-        self._reference = current_engine() == "reference"
-        self._result: Optional[StateDict] = None
-        self._dtypes: Optional[Dict[str, np.dtype]] = None
         self._layout: Optional[StateLayout] = None
         self._accumulator: Optional[np.ndarray] = None
         self._buffer: Optional[np.ndarray] = None
@@ -345,34 +339,15 @@ class StreamingAverager:
         """Fold the next state into the running average (in declared order)."""
         if self._index >= self._count:
             raise ValueError(f"received more states than the declared {self._count}")
-        weight = self._weights[self._index]
-        if self._reference:
-            # Seed path: per-key accumulation, clients outermost.  The
-            # accumulator is float64 regardless of the state dtype (a no-op
-            # for the float64 golden path); the original per-key dtypes are
-            # recorded and restored once in finalize().
-            if self._result is None:
-                self._result = {
-                    key: np.zeros_like(value, dtype=np.float64)
-                    for key, value in state.items()
-                }
-                self._dtypes = {
-                    key: np.asarray(value).dtype for key, value in state.items()
-                }
-            _check_keys(self._result, state)
-            for key in self._result:
-                self._result[key] += weight * state[key]
-        else:
-            # Flat reduction: pack the state into the one reused buffer and
-            # accumulate over the whole vector (always in float64; the
-            # buffer keeps the states' own dtype so the promotion happens
-            # inside the multiply-add, not per input element).
-            if self._layout is None:
-                self._layout = StateLayout(state)
-                self._accumulator = np.zeros(self._layout.size, dtype=np.float64)
-                self._buffer = np.empty(self._layout.size, dtype=self._layout.dtype)
-            self._layout.pack(state, out=self._buffer)
-            self._accumulator += weight * self._buffer
+        # Accumulate over the whole vector, always in float64; the buffer
+        # keeps the states' own dtype so the promotion happens inside the
+        # multiply-add, not per input element.
+        if self._layout is None:
+            self._layout = StateLayout(state)
+            self._accumulator = np.zeros(self._layout.size, dtype=np.float64)
+            self._buffer = np.empty(self._layout.size, dtype=self._layout.dtype)
+        self._layout.pack(state, out=self._buffer)
+        self._accumulator += self._weights[self._index] * self._buffer
         self._index += 1
 
     def finalize(self) -> StateDict:
@@ -381,12 +356,6 @@ class StreamingAverager:
             raise ValueError(
                 f"expected {self._count} states, received {self._index}"
             )
-        if self._reference:
-            return {
-                key: value if value.dtype == self._dtypes[key]
-                else value.astype(self._dtypes[key])
-                for key, value in self._result.items()
-            }
         if self._layout.dtype == np.float64:
             return self._layout.unpack(self._accumulator)
         return self._layout.unpack(self._accumulator.astype(self._layout.dtype))

@@ -61,7 +61,7 @@ def is_grad_enabled() -> bool:
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
     if dtype is None:
         # The engine's thread-local compute dtype (float64 unless a
-        # dtype_mode/engine_scope selects float32); imported lazily at call
+        # dtype_mode selects float32); imported lazily at call
         # sites via the module attribute to keep this hot path cheap.
         dtype = _engine_state.dtype
     if isinstance(data, np.ndarray):
@@ -98,7 +98,7 @@ class Tensor:
         Array-like payload.  Stored in the engine's thread-local compute
         dtype — ``float64`` by default for numerical robustness of the
         small-scale experiments in this repository, or ``float32`` inside a
-        :class:`repro.nn.engine.dtype_mode` / ``engine_scope`` block.
+        :class:`repro.nn.engine.dtype_mode` block.
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
         :meth:`backward`.

@@ -46,7 +46,7 @@ from .registries import (
     build_dataset,
 )
 from .registries import default_train_transform
-from .spec import RunSpec
+from .spec import LEGACY_ENGINE_OVERRIDE, RunSpec
 
 __all__ = ["Runner", "RunResult", "run_spec"]
 
@@ -298,6 +298,7 @@ class Runner:
             seed=seed,
         )
         settings.update(spec.config_overrides)
+        settings.pop(LEGACY_ENGINE_OVERRIDE, None)
         return FLConfig(**settings)
 
     def _run_centralized(self, spec: RunSpec, seed: int):

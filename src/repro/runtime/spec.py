@@ -48,6 +48,11 @@ RUN_KINDS = ("federated", "federated_async", "centralized")
 _LATENCY_KWARGS_FIELDS = ("regime",)
 
 _FL_CONFIG_FIELDS = {f.name for f in dataclasses.fields(FLConfig)}
+# A config override that no longer exists.  Specs stored before the seed
+# training engine was removed carry train_engine="flat" — the only engine
+# there is — so that value still loads (the runner drops it before building
+# the FLConfig, and the spec hash keeps it); any other value is refused.
+LEGACY_ENGINE_OVERRIDE = "train_engine"
 _SCALE_FIELDS = {f.name for f in dataclasses.fields(ExperimentScale)}
 
 
@@ -141,7 +146,13 @@ class RunSpec:
             validate_max_workers(self.max_workers)
             for callback_name in self.callbacks:
                 _require(CALLBACK_REGISTRY, callback_name)
-            unknown = set(self.config_overrides) - _FL_CONFIG_FIELDS
+            engine = self.config_overrides.get(LEGACY_ENGINE_OVERRIDE, "flat")
+            if engine != "flat":
+                raise ValueError(
+                    f"train_engine {engine!r} was removed: every run uses the flat "
+                    f"engine, so drop the override"
+                )
+            unknown = set(self.config_overrides) - _FL_CONFIG_FIELDS - {LEGACY_ENGINE_OVERRIDE}
             if unknown:
                 raise ValueError(
                     f"unknown FLConfig override(s) {sorted(unknown)}; "

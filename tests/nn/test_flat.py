@@ -193,7 +193,7 @@ class TestTrainingThroughArena:
         from repro.nn.optim import SGD
 
         model = small_model()
-        opt = SGD(model.parameters(), lr=0.5, fused=True)  # anonymous arena
+        opt = SGD(model.parameters(), lr=0.5)  # anonymous arena
         # The training loop re-flattens the model, invalidating opt's arena.
         FlatParams.from_module(model)
         assert not opt._flat.is_valid()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracle import seed_engine
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -213,6 +214,46 @@ class TestActivations:
         assert 0.3 < (out > 0).mean() < 0.7
 
 
+def _fused_kernel_case(kernel, rng):
+    """``(forward, inputs)`` for one single-node kernel on small random inputs."""
+    def leaf(*shape, scale=1.0):
+        return Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
+
+    if kernel == "linear":
+        x, w, b = leaf(4, 5), leaf(3, 5), leaf(3)
+        return lambda: F.linear(x, w, b), [x, w, b]
+    if kernel == "batch_norm_train":
+        x, w, b = leaf(3, 2, 4, 4, scale=2.0), leaf(2), leaf(2)
+        return lambda: F.batch_norm_train(x, w, b, (0, 2, 3), (1, 2, 1, 1), 1e-5)[0], [x, w, b]
+    if kernel == "batch_norm_eval":
+        x, w, b = leaf(3, 2, 4, 4), leaf(2), leaf(2)
+        mean, var = rng.normal(size=(1, 2, 1, 1)), rng.uniform(0.5, 2.0, size=(1, 2, 1, 1))
+        return lambda: F.batch_norm_eval(x, w, b, mean, var, (1, 2, 1, 1), 1e-5), [x, w, b]
+    if kernel == "hardswish":
+        x = leaf(6, 5, scale=3.0)
+        return lambda: F.hardswish(x), [x]
+    x, w, b = leaf(2, 4, 5, 5), leaf(3, 4, 1, 1), leaf(3)
+    return lambda: F.conv2d(x, w, b), [x, w, b]  # 1x1, stride 1: the pointwise path
+
+
+class TestFusedKernelGradients:
+    @pytest.mark.parametrize("kernel", ["linear", "batch_norm_train", "batch_norm_eval",
+                                        "hardswish", "pointwise_conv2d"])
+    def test_gradient_check(self, kernel):
+        """The hand-written backward of each fused kernel against central
+        differences, through a random upstream gradient."""
+        rng = np.random.default_rng(10)
+        forward, inputs = _fused_kernel_case(kernel, rng)
+        upstream = Tensor(rng.normal(size=forward().shape))
+
+        def build():
+            for tensor in inputs:
+                tensor.zero_grad()
+            return (forward() * upstream).sum()
+
+        scalar_loss_grad_check(build, inputs)
+
+
 class TestLosses:
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((2, 4)))
@@ -272,17 +313,15 @@ class TestLosses:
 
 
 class TestEngineKernelEquivalence:
-    """The flat engine's fused kernels must match the operator-composed
-    reference bit-for-bit — forward values AND every gradient."""
+    """The fused kernels must match the seed oracle's operator-composed
+    graphs bit-for-bit — forward values AND every gradient."""
 
     @staticmethod
     def _run_both(build):
-        """Run `build(mode)` under each engine; returns the two result tuples."""
-        from repro.nn.engine import engine_mode
-
+        """Run `build()` on the flat kernels and on the oracle's; returns both results."""
         results = {}
-        for mode in ("flat", "reference"):
-            with engine_mode(mode):
+        for mode in seed_engine.ENGINES:
+            with seed_engine.engine(mode):
                 results[mode] = build()
         return results["flat"], results["reference"]
 
@@ -472,25 +511,28 @@ class TestEngineKernelEquivalence:
             plan_a[0][0] = 99  # read-only
 
     def test_reference_engine_is_default_off(self):
-        from repro.nn.engine import current_engine
-
-        assert current_engine() == "flat"
+        """Outside an oracle scope every kernel is the engine's own."""
+        for name in ("conv2d", "linear", "batch_norm_train", "batch_norm_eval",
+                     "hardswish", "cross_entropy", "_im2col", "_col2im", "_contract"):
+            assert getattr(F, name).__module__ == F.__name__, name
 
     def test_engine_mode_restores_previous(self):
-        from repro.nn.engine import current_engine, engine_mode
+        """The oracle scope rebinds the kernels and restores them on exit,
+        also when the block raises."""
+        from repro.nn.optim import SGD
 
-        with engine_mode("reference"):
-            assert current_engine() == "reference"
-            with engine_mode("flat"):
-                assert current_engine() == "flat"
-            assert current_engine() == "reference"
-        assert current_engine() == "flat"
+        flat = (F.linear, F.conv2d, SGD.step)
+        with pytest.raises(RuntimeError):
+            with seed_engine.engine("reference"):
+                assert (F.linear, F.conv2d, SGD.step) == \
+                    (seed_engine.linear, seed_engine.conv2d, seed_engine.sgd_step)
+                raise RuntimeError("boom")
+        assert (F.linear, F.conv2d, SGD.step) == flat
 
     def test_engine_mode_rejects_unknown(self):
-        from repro.nn.engine import engine_mode
-
         with pytest.raises(ValueError):
-            engine_mode("turbo")
+            with seed_engine.engine("turbo"):
+                pass
 
     def test_bce_gradients_still_flow(self):
         """Regression: removing the dead zeros/max/abs tensors must not

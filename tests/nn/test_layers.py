@@ -263,14 +263,14 @@ class TestBatchNormSinglePass:
         assert out.tobytes() == seed_out.tobytes()
 
     def test_train_and_eval_bitwise_across_engines(self):
-        from repro.nn.engine import engine_mode
+        from oracle import seed_engine
 
         rng = np.random.default_rng(3)
         x_np = rng.normal(2.0, 1.5, size=(6, 4, 4, 4))
         upstream = rng.normal(size=(6, 4, 4, 4))
         results = {}
-        for mode in ("flat", "reference"):
-            with engine_mode(mode):
+        for mode in seed_engine.ENGINES:
+            with seed_engine.engine(mode):
                 bn = BatchNorm2d(4)
                 x = Tensor(x_np.copy(), requires_grad=True)
                 out = bn(x)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracle import seed_engine
 
 from repro.nn.layers import Linear, Parameter
 from repro.nn.optim import SGD, ProximalSGD
@@ -142,8 +143,8 @@ class TestProximalSGD:
 
 
 class TestFusedMatchesReference:
-    """The fused flat-vector step must be bitwise-equal to the per-parameter
-    reference loop for every supported hyperparameter combination."""
+    """The fused flat-vector step must be bitwise-equal to the seed oracle's
+    per-parameter loop for every supported hyperparameter combination."""
 
     SHAPES = [(4, 3), (3,), (2, 2, 2), (5,)]
 
@@ -155,7 +156,7 @@ class TestFusedMatchesReference:
                 p_f.grad = grad.copy()
                 p_r.grad = grad.copy()
             fused_opt.step()
-            ref_opt.step()
+            seed_engine.sgd_step(ref_opt)
         for p_f, p_r in zip(params_f, params_r):
             assert p_f.data.tobytes() == p_r.data.tobytes()
 
@@ -166,10 +167,8 @@ class TestFusedMatchesReference:
         values = [rng.normal(size=shape) for shape in self.SHAPES]
         params_f = [make_param(v.copy()) for v in values]
         params_r = [make_param(v.copy()) for v in values]
-        fused = SGD(params_f, lr=0.05, momentum=momentum,
-                    weight_decay=weight_decay, fused=True)
-        ref = SGD(params_r, lr=0.05, momentum=momentum,
-                  weight_decay=weight_decay, fused=False)
+        fused = SGD(params_f, lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        ref = SGD(params_r, lr=0.05, momentum=momentum, weight_decay=weight_decay)
         self._step_pair(fused, ref, params_f, params_r)
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -182,9 +181,9 @@ class TestFusedMatchesReference:
         params_f = [make_param(v.copy()) for v in values]
         params_r = [make_param(v.copy()) for v in values]
         fused = ProximalSGD(params_f, lr=0.05, mu=mu, momentum=momentum,
-                            weight_decay=weight_decay, fused=True)
+                            weight_decay=weight_decay)
         ref = ProximalSGD(params_r, lr=0.05, mu=mu, momentum=momentum,
-                          weight_decay=weight_decay, fused=False)
+                          weight_decay=weight_decay)
         fused.set_reference([r.copy() for r in refs])
         ref.set_reference([r.copy() for r in refs])
         self._step_pair(fused, ref, params_f, params_r)
@@ -196,8 +195,8 @@ class TestFusedMatchesReference:
         values = [rng.normal(size=(3,)) for _ in range(3)]
         params_f = [make_param(v.copy()) for v in values]
         params_r = [make_param(v.copy()) for v in values]
-        fused = SGD(params_f, lr=0.1, momentum=0.9, fused=True)
-        ref = SGD(params_r, lr=0.1, momentum=0.9, fused=False)
+        fused = SGD(params_f, lr=0.1, momentum=0.9)
+        ref = SGD(params_r, lr=0.1, momentum=0.9)
         coverage = [(0, 2), (0, 1, 2), (1,), (0, 1, 2)]
         for step, present in enumerate(coverage):
             for index in range(3):
@@ -205,14 +204,14 @@ class TestFusedMatchesReference:
                 params_f[index].grad = grad.copy() if index in present else None
                 params_r[index].grad = grad.copy() if index in present else None
             fused.step()
-            ref.step()
+            seed_engine.sgd_step(ref)
             for p_f, p_r in zip(params_f, params_r):
                 assert p_f.data.tobytes() == p_r.data.tobytes(), f"step {step}"
 
     def test_no_grads_is_a_noop(self):
         param = make_param([1.0, 2.0])
         before = param.data.copy()
-        SGD([param], lr=0.1, fused=True).step()
+        SGD([param], lr=0.1).step()
         np.testing.assert_array_equal(param.data, before)
 
     def test_fused_through_model_training_matches(self):
@@ -223,18 +222,18 @@ class TestFusedMatchesReference:
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 3, size=8)
         states = {}
-        for fused in (True, False):
-            model = SimpleMLP(6, 3, hidden=4, seed=0)
-            opt = SGD(model.parameters(), lr=0.05, momentum=0.9,
-                      weight_decay=1e-4, fused=fused)
-            for _ in range(4):
-                loss = F.cross_entropy(model(Tensor(x)), y)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            states[fused] = model.state_dict()
-        for key in states[True]:
-            assert states[True][key].tobytes() == states[False][key].tobytes()
+        for mode in seed_engine.ENGINES:
+            with seed_engine.engine(mode):
+                model = SimpleMLP(6, 3, hidden=4, seed=0)
+                opt = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
+                for _ in range(4):
+                    loss = F.cross_entropy(model(Tensor(x)), y)
+                    opt.zero_grad()
+                    loss.backward()
+                    opt.step()
+                states[mode] = model.state_dict()
+        for key in states["flat"]:
+            assert states["flat"][key].tobytes() == states["reference"][key].tobytes()
 
 
 class TestVelocityKeyedByIndex:
@@ -243,11 +242,14 @@ class TestVelocityKeyedByIndex:
 
     def test_reference_velocity_uses_indices(self):
         params = [make_param([1.0]), make_param([2.0])]
-        opt = SGD(params, lr=0.1, momentum=0.9, fused=False)
+        opt = SGD(params, lr=0.1, momentum=0.9)
         for param in params:
             param.grad = np.ones(1)
+        seed_engine.sgd_step(opt)
+        assert set(opt._seed_velocity) <= {0, 1}
+        # The fused step keeps one velocity vector laid out like the arena.
         opt.step()
-        assert set(opt._velocity) <= {0, 1}
+        assert opt._velocity_flat.shape == (opt._flat.size,)
 
     def test_velocity_survives_id_reuse(self):
         """Replacing a parameter list entry cannot alias old velocity state:
@@ -255,7 +257,7 @@ class TestVelocityKeyedByIndex:
         from zero momentum."""
         def run_with_gc_churn():
             param = make_param([0.0])
-            opt = SGD([param], lr=0.1, momentum=0.9, fused=False)
+            opt = SGD([param], lr=0.1, momentum=0.9)
             param.grad = np.ones(1)
             opt.step()
             return param.data.copy()
@@ -273,13 +275,13 @@ class TestProximalGradNotMutated:
     def test_step_leaves_param_grad_untouched(self):
         """The proximal term must not leak into the stored gradient
         (batch hooks read .grad after the step)."""
-        for fused in (True, False):
+        for step in (ProximalSGD.step, seed_engine.sgd_step):
             param = make_param([2.0, -1.0])
-            opt = ProximalSGD([param], lr=0.1, mu=0.5, fused=fused)
+            opt = ProximalSGD([param], lr=0.1, mu=0.5)
             opt.set_reference([np.zeros(2)])
             grad = np.array([0.25, 0.75])
             param.grad = grad
-            opt.step()
+            step(opt)
             assert param.grad is grad, "stored gradient was rebound"
             np.testing.assert_array_equal(param.grad, [0.25, 0.75])
 
@@ -290,15 +292,11 @@ class TestOptimizerValidation:
         with pytest.raises(ValueError):
             opt.set_reference([np.zeros((2, 2))])
 
-    def test_fused_flag_exposed(self):
-        assert SGD([make_param([1.0])], lr=0.1).fused
-        assert not SGD([make_param([1.0])], lr=0.1, fused=False).fused
-
     def test_fused_optimizer_adopts_module_arena(self):
         from repro.nn.flat import FlatParams
         from repro.nn.models import SimpleMLP
 
         model = SimpleMLP(4, 2, hidden=3, seed=0)
         arena = FlatParams.from_module(model)
-        opt = SGD(model.parameters(), lr=0.1, fused=True)
+        opt = SGD(model.parameters(), lr=0.1)
         assert opt._flat is arena

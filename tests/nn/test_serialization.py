@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import seed_engine
 
-from repro.nn.engine import engine_mode
 from repro.nn.layers import Linear, Sequential, ReLU
 from repro.nn.models import MODEL_REGISTRY, create_model
 from repro.nn.serialization import (
@@ -164,7 +164,7 @@ class TestAverageStates:
     def test_weight_validation_parity_across_engines(self, engine):
         """Both engines refuse the same bad weights with the same error type."""
         states = [{"w": np.zeros(1)}, {"w": np.ones(1)}]
-        with engine_mode(engine):
+        with seed_engine.engine(engine):
             for bad in ([np.nan, 1.0], [-1.0, 3.0], [0.0, 0.0], [1.0]):
                 with pytest.raises(ValueError):
                     average_states(states, bad)
@@ -205,7 +205,7 @@ class TestStateLayoutValidation:
         same shape-mismatched input — neither silently mis-reduces."""
         good = {"w": np.zeros((2, 3))}
         bad = {"w": np.ones((3, 2))}
-        with engine_mode(engine):
+        with seed_engine.engine(engine):
             with pytest.raises(ValueError):
                 average_states([good, bad])
 
@@ -220,7 +220,7 @@ class TestStreamingAverager:
     @pytest.mark.parametrize("weights", [None, [1, 2, 3, 4]])
     def test_bitwise_matches_average_states(self, engine, weights):
         states = self._states(4)
-        with engine_mode(engine):
+        with seed_engine.engine(engine):
             expected = average_states(states, weights)
             averager = StreamingAverager(len(states), weights)
             for state in states:

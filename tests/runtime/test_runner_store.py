@@ -152,6 +152,40 @@ class TestCrashResume:
             result.history.per_device_metric
 
 
+class TestLegacyEngineSpecs:
+    """Specs stored before the seed training engine was removed carry
+    ``config_overrides["train_engine"] == "flat"``.  They still build, hash
+    to the run ids the store gave them then, run, and resume."""
+
+    LEGACY = {"num_rounds": 3, "train_engine": "flat"}
+    # spec_hash of make_spec(config_overrides=LEGACY), without and with the
+    # crash callback, as computed while the engine override still existed.
+    HASHES = ("0ec705ddb9774375b7380533c786d7ce86d9b456017307d031837c985261e4a0",
+              "2ed43471e98262fc75f87c3dd298f12a940b0785027f0913ce8891167034ef80")
+
+    def test_legacy_spec_hash_unchanged(self):
+        from repro.store import spec_hash
+
+        plain = make_spec(config_overrides=dict(self.LEGACY))
+        crashing = make_spec(config_overrides=dict(self.LEGACY),
+                             callbacks={"crash_after_round": {"after_round": 0}})
+        assert (spec_hash(plain), spec_hash(crashing)) == self.HASHES
+        assert RunSpec.from_dict(plain.to_dict()).config_overrides == self.LEGACY
+
+    def test_legacy_spec_resumes_to_the_modern_result(self, tmp_path):
+        modern = Runner().run(make_spec())
+        spec = make_spec(config_overrides=dict(self.LEGACY),
+                         callbacks={"crash_after_round": {"after_round": 0}})
+        with pytest.raises(_Boom):
+            Runner(store=tmp_path / "store", checkpoint_every=1).run(spec)
+        [entry] = RunStore(tmp_path / "store").list_runs()
+        assert entry.manifest()["spec_hash"] == self.HASHES[1]
+        stored = RunSpec.from_dict(entry.manifest()["spec"])
+        resumed = Runner(store=tmp_path / "store", checkpoint_every=1).run(stored, resume=True)
+        assert entry.status() == "completed"
+        assert resumed.history.per_device_metric == modern.history.per_device_metric
+
+
 @pytest.fixture(autouse=True)
 def crash_callback_registered():
     CALLBACK_REGISTRY.replace("crash_after_round", _CrashAfterRound)

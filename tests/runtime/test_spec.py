@@ -93,6 +93,15 @@ class TestValidation:
         assert spec.executor == "shm"
         assert spec.max_workers == 4
 
+    @pytest.mark.parametrize("engine", ["reference", "warp"])
+    def test_removed_train_engine_refused(self, engine):
+        with pytest.raises(ValueError, match=f"train_engine '{engine}' was removed"):
+            RunSpec(config_overrides={"train_engine": engine})
+
+    def test_legacy_flat_engine_override_accepted(self):
+        spec = RunSpec(config_overrides={"train_engine": "flat", "num_rounds": 2})
+        assert spec.config_overrides["train_engine"] == "flat"
+
     def test_removed_process_executor_refused(self):
         with pytest.raises(KeyError, match="unknown executor 'process'.*shm"):
             RunSpec(executor="process")
