@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark regenerates one table or figure of the paper (see DESIGN.md's
-experiment index) by running the corresponding experiment runner and printing
+Each benchmark regenerates one table or figure of the paper (the experiment
+index is ``repro.eval.experiments.EXPERIMENTS``) by running the corresponding experiment runner and printing
 the regenerated rows.  pytest-benchmark records the wall-clock cost of the
 full regeneration (one iteration — these are experiment pipelines, not
 micro-benchmarks).
@@ -26,10 +26,17 @@ the recorded results as they are.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
 from repro.eval.scale import SCALES, ExperimentScale, get_scale
+
+# The test oracles (``tests/oracle``) are importable as ``oracle`` here too,
+# so a benchmark can time the code it replaced.  Appended, so this directory's
+# own ``conftest`` keeps precedence over the test suite's.
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "tests"))
 
 # A preset between "smoke" and "default": full 9-device coverage with a small
 # CNN-free model so every table/figure regenerates in tens of seconds.

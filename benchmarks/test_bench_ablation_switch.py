@@ -1,6 +1,6 @@
 """Ablation benchmark — the switching criterion of Algorithm 1.
 
-DESIGN.md calls out the switch criteria as the key design choice: HeteroSwitch
+The switch criteria are HeteroSwitch's key design choice: HeteroSwitch
 applies generalization *selectively* (switched), versus never (FedAvg) or
 always (ISP transformation + SWAD on every client).  This bench regenerates the
 three-way comparison embedded in Table 4's first four rows and reports the

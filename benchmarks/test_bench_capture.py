@@ -19,13 +19,13 @@ from repro.data.capture import (
     CaptureConfig,
     DeviceDatasetBundle,
     build_device_datasets,
-    capture_with_device_scalar,
     derive_capture_seeds,
 )
 from repro.data.capture_cache import CaptureCache
 from repro.data.scenes import generate_scene_dataset
 from repro.devices.profiles import DEVICE_PROFILES
 from conftest import run_once
+from oracle.scalar_capture import capture_with_device_scalar
 
 from repro.eval.results import ExperimentResult
 

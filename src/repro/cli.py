@@ -57,23 +57,6 @@ from .store import CheckpointError, RunStoreError
 
 __all__ = ["build_parser", "main"]
 
-# One-line description per experiment id (mirrors DESIGN.md's index).
-_DESCRIPTIONS = {
-    "fig1": "Fig. 1  — homogeneous vs heterogeneous FL clients",
-    "table2": "Table 2 — cross-device model-quality degradation matrix",
-    "fig2": "Fig. 2  — cross-device degradation on RAW data",
-    "fig3": "Fig. 3  — per-ISP-stage ablation (Table 3 options)",
-    "fig4": "Fig. 4  — fairness toward dominant devices",
-    "fig5": "Fig. 5  — leave-one-device-out domain generalization",
-    "fig7": "Fig. 7  — transform-only vs SWA vs SWAD robustness",
-    "table4": "Table 4 — main evaluation (DG worst-case, fairness variance/average)",
-    "table5": "Table 5 — FedAvg vs HeteroSwitch across model architectures",
-    "table6": "Table 6 — FLAIR-like multi-label evaluation",
-    "fig8": "Fig. 8  — synthetic-CIFAR per-device accuracy",
-    "ecg": "Sec 6.6 — ECG heart-rate deviation across sensor types",
-    "fig9": "Fig. 9  — FL hyperparameter sensitivity",
-}
-
 _REGISTRIES = {
     "strategies": STRATEGY_REGISTRY,
     "models": MODEL_REGISTRY,
@@ -318,8 +301,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "list":
         print("experiments:")
-        for experiment_id in EXPERIMENTS:
-            description = _DESCRIPTIONS.get(experiment_id, "")
+        for experiment_id, runner in EXPERIMENTS.items():
+            # Each runner's docstring opens with its one-line description.
+            description = (runner.__doc__ or "").strip().partition("\n")[0]
             print(f"  {experiment_id:<8s} {description}")
         for kind, registry in _REGISTRIES.items():
             print(f"{kind}: {', '.join(registry.available())}")

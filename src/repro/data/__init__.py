@@ -1,9 +1,9 @@
 """Datasets and data-handling utilities for the HeteroSwitch reproduction.
 
-Every dataset the paper evaluates on is rebuilt here as a synthetic analogue
-(see DESIGN.md "Substitutions"): the 12-class device-capture dataset, the
-synthetic-heterogeneity CIFAR experiment, the FLAIR-like multi-label dataset
-and the multi-sensor ECG dataset, plus FL client partitioning and batching.
+Every dataset the paper evaluates on is rebuilt here as a synthetic analogue:
+the 12-class device-capture dataset, the synthetic-heterogeneity CIFAR
+experiment, the FLAIR-like multi-label dataset and the multi-sensor ECG
+dataset, plus FL client partitioning and batching.
 """
 
 from .capture import (
@@ -11,7 +11,6 @@ from .capture import (
     DeviceDatasetBundle,
     build_device_datasets,
     capture_with_device,
-    capture_with_device_scalar,
     derive_capture_seeds,
 )
 from .capture_cache import CaptureCache, device_fingerprint
@@ -36,7 +35,6 @@ __all__ = [
     "DeviceDatasetBundle",
     "build_device_datasets",
     "capture_with_device",
-    "capture_with_device_scalar",
     "derive_capture_seeds",
     "device_fingerprint",
     "ClientSpec",

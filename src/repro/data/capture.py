@@ -11,9 +11,8 @@ noise, Bayer sampling, all six ISP stages and the final resize are
 ``(n, ...)`` kernels, run over fixed chunks of :data:`CAPTURE_CHUNK` scenes
 that share the capture's one noise generator in order.  A capture's
 temporaries are therefore O(chunk) whatever the pool size, and its output is
-bit-identical to the scalar reference loop kept in
-:func:`capture_with_device_scalar`.  :func:`build_device_datasets` runs a
-fleet's captures on one thread per core, so a build holds O(threads x chunk)
+bit-identical to the scene-by-scene loop it replaced (kept as a test
+oracle).  :func:`build_device_datasets` runs a fleet's captures on one thread per core, so a build holds O(threads x chunk)
 temporaries.  Captured datasets can additionally be persisted in a
 :class:`~repro.data.capture_cache.CaptureCache`, so repeated sweeps over one
 device fleet rebuild nothing.
@@ -30,17 +29,16 @@ import numpy as np
 
 from ..devices.profiles import DEVICE_PROFILES, DeviceProfile
 from ..isp.pipeline import ISPConfig, ISPPipeline
-from ..isp.raw import raw_to_training_array, raw_to_training_array_batch
-from ..isp.resize import resize_bilinear, resize_bilinear_batch
+from ..isp.raw import raw_to_training_array_batch
+from ..isp.resize import resize_bilinear_batch
 from .capture_cache import CaptureCache
-from .dataset import ArrayDataset, hwc_to_nchw
+from .dataset import ArrayDataset
 from .scenes import generate_scene_dataset
 
 __all__ = [
     "CAPTURE_CHUNK",
     "CaptureConfig",
     "capture_with_device",
-    "capture_with_device_scalar",
     "build_device_datasets",
     "derive_capture_seeds",
     "DeviceDatasetBundle",
@@ -105,9 +103,9 @@ def capture_with_device(
 
     The scene -> RAW -> ISP -> tensor path runs as batched kernels over
     chunks of :data:`CAPTURE_CHUNK` scenes.  The chunks draw from one
-    generator in scene order, so the result is bit-identical to the
-    per-scene reference loop (:func:`capture_with_device_scalar`), sensor
-    noise included.
+    generator in scene order, so the result is bit-identical to a per-scene
+    loop over the scalar sensor, ISP and resize functions, sensor noise
+    included.
     """
     scenes, labels = _validate_capture_inputs(scenes, labels)
     rng = np.random.default_rng(config.seed)
@@ -124,36 +122,6 @@ def capture_with_device(
             processed = pipeline.process_batch(raw_batch)
         images[chunk] = resize_bilinear_batch(processed, size)
     return ArrayDataset(features, labels, metadata=_capture_metadata(device, config))
-
-
-def capture_with_device_scalar(
-    scenes: np.ndarray,
-    labels: np.ndarray,
-    device: DeviceProfile,
-    config: CaptureConfig = CaptureConfig(),
-) -> ArrayDataset:
-    """Scene-by-scene reference implementation of :func:`capture_with_device`.
-
-    Kept as the golden baseline for the batched path's bit-identity guarantee
-    (and for the capture-throughput benchmark).  Per scene it draws the same
-    RNG stream the batched kernel consumes in one block.
-    """
-    scenes, labels = _validate_capture_inputs(scenes, labels)
-    rng = np.random.default_rng(config.seed)
-    pipeline = None
-    if not config.raw:
-        pipeline = ISPPipeline(config.isp_override or device.isp)
-
-    images = np.empty((len(scenes), config.image_size, config.image_size, 3), dtype=np.float64)
-    for index, scene in enumerate(scenes):
-        raw = device.sensor.capture_raw(scene, rng)
-        if config.raw:
-            processed = raw_to_training_array(raw)
-        else:
-            processed = pipeline.process(raw)
-        images[index] = resize_bilinear(processed, (config.image_size, config.image_size))
-    return ArrayDataset(hwc_to_nchw(images), labels,
-                        metadata=_capture_metadata(device, config))
 
 
 @dataclass

@@ -45,10 +45,17 @@ def assign_device_types(
     Device counts follow ``shares`` (e.g. the Table 1 market shares) using
     largest-remainder rounding so every listed device appears when the client
     population is large enough, then the assignment order is shuffled.
+    Every ``exclude`` name must be a key of ``shares``.
     """
     if num_clients <= 0:
         raise ValueError("num_clients must be positive")
     exclude_set = set(exclude or [])
+    unknown = exclude_set - set(shares)
+    if unknown:
+        raise ValueError(
+            f"cannot exclude unknown device(s) {sorted(unknown)}; "
+            f"devices: {sorted(shares)}"
+        )
     filtered = {name: share for name, share in shares.items() if name not in exclude_set}
     if not filtered:
         raise ValueError("no devices left after exclusion")

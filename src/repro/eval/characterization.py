@@ -15,12 +15,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..data.capture import DeviceDatasetBundle, build_device_datasets
-from ..data.partition import build_client_specs
-from ..devices.profiles import DEVICE_NAMES, DOMINANT_DEVICES, market_shares
-from ..fl.config import FLConfig
+from ..devices.profiles import DEVICE_NAMES, DOMINANT_DEVICES
 from ..fl.metrics import mean_value, model_quality_degradation
-from ..fl.simulation import FederatedSimulation
-from ..fl.strategies.base import FedAvg
 from ..isp.pipeline import BASELINE_CONFIG, stage_variants
 from .centralized import evaluate_on_devices, train_centralized
 from .factories import make_model_factory
@@ -67,16 +63,17 @@ def _train_on_device(bundle: DeviceDatasetBundle, device: str, scale: Experiment
     )
 
 
-def _fl_config(scale: ExperimentScale, num_clients: int, seed: int = 0) -> FLConfig:
-    return FLConfig(
-        num_clients=num_clients,
-        clients_per_round=min(scale.clients_per_round, num_clients),
-        num_rounds=scale.num_rounds,
-        local_epochs=scale.local_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        seed=seed,
-    )
+def _fedavg_metrics(name: str, scale: "str | ExperimentScale", seed: int, runner=None,
+                    **spec_fields) -> Dict[str, float]:
+    """Per-device metrics of one FedAvg run on the device-capture dataset.
+
+    Pass ``runner`` to share its memoised datasets across runs.
+    """
+    from ..runtime import Runner, RunSpec, spec_scale  # late: runtime imports repro.eval
+
+    spec = RunSpec(name=name, strategy="fedavg", dataset="device_capture",
+                   scale=spec_scale(scale), seeds=[seed], **spec_fields)
+    return (runner or Runner()).run(spec).history.per_device_metric
 
 
 # --------------------------------------------------------------------------- #
@@ -94,8 +91,6 @@ def fig1_homo_vs_hetero(scale: "str | ExperimentScale" = "smoke",
     """
     scale = get_scale(scale)
     device_names = list(devices) if devices else DEVICE_NAMES
-    bundle = _build_bundle(scale, devices=device_names, seed=seed)
-    factory = make_model_factory(scale, bundle.num_classes, bundle.image_size, seed=seed)
 
     # Homogeneous: every client holds data from the same device (the most common
     # one).  The homogeneous arm captures a larger pool from that single device so
@@ -105,24 +100,12 @@ def fig1_homo_vs_hetero(scale: "str | ExperimentScale" = "smoke",
     homo_scale = scale.with_overrides(
         samples_per_class_train=scale.samples_per_class_train * len(device_names)
     )
-    homo_bundle = _build_bundle(homo_scale, devices=[homo_device], seed=seed)
-    homo_clients = build_client_specs({homo_device: homo_bundle.train[homo_device]},
-                                      num_clients=scale.num_clients, seed=seed)
-    homo_cfg = _fl_config(scale, scale.num_clients, seed)
-    homo_sim = FederatedSimulation(factory, homo_clients,
-                                   {homo_device: homo_bundle.test[homo_device]},
-                                   FedAvg(), homo_cfg)
-    homo_hist = homo_sim.run()
-    homo_acc = mean_value(homo_hist.per_device_metric)
+    homo_acc = mean_value(_fedavg_metrics("fig1/homogeneous", homo_scale, seed,
+                                          dataset_kwargs={"devices": [homo_device]}))
 
     # Heterogeneous: market-share mixture of all devices, tested on all devices.
-    shares = {name: share for name, share in market_shares().items() if name in device_names}
-    hetero_clients = build_client_specs(bundle.train, num_clients=scale.num_clients,
-                                        shares=shares, seed=seed)
-    hetero_sim = FederatedSimulation(factory, hetero_clients, bundle.test, FedAvg(),
-                                     _fl_config(scale, scale.num_clients, seed))
-    hetero_hist = hetero_sim.run()
-    hetero_acc = mean_value(hetero_hist.per_device_metric)
+    hetero_acc = mean_value(_fedavg_metrics("fig1/heterogeneous", scale, seed,
+                                            dataset_kwargs={"devices": device_names}))
 
     degradation = model_quality_degradation(homo_acc, hetero_acc)
     rows = [
@@ -288,16 +271,7 @@ def fig4_fairness(scale: "str | ExperimentScale" = "smoke",
     """
     scale = get_scale(scale)
     device_names = list(devices) if devices else DEVICE_NAMES
-    bundle = _build_bundle(scale, devices=device_names, seed=seed)
-    factory = make_model_factory(scale, bundle.num_classes, bundle.image_size, seed=seed)
-
-    shares = {name: share for name, share in market_shares().items() if name in device_names}
-    clients = build_client_specs(bundle.train, num_clients=scale.num_clients, shares=shares,
-                                 seed=seed)
-    sim = FederatedSimulation(factory, clients, bundle.test, FedAvg(),
-                              _fl_config(scale, scale.num_clients, seed))
-    history = sim.run()
-    per_device = history.per_device_metric
+    per_device = _fedavg_metrics("fig4", scale, seed, dataset_kwargs={"devices": device_names})
 
     dominant = [d for d in DOMINANT_DEVICES if d in per_device]
     if not dominant:
@@ -338,28 +312,23 @@ def fig5_domain_generalization(scale: "str | ExperimentScale" = "smoke",
 
     For each device: run FL with uniform participation of all *other* devices
     and measure accuracy on the excluded device; compare with the accuracy on
-    that device when every device participates equally.
+    that device when every device participates equally.  Every run scores
+    every device, each independently of the others.
     """
+    from ..runtime import Runner  # late: runtime imports repro.eval
+
     scale = get_scale(scale)
     device_names = list(devices) if devices else DEVICE_NAMES
-    bundle = _build_bundle(scale, devices=device_names, seed=seed)
-    factory = make_model_factory(scale, bundle.num_classes, bundle.image_size, seed=seed)
-
-    uniform_shares = {name: 1.0 for name in device_names}
-    all_clients = build_client_specs(bundle.train, num_clients=scale.num_clients,
-                                     shares=uniform_shares, seed=seed)
-    reference_sim = FederatedSimulation(factory, all_clients, bundle.test, FedAvg(),
-                                        _fl_config(scale, scale.num_clients, seed))
-    reference = reference_sim.run().per_device_metric
+    runner = Runner()
+    uniform = {"devices": device_names, "shares": "uniform"}
+    reference = _fedavg_metrics("fig5/all", scale, seed, runner, dataset_kwargs=uniform)
 
     rows: List[List[object]] = []
     degradations: Dict[str, float] = {}
     for excluded in device_names:
-        clients = build_client_specs(bundle.train, num_clients=scale.num_clients,
-                                     shares=uniform_shares, seed=seed, exclude=[excluded])
-        sim = FederatedSimulation(factory, clients, {excluded: bundle.test[excluded]}, FedAvg(),
-                                  _fl_config(scale, scale.num_clients, seed))
-        unseen_accuracy = sim.run().per_device_metric[excluded]
+        unseen_accuracy = _fedavg_metrics(
+            f"fig5/without-{excluded}", scale, seed, runner, dataset_kwargs=uniform,
+            partition_kwargs={"exclude": [excluded]})[excluded]
         degradation = model_quality_degradation(reference[excluded], unseen_accuracy)
         rows.append([excluded, reference[excluded], unseen_accuracy, degradation])
         degradations[excluded] = degradation

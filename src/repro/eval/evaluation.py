@@ -6,36 +6,26 @@
 * :func:`fig8_synthetic_cifar`       — Fig. 8: synthetic-CIFAR per-device accuracy.
 * :func:`ecg_heart_rate`             — Section 6.6: ECG heart-rate deviation.
 
-Tables 4 and 5 are expressed as declarative :class:`~repro.runtime.RunSpec`
-runs through the :class:`~repro.runtime.Runner` (one spec per table row); the
-remaining runners still use the legacy :func:`run_fl_method` engine, which is
-kept both as a thin migration shim and as the reference the runtime's
-equivalence tests compare against.
+Every federated run is a declarative :class:`~repro.runtime.RunSpec` (one per
+table row) executed by one :class:`~repro.runtime.Runner` per experiment call,
+which builds each dataset once.  The dataset registry entries
+(``device_capture``, ``flair``, ``synthetic_cifar``, ``ecg``) own the
+per-dataset parameter derivations, default models and strategy defaults.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.transforms import ecg_transform
-from ..data.cifar_synthetic import SyntheticCifarConfig, build_synthetic_cifar
-from ..data.ecg import build_ecg_datasets
-from ..data.flair_synthetic import FlairConfig, build_flair_dataset
-from ..data.partition import build_client_specs
 from ..devices.profiles import DEVICE_NAMES
-from ..fl.config import FLConfig
 from ..fl.metrics import accuracy_variance, mean_value, worst_case
-from ..fl.simulation import FederatedSimulation, FLHistory
-from ..fl.strategies import create_strategy
-from .factories import make_model_factory
 from .results import ExperimentResult
 from .scale import ExperimentScale, get_scale
 
 __all__ = [
     "TABLE4_METHODS",
-    "run_fl_method",
     "table4_main_evaluation",
     "table5_model_architectures",
     "table6_flair",
@@ -55,38 +45,24 @@ TABLE4_METHODS = (
 )
 
 
-def run_fl_method(
-    method: str,
-    model_factory,
-    train_sets,
-    test_sets,
-    scale: ExperimentScale,
-    task: str = "classification",
-    shares=None,
-    seed: int = 0,
-    strategy_kwargs: Optional[dict] = None,
-) -> FLHistory:
-    """Run one FL method end-to-end and return its history.
+def _run_methods(name: str, methods: Sequence[str], scale: "str | ExperimentScale", seed: int,
+                 runner=None, **spec_fields) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Any]]:
+    """Run every method as one :class:`~repro.runtime.RunSpec` on one dataset.
 
-    This is the shared engine behind Tables 4-6 and Fig. 8: it builds the
-    client population (market-share weighted unless ``shares`` overrides it),
-    configures FL from the scale preset, and runs the named strategy.
+    ``spec_fields`` are the spec fields the methods share (dataset, model...).
+    Returns each method's per-device metrics and the dataset's metadata.  The
+    :class:`~repro.runtime.Runner` (a fresh one unless ``runner`` is given)
+    builds the dataset once and memoises it.
     """
-    clients = build_client_specs(train_sets, num_clients=scale.num_clients,
-                                 shares=shares, seed=seed)
-    config = FLConfig(
-        num_clients=scale.num_clients,
-        clients_per_round=min(scale.clients_per_round, scale.num_clients),
-        num_rounds=scale.num_rounds,
-        local_epochs=scale.local_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        task=task,
-        seed=seed,
-    )
-    strategy = create_strategy(method, **(strategy_kwargs or {}))
-    simulation = FederatedSimulation(model_factory, clients, test_sets, strategy, config)
-    return simulation.run()
+    from ..runtime import Runner, RunSpec, spec_scale  # late: runtime imports repro.eval
+
+    runner = runner or Runner()
+    spec = RunSpec(scale=spec_scale(scale), seeds=[seed], **spec_fields)
+    per_method = {}
+    for method in methods:
+        run = spec.with_overrides(name=f"{name}/{method}", strategy=method)
+        per_method[method] = runner.run(run).history.per_device_metric
+    return per_method, runner.build_bundle(spec, seed).metadata
 
 
 # --------------------------------------------------------------------------- #
@@ -105,27 +81,13 @@ def table4_main_evaluation(
     :class:`~repro.runtime.RunSpec` executed by a shared
     :class:`~repro.runtime.Runner` (the dataset is built once and memoised).
     """
-    from ..runtime import Runner, RunSpec, spec_scale  # late: runtime imports repro.eval
-
-    scale_arg = spec_scale(scale)
-    scale = get_scale(scale)
     device_names = list(devices) if devices else DEVICE_NAMES
-    runner = Runner()
+    per_method, _ = _run_methods("table4", methods, scale, seed,
+                                 dataset_kwargs={"devices": device_names})
 
     rows: List[List[object]] = []
     scalars: Dict[str, float] = {}
-    per_method: Dict[str, Dict[str, float]] = {}
-    for method in methods:
-        spec = RunSpec(
-            name=f"table4/{method}",
-            strategy=method,
-            dataset="device_capture",
-            dataset_kwargs={"devices": device_names},
-            scale=scale_arg,
-            seeds=[seed],
-        )
-        metrics = runner.run(spec).history.per_device_metric
-        per_method[method] = metrics
+    for method, metrics in per_method.items():
         worst = worst_case(metrics)
         variance = accuracy_variance(metrics)
         average = mean_value(metrics)
@@ -140,7 +102,8 @@ def table4_main_evaluation(
         headers=["method", "worst_case_accuracy", "variance", "average_accuracy"],
         rows=rows,
         scalars=scalars,
-        metadata={"scale": scale.name, "devices": device_names, "per_method": per_method},
+        metadata={"scale": get_scale(scale).name, "devices": device_names,
+                  "per_method": per_method},
     )
 
 
@@ -160,27 +123,17 @@ def table5_model_architectures(
     shared :class:`~repro.runtime.Runner` builds the dataset once for the
     whole grid.
     """
-    from ..runtime import Runner, RunSpec, spec_scale  # late: runtime imports repro.eval
+    from ..runtime import Runner  # late: runtime imports repro.eval
 
-    scale_arg = spec_scale(scale)
-    scale = get_scale(scale)
     device_names = list(devices) if devices else DEVICE_NAMES
     runner = Runner()
 
     rows: List[List[object]] = []
     scalars: Dict[str, float] = {}
     for model_name in model_names:
-        for method in methods:
-            spec = RunSpec(
-                name=f"table5/{model_name}/{method}",
-                strategy=method,
-                model=model_name,
-                dataset="device_capture",
-                dataset_kwargs={"devices": device_names},
-                scale=scale_arg,
-                seeds=[seed],
-            )
-            metrics = runner.run(spec).history.per_device_metric
+        per_method, _ = _run_methods(f"table5/{model_name}", methods, scale, seed, runner,
+                                     model=model_name, dataset_kwargs={"devices": device_names})
+        for method, metrics in per_method.items():
             worst = worst_case(metrics)
             variance = accuracy_variance(metrics)
             average = mean_value(metrics)
@@ -195,7 +148,7 @@ def table5_model_architectures(
         headers=["model", "method", "worst_case_accuracy", "variance", "average_accuracy"],
         rows=rows,
         scalars=scalars,
-        metadata={"scale": scale.name, "models": list(model_names)},
+        metadata={"scale": get_scale(scale).name, "models": list(model_names)},
     )
 
 
@@ -209,31 +162,13 @@ def table6_flair(
     seed: int = 0,
 ) -> ExperimentResult:
     """Table 6: averaged precision and its variance on the FLAIR-like dataset."""
-    scale = get_scale(scale)
-    device_types = num_device_types if num_device_types is not None else (
-        6 if scale.name == "smoke" else 15
-    )
-    config = FlairConfig(
-        num_labels=6 if scale.name == "smoke" else 8,
-        num_device_types=device_types,
-        samples_per_device_train=max(scale.samples_per_class_train * 3, 9),
-        samples_per_device_test=max(scale.samples_per_class_test * 3, 6),
-        image_size=scale.image_size,
-        seed=seed,
-    )
-    train_sets, test_sets, devices = build_flair_dataset(config)
-    factory = make_model_factory(
-        scale, config.num_labels, config.image_size,
-        model_name="multilabel_cnn" if scale.name != "smoke" else "simple_mlp",
-        seed=seed,
-    )
+    dataset_kwargs = {} if num_device_types is None else {"num_device_types": num_device_types}
+    per_method, metadata = _run_methods("table6", methods, scale, seed, dataset="flair",
+                                        dataset_kwargs=dataset_kwargs)
 
     rows: List[List[object]] = []
     scalars: Dict[str, float] = {}
-    for method in methods:
-        history = run_fl_method(method, factory, train_sets, test_sets, scale,
-                                task="multilabel", seed=seed)
-        metrics = history.per_device_metric
+    for method, metrics in per_method.items():
         average_precision_value = mean_value(metrics)
         variance = accuracy_variance(metrics)
         rows.append([method, average_precision_value, variance])
@@ -246,7 +181,8 @@ def table6_flair(
         headers=["method", "averaged_precision", "variance"],
         rows=rows,
         scalars=scalars,
-        metadata={"scale": scale.name, "num_device_types": device_types},
+        metadata={"scale": get_scale(scale).name,
+                  "num_device_types": metadata["num_device_types"]},
     )
 
 
@@ -259,29 +195,11 @@ def fig8_synthetic_cifar(
     seed: int = 0,
 ) -> ExperimentResult:
     """Fig. 8: per-synthetic-device accuracy with FedAvg vs HeteroSwitch."""
-    scale = get_scale(scale)
-    config = SyntheticCifarConfig(
-        num_classes=5 if scale.name == "smoke" else 20,
-        samples_per_class_train=scale.samples_per_class_train * 2,
-        samples_per_class_test=scale.samples_per_class_test * 2,
-        image_size=scale.image_size,
-        num_device_types=4 if scale.name == "smoke" else 10,
-        seed=seed,
-    )
-    train_sets, test_sets, devices = build_synthetic_cifar(config)
-    factory = make_model_factory(
-        scale, config.num_classes, config.image_size,
-        model_name="simple_cnn" if scale.name != "smoke" else "simple_mlp",
-        seed=seed,
-    )
+    per_method, metadata = _run_methods("fig8", methods, scale, seed, dataset="synthetic_cifar")
 
     rows: List[List[object]] = []
     scalars: Dict[str, float] = {}
-    per_method: Dict[str, Dict[str, float]] = {}
-    for method in methods:
-        history = run_fl_method(method, factory, train_sets, test_sets, scale, seed=seed)
-        metrics = history.per_device_metric
-        per_method[method] = metrics
+    for method, metrics in per_method.items():
         for device in sorted(metrics):
             rows.append([method, device, metrics[device]])
         scalars[f"{method}_average"] = mean_value(metrics)
@@ -293,7 +211,8 @@ def fig8_synthetic_cifar(
         headers=["method", "synthetic_device", "accuracy"],
         rows=rows,
         scalars=scalars,
-        metadata={"scale": scale.name, "num_device_types": config.num_device_types,
+        metadata={"scale": get_scale(scale).name,
+                  "num_device_types": metadata["num_device_types"],
                   "per_method": per_method},
     )
 
@@ -309,31 +228,19 @@ def ecg_heart_rate(
 ) -> ExperimentResult:
     """Section 6.6: heart-rate prediction deviation across ECG sensor types.
 
-    HeteroSwitch uses its random-Gaussian-filter transform for this 1-D task.
-    The reported number mirrors the paper's: the mean relative deviation of
-    predictions across sensor types (lower is better).
+    HeteroSwitch uses its random-Gaussian-filter transform for this 1-D task
+    (the ``ecg`` dataset's strategy default).  The reported number mirrors the
+    paper's: the mean relative deviation of predictions across sensor types
+    (lower is better).
     """
-    scale = get_scale(scale)
-    samples_train = max(scale.samples_per_class_train * 6, 24)
-    samples_test = max(scale.samples_per_class_test * 6, 12)
-    train_sets, test_sets, sensors = build_ecg_datasets(
-        samples_per_sensor_train=samples_train,
-        samples_per_sensor_test=samples_test,
-        window_size=window_size,
-        seed=seed,
-    )
-    factory = make_model_factory(scale, 1, window_size, model_name="ecg_regressor", seed=seed)
+    per_method, metadata = _run_methods("ecg", methods, scale, seed, dataset="ecg",
+                                        dataset_kwargs={"window_size": window_size})
 
     rows: List[List[object]] = []
     scalars: Dict[str, float] = {}
-    for method in methods:
-        strategy_kwargs = {}
-        if method in ("heteroswitch", "isp_transform", "isp_swad"):
-            strategy_kwargs["transform"] = ecg_transform()
-        history = run_fl_method(method, factory, train_sets, test_sets, scale,
-                                task="regression", seed=seed, strategy_kwargs=strategy_kwargs)
+    for method, metrics in per_method.items():
         # Convert the simulation's "1 - deviation" metric back to deviation.
-        deviations = {sensor: 1.0 - value for sensor, value in history.per_device_metric.items()}
+        deviations = {sensor: 1.0 - value for sensor, value in metrics.items()}
         for sensor in sorted(deviations):
             rows.append([method, sensor, deviations[sensor]])
         scalars[f"{method}_mean_deviation"] = float(np.mean(list(deviations.values())))
@@ -345,6 +252,6 @@ def ecg_heart_rate(
         headers=["method", "sensor", "deviation"],
         rows=rows,
         scalars=scalars,
-        metadata={"scale": scale.name, "window_size": window_size,
-                  "sensors": [s.name for s in sensors]},
+        metadata={"scale": get_scale(scale).name, "window_size": window_size,
+                  "sensors": metadata["sensors"]},
     )

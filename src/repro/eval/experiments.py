@@ -1,9 +1,10 @@
 """One-stop index of experiment runners, keyed by paper artifact.
 
-Every table and figure of the paper's evaluation maps to one function here
-(see DESIGN.md's experiment index).  Each runner accepts a ``scale`` preset
-("smoke" / "default" / "paper" or a custom :class:`ExperimentScale`) and
-returns an :class:`repro.eval.results.ExperimentResult`.
+Every table and figure of the paper's evaluation maps to one function here,
+whose docstring's first line is its ``repro list`` description.  Each runner
+accepts a ``scale`` preset ("smoke" / "default" / "paper" or a custom
+:class:`ExperimentScale`) and returns an
+:class:`repro.eval.results.ExperimentResult`.
 """
 
 from __future__ import annotations

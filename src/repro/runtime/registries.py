@@ -4,9 +4,9 @@ Each entry of :data:`DATASET_REGISTRY` is a builder ``(scale, seed, **kwargs)
 -> DataBundle`` producing per-device train/test sets plus the metadata the
 :class:`~repro.runtime.runner.Runner` needs to assemble a model factory and a
 client population.  The builders wrap the synthetic dataset families of
-:mod:`repro.data`, with the same parameter derivations the legacy experiment
-runners used — so a spec-driven run reproduces the corresponding table's
-numbers exactly.
+:mod:`repro.data` and own their scale-derived parameters (sample counts,
+device-type counts, default models, strategy defaults), so the experiment
+runners of :mod:`repro.eval` and a hand-written spec build the same data.
 
 The strategy / model / sampler / callback registries defined elsewhere are
 re-exported here so :mod:`repro.runtime` is a one-stop shop for everything a
@@ -89,7 +89,7 @@ def _device_capture(
     shares: str = "market",
     capture_cache: Optional[str] = None,
 ) -> DataBundle:
-    """The Table 1 smartphone-capture dataset (Tables 4/5, Figs 1-5, 9).
+    """The Table 1 smartphone-capture dataset (Tables 4/5, Figs 1, 4, 5, 9).
 
     ``shares`` selects the partition weighting: ``"market"`` follows the
     Table 1 market shares, ``"uniform"`` weights every device equally.

@@ -5,7 +5,8 @@ model factory, client population, strategy, sampler, callbacks — runs every
 requested seed, and returns a :class:`RunResult` with per-seed histories and a
 cross-seed summary.  Dataset bundles are memoised per ``(dataset, scale, seed,
 kwargs)``, so sweeping strategies or hyperparameters over one dataset builds
-the data once (the legacy runners' behaviour) instead of once per run.
+the data once instead of once per run.  Every federated run of the paper's
+experiment runners (:mod:`repro.eval`) goes through this class.
 
 Attach a :class:`~repro.store.RunStore` (``Runner(store=..., checkpoint_every=
 ...)``) to make runs durable: every federated seed gets a manifest + periodic

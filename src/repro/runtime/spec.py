@@ -46,6 +46,8 @@ RUN_KINDS = ("federated", "federated_async", "centralized")
 # latency_kwargs keys a federated_async spec may carry.  ``regime`` names a
 # preset from repro.devices.latency.LATENCY_REGIMES.
 _LATENCY_KWARGS_FIELDS = ("regime",)
+# partition_kwargs keys a federated spec may carry (build_client_specs options).
+_PARTITION_KWARGS_FIELDS = ("exclude",)
 
 _FL_CONFIG_FIELDS = {f.name for f in dataclasses.fields(FLConfig)}
 # A config override that no longer exists.  Specs stored before the seed
@@ -162,6 +164,12 @@ class RunSpec:
                 raise ValueError(
                     "trainer_kwargs only applies to centralized specs; federated "
                     "runs configure training via config_overrides"
+                )
+            unknown = set(self.partition_kwargs) - set(_PARTITION_KWARGS_FIELDS)
+            if unknown:
+                raise ValueError(
+                    f"unknown partition_kwargs {sorted(unknown)}; "
+                    f"valid keys: {sorted(_PARTITION_KWARGS_FIELDS)}"
                 )
         if self.kind == "federated":
             _require(SAMPLER_REGISTRY, self.sampler)

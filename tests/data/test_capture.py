@@ -4,13 +4,13 @@ import threading
 
 import numpy as np
 import pytest
+from oracle.scalar_capture import capture_with_device_scalar
 
 from repro.data.capture import (
     CAPTURE_CHUNK,
     CaptureConfig,
     build_device_datasets,
     capture_with_device,
-    capture_with_device_scalar,
     derive_capture_seeds,
 )
 from repro.data.scenes import generate_scene_dataset

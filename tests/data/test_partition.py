@@ -33,6 +33,10 @@ class TestAssignDeviceTypes:
         assignment = assign_device_types(20, {"A": 0.5, "B": 0.5}, seed=0, exclude=["B"])
         assert set(assignment) == {"A"}
 
+    def test_unknown_exclude_name_raises(self):
+        with pytest.raises(ValueError, match=r"unknown device\(s\) \['Pixle5'\].*'Pixel5'"):
+            assign_device_types(10, {"Pixel5": 0.5, "S6": 0.5}, exclude=["Pixle5"])
+
     def test_excluding_everything_raises(self):
         with pytest.raises(ValueError):
             assign_device_types(10, {"A": 1.0}, exclude=["A"])
@@ -100,6 +104,11 @@ class TestBuildClientSpecs:
         datasets = {"A": make_dataset(20, 0), "B": make_dataset(20, 1)}
         specs = build_client_specs(datasets, num_clients=6, seed=0, exclude=["B"])
         assert all(spec.device == "A" for spec in specs)
+
+    def test_unknown_exclude_name_raises(self):
+        datasets = {"A": make_dataset(20, 0), "B": make_dataset(20, 1)}
+        with pytest.raises(ValueError, match="unknown device"):
+            build_client_specs(datasets, num_clients=6, seed=0, exclude=["C"])
 
     def test_clients_of_same_device_get_distinct_shards(self):
         features = np.arange(20, dtype=float).reshape(20, 1)

@@ -80,6 +80,13 @@ class TestMain:
         for experiment_id in EXPERIMENTS:
             assert experiment_id in out
 
+    def test_list_describes_every_experiment(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for experiment_id in EXPERIMENTS:
+            [line] = [line for line in lines if line.split()[:1] == [experiment_id]]
+            assert line.split(maxsplit=1)[1:], f"'{experiment_id}' has no description"
+
     def test_list_prints_registries(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

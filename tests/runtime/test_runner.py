@@ -1,15 +1,23 @@
-"""Tests for the Runner: spec execution, legacy equivalence, callbacks, seeds."""
+"""Tests for the Runner: spec execution, hand-built equivalence, callbacks, seeds."""
 
 import pytest
 
+from repro.core.transforms import ecg_transform
 from repro.data.capture import build_device_datasets
+from repro.data.cifar_synthetic import SyntheticCifarConfig, build_synthetic_cifar
+from repro.data.ecg import build_ecg_datasets
+from repro.data.flair_synthetic import FlairConfig, build_flair_dataset
+from repro.data.partition import build_client_specs
 from repro.devices.profiles import market_shares
-from repro.eval.evaluation import run_fl_method
 from repro.eval.factories import make_model_factory
 from repro.eval.scale import get_scale
+from repro.fl.config import FLConfig
+from repro.fl.simulation import FederatedSimulation
+from repro.fl.strategies import create_strategy
 from repro.runtime import Runner, RunSpec
 
 DEVICES = ["Pixel5", "S6", "G7"]
+SMOKE = get_scale("smoke")
 
 
 @pytest.fixture(scope="module")
@@ -18,30 +26,103 @@ def runner():
     return Runner()
 
 
-def _legacy_table4_metrics(method: str, seed: int):
-    """The legacy Table-4 engine: hand-assembled factory/partition/strategy."""
-    scale = get_scale("smoke")
+def _hand_built_metrics(method, factory, train_sets, test_sets, task="classification",
+                        shares=None, exclude=None, strategy_kwargs=None, seed=0):
+    """One FL run assembled by hand: partition, scale-derived config, strategy."""
+    clients = build_client_specs(train_sets, num_clients=SMOKE.num_clients,
+                                 shares=shares, seed=seed, exclude=exclude)
+    config = FLConfig(
+        num_clients=SMOKE.num_clients,
+        clients_per_round=min(SMOKE.clients_per_round, SMOKE.num_clients),
+        num_rounds=SMOKE.num_rounds,
+        local_epochs=SMOKE.local_epochs,
+        batch_size=SMOKE.batch_size,
+        learning_rate=SMOKE.learning_rate,
+        task=task,
+        seed=seed,
+    )
+    strategy = create_strategy(method, **(strategy_kwargs or {}))
+    return FederatedSimulation(factory, clients, test_sets, strategy,
+                               config).run().per_device_metric
+
+
+def _capture(seed):
     bundle = build_device_datasets(
-        samples_per_class_train=scale.samples_per_class_train,
-        samples_per_class_test=scale.samples_per_class_test,
-        num_classes=scale.num_classes,
-        image_size=scale.image_size,
-        scene_size=scale.scene_size,
+        samples_per_class_train=SMOKE.samples_per_class_train,
+        samples_per_class_test=SMOKE.samples_per_class_test,
+        num_classes=SMOKE.num_classes,
+        image_size=SMOKE.image_size,
+        scene_size=SMOKE.scene_size,
         devices=DEVICES,
         seed=seed,
     )
-    factory = make_model_factory(scale, bundle.num_classes, bundle.image_size, seed=seed)
+    factory = make_model_factory(SMOKE, bundle.num_classes, bundle.image_size, seed=seed)
+    return factory, bundle.train, bundle.test
+
+
+def _capture_market(method, seed):
     shares = {name: share for name, share in market_shares().items() if name in DEVICES}
-    history = run_fl_method(method, factory, bundle.train, bundle.test, scale,
-                            shares=shares, seed=seed)
-    return history.per_device_metric
+    return _hand_built_metrics(method, *_capture(seed), shares=shares, seed=seed)
+
+
+def _capture_uniform_without_s6(method, seed):
+    return _hand_built_metrics(method, *_capture(seed), shares={name: 1.0 for name in DEVICES},
+                               exclude=["S6"], seed=seed)
+
+
+def _flair(method, seed):
+    config = FlairConfig(num_labels=6, num_device_types=6,
+                         samples_per_device_train=max(SMOKE.samples_per_class_train * 3, 9),
+                         samples_per_device_test=max(SMOKE.samples_per_class_test * 3, 6),
+                         image_size=SMOKE.image_size, seed=seed)
+    train_sets, test_sets, _ = build_flair_dataset(config)
+    factory = make_model_factory(SMOKE, config.num_labels, config.image_size,
+                                 model_name="simple_mlp", seed=seed)
+    return _hand_built_metrics(method, factory, train_sets, test_sets, task="multilabel",
+                               seed=seed)
+
+
+def _synthetic_cifar(method, seed):
+    config = SyntheticCifarConfig(num_classes=5,
+                                  samples_per_class_train=SMOKE.samples_per_class_train * 2,
+                                  samples_per_class_test=SMOKE.samples_per_class_test * 2,
+                                  image_size=SMOKE.image_size, num_device_types=4, seed=seed)
+    train_sets, test_sets, _ = build_synthetic_cifar(config)
+    factory = make_model_factory(SMOKE, config.num_classes, config.image_size,
+                                 model_name="simple_mlp", seed=seed)
+    return _hand_built_metrics(method, factory, train_sets, test_sets, seed=seed)
+
+
+def _ecg(method, seed):
+    train_sets, test_sets, _ = build_ecg_datasets(
+        samples_per_sensor_train=max(SMOKE.samples_per_class_train * 6, 24),
+        samples_per_sensor_test=max(SMOKE.samples_per_class_test * 6, 12),
+        window_size=64, seed=seed)
+    factory = make_model_factory(SMOKE, 1, 64, model_name="ecg_regressor", seed=seed)
+    return _hand_built_metrics(method, factory, train_sets, test_sets, task="regression",
+                               strategy_kwargs={"transform": ecg_transform()}, seed=seed)
+
+
+# (case id, spec fields, hand-built reference): every dataset family the
+# experiment runners of repro.eval run through the Runner.
+HAND_BUILT_CASES = [
+    ("device_capture-market",
+     dict(strategy="fedavg", dataset_kwargs={"devices": DEVICES}), _capture_market),
+    ("device_capture-uniform-exclude",
+     dict(strategy="fedavg", dataset_kwargs={"devices": DEVICES, "shares": "uniform"},
+          partition_kwargs={"exclude": ["S6"]}), _capture_uniform_without_s6),
+    ("flair", dict(strategy="heteroswitch", dataset="flair"), _flair),
+    ("synthetic_cifar", dict(strategy="heteroswitch", dataset="synthetic_cifar"),
+     _synthetic_cifar),
+    ("ecg-heteroswitch", dict(strategy="heteroswitch", dataset="ecg"), _ecg),
+]
 
 
 class TestLegacyEquivalence:
     @pytest.mark.parametrize("method", ["fedavg", "heteroswitch"])
     def test_json_spec_matches_legacy_table4_path(self, runner, method):
-        """Acceptance: a Table-4 run expressed as a JSON RunSpec reproduces the
-        legacy ``table4_main_evaluation`` engine's metrics exactly."""
+        """Acceptance: a Table-4 run expressed as a JSON RunSpec reproduces a
+        hand-assembled FederatedSimulation's metrics exactly."""
         spec = RunSpec.from_json(RunSpec(
             strategy=method,
             dataset="device_capture",
@@ -50,7 +131,17 @@ class TestLegacyEquivalence:
             seeds=[0],
         ).to_json())
         result = runner.run(spec)
-        assert result.history.per_device_metric == _legacy_table4_metrics(method, seed=0)
+        assert result.history.per_device_metric == _capture_market(method, seed=0)
+
+    @pytest.mark.parametrize("fields, reference",
+                             [case[1:] for case in HAND_BUILT_CASES],
+                             ids=[case[0] for case in HAND_BUILT_CASES])
+    def test_runner_matches_hand_built_simulation(self, runner, fields, reference):
+        """Every dataset family the experiment runners use: the Runner's run
+        equals the same run assembled by hand, bitwise."""
+        spec = RunSpec(scale="smoke", seeds=[3], **fields)
+        metrics = runner.run(spec).history.per_device_metric
+        assert metrics == reference(spec.strategy, seed=3)
 
     def test_summary_matches_history_summary(self, runner):
         spec = RunSpec(dataset_kwargs={"devices": DEVICES}, seeds=[0])

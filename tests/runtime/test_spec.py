@@ -47,6 +47,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown FLConfig override.*lr"):
             RunSpec(config_overrides={"lr": 0.1})
 
+    def test_unknown_partition_kwargs_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown partition_kwargs \['exclud'\].*exclude"):
+            RunSpec(partition_kwargs={"exclud": ["S6"]})
+
+    def test_partition_exclude_accepted(self):
+        spec = RunSpec(partition_kwargs={"exclude": ["S6"]})
+        assert RunSpec.from_json(spec.to_json()) == spec
+
     def test_empty_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
             RunSpec(seeds=[])
