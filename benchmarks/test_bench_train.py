@@ -147,9 +147,10 @@ def _train_throughput(scale) -> ExperimentResult:
     scalars["float32_speedup_overall"] = float32_speedup_overall
 
     # Where does a round actually go?  One profiled heteroswitch run per
-    # dtype; repro.obs times every engine kernel (im2col, col2im, matmul,
-    # fused linear/BN/CE, optimizer steps) and the totals land in the
-    # recorded table alongside the throughput numbers.
+    # dtype; repro.obs wraps the kernels in its KERNELS table (im2col,
+    # col2im, matmul, fused linear/BN/CE, hardswish, optimizer step) for
+    # the run and the totals land in the recorded table alongside the
+    # throughput numbers.
     kernel_breakdowns = {
         dtype: _profile_kernels("heteroswitch", bundle, clients, factory,
                                 scale, dtype)

@@ -170,8 +170,8 @@ def main() -> None:
     # Bonus: observability.  config_overrides={"trace": True} records a
     # run-level trace (capture, every client update, aggregation, eval);
     # "profile": True adds per-kernel engine timings inside each client
-    # update (disabled, the hook costs <5% — one attribute read per kernel
-    # call).  A stored traced run exports trace.json (open it in Perfetto /
+    # update (disabled, the kernels are the undecorated functions and cost
+    # nothing extra).  A stored traced run exports trace.json (open it in Perfetto /
     # chrome://tracing), events.jsonl and obs_summary.json into its store
     # entry, and the CLI has the same as `bench --trace/--profile` plus
     # `python -m repro trace RUN_ID`.  Tracing is result-neutral: the

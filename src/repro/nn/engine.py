@@ -19,12 +19,8 @@ import threading
 
 import numpy as np
 
-from ..obs.profiling import PROFILER as KERNEL_PROFILER
-from ..obs.profiling import profile_kernels
-
-__all__ = ["COMPUTE_DTYPES", "KERNEL_PROFILER", "current_dtype",
-           "current_dtype_name", "dtype_mode", "profile_kernels",
-           "validate_dtype"]
+__all__ = ["COMPUTE_DTYPES", "current_dtype", "current_dtype_name",
+           "dtype_mode", "validate_dtype"]
 
 # The supported compute precisions.  float64 is the golden path the run
 # fingerprints pin; float32 is the opt-in fast path, validated by tolerance (tests/nn/test_dtype.py, tests/fl/test_dtype_equivalence.py).

@@ -25,13 +25,6 @@ weight-gradient contraction gets a C-contiguous gradient and batch-fastest
 columns from the seed kernels, a channel-major gradient and C-contiguous
 columns from these, and the two agree only to about an ulp (the oracle's
 whole-step test pins the bound).
-
-Every timed kernel is split into a ``_<name>_dispatch`` body and a thin
-public wrapper guarded by ``if _PROF.enabled:`` — a single attribute
-read when profiling is off (:mod:`repro.obs.profiling`), a per-call timer
-when ``FLConfig.profile`` turns it on.  The ``_dispatch`` twins stay
-addressable so the overhead gate in ``tests/obs/test_profiling.py`` can
-measure a truly hookless baseline.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ..obs.profiling import PROFILER as _PROF
 from .tensor import Tensor
 
 __all__ = [
@@ -136,7 +128,7 @@ def _im2col_plan(
     return k, i, j, flat, out_h, out_w
 
 
-def _im2col_dispatch(
+def _im2col(
     x: np.ndarray,
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
@@ -159,14 +151,7 @@ def _im2col_dispatch(
     return cols, (k, i, j, flat), out_h, out_w
 
 
-def _im2col(x, kernel, stride, padding):
-    if _PROF.enabled:
-        with _PROF.time("im2col"):
-            return _im2col_dispatch(x, kernel, stride, padding)
-    return _im2col_dispatch(x, kernel, stride, padding)
-
-
-def _col2im_dispatch(
+def _col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
     indices: Tuple[np.ndarray, ...],
@@ -210,13 +195,6 @@ def _col2im_dispatch(
     if ph or pw:
         return x_padded[:, :, ph : ph + h, pw : pw + w]
     return x_padded
-
-
-def _col2im(cols, x_shape, indices, padding):
-    if _PROF.enabled:
-        with _PROF.time("col2im"):
-            return _col2im_dispatch(cols, x_shape, indices, padding)
-    return _col2im_dispatch(cols, x_shape, indices, padding)
 
 
 # --------------------------------------------------------------------------- #
@@ -289,7 +267,7 @@ _LOWERINGS = {
 }
 
 
-def _contract_dispatch(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _contract(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A convolution contraction through its ``np.matmul`` lowering.
 
     einsum drops size-1 axes before its matmul step, which lays the operands
@@ -299,13 +277,6 @@ def _contract_dispatch(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarra
     if 1 in a.shape or 1 in b.shape:
         return np.einsum(equation, a, b, optimize=True)
     return _LOWERINGS[equation](a, b)
-
-
-def _contract(equation, a, b):
-    if _PROF.enabled:
-        with _PROF.time("matmul"):
-            return _contract_dispatch(equation, a, b)
-    return _contract_dispatch(equation, a, b)
 
 
 # --------------------------------------------------------------------------- #
@@ -342,18 +313,11 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     return out
 
 
-def _linear_dispatch(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine transform ``x @ weight.T + bias``: fused for 2-D ``x``, composed otherwise."""
     if x.ndim != 2:
         return _linear_composed(x, weight, bias)
     return _linear_fused(x, weight, bias)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine transform ``x @ weight.T + bias``: fused for 2-D ``x``, composed otherwise."""
-    if _PROF.enabled:
-        with _PROF.time("linear"):
-            return _linear_dispatch(x, weight, bias)
-    return _linear_dispatch(x, weight, bias)
 
 
 def _seq_reduce(grad: np.ndarray, param_shape: Tuple[int, ...]) -> np.ndarray:
@@ -369,7 +333,7 @@ def _seq_reduce(grad: np.ndarray, param_shape: Tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _batch_norm_train_dispatch(
+def batch_norm_train(
     x: Tensor,
     weight: Tensor,
     bias: Tensor,
@@ -377,13 +341,17 @@ def _batch_norm_train_dispatch(
     param_shape: Tuple[int, ...],
     eps: float,
 ) -> Tuple[Tensor, np.ndarray, np.ndarray]:
-    """Single-node training batch norm, bitwise-equal to the composed graph.
+    """Training-mode batch norm; returns ``(out, batch_mean, batch_var)``.
 
-    Forward and backward evaluate the exact expressions of the composed
+    The returned statistics carry the ``keepdims`` shape of the reduction and
+    feed the caller's running-stat update.
+
+    A single autograd node, bitwise-equal to the composed graph: forward and
+    backward evaluate the exact expressions of the composed
     ``mean -> center -> var -> inv_std -> scale -> shift`` graph — including
     the ``sum * (1/count)`` means, the duplicated ``centered`` gradient of
     ``centered * centered``, and the sequential single-axis reductions of
-    broadcast gradients — collapsed into one autograd node.
+    broadcast gradients.
     """
     count = int(np.prod([x.shape[a] for a in axes]))
     inv_count = 1.0 / count
@@ -425,26 +393,7 @@ def _batch_norm_train_dispatch(
     return out, mean, var
 
 
-def batch_norm_train(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-    axes: Tuple[int, ...],
-    param_shape: Tuple[int, ...],
-    eps: float,
-) -> Tuple[Tensor, np.ndarray, np.ndarray]:
-    """Training-mode batch norm; returns ``(out, batch_mean, batch_var)``.
-
-    The returned statistics carry the ``keepdims`` shape of the reduction and
-    feed the caller's running-stat update.
-    """
-    if _PROF.enabled:
-        with _PROF.time("batch_norm_train"):
-            return _batch_norm_train_dispatch(x, weight, bias, axes, param_shape, eps)
-    return _batch_norm_train_dispatch(x, weight, bias, axes, param_shape, eps)
-
-
-def _batch_norm_eval_dispatch(
+def batch_norm_eval(
     x: Tensor,
     weight: Tensor,
     bias: Tensor,
@@ -453,6 +402,7 @@ def _batch_norm_eval_dispatch(
     param_shape: Tuple[int, ...],
     eps: float,
 ) -> Tensor:
+    """Inference-mode batch norm using the running statistics."""
     inv = 1.0 / np.sqrt(var + eps)
     centered = x.data + (-mean)
     normalized = centered * inv
@@ -466,22 +416,6 @@ def _batch_norm_eval_dispatch(
 
     out = Tensor._make(out_data, (x, weight, bias), lambda g: backward(g, out))
     return out
-
-
-def batch_norm_eval(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-    mean: np.ndarray,
-    var: np.ndarray,
-    param_shape: Tuple[int, ...],
-    eps: float,
-) -> Tensor:
-    """Inference-mode batch norm using the running statistics."""
-    if _PROF.enabled:
-        with _PROF.time("batch_norm_eval"):
-            return _batch_norm_eval_dispatch(x, weight, bias, mean, var, param_shape, eps)
-    return _batch_norm_eval_dispatch(x, weight, bias, mean, var, param_shape, eps)
 
 
 def conv2d(
@@ -669,10 +603,11 @@ def hardsigmoid(x: Tensor) -> Tensor:
     return relu6(x + 3.0) * (1.0 / 6.0)
 
 
-def _hardswish_dispatch(x: Tensor) -> Tensor:
-    """Single-node hard-swish, bitwise-equal to the composed chain.
+def hardswish(x: Tensor) -> Tensor:
+    """MobileNetV3 hard-swish: ``x * relu6(x + 3) / 6``.
 
-    Replicates ``x * (clip(x + 3, 0, 6) * (1/6))`` and its backward —
+    A single autograd node, bitwise-equal to the composed chain: it
+    replicates ``x * (clip(x + 3, 0, 6) * (1/6))`` and its backward —
     ``g * hsig + ((g * x) * (1/6)) * mask`` — expression for expression.
     """
     shifted = x.data + 3.0
@@ -685,14 +620,6 @@ def _hardswish_dispatch(x: Tensor) -> Tensor:
 
     out = Tensor._make(out_data, (x,), lambda g: backward(g, out))
     return out
-
-
-def hardswish(x: Tensor) -> Tensor:
-    """MobileNetV3 hard-swish: ``x * relu6(x + 3) / 6``."""
-    if _PROF.enabled:
-        with _PROF.time("hardswish"):
-            return _hardswish_dispatch(x)
-    return _hardswish_dispatch(x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -741,11 +668,12 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 # --------------------------------------------------------------------------- #
 # Losses
 # --------------------------------------------------------------------------- #
-def _cross_entropy_dispatch(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Single-node cross-entropy, bitwise-equal to the composed graph.
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy between ``logits`` (N, C) and integer ``targets`` (N,).
 
-    The composed graph (shift by max -> exp -> sum -> log -> gather -> mean
-    -> negate) builds ~10 tensors and closures per loss evaluation; this
+    A single autograd node, bitwise-equal to the composed graph.  The
+    composed graph (shift by max -> exp -> sum -> log -> gather -> mean ->
+    negate) builds ~10 tensors and closures per loss evaluation; this
     kernel evaluates the same NumPy expressions in the same order (including
     the ``sum * (1/n)`` mean and the row-sum the broadcast-add backward
     performs) inside one node, so both the loss value and the logits gradient
@@ -775,14 +703,6 @@ def _cross_entropy_dispatch(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     out = Tensor._make(np.asarray(out_data), (logits,), lambda g: backward(g, out))
     return out
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy between ``logits`` (N, C) and integer ``targets`` (N,)."""
-    if _PROF.enabled:
-        with _PROF.time("cross_entropy"):
-            return _cross_entropy_dispatch(logits, targets)
-    return _cross_entropy_dispatch(logits, targets)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

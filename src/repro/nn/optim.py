@@ -24,7 +24,6 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from ..obs.profiling import PROFILER as _PROF
 from .flat import FlatParams
 from .layers import Parameter
 
@@ -95,13 +94,6 @@ class SGD(Optimizer):
     # Steps
     # ------------------------------------------------------------------ #
     def step(self) -> None:
-        if _PROF.enabled:
-            with _PROF.time("optim.step"):
-                self._step_dispatch()
-            return
-        self._step_dispatch()
-
-    def _step_dispatch(self) -> None:
         flat = self._flat
         if not flat.is_valid():
             # The parameters were re-flattened into a different arena after

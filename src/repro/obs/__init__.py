@@ -8,8 +8,9 @@ results or fingerprints):
   bounded ring buffer.
 - :class:`MetricsRegistry` (``obs.metrics``): labeled counter/gauge/
   histogram series backing `SwitchTelemetry`/`AsyncTelemetry`.
-- :data:`PROFILER` (``obs.profiling``): per-kernel timers in the engine
-  hot paths, off by default, enabled via ``FLConfig.profile``.
+- :data:`PROFILER` (``obs.profiling``): per-kernel timers wrapped around
+  the engine kernels only while ``FLConfig.profile`` is on; off, the
+  kernels are the undecorated functions.
 
 Exporters (``obs.export``) render a run's trace as Chrome ``trace_event``
 JSON (Perfetto-loadable), a JSONL event log, and a per-phase summary —

@@ -1,71 +1,83 @@
-"""Per-kernel profiling hooks for the training engine hot paths.
+"""Per-kernel timing for the training engine, installed only while profiling.
 
-The engine kernels (`nn/functional.py`, `nn/optim.py`) guard every call
-with ``if PROFILER.enabled:`` — a single attribute read on a module-level
-singleton, so the disabled overhead is one branch per kernel call (<5% of
-round time; gated in ``tests/obs/test_profiling.py``).
+:data:`KERNELS` lists the engine callables that are timed and the row each
+one reports under.  The first :meth:`KernelProfiler.activate` rebinds every
+entry to a ``perf_counter`` wrapper around whatever was bound at that moment
+(the engine's own function, or a test oracle's or a benchmark's wrapper), and
+the last :meth:`KernelProfiler.deactivate` puts exactly those objects back.
+With profiling off the kernels are the undecorated functions: the engine
+carries no timing code and pays nothing for it.  Callers reach the kernels
+through their module (``F.linear``, ``SGD.step``), so a rebinding is seen on
+the next call.
 
 Accumulators are *thread-local*: each executor worker thread sums
 ``name -> [calls, seconds]`` privately and :meth:`KernelProfiler.drain`
-returns-and-clears only the calling thread's totals — so concurrent
-clients on the thread executor never mix numbers.  ``enabled`` itself is
-process-global behind a nesting counter (:meth:`activate` /
-:meth:`deactivate`), so overlapping clients keep profiling on until the
-last one finishes; any race on the flag can only gain or lose *timing*
-samples, never perturb training results.
+returns-and-clears only the calling thread's totals, so concurrent clients
+on the thread executor never mix numbers.  The wrappers themselves are
+process-global behind a nesting counter, so overlapping clients keep them
+installed until the last one finishes and every call made inside a scope is
+timed.  A wrapper only times and forwards, so installing it never perturbs
+results.
 
-Worker processes (process/shm executors) inherit a disabled profiler at
-fork and activate it per client inside ``run_client``; the drained totals
-travel back as packed scalars on the existing result path.
+Worker processes of the shm executor activate the profiler per client
+inside ``run_client``; the drained totals travel back as packed scalars on
+the existing result path.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
-__all__ = ["KernelProfiler", "PROFILER", "profile_kernels"]
+__all__ = ["KERNELS", "KernelProfiler", "PROFILER", "kernel_slot",
+           "profile_kernels"]
+
+#: The timed kernels: ``(module, attribute path in it, row name)``.
+KERNELS: Tuple[Tuple[str, str, str], ...] = (
+    ("repro.nn.functional", "_im2col", "im2col"),
+    ("repro.nn.functional", "_col2im", "col2im"),
+    ("repro.nn.functional", "_contract", "matmul"),
+    ("repro.nn.functional", "linear", "linear"),
+    ("repro.nn.functional", "batch_norm_train", "batch_norm_train"),
+    ("repro.nn.functional", "batch_norm_eval", "batch_norm_eval"),
+    ("repro.nn.functional", "hardswish", "hardswish"),
+    ("repro.nn.functional", "cross_entropy", "cross_entropy"),
+    ("repro.nn.optim", "SGD.step", "optim.step"),
+)
 
 
-class _KernelTimer:
-    """Times one kernel call; created only when profiling is enabled."""
-
-    __slots__ = ("profiler", "name", "_t0")
-
-    def __init__(self, profiler: "KernelProfiler", name: str):
-        self.profiler = profiler
-        self.name = name
-
-    def __enter__(self) -> "_KernelTimer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.profiler.add(self.name, time.perf_counter() - self._t0)
+def kernel_slot(module: str, path: str) -> Tuple[object, str]:
+    """The ``(owner, attribute)`` a :data:`KERNELS` entry is bound at."""
+    owner = importlib.import_module(module)
+    *parents, attr = path.split(".")
+    for parent in parents:
+        owner = getattr(owner, parent)
+    return owner, attr
 
 
 class KernelProfiler:
     """Process-global kernel timer with thread-local accumulators."""
 
     def __init__(self) -> None:
-        # Plain attribute on purpose: the disabled fast path in every kernel
-        # is a single ``if PROFILER.enabled:`` read, no descriptor/lock.
-        self.enabled = False
         self._lock = threading.Lock()
         self._active = 0
         self._local = threading.local()
+        self._replaced: List[Tuple[object, str, Callable]] = []
+
+    @property
+    def enabled(self) -> bool:
+        """Whether the kernel wrappers are installed."""
+        return self._active > 0
 
     def _acc(self) -> Dict[str, list]:
         acc = getattr(self._local, "acc", None)
         if acc is None:
             acc = self._local.acc = {}
         return acc
-
-    def time(self, name: str) -> _KernelTimer:
-        """Context manager timing one call of kernel ``name``."""
-        return _KernelTimer(self, name)
 
     def add(self, name: str, seconds: float) -> None:
         acc = self._acc()
@@ -86,18 +98,41 @@ class KernelProfiler:
         acc.clear()
         return out
 
+    def _timed(self, fn: Callable, name: str) -> Callable:
+        add, clock = self.add, time.perf_counter
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                add(name, clock() - start)
+
+        return timed
+
     def activate(self) -> None:
-        """Enable kernel timers; nests (see :meth:`deactivate`)."""
+        """Install the kernel wrappers; nests (see :meth:`deactivate`)."""
         with self._lock:
             self._active += 1
-            self.enabled = True
+            if self._active > 1:
+                return
+            for module, path, name in KERNELS:
+                owner, attr = kernel_slot(module, path)
+                current = getattr(owner, attr)
+                self._replaced.append((owner, attr, current))
+                setattr(owner, attr, self._timed(current, name))
 
     def deactivate(self) -> None:
-        """Drop one activation; timers turn off when the last one exits."""
+        """Drop one activation; the last one restores the replaced kernels."""
         with self._lock:
-            self._active = max(0, self._active - 1)
             if self._active == 0:
-                self.enabled = False
+                return
+            self._active -= 1
+            if self._active == 0:
+                for owner, attr, original in reversed(self._replaced):
+                    setattr(owner, attr, original)
+                self._replaced.clear()
 
 
 PROFILER = KernelProfiler()
@@ -105,7 +140,7 @@ PROFILER = KernelProfiler()
 
 @contextmanager
 def profile_kernels() -> Iterator[KernelProfiler]:
-    """Enable kernel profiling for a block; yields the shared profiler."""
+    """Time the engine kernels for a block; yields the shared profiler."""
     PROFILER.activate()
     try:
         yield PROFILER

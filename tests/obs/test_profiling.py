@@ -1,19 +1,21 @@
-"""Kernel profiler: gating, accumulation, thread isolation, disabled overhead."""
+"""Kernel profiler: install/uninstall, disabled cost, accumulation, thread isolation, pinned rows."""
 
+import sys
 import threading
-import time
+import types
 
 import numpy as np
 import pytest
+from oracle import seed_engine
 
 from repro.nn import functional as F
-from repro.nn.engine import KERNEL_PROFILER
 from repro.nn.layers import Parameter
+from repro.nn.models import create_model
 from repro.nn.optim import SGD
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.obs import PROFILER, KernelProfiler, profile_kernels
-
-assert KERNEL_PROFILER is PROFILER  # one process-global profiler
+from repro.obs import profiling
+from repro.obs.profiling import KERNELS, kernel_slot
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +26,19 @@ def profiler_off():
     while PROFILER.enabled:
         PROFILER.deactivate()
     PROFILER.drain()
+
+
+def bound_kernels():
+    """``row -> callable`` currently bound at each :data:`KERNELS` entry."""
+    return {row: getattr(*kernel_slot(module, path)) for module, path, row in KERNELS}
+
+
+def assert_undecorated():
+    """Every timed kernel is the engine's own function, with no wrapper."""
+    for module, path, row in KERNELS:
+        fn = getattr(*kernel_slot(module, path))
+        assert not hasattr(fn, "__wrapped__"), row
+        assert (fn.__module__, fn.__qualname__) == (module, path), row
 
 
 class TestKernelProfiler:
@@ -41,13 +56,12 @@ class TestKernelProfiler:
 
     def test_time_accumulates_calls_and_seconds(self):
         profiler = KernelProfiler()
-        for _ in range(3):
-            with profiler.time("linear"):
-                time.sleep(0.001)
+        for seconds in (0.001, 0.002, 0.003):
+            profiler.add("linear", seconds)
         drained = profiler.drain()
         calls, seconds = drained["linear"]
         assert calls == 3
-        assert seconds >= 0.003
+        assert seconds == pytest.approx(0.006)
         assert profiler.drain() == {}  # drain clears
 
     def test_thread_local_accumulators_do_not_mix(self):
@@ -68,6 +82,123 @@ class TestKernelProfiler:
         assert drained["a"] == {"a": (2, pytest.approx(0.02))}
         assert drained["b"] == {"b": (5, pytest.approx(0.05))}
         assert profiler.drain() == {}  # main thread saw nothing
+
+    def test_concurrent_scopes_time_every_call_and_restore_kernels(self):
+        """Overlapping scopes on more threads than cores: while a thread
+        holds an activation the wrappers stay installed, so it times every
+        kernel call it makes; the last scope out restores the kernels."""
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 8)))
+        w = Tensor(rng.normal(size=(3, 8)))
+        wrong = []
+
+        def client():
+            for _ in range(200):
+                with profile_kernels() as profiler:
+                    F.linear(x, w)
+                    F.linear(x, w)
+                calls = profiler.drain().get("linear", (0, 0.0))[0]
+                if calls != 2:
+                    wrong.append(calls)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert not PROFILER.enabled
+        assert_undecorated()
+
+
+class TestDisabledIdentity:
+    """With profiling off the engine carries no timing code at all: every
+    timed kernel is the undecorated engine function."""
+
+    def test_kernels_are_undecorated_outside_profile_scope(self):
+        assert not PROFILER.enabled
+        assert_undecorated()
+        # Outside an oracle scope the convolutions are the engine's own too.
+        for name in ("conv2d", "depthwise_conv2d"):
+            assert getattr(F, name).__module__ == F.__name__, name
+
+    def test_wrappers_installed_only_inside_scope(self):
+        engine = bound_kernels()
+        with profile_kernels():
+            for row, fn in bound_kernels().items():
+                assert fn.__wrapped__ is engine[row], row
+        assert bound_kernels() == engine
+        assert_undecorated()
+
+    def test_nested_activation_restores_kernels(self):
+        PROFILER.activate()
+        wrapped = bound_kernels()
+        PROFILER.activate()
+        assert bound_kernels() == wrapped  # the inner activation installs nothing
+        PROFILER.deactivate()
+        assert bound_kernels() == wrapped  # one activation still outstanding
+        PROFILER.deactivate()
+        assert_undecorated()
+
+    def test_extra_deactivate_at_zero_keeps_kernels(self):
+        with profile_kernels():
+            pass
+        PROFILER.deactivate()
+        assert not PROFILER.enabled
+        assert_undecorated()
+        with profile_kernels():  # and the count did not go negative
+            assert hasattr(F.linear, "__wrapped__")
+        assert_undecorated()
+
+    def test_exception_in_profile_scope_restores_kernels(self):
+        with pytest.raises(RuntimeError):
+            with profile_kernels():
+                raise RuntimeError("boom")
+        assert not PROFILER.enabled
+        assert_undecorated()
+
+
+class TestDisabledOverhead:
+    def test_disabled_guard_costs_under_five_percent(self, monkeypatch):
+        """The documented guarantee that disabled profiling is (nearly) free
+        now holds by construction: with profiling off a training step runs
+        no profiler code at all -- no clock read, no sample recorded -- so
+        its overhead is zero, not merely under 5%.  Inside a scope the same
+        step is timed, which shows the counters below can see the wrappers.
+        """
+        clock_reads, samples = [], []
+        fake_time = types.SimpleNamespace(
+            perf_counter=lambda: clock_reads.append(None) or 0.0)
+        monkeypatch.setattr(profiling, "time", fake_time)
+        monkeypatch.setattr(PROFILER, "add",
+                            lambda name, seconds: samples.append(name))
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(8, 16)))
+        w = Parameter(rng.normal(size=(4, 16)))
+
+        def step():
+            loss = F.cross_entropy(F.hardswish(F.linear(x, w)),
+                                   np.zeros(8, dtype=int))
+            loss.backward()
+            SGD([w], lr=0.1).step()
+
+        step()
+        assert not PROFILER.enabled
+        assert (clock_reads, samples) == ([], [])
+        with profile_kernels():
+            step()
+        assert sorted(set(samples)) == ["cross_entropy", "hardswish", "linear",
+                                        "optim.step"]
+        assert len(clock_reads) == 2 * len(samples)
+        clock_reads.clear(), samples.clear()
+        step()  # the scope is closed: back to no profiler work
+        assert (clock_reads, samples) == ([], [])
 
 
 class TestEngineIntegration:
@@ -108,51 +239,46 @@ class TestEngineIntegration:
         PROFILER.drain()
         np.testing.assert_array_equal(plain, profiled)
 
+    def test_mobilenet_step_rows_and_calls_are_pinned(self):
+        """One MobileNetV3-small train step reports exactly these rows.  A
+        module that reached a kernel by a name the table does not cover would
+        drop calls from them."""
+        model = create_model("mobilenetv3_small", num_classes=5)
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 32, 32)))
+        optimizer = SGD(model.parameters(), lr=0.1)
+        with profile_kernels() as profiler:
+            F.cross_entropy(model(x), np.arange(4)).backward()
+            optimizer.step()
+            train = {row: calls for row, (calls, _) in profiler.drain().items()}
+            model.eval()
+            with no_grad():
+                model(x)
+            evaluate = {row: calls for row, (calls, _) in profiler.drain().items()}
+        assert train == {"batch_norm_train": 14, "col2im": 4, "cross_entropy": 1,
+                         "hardswish": 6, "im2col": 5, "linear": 7, "matmul": 41,
+                         "optim.step": 1}
+        assert evaluate == {"batch_norm_eval": 14, "hardswish": 6, "im2col": 5,
+                            "linear": 7, "matmul": 14}
 
-class TestDisabledOverhead:
-    def test_disabled_guard_costs_under_five_percent(self):
-        """The documented guarantee: with profiling off, the per-kernel guard
-        (one attribute read + branch) adds <5% to realistic kernel calls.
 
-        Each wrapped timing is *flanked* by two bare timings and compared to
-        their mean, so linear load drift cancels; the overhead estimate is
-        the median flanked ratio.  The two flanks of each triple also give an
-        A/A ratio — the same code timed twice — whose median deviation is the
-        machine's noise floor; on boxes that cannot resolve 5% the gate
-        widens to what an A/A comparison already shows.  The best triple is
-        a fallback: a *real* fixed overhead ≥5% would push every flanked
-        comparison over budget, so one clean triple clears the gate even
-        when a load burst skews the median.
-        """
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(64, 256)))
-        w = Tensor(rng.normal(size=(128, 256)))
-
-        def sample(fn, iters=100):
-            t0 = time.perf_counter()
-            for _ in range(iters):
-                fn()
-            return time.perf_counter() - t0
-
-        assert not PROFILER.enabled
-        wrapped_fn = lambda: F.linear(x, w)                    # noqa: E731
-        bare_fn = lambda: F._linear_dispatch(x, w, None)       # noqa: E731
-        for fn in (wrapped_fn, bare_fn):
-            fn()  # warm caches before timing either variant
-        ratios, aa_ratios = [], []
-        for _ in range(9):
-            bare0 = sample(bare_fn)
-            wrapped = sample(wrapped_fn)
-            bare1 = sample(bare_fn)
-            ratios.append(2.0 * wrapped / (bare0 + bare1))
-            aa_ratios.append(bare1 / bare0)
-        ratios.sort()
-        overhead = ratios[len(ratios) // 2] - 1.0
-        best = ratios[0] - 1.0
-        noise = sorted(abs(r - 1.0) for r in aa_ratios)[len(aa_ratios) // 2]
-        gate = max(0.05, 1.5 * noise)
-        assert overhead < gate or best < 0.05, (
-            f"disabled profiling guard cost {100 * overhead:.2f}% median / "
-            f"{100 * best:.2f}% best of 9 flanked triples "
-            f"(gate: <{100 * gate:.2f}%, A/A noise floor {100 * noise:.2f}%)"
-        )
+class TestSeedOracleComposition:
+    def test_profiling_inside_oracle_times_and_restores_oracle(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        w = Parameter(rng.normal(size=(3, 1, 3, 3)))
+        with seed_engine.engine("reference"):
+            oracle = bound_kernels()
+            assert (oracle["im2col"], oracle["matmul"], oracle["optim.step"]) == \
+                (seed_engine._im2col, seed_engine._contract, seed_engine.sgd_step)
+            with profile_kernels() as profiler:
+                wrapped = bound_kernels()
+                for row in ("im2col", "matmul", "optim.step"):
+                    assert wrapped[row].__wrapped__ is oracle[row], row
+                # depthwise_conv2d is the engine's, reaching the oracle's
+                # helpers through the module.
+                F.depthwise_conv2d(x, w, padding=1).sum().backward()
+                SGD([w], lr=0.1).step()
+            rows = profiler.drain()
+            assert {"im2col", "matmul", "col2im", "optim.step"} <= rows.keys()
+            assert bound_kernels() == oracle
+        assert_undecorated()

@@ -2,14 +2,15 @@
 
 The headline guarantee of repro.obs — turning on tracing + per-kernel
 profiling changes *nothing* about a run's numbers.  Each strategy's golden
-fingerprint comes from an untraced serial run; traced runs (serial and shm)
-must reproduce it bit-for-bit.
+fingerprint comes from an untraced serial run; traced runs (serial, thread
+and shm) must reproduce it bit-for-bit.
 """
 
 import json
 
 import pytest
 
+from repro.obs.profiling import KERNELS, kernel_slot
 from repro.runtime import Runner, RunSpec, RunStore
 
 DEVICES = ["Pixel5", "S6", "G7"]
@@ -62,6 +63,22 @@ def test_traced_shm_run_matches_untraced_golden(tmp_path, strategy):
     summary = json.loads(entry.obs_summary_path.read_text())
     assert summary["client_updates"]["count"] > 0  # payloads crossed processes
     assert summary["kernels"]  # with per-kernel breakdowns
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "heteroswitch"])
+def test_traced_thread_run_matches_untraced_golden(tmp_path, strategy):
+    """Concurrent clients on the thread executor nest the profiler's
+    install/uninstall; results stay untouched and, once the run is over,
+    every kernel is the undecorated function again."""
+    golden, _ = run_fingerprint_of(
+        tmp_path, "golden", make_spec(strategy, traced=False))
+    traced_thread, entry = run_fingerprint_of(
+        tmp_path, "thread", make_spec(strategy, traced=True, executor="thread"))
+    assert traced_thread == golden
+    summary = json.loads(entry.obs_summary_path.read_text())
+    assert summary["kernels"]
+    for module, path, row in KERNELS:
+        assert not hasattr(getattr(*kernel_slot(module, path)), "__wrapped__"), row
 
 
 def test_traced_async_run_matches_untraced_golden(tmp_path):
