@@ -21,14 +21,12 @@ Timing methodology — built for noisy shared machines:
   the same configuration timed twice.  Their median deviation from 1.0 is
   the machine's *noise floor*: what this box measures when the true
   difference is exactly zero.
-* The gate is ``overhead < max(2%, 1.5 * noise_floor)``, with the best
-  triple as a fallback: a *real* fixed overhead ≥2% would push every
-  flanked comparison over budget, so one clean triple clears the gate even
-  when a load burst skews the median.  On a quiet machine the noise floor
+* The gate is ``overhead < max(2%, 1.5 * noise_floor)`` on the median;
+  no single best triple can pass it.  On a quiet machine the noise floor
   is well under 2% and the gate is the plain 2% budget; on a loud box the
   gate refuses to fail on differences smaller than what an A/A comparison
   already shows, while still catching any real regression that clears the
-  noise.  All the numbers land in the results.
+  noise.  All the numbers land in the results, the best triple included.
 """
 
 from __future__ import annotations
@@ -171,9 +169,8 @@ def _bench_faults() -> ExperimentResult:
 
     # The gate: the fault layer must be free when it is not used.  On a
     # machine whose A/A noise floor exceeds 2%/1.5 the gate widens to what
-    # the box can actually resolve; one clean triple is a fallback (all the
-    # numbers are in the results).
-    assert overhead < gate or best_overhead < 0.02, (
+    # the box can actually resolve (all the numbers are in the results).
+    assert overhead < gate, (
         f"idle fault-policy path costs {100 * overhead:.2f}% median / "
         f"{100 * best_overhead:.2f}% best per round "
         f"(gate: <{100 * gate:.2f}%, A/A noise floor "
@@ -188,7 +185,8 @@ def _bench_faults() -> ExperimentResult:
             f"{NUM_ROUNDS} rounds, SimpleMLP): per-round wall clock of the "
             "plain fail-fast path vs the tolerant path with a policy "
             "attached and zero faults injected (median of flanked A/B/A "
-            "triples, gated <2% or the machine's A/A noise floor), and "
+            "triples, median gated below max(2%, 1.5x the machine's A/A "
+            "noise floor)), and "
             "degraded-round throughput at 10/25/50% injected first-attempt "
             "crash rates with no retries (survivors aggregate; dropped "
             f"counts shown).  {REPEATS} triples / best-of-{REPEATS} runs."
@@ -207,5 +205,4 @@ def test_bench_faults(benchmark):
     result = run_once(benchmark, _bench_faults)
     print()
     print(result.to_markdown())
-    assert (result.scalars["idle_overhead"] < result.scalars["overhead_gate"]
-            or result.scalars["idle_overhead_best"] < 0.02)
+    assert result.scalars["idle_overhead"] < result.scalars["overhead_gate"]

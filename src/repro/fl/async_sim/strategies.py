@@ -22,8 +22,8 @@ state lives in ``context.server_storage``, so the base
 persists it without any strategy-specific code.
 
 These strategies are *asynchronous-only* (``requires_async = True``): the
-synchronous loop rejects them, and their ``aggregate`` raises — there is no
-meaningful round-based reduction for them.
+synchronous loop rejects them, and their ``aggregate_stream`` raises — there
+is no meaningful round-based reduction for them.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class AsyncStrategy(Strategy):
         """Buffered-but-uncommitted update records (empty unless buffering)."""
         return []
 
-    def aggregate(self, global_state, results, context):
+    def aggregate_stream(self, global_state, selected, stream, context):
         raise RuntimeError(
             f"strategy '{self.name}' is asynchronous-only and has no "
             f"round-based aggregation; run it with kind='federated_async' "

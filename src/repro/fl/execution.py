@@ -35,8 +35,8 @@ Determinism contract (why every backend produces bit-identical runs):
    FLContext` as read-only; per-client state updates travel in
    ``ClientResult.metadata`` and are applied server-side after the round.
 3. Executors yield outcomes in *job order* regardless of completion order,
-   and strategies reduce them in canonical order (see
-   :func:`repro.fl.strategies.base.canonical_results`), so aggregation is
+   and every strategy's ``aggregate_stream`` refuses any other order (see
+   :func:`repro.fl.strategies.base.consume_stream`), so aggregation is
    independent of both submission interleaving and worker count.
 """
 
@@ -249,16 +249,16 @@ def run_client(
       post-hoc (injected hangs are judged deterministically upstream).
     """
     config = context.config
-    plan = getattr(config, "faults", None)
-    policy = getattr(config, "fault_policy", None)
+    plan = config.faults
+    policy = config.fault_policy
     client_timeout = policy.client_timeout if policy is not None else None
     fault = None
     if plan is not None and plan.active:
         fault = plan.decide(context.round_index, spec.client_id, attempt)
     if fault is not None:
         _inject_pre_compute_fault(fault, spec, context, attempt, client_timeout)
-    profile = bool(getattr(config, "profile", False))
-    observed = profile or bool(getattr(config, "trace", False))
+    profile = config.profile
+    observed = profile or config.trace
     timed = observed or client_timeout is not None
     start = time.perf_counter() if timed else 0.0
     try:
@@ -398,9 +398,9 @@ class SerialExecutor(ClientExecutor):
         # The scratch-model cache is keyed on (factory, compute dtype): the
         # same factory at a different precision must rebuild, or a float64
         # model would silently serve a float32 round (and vice versa).
-        dtype = getattr(context.config, "dtype", "float64")
+        dtype = context.config.dtype
         if self._factory is not model_fn or self._model_dtype != dtype:
-            with dtype_mode(context.config.dtype):
+            with dtype_mode(dtype):
                 self._factory, self._model = model_fn, model_fn()
             self._model_dtype = dtype
         return self._model
@@ -437,10 +437,10 @@ class ThreadExecutor(ClientExecutor):
 
     def _thread_model(self, model_fn, context) -> "Module":
         cache = self._local
-        dtype = getattr(context.config, "dtype", "float64")
+        dtype = context.config.dtype
         if (getattr(cache, "factory", None) is not model_fn
                 or getattr(cache, "dtype", None) != dtype):
-            with dtype_mode(context.config.dtype):
+            with dtype_mode(dtype):
                 cache.factory, cache.model = model_fn, model_fn()
             cache.dtype = dtype
         return cache.model
@@ -555,7 +555,7 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                 header = message[1]
                 layout = StateLayout.from_keys_shapes(
                     header["keys"], header["shapes"],
-                    dtype=np.dtype(header.get("dtype", "<f8")))
+                    dtype=np.dtype(header["dtype"]))
                 if shm_name != header["shm_name"]:
                     # The segment name changes whenever the server re-creates
                     # the segment — including on a dtype change — so keying
@@ -575,15 +575,15 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                 )
             elif kind == "client":
                 position, spec, storage = message[1], message[2], message[3]
-                attempt = message[4] if len(message) > 4 else 0
+                attempt = message[4]
                 round_context.client_storage[spec.client_id] = storage
                 # Zero-copy broadcast: read-only views into the shared segment.
                 # Safe because client_update treats global_state as read-only
                 # and model loading copies values in (load_state_dict).
                 global_state = layout.unpack(np.asarray(shm_vector))
-                dtype = getattr(round_context.config, "dtype", "float64")
+                dtype = round_context.config.dtype
                 if model is None or model_dtype != dtype:
-                    with dtype_mode(round_context.config.dtype):
+                    with dtype_mode(dtype):
                         model = model_fn()
                     model_dtype = dtype
                 result = run_client(strategy, model, spec, global_state,

@@ -284,7 +284,7 @@ def run_tolerant_round(
     """Run one round's client jobs; return ``(cohort, results, report)``.
 
     ``results`` are the cohort's client results in selection order — the
-    canonical reduction order — ready for ``Strategy.aggregate_stream``.
+    order ``Strategy.aggregate_stream`` requires.
 
     Without a policy the round is fail-fast: the cohort is the selection,
     ``results`` streams the executor's outcomes straight through, and the
@@ -310,7 +310,7 @@ def run_tolerant_round(
     from .training import ClientResult  # runtime import: cycle-free leaf
 
     layout = StateLayout(global_state) if policy.sanitize else None
-    plan = getattr(context.config, "faults", None)
+    plan = context.config.faults
     backoff_seed = plan.seed if plan is not None else context.config.seed
     results_by_pos: Dict[int, "ClientResult"] = {}
     report = RoundFaultReport()

@@ -21,7 +21,7 @@ cohort — failing fast without a fault policy, retrying and degrading to a
 quorum under one — and the strategy folds the cohort's results into the new
 global model through one ``aggregate_stream`` call.  Every backend produces
 bit-identical runs because client randomness derives from ``(seed, round,
-client_id)`` and results are reduced in canonical order (see
+client_id)`` and results are reduced in selection order (see
 :mod:`repro.fl.execution` for the full determinism contract).
 """
 
@@ -351,8 +351,8 @@ class FederatedSimulation:
         self.context.round_index = round_index
         callbacks.on_round_start(self, round_index)
         selected = self.select_clients(round_index)
-        # Record the selection order: it is the canonical reduction order the
-        # strategies aggregate in, whatever order parallel workers finish in.
+        # Record the selection order: it is the order the strategies reduce
+        # in, whatever order parallel workers finish in.
         self.context.round_selection = [spec.client_id for spec in selected]
         # One path for every backend and policy: the fault layer runs the
         # client jobs (fail-fast without a policy, retries and quorum under
@@ -364,7 +364,7 @@ class FederatedSimulation:
             cohort, results, report = run_tolerant_round(
                 self._executor, self.strategy, self.model_fn, selected,
                 self.global_state, self.context, self.config.fault_policy)
-            # Aggregation (and the strategies' canonical-order checks) must
+            # Aggregation (and the strategies' stream-order checks) must
             # see exactly the surviving cohort: a degraded round is then
             # bitwise-identical to a round that selected only the survivors.
             self.context.round_selection = [spec.client_id for spec in cohort]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ...registry import Registry
-from .base import FedAvg, FLContext, Strategy, canonical_results
+from .base import FedAvg, FLContext, Strategy
 from .fedprox import FedProx
 from .qfedavg import QFedAvg
 from .scaffold import Scaffold
@@ -19,7 +19,6 @@ from .scaffold import Scaffold
 __all__ = [
     "Strategy",
     "FLContext",
-    "canonical_results",
     "FedAvg",
     "FedProx",
     "QFedAvg",
@@ -34,10 +33,10 @@ __all__ = [
 
 _CORE_STRATEGIES = ("HeteroSwitch", "ISPTransformOnly", "ISPTransformWithSWAD")
 
-# Asynchronous-only strategies (repro.fl.async_sim): they have no round-based
-# ``aggregate`` and run only under RunSpec kind="federated_async".  Named here
-# (next to their registration) so spec validation can reject mismatched kinds
-# without instantiating anything.
+# Asynchronous-only strategies (repro.fl.async_sim): their round-based
+# ``aggregate_stream`` raises and they run only under RunSpec
+# kind="federated_async".  Named here (next to their registration) so spec
+# validation can reject mismatched kinds without instantiating anything.
 ASYNC_STRATEGY_NAMES = frozenset({"fedasync", "fedbuff"})
 
 

@@ -4,8 +4,8 @@ A *strategy* owns the two points where FL algorithms differ:
 
 * ``client_update`` — how a selected client trains on its local data given the
   broadcast global weights, and
-* ``aggregate`` — how the server combines the returned client results into the
-  next global model.
+* ``aggregate_stream`` — how the server folds the returned client results,
+  one at a time, into the next global model.
 
 Per-round shared state (the EMA loss tracker, per-client persistent storage
 such as SCAFFOLD's control variates, the round index) travels in an
@@ -16,30 +16,29 @@ concurrently with other clients of the same round — on threads or in forked
 worker processes — so it must treat the context as **read-only** and derive
 any randomness from its private stream (:meth:`FLContext.client_rng`), never
 from shared mutable generators.  Per-client state updates travel back in
-``ClientResult.metadata`` and are applied server-side in ``aggregate`` /
-``on_round_end``.  Aggregation reduces client results in *canonical order*
-(:func:`canonical_results`) so the global update is invariant to any
-permutation of the returned results.
+``ClientResult.metadata`` and are applied server-side in ``aggregate_stream``
+/ ``on_round_end``.  Executors yield results in selection order and
+:func:`consume_stream` refuses any other order, so the float reduction is a
+function of which clients were selected, never of which finished first.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ...core.ema import EMALossTracker
 from ...data.partition import ClientSpec
 from ...nn.layers import Module
-from ...nn.serialization import StreamingAverager, average_states
+from ...nn.serialization import StreamingAverager
 from ..config import FLConfig
 from ..execution import derive_client_seed
 from ..training import ClientResult, local_train
 
-__all__ = ["FLContext", "Strategy", "FedAvg", "canonical_results",
-           "consume_stream"]
+__all__ = ["FLContext", "Strategy", "FedAvg", "consume_stream"]
 
 StateDict = Dict[str, np.ndarray]
 
@@ -48,9 +47,10 @@ StateDict = Dict[str, np.ndarray]
 class FLContext:
     """Mutable state shared across rounds of one FL simulation.
 
-    Strategies may mutate it only on the server side of a round (``aggregate``
-    / ``on_round_end``); during ``client_update`` it is read-only shared state
-    that worker threads/processes observe as a start-of-round snapshot.
+    Strategies may mutate it only on the server side of a round
+    (``aggregate_stream`` / ``on_round_end``); during ``client_update`` it is
+    read-only shared state that worker threads/processes observe as a
+    start-of-round snapshot.
     """
 
     config: FLConfig
@@ -79,37 +79,12 @@ class FLContext:
         return np.random.default_rng(self.client_seed(client_id))
 
 
-def canonical_results(results: Sequence[ClientResult],
-                      context: Optional[FLContext] = None) -> List[ClientResult]:
-    """Client results in canonical reduction order.
-
-    Aggregations reduce floating-point sums, which are not associative: the
-    reduction order must therefore be a function of *which* clients reported,
-    not of the order their results happened to arrive in.  The canonical order
-    is the round's selection order (``context.round_selection``), falling back
-    to ascending ``client_id`` when no selection is recorded; results without
-    distinct client ids (e.g. hand-built fixtures) are returned unchanged.
-    """
-    ordered = list(results)
-    ids = [result.client_id for result in ordered]
-    if len(set(ids)) != len(ids):
-        return ordered
-    if context is not None and context.round_selection:
-        position = {cid: i for i, cid in enumerate(context.round_selection)}
-        if all(cid in position for cid in ids):
-            return sorted(ordered, key=lambda result: position[result.client_id])
-    if all(cid >= 0 for cid in ids):
-        return sorted(ordered, key=lambda result: result.client_id)
-    return ordered
-
-
 def consume_stream(selected: Sequence[ClientSpec],
                    stream: Iterable[ClientResult]) -> Iterator[ClientResult]:
     """Validate a streaming round's results against the selection order.
 
-    Streaming aggregation replaces :func:`canonical_results`' sort with a
-    protocol guarantee: the executor yields results in selection order (which
-    *is* the canonical reduction order).  This wrapper enforces that loudly —
+    The executor yields results in selection order, which is the reduction
+    order of every strategy.  This wrapper enforces that loudly —
     an out-of-order or short stream raises instead of silently producing a
     differently-associated float reduction — and checks the invariant the
     up-front weight computation relies on (``num_samples == len(spec.dataset)``
@@ -158,23 +133,6 @@ class Strategy:
         result.metadata["device"] = spec.device
         return result
 
-    def aggregate(
-        self,
-        global_state: StateDict,
-        results: List[ClientResult],
-        context: FLContext,
-    ) -> StateDict:
-        """Default aggregation: sample-count weighted averaging (FedAvg).
-
-        Results are reduced in canonical order, so the aggregate is invariant
-        to any permutation of the collected client updates.
-        """
-        if not results:
-            raise ValueError("cannot aggregate an empty list of client results")
-        ordered = canonical_results(results, context)
-        weights = [result.num_samples for result in ordered]
-        return average_states([result.state for result in ordered], weights)
-
     def aggregate_stream(
         self,
         global_state: StateDict,
@@ -184,31 +142,23 @@ class Strategy:
     ) -> Tuple[StateDict, List[ClientResult]]:
         """Aggregate a round whose results arrive one at a time.
 
-        ``stream`` yields :class:`ClientResult`\\ s in selection order (the
-        canonical reduction order); each result's weights are folded into the
-        accumulator and released before the next arrives, so the server's
-        peak memory is independent of clients/round.  Returns the new global
-        state plus the consumed results with their ``state`` dropped (losses,
-        sample counts and metadata survive for ``on_round_end`` and the
-        round record) — bitwise-identical to materializing the full list and
-        calling :meth:`aggregate`.
+        ``stream`` yields :class:`ClientResult`\\ s in selection order
+        (:func:`consume_stream` refuses any other); each result is folded
+        into the accumulator and released before the next arrives, so the
+        server's peak memory is independent of clients/round.  Returns the
+        new global state plus the consumed results with their ``state``
+        dropped (losses, sample counts and metadata survive for
+        ``on_round_end`` and the round record).
 
-        The base implementation streams the FedAvg reduction.  Its
-        sample-count weights are computed *up front* from the selection
+        The base implementation is FedAvg's sample-count weighted average.
+        Its weights are computed *up front* from the selection
         (``num_samples == len(spec.dataset)`` for every strategy built on
         ``local_train``; enforced per result by :func:`consume_stream`)
-        because the reference reduction normalizes weights before the first
-        multiply-add.  Strategies that override :meth:`aggregate` without
-        providing their own streaming reduction fall back to materializing
-        the stream — correct, just not O(1).
+        because :class:`StreamingAverager` normalizes weights before the
+        first multiply-add.
         """
         if not selected:
             raise ValueError("cannot aggregate an empty list of client results")
-        if type(self).aggregate is not Strategy.aggregate:
-            # The strategy customized the materialized reduction; preserve its
-            # semantics exactly rather than silently bypassing the override.
-            results = list(stream)
-            return self.aggregate(global_state, results, context), results
         averager = StreamingAverager(
             len(selected), [len(spec.dataset) for spec in selected])
         results: List[ClientResult] = []
@@ -220,10 +170,9 @@ class Strategy:
 
     def on_round_end(self, context: FLContext, results: List[ClientResult]) -> None:
         """Hook after aggregation; default updates the EMA loss tracker (Eq. 1)."""
-        ordered = canonical_results(results, context)
         context.ema.update_from_clients(
-            [result.train_loss for result in ordered],
-            weights=[result.num_samples for result in ordered],
+            [result.train_loss for result in results],
+            weights=[result.num_samples for result in results],
         )
 
     # -- persistence (checkpoint/resume) --------------------------------- #

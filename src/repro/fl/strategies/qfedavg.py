@@ -21,7 +21,7 @@ import numpy as np
 from ...data.partition import ClientSpec
 from ...nn.serialization import StateLayout
 from ..training import ClientResult
-from .base import FLContext, StateDict, Strategy, canonical_results, consume_stream
+from .base import FLContext, StateDict, Strategy, consume_stream
 
 __all__ = ["QFedAvg"]
 
@@ -36,19 +36,6 @@ class QFedAvg(Strategy):
             raise ValueError(f"q must be non-negative, got {q}")
         self.q = q
 
-    def aggregate(
-        self,
-        global_state: StateDict,
-        results: List[ClientResult],
-        context: FLContext,
-    ) -> StateDict:
-        if not results:
-            raise ValueError("cannot aggregate an empty list of client results")
-        # Canonical order makes the floating-point reduction permutation-invariant.
-        new_state, _ = self._reduce(
-            global_state, canonical_results(results, context), context)
-        return new_state
-
     def aggregate_stream(
         self,
         global_state: StateDict,
@@ -60,26 +47,23 @@ class QFedAvg(Strategy):
 
         The q-FFL normalizer ``h_sum`` is applied once after the loop, so
         unlike FedAvg's weight normalization nothing about the reduction
-        needs to be known up front — the materialized and streaming paths
-        share :meth:`_reduce` verbatim.
+        needs to be known up front.
         """
         if not selected:
             raise ValueError("cannot aggregate an empty list of client results")
         return self._reduce(
-            global_state, consume_stream(selected, stream), context,
-            drop_states=True)
+            global_state, consume_stream(selected, stream), context)
 
     def _reduce(
         self,
         global_state: StateDict,
         ordered: Iterable[ClientResult],
         context: FLContext,
-        drop_states: bool = False,
     ) -> Tuple[StateDict, List[ClientResult]]:
-        """The q-FFL server update over results in canonical order.
+        """The q-FFL server update over results in selection order.
 
         ``ordered`` may be a lazy stream: each result's state is folded into
-        the accumulator as it arrives (and released when ``drop_states``).
+        the accumulator as it arrives and then released.
         """
         lipschitz = 1.0 / context.config.learning_rate
         # Flat reduction over (n_clients, P): every step below is the exact
@@ -100,8 +84,7 @@ class QFedAvg(Strategy):
         consumed: List[ClientResult] = []
         for result in ordered:
             layout.pack(result.state, out=delta_buf)
-            if drop_states:
-                result.state = None
+            result.state = None
             consumed.append(result)
             delta = (global_vec - delta_buf) * lipschitz
             # Use the client's *initial* loss F_k (loss of the global model on the

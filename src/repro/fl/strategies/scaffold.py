@@ -13,8 +13,8 @@ client deltas for both weights and control variates.
 Parallel-execution audit: ``client_update`` only *reads* the control variates
 from the shared context (missing entries are treated as zeros without being
 written), and ships the refreshed client variate back in
-``ClientResult.metadata`` — the server applies it in :meth:`Scaffold.
-on_round_end`.  This keeps the client step pure so it can run on any
+``ClientResult.metadata`` — the server commits it in :meth:`Scaffold.
+aggregate_stream`.  This keeps the client step pure so it can run on any
 :mod:`repro.fl.execution` backend, including forked worker processes whose
 context mutations would otherwise be silently lost.
 """
@@ -30,13 +30,12 @@ from ...nn.layers import Module
 from ...nn.serialization import (
     StreamingAverager,
     add_states,
-    average_states,
     scale_state,
     subtract_states,
     zeros_like_state,
 )
 from ..training import ClientResult, local_train
-from .base import FLContext, StateDict, Strategy, canonical_results, consume_stream
+from .base import FLContext, StateDict, Strategy, consume_stream
 
 __all__ = ["Scaffold"]
 
@@ -68,7 +67,7 @@ class Scaffold(Strategy):
 
         # Read-only context access: absent control variates mean zeros, but the
         # shared storage is never written from the (possibly concurrent) client
-        # step — the server materialises state in aggregate / on_round_end.
+        # step — the server commits state in aggregate_stream.
         server_c: StateDict = context.server_storage.get("scaffold_c")
         if server_c is None:
             server_c = zeros_like_state(param_template)
@@ -99,8 +98,8 @@ class Scaffold(Strategy):
         result.metadata["device"] = spec.device
 
         # Refresh the client control variate (option II).  Both the delta (for
-        # the server variate update) and the exact new value (applied to this
-        # client's storage in on_round_end) travel back via metadata.
+        # the server variate update) and the exact new value (committed to
+        # this client's storage in aggregate_stream) travel back via metadata.
         num_steps = max(steps["count"], 1)
         local_params = {name: param.data.copy() for name, param in named_params.items()}
         global_params = {name: global_state[name] for name in param_template}
@@ -109,26 +108,6 @@ class Scaffold(Strategy):
         result.metadata["c_delta"] = subtract_states(new_client_c, client_c)
         result.metadata["new_c_i"] = new_client_c
         return result
-
-    def aggregate(
-        self,
-        global_state: StateDict,
-        results: List[ClientResult],
-        context: FLContext,
-    ) -> StateDict:
-        new_state = super().aggregate(global_state, results, context)
-        # Update the server control variate with the average client delta, scaled
-        # by the participation fraction (|S| / N).  Canonical order keeps the
-        # float reduction permutation-invariant.
-        c_deltas = [result.metadata["c_delta"]
-                    for result in canonical_results(results, context)]
-        mean_delta = average_states(c_deltas)
-        server_c: StateDict = context.server_storage.get("scaffold_c")
-        if server_c is None:
-            server_c = zeros_like_state(mean_delta)
-        fraction = len(results) / context.config.num_clients
-        context.server_storage["scaffold_c"] = add_states(server_c, scale_state(mean_delta, fraction))
-        return new_state
 
     def aggregate_stream(
         self,
@@ -139,19 +118,16 @@ class Scaffold(Strategy):
     ) -> Tuple[StateDict, List[ClientResult]]:
         """Streaming SCAFFOLD: fold weights *and* c-deltas in a single pass.
 
-        The materialized path runs two full passes (the sample-weighted
-        weight average, then the uniform c-delta average).  Interleaving them
-        per client leaves each accumulator's own multiply-add sequence
-        untouched, so the result is bitwise-identical with two accumulators
-        plus two pack buffers — O(1) in clients/round.
+        Two accumulators, the sample-weighted weight average and the uniform
+        c-delta average, are fed per client; each keeps its own multiply-add
+        sequence, so the single pass needs only two pack buffers — O(1) in
+        clients/round.
 
         Each client's refreshed control variate is committed to the context
-        as its result streams in (instead of in ``on_round_end``); no reader
-        observes the storage between those two points — a round never selects
-        the same client twice, so a still-training client cannot see another
-        client's commit — and the metadata copies are released immediately,
-        keeping the per-round peak at the persistent-storage floor the
-        algorithm itself requires.
+        as its result streams in.  A round never selects the same client
+        twice, so a still-training client cannot see another client's commit;
+        the metadata copies are released immediately, keeping the per-round
+        peak at the persistent-storage floor the algorithm itself requires.
         """
         if not selected:
             raise ValueError("cannot aggregate an empty list of client results")
@@ -175,16 +151,3 @@ class Scaffold(Strategy):
         context.server_storage["scaffold_c"] = add_states(
             server_c, scale_state(mean_delta, fraction))
         return new_state, consumed
-
-    def on_round_end(self, context: FLContext, results: List[ClientResult]) -> None:
-        """Apply each client's refreshed control variate, then update the EMA.
-
-        Streaming rounds commit the variates (and drop them from metadata) in
-        :meth:`aggregate_stream`, so the pop below finds nothing and only the
-        EMA update runs.
-        """
-        for result in results:
-            new_c_i = result.metadata.pop("new_c_i", None)
-            if new_c_i is not None:
-                context.storage_for(result.client_id)["c_i"] = new_c_i
-        super().on_round_end(context, results)

@@ -36,8 +36,8 @@ class ClientResult:
     """What a client returns to the server after a round of local training.
 
     ``client_id`` identifies the reporting client (stamped by the execution
-    backend); aggregation uses it to reduce results in canonical order no
-    matter which order the parallel workers completed in.
+    backend); aggregation uses it to check that results arrive in selection
+    order no matter which order the parallel workers completed in.
     """
 
     state: StateDict

@@ -144,9 +144,9 @@ class TestFedBuff:
 class TestAsyncOnlyContract:
     def test_aggregate_raises(self):
         with pytest.raises(RuntimeError, match="asynchronous-only"):
-            FedAsync().aggregate({}, [], make_context())
+            FedAsync().aggregate_stream({}, [], iter([]), make_context())
         with pytest.raises(RuntimeError, match="federated_async"):
-            FedBuff().aggregate({}, [], make_context())
+            FedBuff().aggregate_stream({}, [], iter([]), make_context())
 
     def test_registry_names_and_flag(self):
         assert ASYNC_STRATEGY_NAMES == {"fedasync", "fedbuff"}

@@ -4,13 +4,15 @@ The guarantees under test (see :mod:`repro.fl.execution`):
 
 * a short FL run produces **bit-identical** history metrics and final global
   weights on the serial, thread, and shm backends, for any worker count;
-* every registered strategy's aggregation is **permutation-invariant**: the
-  order client results arrive in cannot change the aggregated state;
+* every aggregating strategy's ``aggregate_stream`` folds results only in
+  selection order and refuses any other, so the order clients finish in
+  cannot change the aggregated state;
 * client randomness derives from ``(seed, round, client_id)`` — the exact
   stream the pre-executor serial loop used — never from a shared generator.
 """
 
 import copy
+import itertools
 import multiprocessing
 import os
 import sys
@@ -20,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro.core.ema import EMALossTracker
+from repro.data.dataset import ArrayDataset
+from repro.data.partition import ClientSpec
 from repro.fl.callbacks import Callback
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
@@ -34,8 +38,9 @@ from repro.fl.execution import (
 )
 from repro.fl.faults import run_tolerant_round
 from repro.fl.simulation import FederatedSimulation
-from repro.fl.strategies import FLContext, canonical_results, create_strategy
+from repro.fl.strategies import FLContext, create_strategy
 from repro.fl.training import local_train
+from repro.nn.models import SimpleMLP
 from repro.nn.serialization import get_weights, states_equal
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -157,66 +162,127 @@ class TestExecutorRegistry:
             create_executor("thread", max_workers=bad)
 
 
-def make_round_results(strategy_name, num_clients=3, seed=0):
-    """Real client updates for one synthetic round, plus the server context."""
-    from repro.data.dataset import ArrayDataset
-    from repro.data.partition import ClientSpec
-    from repro.nn.models import SimpleMLP
+def _round_model():
+    # NCHW image batches so HeteroSwitch's ISP transform applies unchanged.
+    return SimpleMLP(3 * 4 * 4, 2, hidden=8, seed=0)
 
+
+def make_round_specs(num_clients=3, seed=0):
+    """One synthetic round's selection plus a fresh server context."""
     config = FLConfig(num_clients=num_clients, clients_per_round=num_clients,
                       num_rounds=1, batch_size=4, learning_rate=0.1, seed=seed)
     context = FLContext(config=config, ema=EMALossTracker())
     context.ema.update(1.0)
-    # NCHW image batches so HeteroSwitch's ISP transform applies unchanged.
-    model = SimpleMLP(3 * 4 * 4, 2, hidden=8, seed=0)
-    global_state = get_weights(model)
-    strategy = create_strategy(strategy_name)
     rng = np.random.default_rng(seed)
-
-    results = []
+    specs = []
     for client_id in range(num_clients):
         features = np.clip(rng.random((8, 3, 4, 4)), 0, 1)
         labels = (features.reshape(8, -1)[:, 0] > 0.5).astype(int)
-        spec = ClientSpec(client_id=client_id, device="S6",
-                          dataset=ArrayDataset(features, labels))
-        results.append(run_client(strategy, model, spec, global_state, context))
-    context.round_selection = [2, 0, 1][:num_clients]  # arbitrary but fixed order
-    return strategy, global_state, results, context
+        specs.append(ClientSpec(client_id=client_id, device="S6",
+                                dataset=ArrayDataset(features, labels)))
+    context.round_selection = [spec.client_id for spec in specs]
+    return specs, context
+
+
+def make_round_results(strategy_name, num_clients=3, seed=0):
+    """Real client updates for one synthetic round, plus the server context."""
+    specs, context = make_round_specs(num_clients, seed)
+    model = _round_model()
+    global_state = get_weights(model)
+    strategy = create_strategy(strategy_name)
+    results = [run_client(strategy, model, spec, global_state, context)
+               for spec in specs]
+    return strategy, global_state, specs, results, context
+
+
+class _ReverseCompletionStrategy:
+    """Wraps a strategy so a round's clients finish in reverse selection order.
+
+    Client ``i`` starts training only once client ``i + 1`` has finished, so
+    with one thread per client the last selected client completes first.
+    """
+
+    def __init__(self, inner, num_clients):
+        self._inner = inner
+        self._finished = [threading.Event() for _ in range(num_clients)]
+        self.completion_order = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def client_update(self, model, spec, global_state, context):
+        position = spec.client_id
+        if position + 1 < len(self._finished):
+            assert self._finished[position + 1].wait(timeout=30)
+        result = self._inner.client_update(model, spec, global_state, context)
+        self.completion_order.append(spec.client_id)
+        self._finished[position].set()
+        return result
 
 
 class TestPermutationInvariance:
+    """A round's server result cannot depend on the order clients finish in.
+
+    Executors yield results in selection order, and every strategy's
+    ``aggregate_stream`` refuses any other order instead of reducing it.
+    """
+
     @pytest.mark.parametrize("strategy_name", AGGREGATING_STRATEGIES)
     def test_aggregate_is_permutation_invariant(self, strategy_name):
-        strategy, global_state, results, context = make_round_results(strategy_name)
-        baseline = strategy.aggregate(global_state, list(results),
-                                      copy.deepcopy(context))
-        for permutation_seed in range(3):
-            shuffled = list(results)
-            np.random.default_rng(permutation_seed).shuffle(shuffled)
-            aggregated = strategy.aggregate(global_state, shuffled,
-                                            copy.deepcopy(context))
-            assert states_equal(baseline, aggregated)
+        """Only the selection order folds; every other order is refused."""
+        strategy, global_state, specs, results, context = \
+            make_round_results(strategy_name)
+        for order in itertools.permutations(range(len(results))):
+            stream = iter(copy.deepcopy([results[i] for i in order]))
+            if list(order) == sorted(order):
+                strategy.aggregate_stream(global_state, specs, stream,
+                                          copy.deepcopy(context))
+            else:
+                with pytest.raises(RuntimeError, match="out of order"):
+                    strategy.aggregate_stream(global_state, specs, stream,
+                                              copy.deepcopy(context))
 
     @pytest.mark.parametrize("strategy_name", AGGREGATING_STRATEGIES)
     def test_on_round_end_is_permutation_invariant(self, strategy_name):
-        strategy, _, results, context = make_round_results(strategy_name)
-        ctx_a, ctx_b = copy.deepcopy(context), copy.deepcopy(context)
-        shuffled = list(results)
-        np.random.default_rng(7).shuffle(shuffled)
-        strategy.on_round_end(ctx_a, copy.deepcopy(results))
-        strategy.on_round_end(ctx_b, copy.deepcopy(shuffled))
-        assert ctx_a.ema.value == ctx_b.ema.value
+        """Clients finishing in reverse order leave the same global state and
+        EMA as the serial round, because the thread executor re-orders them."""
+        specs, _ = make_round_specs()
+        global_state = get_weights(_round_model())
+        reverse = _ReverseCompletionStrategy(create_strategy(strategy_name),
+                                             len(specs))
+        outcomes = []
+        for backend, strategy in (("serial", create_strategy(strategy_name)),
+                                  ("thread", reverse)):
+            _, context = make_round_specs()
+            with create_executor(backend, max_workers=len(specs)) as executor:
+                _, stream, _ = run_tolerant_round(
+                    executor, strategy, _round_model, specs, global_state,
+                    context)
+                new_state, results = strategy.aggregate_stream(
+                    global_state, specs, stream, context)
+            strategy.on_round_end(context, results)
+            outcomes.append((new_state, context.ema.value))
+        assert reverse.completion_order == [2, 1, 0]
+        assert states_equal(outcomes[0][0], outcomes[1][0])
+        assert outcomes[0][1] == outcomes[1][1]
 
-    def test_canonical_order_without_selection_sorts_by_client_id(self):
-        strategy, _, results, context = make_round_results("fedavg")
-        context.round_selection = []
-        ordered = canonical_results(list(reversed(results)), context)
-        assert [r.client_id for r in ordered] == sorted(r.client_id for r in results)
+    @pytest.mark.parametrize("strategy_name", AGGREGATING_STRATEGIES)
+    def test_aggregate_stream_refuses_short_or_mismatched_stream(self, strategy_name):
+        """Every strategy, not only bare ``consume_stream``, refuses a short
+        stream and a sample-count mismatch (out-of-order streams: above)."""
+        strategy, global_state, specs, results, context = \
+            make_round_results(strategy_name)
 
-    def test_canonical_order_follows_round_selection(self):
-        strategy, _, results, context = make_round_results("fedavg")
-        ordered = canonical_results(list(reversed(results)), context)
-        assert [r.client_id for r in ordered] == context.round_selection
+        def fold(stream):
+            return strategy.aggregate_stream(global_state, specs, iter(stream),
+                                             copy.deepcopy(context))
+
+        with pytest.raises(RuntimeError, match="ended early"):
+            fold(copy.deepcopy(results[:2]))
+        mismatched = copy.deepcopy(results)
+        mismatched[1].num_samples += 1
+        with pytest.raises(RuntimeError, match="num_samples"):
+            fold(mismatched)
 
 
 class _FailFastStrategy:
@@ -252,10 +318,6 @@ class TestRoundFailFast:
     """A failing client must abort the round instead of training the rest."""
 
     def _make_round(self, num_clients=8):
-        from repro.data.dataset import ArrayDataset
-        from repro.data.partition import ClientSpec
-        from repro.nn.models import SimpleMLP
-
         rng = np.random.default_rng(0)
         specs = []
         for client_id in range(num_clients):
@@ -376,6 +438,6 @@ class TestReadOnlyClientContext:
     @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
     def test_client_update_never_writes_context(self, strategy_name):
         """The contract that makes shm workers safe: client steps only read."""
-        strategy, global_state, _, context = make_round_results(strategy_name)
+        strategy, global_state, _, _, context = make_round_results(strategy_name)
         assert context.client_storage == {}
         assert context.server_storage == {}

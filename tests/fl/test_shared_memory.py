@@ -48,7 +48,7 @@ from repro.fl.training import ClientResult
 from repro.nn import functional as F
 from repro.nn.models import SimpleMLP
 from repro.nn.optim import SGD
-from repro.nn.serialization import get_weights, state_fingerprint, states_equal
+from repro.nn.serialization import get_weights, state_fingerprint
 
 requires_shm = pytest.mark.skipif(
     not HAS_FORK or sys.platform == "darwin" or not os.path.isdir("/dev/shm"),
@@ -132,17 +132,6 @@ class _CrashingStrategy(FedAvg):
         if spec.client_id == self.crash_client:
             os._exit(3)
         return super().client_update(model, spec, global_state, context)
-
-
-class _MarkedFedAvg(FedAvg):
-    """Overrides aggregate without a streaming reduction of its own."""
-
-    def __init__(self):
-        self.aggregate_calls = 0
-
-    def aggregate(self, global_state, results, context):
-        self.aggregate_calls += 1
-        return super().aggregate(global_state, results, context)
 
 
 class _RaisingCallback(Callback):
@@ -316,22 +305,6 @@ class TestStreamingProtocol:
         assert "shm" in EXECUTOR_REGISTRY
         assert isinstance(create_executor("shm", max_workers=2),
                           SharedMemoryExecutor)
-
-    @requires_shm
-    def test_custom_aggregate_override_still_runs(self, tiny_bundle, tiny_clients,
-                                                  tiny_fl_config, tiny_model_fn):
-        """A strategy with its own aggregate is materialized, not bypassed."""
-        marked = _MarkedFedAvg()
-        executor = create_executor("shm", max_workers=2)
-        with executor:
-            sim = FederatedSimulation(tiny_model_fn, tiny_clients,
-                                      tiny_bundle.test, marked, tiny_fl_config,
-                                      executor=executor)
-            sim.run()
-        assert marked.aggregate_calls == tiny_fl_config.num_rounds
-        reference = serial_baseline("fedavg", tiny_bundle, tiny_clients,
-                                    tiny_fl_config, tiny_model_fn)
-        assert states_equal(reference[1], sim.global_state)
 
     def test_out_of_order_stream_rejected(self):
         specs = make_population(3, samples=2, image_size=2)

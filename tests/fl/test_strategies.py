@@ -39,6 +39,24 @@ def make_result(value, num_samples=1, loss=1.0):
                         train_loss=loss, init_loss=loss)
 
 
+def aggregate(strategy, global_state, results, context):
+    """Fold ``results`` as one round's cohort through ``aggregate_stream``.
+
+    Each result gets the client id of its position, and its client a dataset
+    of exactly ``num_samples`` rows, as ``consume_stream`` requires.
+    """
+    specs = []
+    for client_id, result in enumerate(results):
+        result.client_id = client_id
+        rows = result.num_samples
+        specs.append(ClientSpec(client_id=client_id, device="S6",
+                                dataset=ArrayDataset(np.zeros((rows, 1)),
+                                                     np.zeros(rows, dtype=int))))
+    new_state, _ = strategy.aggregate_stream(global_state, specs, iter(results),
+                                             context)
+    return new_state
+
+
 class TestRegistry:
     def test_all_table4_methods_registered(self):
         for name in ("fedavg", "qfedavg", "fedprox", "scaffold",
@@ -63,18 +81,18 @@ class TestFedAvgAggregation:
     def test_equal_sample_average(self):
         strategy = FedAvg()
         results = [make_result(0.0, 5), make_result(2.0, 5)]
-        out = strategy.aggregate({"w": np.array([1.0])}, results, make_context())
+        out = aggregate(strategy, {"w": np.array([1.0])}, results, make_context())
         np.testing.assert_allclose(out["w"], [1.0])
 
     def test_sample_weighted_average(self):
         strategy = FedAvg()
         results = [make_result(0.0, 30), make_result(10.0, 10)]
-        out = strategy.aggregate({"w": np.array([0.0])}, results, make_context())
+        out = aggregate(strategy, {"w": np.array([0.0])}, results, make_context())
         np.testing.assert_allclose(out["w"], [2.5])
 
     def test_empty_results_rejected(self):
         with pytest.raises(ValueError):
-            FedAvg().aggregate({"w": np.zeros(1)}, [], make_context())
+            aggregate(FedAvg(), {"w": np.zeros(1)}, [], make_context())
 
     def test_on_round_end_updates_ema(self):
         context = make_context()
@@ -99,7 +117,7 @@ class TestQFedAvg:
         strategy = QFedAvg(q=0.0)
         global_state = {"w": np.array([0.0])}
         results = [make_result(1.0, loss=1.0), make_result(3.0, loss=1.0)]
-        out = strategy.aggregate(global_state, results, make_context())
+        out = aggregate(strategy, global_state, results, make_context())
         # Update direction is toward the average of client weights (positive).
         assert out["w"][0] > 0.0
 
@@ -110,7 +128,7 @@ class TestQFedAvg:
                                 train_loss=0.1, init_loss=0.1)
         high_loss = ClientResult(state={"w": np.array([-1.0])}, num_samples=1,
                                  train_loss=5.0, init_loss=5.0)
-        out = strategy.aggregate(global_state, [low_loss, high_loss], make_context())
+        out = aggregate(strategy, global_state, [low_loss, high_loss], make_context())
         # The high-loss client (pushing negative) should dominate the update.
         assert out["w"][0] < 0.0
 
@@ -125,7 +143,7 @@ class TestQFedAvg:
                                 train_loss=1.2, init_loss=1.5),
                    ClientResult(state={"w": np.array([0.6, -0.9])}, num_samples=4,
                                 train_loss=0.8, init_loss=0.9)]
-        out = strategy.aggregate(global_state, results, make_context())
+        out = aggregate(strategy, global_state, results, make_context())
         assert np.isfinite(out["w"]).all()
 
     def test_client_update_same_as_fedavg(self):
@@ -179,30 +197,36 @@ class TestScaffold:
         assert context.server_storage == {}
         assert context.client_storage == {}
 
-    def test_on_round_end_applies_client_control_variate(self):
+    def test_aggregate_stream_commits_client_control_variate(self):
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
+        global_state = get_weights(model)
         spec = make_spec()
-        result = strategy.client_update(model, spec, get_weights(model), context)
+        result = strategy.client_update(model, spec, global_state, context)
         result.client_id = spec.client_id
-        strategy.on_round_end(context, [result])
+        shipped = result.metadata["new_c_i"]
+        _, consumed = strategy.aggregate_stream(global_state, [spec], iter([result]),
+                                                context)
         c_i = context.client_storage[spec.client_id]["c_i"]
+        assert c_i is shipped
         assert any(np.abs(value).max() > 0 for value in c_i.values())
-        # The shipped state was applied verbatim and removed from the payload.
-        assert "new_c_i" not in result.metadata
+        # Both control-variate payloads leave the metadata once folded.
+        assert "c_delta" not in consumed[0].metadata
+        assert "new_c_i" not in consumed[0].metadata
 
     def test_aggregate_creates_and_updates_server_control(self):
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         global_state = get_weights(model)
-        results = [strategy.client_update(model, make_spec(i, seed=i), global_state, context)
-                   for i in range(2)]
-        for i, result in enumerate(results):
-            result.client_id = i
+        specs = [make_spec(i, seed=i) for i in range(2)]
+        results = [strategy.client_update(model, spec, global_state, context)
+                   for spec in specs]
+        for spec, result in zip(specs, results):
+            result.client_id = spec.client_id
         assert "scaffold_c" not in context.server_storage
-        strategy.aggregate(global_state, results, context)
+        strategy.aggregate_stream(global_state, specs, iter(results), context)
         after = context.server_storage["scaffold_c"]
         assert any(np.abs(value).max() > 0 for value in after.values())
 

@@ -178,6 +178,8 @@ class TestFlatAggregationPrimitives:
 
     def test_qfedavg_aggregate_flat_matches_reference(self, tiny_fl_config):
         from repro.core.ema import EMALossTracker
+        from repro.data.dataset import ArrayDataset
+        from repro.data.partition import ClientSpec
         from repro.fl.training import ClientResult
 
         rng = np.random.default_rng(1)
@@ -193,15 +195,20 @@ class TestFlatAggregationPrimitives:
             )
             for index in range(4)
         ]
+        specs = [ClientSpec(client_id=result.client_id, device="S6",
+                            dataset=ArrayDataset(np.zeros((result.num_samples, 1)),
+                                                 np.zeros(result.num_samples, dtype=int)))
+                 for result in results]
         strategy = create_strategy("qfedavg")
         outputs = {}
         for mode in seed_engine.ENGINES:
             context = FLContext(config=tiny_fl_config,
                                 ema=EMALossTracker(alpha=0.9))
             with seed_engine.engine(mode):
-                outputs[mode] = strategy.aggregate(
+                outputs[mode], _ = strategy.aggregate_stream(
                     {key: value.copy() for key, value in template.items()},
-                    list(results), context)
+                    specs, iter(dataclasses.replace(result) for result in results),
+                    context)
         assert states_equal(outputs["reference"], outputs["flat"])
 
     def test_weight_averager_flat_matches_reference(self):

@@ -230,16 +230,15 @@ def swad_reset(self) -> None:
     self._count = 0
 
 
-def qfedavg_reduce(self, global_state, ordered, context, drop_states=False):
-    """Seed dict-based q-FFL server update over results in canonical order."""
+def qfedavg_reduce(self, global_state, ordered, context):
+    """Seed dict-based q-FFL server update over results in selection order."""
     lipschitz = 1.0 / context.config.learning_rate
     weighted_delta_sum = zeros_like_state(global_state)
     h_sum = 0.0
     consumed = []
     for result in ordered:
         delta = scale_state(subtract_states(global_state, result.state), lipschitz)
-        if drop_states:
-            result.state = None
+        result.state = None
         consumed.append(result)
         loss = max(result.init_loss, 1e-10)
         loss_pow_q = loss ** self.q
