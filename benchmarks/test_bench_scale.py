@@ -77,7 +77,6 @@ def _run_round(executor_name: str, num_clients: int):
                       num_rounds=1, local_epochs=1,
                       batch_size=SAMPLES_PER_CLIENT, learning_rate=0.05, seed=0)
     context = FLContext(config=config, ema=EMALossTracker())
-    context.round_selection = [spec.client_id for spec in specs]
     strategy = create_strategy("fedavg")
     global_state = get_weights(_model_fn())
     start = time.perf_counter()

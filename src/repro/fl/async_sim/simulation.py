@@ -488,7 +488,6 @@ class AsyncFederatedSimulation:
             # derivation; a client appears at most once per batch, so every
             # (batch, client) training stream is unique.
             self.context.round_index = batch_id
-            self.context.round_selection = [job.client_id for job in jobs]
             broadcast = self._layout.unpack(batch["vec"])
             tracer = self.tracer
             with (tracer.span("flush_batch", batch=batch_id, jobs=len(specs))

@@ -570,7 +570,6 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                     config=header["config"],
                     ema=ema,
                     round_index=header["round_index"],
-                    round_selection=list(header["round_selection"]),
                     server_storage=header["server_storage"],
                 )
             elif kind == "client":
@@ -797,7 +796,6 @@ class SharedMemoryExecutor(ClientExecutor):
             "config": context.config,
             "ema": context.ema.state_dict(),
             "round_index": context.round_index,
-            "round_selection": list(context.round_selection),
             "server_storage": context.server_storage,
         }
 

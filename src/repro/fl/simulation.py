@@ -351,9 +351,6 @@ class FederatedSimulation:
         self.context.round_index = round_index
         callbacks.on_round_start(self, round_index)
         selected = self.select_clients(round_index)
-        # Record the selection order: it is the order the strategies reduce
-        # in, whatever order parallel workers finish in.
-        self.context.round_selection = [spec.client_id for spec in selected]
         # One path for every backend and policy: the fault layer runs the
         # client jobs (fail-fast without a policy, retries and quorum under
         # one) and hands back the cohort whose results the strategy folds
@@ -367,7 +364,6 @@ class FederatedSimulation:
             # Aggregation (and the strategies' stream-order checks) must
             # see exactly the surviving cohort: a degraded round is then
             # bitwise-identical to a round that selected only the survivors.
-            self.context.round_selection = [spec.client_id for spec in cohort]
             # The fold runs under the configured compute dtype.
             with dtype_mode(self.config.dtype):
                 self._global_state, results = self.strategy.aggregate_stream(

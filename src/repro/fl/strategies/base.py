@@ -56,7 +56,6 @@ class FLContext:
     config: FLConfig
     ema: EMALossTracker
     round_index: int = 0
-    round_selection: List[int] = field(default_factory=list)
     client_storage: Dict[int, dict] = field(default_factory=dict)
     server_storage: dict = field(default_factory=dict)
 

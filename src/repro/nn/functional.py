@@ -309,8 +309,7 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
         if bias is not None:
             out._send(bias, grad.sum(axis=0))
 
-    out = Tensor._make(out_data, parents, lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, parents, backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -389,7 +388,7 @@ def batch_norm_train(
         out._send(weight, grad_weight.reshape(weight.data.shape))
         out._send(bias, grad_bias.reshape(bias.data.shape))
 
-    out = Tensor._make(out_data, (x, weight, bias), lambda g: backward(g, out))
+    out = Tensor._make(out_data, (x, weight, bias), backward)
     return out, mean, var
 
 
@@ -414,8 +413,7 @@ def batch_norm_eval(
         out._send(weight, _seq_reduce(grad * normalized, param_shape).reshape(weight.data.shape))
         out._send(bias, _seq_reduce(grad, param_shape).reshape(bias.data.shape))
 
-    out = Tensor._make(out_data, (x, weight, bias), lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, (x, weight, bias), backward)
 
 
 def conv2d(
@@ -470,8 +468,7 @@ def conv2d(
         if bias is not None:
             out._send(bias, grad.sum(axis=(0, 2, 3)))
 
-    out = Tensor._make(out_data, parents, lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, parents, backward)
 
 
 def depthwise_conv2d(
@@ -514,8 +511,7 @@ def depthwise_conv2d(
         if bias is not None:
             out._send(bias, grad.sum(axis=(0, 2, 3)))
 
-    out = Tensor._make(out_data, parents, lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, parents, backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -543,8 +539,7 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
         grad_x = _col2im(grad_cols, x.shape, indices, (0, 0))
         out._send(x, grad_x)
 
-    out = Tensor._make(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None) -> Tensor:
@@ -566,8 +561,7 @@ def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
         grad_x = _col2im(grad_cols, x.shape, indices, (0, 0))
         out._send(x, grad_x)
 
-    out = Tensor._make(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
@@ -583,8 +577,7 @@ def pad2d(x: Tensor, padding: IntPair) -> Tensor:
     def backward(grad: np.ndarray, out: Tensor) -> None:
         out._send(x, grad[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]])
 
-    out = Tensor._make(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, (x,), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -618,8 +611,7 @@ def hardswish(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray, out: Tensor) -> None:
         out._send(x, grad * hsig + ((grad * x.data) * (1.0 / 6.0)) * mask)
 
-    out = Tensor._make(out_data, (x,), lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -701,8 +693,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         g_exp = np.broadcast_to(g_logsum / sumexp, (n, num_classes)).astype(x.dtype)
         out._send(logits, scatter + g_exp * ex)
 
-    out = Tensor._make(np.asarray(out_data), (logits,), lambda g: backward(g, out))
-    return out
+    return Tensor._make(np.asarray(out_data), (logits,), backward)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -6,10 +6,17 @@ this environment, so we provide a compact but complete autograd ``Tensor``
 with the operations the model zoo (:mod:`repro.nn.models`) needs.
 
 The design follows the familiar define-by-run pattern: every operation on
-:class:`Tensor` objects records a backward closure on the output tensor, and
-:meth:`Tensor.backward` walks the recorded graph in reverse topological order
-accumulating gradients.  All heavy lifting is vectorized NumPy; there are no
-per-element Python loops on the hot path.
+:class:`Tensor` objects records a backward function and its input tensors on
+the output tensor, and :meth:`Tensor.backward` walks the recorded graph in
+reverse topological order accumulating gradients.  All heavy lifting is
+vectorized NumPy; there are no per-element Python loops on the hot path.
+
+Graph lifetime: a node references its inputs, never the other way round, and
+no backward function captures its own output (it receives it as an
+argument), so a graph holds no reference cycles.  :meth:`Tensor.backward`
+unlinks each node as the sweep passes it, so reference counting frees a
+step's activations while the sweep runs, and a graph supports one
+``backward()``: a second one through it raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -89,6 +96,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released(grad: np.ndarray, out: "Tensor") -> None:
+    """Backward function of a node that an earlier sweep has released."""
+    raise RuntimeError(
+        "backward() reached a graph node already freed by an earlier backward(); "
+        "a graph supports one backward()"
+    )
+
+
 class Tensor:
     """A NumPy-backed tensor with reverse-mode autodiff.
 
@@ -123,7 +138,7 @@ class Tensor:
         self.data: np.ndarray = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional[Callable[[np.ndarray, "Tensor"], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
 
@@ -184,8 +199,16 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Iterable["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray, "Tensor"], None],
     ) -> "Tensor":
+        """Wrap ``data`` as the output of an operation on ``parents``.
+
+        ``backward(grad, out)`` routes ``grad`` (the gradient of ``out``) to
+        the parents through ``out._send``.  It must not capture ``out``
+        itself: the node would then be a reference cycle that outlives the
+        step until the cyclic collector runs.  The link lasts until
+        :meth:`backward` sweeps past the node.
+        """
         parents = tuple(parents)
         requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
@@ -202,6 +225,12 @@ class Tensor:
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor.
+
+        Each non-leaf node is released once the sweep has handled it: its
+        parents and backward function are dropped, so its activations and
+        saved temporaries are freed during the sweep.  The graph thus
+        supports one ``backward()``; a later one that reaches a released
+        node with a gradient raises ``RuntimeError``.
 
         Parameters
         ----------
@@ -233,21 +262,23 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        # Popping drops the sweep's own reference, so a released node is
+        # freed unless the caller still holds it.
+        while topo:
+            node = topo.pop()
             node_grad = grads.pop(id(node), None)
-            if node_grad is None:
+            if node._backward is None:
+                if node_grad is not None and node.requires_grad:
+                    node._accumulate(node_grad)
                 continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate into .grad
-                node._accumulate(node_grad)
-            if node._backward is not None:
-                # The backward closure stores contributions for the parents
-                # via the `grads` dict captured through `_receive`.
-                node._pending_grads = grads  # type: ignore[attr-defined]
-                node._backward(node_grad)
-                del node._pending_grads  # type: ignore[attr-defined]
+            if node_grad is not None:
+                node._pending_grads = grads
+                node._backward(node_grad, node)
+                del node._pending_grads
+            node._parents = ()
+            node._backward = _released
 
-    # Helper used inside backward closures to route gradients to parents.
+    # Helper used inside backward functions to route gradients to parents.
     def _send(self, parent: "Tensor", grad: np.ndarray) -> None:
         grads: dict[int, np.ndarray] = getattr(self, "_pending_grads")
         key = id(parent)
@@ -270,8 +301,7 @@ class Tensor:
             out._send(self, _unbroadcast(grad, self.shape))
             out._send(other_t, _unbroadcast(grad, other_t.shape))
 
-        out = Tensor._make(out_data, (self, other_t), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self, other_t), backward)
 
     __radd__ = __add__
 
@@ -281,8 +311,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, -grad)
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -299,8 +328,7 @@ class Tensor:
             out._send(self, _unbroadcast(grad * other_t.data, self.shape))
             out._send(other_t, _unbroadcast(grad * self.data, other_t.shape))
 
-        out = Tensor._make(out_data, (self, other_t), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self, other_t), backward)
 
     __rmul__ = __mul__
 
@@ -315,8 +343,7 @@ class Tensor:
                 _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape),
             )
 
-        out = Tensor._make(out_data, (self, other_t), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self, other_t), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other) / self
@@ -327,8 +354,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad * exponent * self.data ** (exponent - 1))
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Reductions
@@ -342,8 +368,7 @@ class Tensor:
                 g = np.expand_dims(g, axis=axis)
             out._send(self, np.broadcast_to(g, self.shape).astype(self.data.dtype))
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -368,8 +393,7 @@ class Tensor:
             denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             out._send(self, mask * g / denom)
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -383,8 +407,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad.reshape(original_shape))
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         axes_tuple = axes if axes else None
@@ -397,8 +420,7 @@ class Tensor:
                 inverse = np.argsort(axes_tuple)
                 out._send(self, grad.transpose(inverse))
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -408,8 +430,7 @@ class Tensor:
             np.add.at(full, index, grad)
             out._send(self, full)
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Linear algebra
@@ -429,8 +450,7 @@ class Tensor:
                 out._send(self, _unbroadcast(grad_a, a.shape))
                 out._send(other_t, _unbroadcast(grad_b, b.shape))
 
-        out = Tensor._make(out_data, (self, other_t), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self, other_t), backward)
 
     __matmul__ = matmul
 
@@ -443,8 +463,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad * out_data)
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
@@ -452,8 +471,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad / self.data)
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
@@ -465,8 +483,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad * mask)
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -474,8 +491,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad * out_data * (1.0 - out_data))
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -483,8 +499,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad * (1.0 - out_data ** 2))
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         out_data = np.clip(self.data, low, high)
@@ -493,8 +508,7 @@ class Tensor:
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad * mask)
 
-        out = Tensor._make(out_data, (self,), lambda g: backward(g, out))
-        return out
+        return Tensor._make(out_data, (self,), backward)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -510,8 +524,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             slicer[axis] = slice(start, end)
             out._send(tensor, grad[tuple(slicer)])
 
-    out = Tensor._make(out_data, tuple(tensors), lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, tuple(tensors), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -523,5 +536,4 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for i, tensor in enumerate(tensors):
             out._send(tensor, moved[i])
 
-    out = Tensor._make(out_data, tuple(tensors), lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, tuple(tensors), backward)

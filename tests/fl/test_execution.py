@@ -180,7 +180,6 @@ def make_round_specs(num_clients=3, seed=0):
         labels = (features.reshape(8, -1)[:, 0] > 0.5).astype(int)
         specs.append(ClientSpec(client_id=client_id, device="S6",
                                 dataset=ArrayDataset(features, labels)))
-    context.round_selection = [spec.client_id for spec in specs]
     return specs, context
 
 
@@ -328,7 +327,6 @@ class TestRoundFailFast:
         config = FLConfig(num_clients=num_clients, clients_per_round=num_clients,
                           num_rounds=1, batch_size=4, learning_rate=0.05, seed=0)
         context = FLContext(config=config, ema=EMALossTracker())
-        context.round_selection = [spec.client_id for spec in specs]
 
         def model_fn():
             return SimpleMLP(3 * 4 * 4, 2, hidden=8, seed=0)
@@ -420,7 +418,6 @@ class TestDerivedClientStreams:
         global_before = sim.global_state
         sim.context.round_index = 0
         selected = sim.select_clients(0)
-        sim.context.round_selection = [spec.client_id for spec in selected]
         results = list(sim.executor.iter_round(
             sim.strategy, tiny_model_fn, [(spec, 0) for spec in selected],
             global_before, sim.context))

@@ -250,7 +250,6 @@ class TestExecutorFailurePaths:
         context = FLContext(config=config, ema=EMALossTracker())
         context.round_index = 0
         selected = clients[:3]
-        context.round_selection = [spec.client_id for spec in selected]
         jobs = [(spec, 0 if position == fail_position else 1)
                 for position, spec in enumerate(selected)]
         strategy = create_strategy("fedavg")
@@ -277,7 +276,6 @@ class TestExecutorFailurePaths:
         context = FLContext(config=config, ema=EMALossTracker())
         context.round_index = 0
         selected = clients[:3]
-        context.round_selection = [spec.client_id for spec in selected]
         # Attempt 0 jobs fail (plan hits every first attempt), attempt 1
         # jobs succeed; interleave them and check outcomes line up.
         jobs = [(selected[0], 0), (selected[1], 1), (selected[2], 0)]
@@ -301,7 +299,6 @@ class TestExecutorFailurePaths:
         context = FLContext(config=config, ema=EMALossTracker())
         context.round_index = 0
         selected = clients[:2]
-        context.round_selection = [spec.client_id for spec in selected]
         jobs = [(spec, 0) for spec in selected]
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
@@ -326,7 +323,6 @@ class TestExecutorFailurePaths:
         config = make_config(clients_per_round=3, fault_policy=policy)
         context = FLContext(config=config, ema=EMALossTracker())
         selected = make_population()[:3]
-        context.round_selection = [spec.client_id for spec in selected]
         before = shm_entries()
         with create_executor("shm", max_workers=2) as executor:
             with pytest.raises(ClientFailure, match="header boom"):
@@ -347,7 +343,6 @@ class TestExecutorFailurePaths:
         context = FLContext(config=config, ema=EMALossTracker())
         context.round_index = 0
         selected = clients[:2]
-        context.round_selection = [spec.client_id for spec in selected]
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(

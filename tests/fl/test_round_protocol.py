@@ -101,7 +101,6 @@ def test_round_protocol_matches_serial(executors, draw):
     config = make_config(faults=plan, fault_policy=policy)
     context = FLContext(config=config, ema=EMALossTracker())
     selected = CLIENTS[:CLIENTS_PER_ROUND]
-    context.round_selection = [spec.client_id for spec in selected]
     jobs = list(zip(selected, attempts))
     global_state = get_weights(model_fn())
     outcomes = list(executor.iter_round(STRATEGY, model_fn, jobs, global_state,

@@ -106,7 +106,6 @@ def make_round(num_clients, **population_kwargs):
                       num_rounds=1, local_epochs=1, batch_size=4,
                       learning_rate=0.05, seed=0)
     context = FLContext(config=config, ema=EMALossTracker())
-    context.round_selection = [spec.client_id for spec in specs]
     return specs, get_weights(model_fn()), context, model_fn
 
 
@@ -341,7 +340,6 @@ class TestStreamingMemoryFlat:
         config = FLConfig(num_clients=num_clients, clients_per_round=num_clients,
                           num_rounds=1, batch_size=2, learning_rate=0.05, seed=0)
         context = FLContext(config=config, ema=EMALossTracker())
-        context.round_selection = [spec.client_id for spec in specs]
         global_state = {"w": np.zeros(state_size)}
         strategy = create_strategy(strategy_name)
 

@@ -1,5 +1,7 @@
 """Tests for the autograd Tensor engine: forward values and gradients."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,62 @@ class TestGraphControl:
     def test_non_requiring_parents_produce_detached_output(self):
         out = Tensor([1.0]) * Tensor([2.0])
         assert not out.requires_grad
+
+
+class TestGraphLifetime:
+    """A graph is acyclic and is released by the one backward() it supports."""
+
+    def test_training_steps_leave_no_cyclic_garbage(self):
+        from repro.fl.training import compute_loss
+        from repro.nn.models import MobileNetV3Small
+        from repro.nn.optim import SGD
+
+        model = MobileNetV3Small(num_classes=4)
+        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(4, 3, 16, 16))
+        labels = np.array([0, 1, 2, 3])
+
+        def step():
+            optimizer.zero_grad()
+            compute_loss(model, features, labels, "classification").backward()
+            optimizer.step()
+
+        step()  # first-call caches are not a step's garbage
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                step()
+            leaked = gc.collect()
+        finally:
+            gc.enable()
+        assert leaked == 0
+
+    def test_backward_releases_the_graph(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        hidden = (a * 3).exp()
+        loss = hidden.sum()
+        loss.backward()
+        assert loss._parents == ()
+        assert hidden._parents == ()
+        # Leaves keep their (empty) links and stay leaves.
+        assert a._backward is None
+        np.testing.assert_allclose(a.grad, 3 * np.exp([3.0, 6.0]))
+
+    def test_second_backward_raises(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (a * a).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+
+    def test_backward_through_released_shared_intermediate_raises(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        shared = a * 2
+        shared.sum().backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            (shared * 3).sum().backward()
 
 
 class TestConcatenateStack:

@@ -110,8 +110,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         if bias is not None:
             out._send(bias, grad.sum(axis=(0, 2, 3)))
 
-    out = Tensor._make(out_data, parents, lambda g: backward(g, out))
-    return out
+    return Tensor._make(out_data, parents, backward)
 
 
 def linear(x, weight, bias=None):
