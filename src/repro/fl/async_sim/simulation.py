@@ -1,9 +1,11 @@
 """Event-driven asynchronous federated simulation on a deterministic clock.
 
-:class:`AsyncFederatedSimulation` replaces the synchronous round barrier with
-a virtual clock: the server keeps up to ``concurrency`` clients training at
-once, each dispatched the *current* global weights; completions arrive after
-per-device latencies drawn from :mod:`repro.devices.latency`; the strategy
+:class:`AsyncFederatedSimulation` adds an event loop to
+:class:`~repro.fl.simulation.BaseSimulation`, which owns everything around
+it.  The loop replaces the synchronous round barrier with a virtual clock:
+the server keeps up to ``concurrency`` clients training at once, each
+dispatched the *current* global weights; completions arrive after per-device
+latencies drawn from :mod:`repro.devices.latency`; the strategy
 (:class:`~repro.fl.async_sim.strategies.AsyncStrategy`) folds each update in
 with a staleness discount and decides when the global version advances.
 Devices churn — drop offline mid-training (their update is abandoned) and
@@ -23,36 +25,30 @@ when the flush happens — eagerly, lazily, serially or on a worker pool —
 cannot change any value, so every backend produces bit-identical runs.
 
 **Checkpoint/resume.**  :meth:`snapshot` flushes pending batches (making all
-in-flight results concrete arrays) and captures the clock, version, event
-queue, job table, availability state, and every RNG stream counter; restoring
-it into a fresh simulation of the same spec continues the run with
-bit-identical commits (see ``tests/fl/test_async_sim.py``).
+in-flight results concrete arrays) and adds the clock, version, event queue,
+job table, availability state and every RNG stream counter to the base's
+tree; restoring it into a fresh simulation of the same spec continues the
+run with bit-identical commits.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Union
 
 import numpy as np
 
-from ...core.ema import EMALossTracker
 from ...data.dataset import ArrayDataset
 from ...data.partition import ClientSpec
 from ...devices.latency import DeviceLatencyModel, LatencyRegime, build_latency_models
-from ...nn.engine import dtype_mode
-from ...nn.layers import Module
-from ...nn.serialization import StateLayout, get_weights, set_weights
-from ...obs import MetricsRegistry, Tracer, merge_client_spans
-from ..callbacks import Callback, CallbackList, PeriodicEvaluation, SwitchTelemetry
+from ...obs import MetricsRegistry, merge_client_spans
+from ..callbacks import Callback, CallbackList
 from ..config import FLConfig
-from ..execution import ClientExecutor, create_executor
+from ..execution import ClientExecutor
 from ..faults import run_tolerant_round
-from ..simulation import FLHistory, RoundRecord
-from ..strategies.base import FLContext
-from ..training import ClientResult, evaluate_metric
+from ..simulation import BaseSimulation, FLHistory, ModelFactory, RoundRecord
+from ..training import ClientResult
 from .events import EventQueue, SimEvent, event_rng
 from .strategies import AsyncCommit, AsyncStrategy, AsyncUpdate
 
@@ -62,10 +58,6 @@ __all__ = [
     "AsyncFederatedSimulation",
     "AsyncTelemetry",
 ]
-
-StateDict = Dict[str, np.ndarray]
-ModelFactory = Callable[[], Module]
-
 
 @dataclass
 class CommitRecord(RoundRecord):
@@ -104,24 +96,12 @@ class AsyncFLHistory(FLHistory):
     class when the run store loads a result or checkpoint.
     """
 
+    record_type = CommitRecord
+    kind = "federated_async"
+
     @property
     def commits(self) -> List[CommitRecord]:
         return self.rounds
-
-    def to_dict(self) -> Dict[str, object]:
-        data = super().to_dict()
-        data["kind"] = "federated_async"
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AsyncFLHistory":
-        return cls(
-            strategy=str(data["strategy"]),
-            rounds=[CommitRecord.from_dict(r) for r in data.get("rounds", [])],
-            per_device_metric=dict(data.get("per_device_metric", {})),
-            evaluations=[dict(e) for e in data.get("evaluations", [])],
-            metadata=dict(data.get("metadata", {})),
-        )
 
 
 @dataclass
@@ -135,19 +115,15 @@ class _PendingJob:
     dispatch_time: float
     lost: bool = False
 
-    def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "_PendingJob":
-        return cls(
-            job_id=int(data["job_id"]),
-            client_id=int(data["client_id"]),
-            batch_id=int(data["batch_id"]),
-            dispatch_version=int(data["dispatch_version"]),
-            dispatch_time=float(data["dispatch_time"]),
-            lost=bool(data["lost"]),
-        )
+def _weightless_result(data: Mapping[str, object],
+                       metadata: Dict[str, object]) -> ClientResult:
+    """A :class:`ClientResult` without weights, from a commit entry or a
+    checkpointed update."""
+    return ClientResult(state={}, num_samples=int(data["num_samples"]),
+                        train_loss=float(data["train_loss"]),
+                        init_loss=float(data.get("init_loss", data["train_loss"])),
+                        client_id=int(data["client_id"]), metadata=metadata)
 
 
 class AsyncTelemetry(Callback):
@@ -164,13 +140,10 @@ class AsyncTelemetry(Callback):
     must match the uninterrupted run, are derived from the history records by
     the simulation itself and are unaffected).
 
-    All counting lives in a :class:`repro.obs.MetricsRegistry` — labeled
-    ``dispatches``/``completions``/``busy_seconds`` series per client plus a
-    ``churn`` series per event kind — and the ``telemetry`` metadata block is
-    reassembled from the registry at run end, byte-for-byte as before: the
-    per-client float sums accumulate in the same event order, and the busy
-    total sums the per-client series in first-completion (registration)
-    order, exactly like the former dict-of-floats.
+    All counting lives in a :class:`repro.obs.MetricsRegistry`: labeled
+    ``dispatches``/``completions``/``busy_seconds`` series per client and a
+    ``churn`` series per event kind, read back into the ``telemetry`` block
+    at run end.
     """
 
     name = "async_telemetry"
@@ -220,16 +193,16 @@ class AsyncTelemetry(Callback):
         }
 
 
-class AsyncFederatedSimulation:
+class AsyncFederatedSimulation(BaseSimulation):
     """Asynchronous FL run on a deterministic simulated clock.
 
-    Parameters
-    ----------
-    model_fn, clients, test_sets, strategy, config:
-        As for :class:`~repro.fl.simulation.FederatedSimulation`, except
-        ``strategy`` must be an :class:`~repro.fl.async_sim.strategies.
-        AsyncStrategy` (``fedasync``/``fedbuff``) and ``config.num_rounds``
-        counts *server commits* rather than synchronous rounds.
+    Parameters are :class:`~repro.fl.simulation.BaseSimulation`'s, except
+    that ``strategy`` must be an :class:`~repro.fl.async_sim.strategies.
+    AsyncStrategy` (``fedasync``/``fedbuff``), ``config.num_rounds`` counts
+    *server commits* rather than synchronous rounds, and the loop also fires
+    :meth:`~repro.fl.callbacks.Callback.on_event` for every virtual-clock
+    occurrence.  It adds:
+
     latency:
         A regime preset name (``"uniform"``/``"mild"``/``"extreme"``), a
         :class:`~repro.devices.latency.LatencyRegime`, or a ready mapping of
@@ -238,15 +211,14 @@ class AsyncFederatedSimulation:
     concurrency:
         Maximum clients training at once; defaults to
         ``config.clients_per_round`` (the synchronous cohort size).
-    callbacks, executor:
-        As for the synchronous simulation.  The async loop additionally fires
-        :meth:`~repro.fl.callbacks.Callback.on_event` for every virtual-clock
-        occurrence.
     max_events:
         Safety cap on processed events; ``None`` derives a generous bound
         from the commit target.  Exceeding it raises instead of spinning the
         virtual clock forever (e.g. availability so low no update completes).
     """
+
+    _history_cls = AsyncFLHistory
+    _unit = "commit"
 
     def __init__(
         self,
@@ -261,15 +233,6 @@ class AsyncFederatedSimulation:
         executor: Optional[Union[str, ClientExecutor]] = None,
         max_events: Optional[int] = None,
     ) -> None:
-        if not clients:
-            raise ValueError("client population must not be empty")
-        if not test_sets:
-            raise ValueError("test_sets must not be empty")
-        if config.num_clients != len(clients):
-            raise ValueError(
-                f"config.num_clients ({config.num_clients}) does not match the "
-                f"provided client population ({len(clients)})"
-            )
         if not getattr(strategy, "requires_async", False) or not hasattr(strategy, "server_update"):
             raise ValueError(
                 f"strategy '{strategy.name}' has no asynchronous server path; "
@@ -284,12 +247,8 @@ class AsyncFederatedSimulation:
                 f"dispatch has no retry or quorum path, so injected faults "
                 f"would go unhandled and a fault policy would be ignored"
             )
-        self.model_fn = model_fn
-        self.clients = list(clients)
-        self.test_sets = dict(test_sets)
-        self.strategy = strategy
-        self.config = config
-        self.callbacks = list(callbacks)
+        super().__init__(model_fn, clients, test_sets, strategy, config,
+                         callbacks=callbacks, executor=executor)
         if isinstance(latency, Mapping):
             self.latency_models = dict(latency)
         else:
@@ -305,37 +264,10 @@ class AsyncFederatedSimulation:
             raise ValueError(f"concurrency must be a positive integer, got {concurrency!r}")
         self.concurrency = min(concurrency, len(self.clients))
         self.max_events = max_events
-        if executor is None or isinstance(executor, str):
-            self._executor = create_executor(executor or "serial")
-            self._owns_executor = True
-        else:
-            self._executor = executor
-            self._owns_executor = False
-
         self._client_by_id = {spec.client_id: spec for spec in self.clients}
         if len(self._client_by_id) != len(self.clients):
             raise ValueError("client ids must be unique")
-
-        with dtype_mode(config.dtype):
-            template = get_weights(model_fn())
-        self._layout = StateLayout(template)
-        self._global_vec = self._layout.pack(template)
-        self.context = FLContext(
-            config=config,
-            ema=EMALossTracker(alpha=config.ema_alpha),
-        )
-        self._history: Optional[AsyncFLHistory] = None
-        self._active_callbacks: Optional[CallbackList] = None
-        self._stop_requested = False
-        self._resume: Optional[AsyncFLHistory] = None
-        # Run-level trace collector (repro.obs); attached externally or
-        # auto-created by run().  Purely observational.  run() registers the
-        # virtual clock so every span/instant also carries simulated time.
-        self.tracer: Optional[Tracer] = None
-        self._init_clock_state()
-
-    def _init_clock_state(self) -> None:
-        """Virtual-clock bookkeeping for a fresh (round-zero) run."""
+        # Virtual-clock bookkeeping for a fresh (round-zero) run.
         self._clock = 0.0
         self._version = 0
         self._queue = EventQueue(self.config.seed)
@@ -358,11 +290,6 @@ class AsyncFederatedSimulation:
 
     # ------------------------------------------------------------------ #
     @property
-    def executor(self) -> ClientExecutor:
-        """The client-execution backend flushing dispatch batches."""
-        return self._executor
-
-    @property
     def clock(self) -> float:
         """Current virtual time in simulated seconds."""
         return self._clock
@@ -372,27 +299,13 @@ class AsyncFederatedSimulation:
         """Number of server commits so far."""
         return self._version
 
-    @property
-    def global_state(self) -> StateDict:
-        """Copy of the current global model weights."""
-        return {key: value.copy()
-                for key, value in self._layout.unpack(self._global_vec).items()}
+    def _virtual_clock(self) -> float:
+        # run() registers this on the tracer, so every span and instant also
+        # carries simulated time.
+        return self._clock
 
-    @property
-    def history(self) -> Optional[AsyncFLHistory]:
-        """The history of the in-progress (or most recent) :meth:`run`."""
-        return self._history
-
-    def global_model(self) -> Module:
-        """A model instance loaded with the current global weights."""
-        with dtype_mode(self.config.dtype):
-            model = self.model_fn()
-        set_weights(model, self._layout.unpack(self._global_vec))
-        return model
-
-    def request_stop(self) -> None:
-        """Ask :meth:`run` to stop gracefully after the current commit."""
-        self._stop_requested = True
+    def _eval_index(self) -> int:
+        return self._version
 
     def model_for(self, client_id: int) -> DeviceLatencyModel:
         """The latency model of one client (by its device type)."""
@@ -489,15 +402,14 @@ class AsyncFederatedSimulation:
             # (batch, client) training stream is unique.
             self.context.round_index = batch_id
             broadcast = self._layout.unpack(batch["vec"])
-            tracer = self.tracer
-            with (tracer.span("flush_batch", batch=batch_id, jobs=len(specs))
-                  if tracer is not None else nullcontext()) as flush_span:
+            with self._obs_span("flush_batch", batch=batch_id,
+                                jobs=len(specs)) as flush_span:
                 _, stream, _ = run_tolerant_round(
                     self._executor, self.strategy, self.model_fn, specs,
                     broadcast, self.context)
                 results = list(stream)
-            if tracer is not None:
-                merge_client_spans(tracer, flush_span.start, results,
+            if self.tracer is not None:
+                merge_client_spans(self.tracer, flush_span.start, results,
                                    {spec.client_id: spec.device for spec in specs})
             for job, result in zip(jobs, results):
                 vec = self._layout.pack(result.state)
@@ -590,55 +502,23 @@ class AsyncFederatedSimulation:
         self._emit("commit", version=self._version,
                    clients=[int(e["client_id"]) for e in entries])
         if self._active_callbacks is not None:
-            results = [
-                ClientResult(state={}, num_samples=int(e["num_samples"]),
-                             train_loss=float(e["train_loss"]),
-                             init_loss=float(e.get("init_loss", e["train_loss"])),
-                             client_id=int(e["client_id"]),
-                             metadata={"device": e.get("device", "")})
-                for e in entries
-            ]
+            results = [_weightless_result(e, {"device": e.get("device", "")})
+                       for e in entries]
             self._active_callbacks.on_round_end(self, record, results)
 
-    # -- evaluation -------------------------------------------------------- #
-    def evaluate(self) -> Dict[str, float]:
-        """Evaluate the current global model on every per-device test set."""
-        with (self.tracer.span("evaluate", devices=len(self.test_sets))
-              if self.tracer is not None else nullcontext()):
-            model = self.global_model()
-            with dtype_mode(self.config.dtype):
-                metrics = {
-                    device: evaluate_metric(model, dataset, self.config.task)
-                    for device, dataset in self.test_sets.items()
-                }
-        if self._active_callbacks is not None:
-            self._active_callbacks.on_evaluate(self, self._version, metrics)
-        return metrics
-
     # -- checkpoint / resume ------------------------------------------------ #
-    def snapshot(self) -> Dict[str, object]:
-        """Everything a bit-identical resume needs, as a checkpointable tree.
-
-        Pending batches are flushed first, so every in-flight update is a
-        concrete (packed) array; flushing is observationally transparent (see
-        :meth:`_flush_batch`), so taking a snapshot cannot perturb the run.
-        """
-        if self._history is None:
-            raise RuntimeError("snapshot() requires an active or completed run")
+    def _loop_state(self) -> Dict[str, object]:
+        # Pending batches are flushed first, so every in-flight update is a
+        # concrete (packed) array; flushing is observationally transparent
+        # (see _flush_batch), so taking a snapshot cannot perturb the run.
         for batch_id in sorted(self._batches):
             self._flush_batch(batch_id)
         return {
-            "kind": "federated_async",
-            "strategy": self.strategy.name,
-            "seed": self.config.seed,
+            "kind": self._history_cls.kind,
             "clock": float(self._clock),
             "version": int(self._version),
-            "global_state": self.global_state,
-            "strategy_state": self.strategy.state_dict(self.context),
-            "ema": self.context.ema.state_dict(),
-            "history": self._history.to_dict(),
             "queue": self._queue.state_dict(),
-            "jobs": [self._jobs[jid].to_dict() for jid in sorted(self._jobs)],
+            "jobs": [dataclasses.asdict(self._jobs[jid]) for jid in sorted(self._jobs)],
             "results": {
                 int(jid): {
                     "vec": update.vec,
@@ -668,45 +548,17 @@ class AsyncFederatedSimulation:
             "updates_lost": int(self._updates_lost),
         }
 
-    def restore(self, snapshot: Mapping[str, object]) -> None:
-        """Load a :meth:`snapshot` so the next :meth:`run` continues from it."""
-        if snapshot.get("kind") != "federated_async":
-            raise ValueError(
-                "checkpoint was written by a synchronous simulation; it cannot "
-                "restore into an asynchronous run"
-            )
-        if snapshot["strategy"] != self.strategy.name:
-            raise ValueError(
-                f"checkpoint was written by strategy '{snapshot['strategy']}', "
-                f"this simulation runs '{self.strategy.name}'"
-            )
-        if int(snapshot["seed"]) != self.config.seed:
-            raise ValueError(
-                f"checkpoint was written at seed {snapshot['seed']}, "
-                f"this simulation runs seed {self.config.seed}"
-            )
-        self._init_clock_state()
+    def _load_loop_state(self, snapshot: Mapping[str, object]) -> int:
         self._clock = float(snapshot["clock"])
         self._version = int(snapshot["version"])
-        self._global_vec = self._layout.pack(
-            {key: np.asarray(value) for key, value in snapshot["global_state"].items()}
-        )
-        self.strategy.load_state_dict(self.context, snapshot["strategy_state"])
-        self.context.ema.load_state_dict(snapshot["ema"])
         self._queue = EventQueue.from_state_dict(snapshot["queue"])
-        self._jobs = {job["job_id"]: _PendingJob.from_dict(job)
-                      for job in snapshot["jobs"]}
+        # The codec's JSON keeps each field's int/float/bool type.
+        self._jobs = {job["job_id"]: _PendingJob(**job) for job in snapshot["jobs"]}
         self._results = {}
         for jid, data in snapshot["results"].items():
-            result = ClientResult(
-                state={}, num_samples=int(data["num_samples"]),
-                train_loss=float(data["train_loss"]),
-                init_loss=float(data["init_loss"]),
-                client_id=int(data["client_id"]),
-                metadata=dict(data.get("metadata", {})),
-            )
             self._results[int(jid)] = AsyncUpdate(
-                result=result, vec=np.asarray(data["vec"]),
+                result=_weightless_result(data, dict(data.get("metadata", {}))),
+                vec=np.asarray(data["vec"]),
                 delta=np.asarray(data["delta"]),
                 dispatch_version=int(data["dispatch_version"]),
             )
@@ -727,15 +579,9 @@ class AsyncFederatedSimulation:
         self._job_count = int(snapshot["job_count"])
         self._updates_lost = int(snapshot["updates_lost"])
         self._populated = True
-        self._resume = AsyncFLHistory.from_dict(snapshot["history"])
+        return self._version
 
     # -- the virtual-clock loop --------------------------------------------- #
-    def _default_callbacks(self) -> List[Callback]:
-        defaults: List[Callback] = [SwitchTelemetry()]
-        if self.config.eval_every:
-            defaults.append(PeriodicEvaluation(self.config.eval_every))
-        return defaults
-
     def _event_budget(self, target: int) -> int:
         if self.max_events is not None:
             return self.max_events
@@ -749,75 +595,45 @@ class AsyncFederatedSimulation:
         After :meth:`restore`, the run continues from the checkpoint's clock
         and event queue instead of starting at virtual time zero.
         """
-        target = num_commits if num_commits is not None else self.config.num_rounds
-        if target <= 0:
-            raise ValueError("num_commits must be positive")
-        if self._resume is not None:
-            history, self._resume = self._resume, None
-            if self._version > target:
-                raise ValueError(
-                    f"checkpoint is at commit {self._version} but the run has "
-                    f"only {target} commit(s)"
-                )
-        else:
-            history = AsyncFLHistory(strategy=self.strategy.name)
-        callbacks = CallbackList([*self._default_callbacks(), *self.callbacks])
-        if self.tracer is None and (self.config.trace or self.config.profile):
-            self.tracer = Tracer()
-        if self.tracer is not None:
-            self.tracer.set_virtual_clock(lambda: self._clock)
-            if self._version > 0 or self._clock > 0.0:
-                # Earlier commits ran in another process; annotate the gap so
-                # a resumed run's trace is well-formed.
-                self.tracer.instant("resume_gap", version=self._version)
-        self._history = history
-        self._active_callbacks = callbacks
-        self._stop_requested = False
+        return self._run(num_commits)
+
+    def _loop(self, start: int, target: int, callbacks: CallbackList) -> None:
         budget = self._event_budget(target)
         processed = 0
-        try:
-            callbacks.on_run_start(self, history)
-            if not self._populated:
-                self._initialize_population()
-                self._fill_dispatch()
-            elif self._version < target:
-                # Checkpoints are written from commit callbacks, which fire
-                # *before* the post-commit dispatch refill; perform that
-                # pending refill now so the resumed run re-issues exactly the
-                # dispatches the uninterrupted run issued right after the
-                # checkpointed commit (all RNG stream counters were restored,
-                # so the draws are identical).
-                self._fill_dispatch()
-            while self._version < target and not self._stop_requested:
-                if not self._queue:
-                    raise RuntimeError(
-                        f"event queue ran dry at commit {self._version}/{target} "
-                        f"(virtual time {self._clock:.1f}s): no client can "
-                        f"produce further updates under this latency/"
-                        f"availability configuration"
-                    )
-                if processed >= budget:
-                    raise RuntimeError(
-                        f"processed {processed} events without reaching "
-                        f"{target} commits (at {self._version}); availability "
-                        f"may be too low or the buffer too large — raise "
-                        f"max_events to override"
-                    )
-                event = self._queue.pop()
-                self._clock = event.time
-                processed += 1
-                if event.kind == "completion":
-                    self._on_completion(event)
-                else:
-                    self._on_toggle(event)
-            history.per_device_metric = self.evaluate()
-            self._finalize_metadata(history)
-            callbacks.on_run_end(self, history)
-        finally:
-            self._active_callbacks = None
-            if self._owns_executor:
-                self._executor.close()
-        return history
+        if not self._populated:
+            self._initialize_population()
+            self._fill_dispatch()
+        elif self._version < target:
+            # Checkpoints are written from commit callbacks, which fire
+            # *before* the post-commit dispatch refill; perform that
+            # pending refill now so the resumed run re-issues exactly the
+            # dispatches the uninterrupted run issued right after the
+            # checkpointed commit (all RNG stream counters were restored,
+            # so the draws are identical).
+            self._fill_dispatch()
+        while self._version < target and not self._stop_requested:
+            if not self._queue:
+                raise RuntimeError(
+                    f"event queue ran dry at commit {self._version}/{target} "
+                    f"(virtual time {self._clock:.1f}s): no client can "
+                    f"produce further updates under this latency/"
+                    f"availability configuration"
+                )
+            if processed >= budget:
+                raise RuntimeError(
+                    f"processed {processed} events without reaching "
+                    f"{target} commits (at {self._version}); availability "
+                    f"may be too low or the buffer too large — raise "
+                    f"max_events to override"
+                )
+            event = self._queue.pop()
+            self._clock = event.time
+            processed += 1
+            if event.kind == "completion":
+                self._on_completion(event)
+            else:
+                self._on_toggle(event)
+        self._finalize_metadata(self._history)
 
     def _finalize_metadata(self, history: AsyncFLHistory) -> None:
         """Simulated-clock summary, derived from the commit records.

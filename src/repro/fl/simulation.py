@@ -1,28 +1,26 @@
-"""The federated-learning simulation loop (server + round orchestration).
+"""The federated-learning simulations: one scaffold and the synchronous loop.
 
-:class:`FederatedSimulation` reproduces the standard cross-device FL protocol
-of Section 2.1: each round the server samples ``K`` of the ``N`` clients,
-broadcasts the global weights, collects locally-trained results via the active
-strategy, aggregates them, and updates the EMA of the aggregated training loss
-that HeteroSwitch's switching consults.  Per-device evaluation on held-out test
-sets produces the fairness / domain-generalization metrics of Section 6.
+:class:`BaseSimulation` owns what every federated run has around its loop:
+the construction checks, the client executor (closed after each run when the
+simulation created it), the :class:`~repro.fl.strategies.base.FLContext` with
+its EMA loss tracker, the global weights as one
+:class:`~repro.nn.serialization.StateLayout`-packed vector, per-device
+evaluation (the fairness / domain-generalization metrics of Section 6), the
+shared half of checkpoints and ``run()``'s setup and teardown.  A subclass
+adds its loop and the loop's own checkpoint state.
 
-Round bookkeeping (switch counting, periodic evaluation) is implemented with
-the observer API of :mod:`repro.fl.callbacks`; client selection is delegated to
-a pluggable :class:`~repro.fl.sampling.ClientSampler` whose draws depend only
-on ``(seed, round_index)`` so any round can be replayed in isolation.
-
-Every round runs one pipeline.  The per-client local-training step is fanned
-out through a pluggable :class:`~repro.fl.execution.ClientExecutor` (serial,
-thread pool, or shared-memory process pool), whose one protocol yields each
-job's outcome in selection order; the fault layer
-(:func:`~repro.fl.faults.run_tolerant_round`) turns outcomes into the round's
-cohort — failing fast without a fault policy, retrying and degrading to a
-quorum under one — and the strategy folds the cohort's results into the new
-global model through one ``aggregate_stream`` call.  Every backend produces
-bit-identical runs because client randomness derives from ``(seed, round,
-client_id)`` and results are reduced in selection order (see
-:mod:`repro.fl.execution` for the full determinism contract).
+:class:`FederatedSimulation` adds the round loop of Section 2.1: each round
+the server samples ``K`` of the ``N`` clients with a
+:class:`~repro.fl.sampling.ClientSampler` (a pure function of ``(seed,
+round_index)``), broadcasts a copy of the global weights, and folds the
+results into the new global model with one ``aggregate_stream`` call.  The
+clients train through a :class:`~repro.fl.execution.ClientExecutor` (serial,
+thread pool or shared-memory pool) under the fault layer
+(:func:`~repro.fl.faults.run_tolerant_round`), which fails fast without a
+fault policy and retries and degrades to a quorum under one.  Every backend
+gives bit-identical runs: client randomness derives from ``(seed, round,
+client_id)`` and results are folded in selection order.  The event loop on
+the same base is :class:`~repro.fl.async_sim.simulation.AsyncFederatedSimulation`.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ from __future__ import annotations
 import dataclasses
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, ClassVar, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from ..data.dataset import ArrayDataset
 from ..data.partition import ClientSpec
 from ..nn.engine import dtype_mode
 from ..nn.layers import Module
-from ..nn.serialization import get_weights, set_weights
+from ..nn.serialization import StateLayout, get_weights, set_weights
 from ..obs import Tracer, merge_client_spans
 from .callbacks import (Callback, CallbackList, FaultTelemetry,
                         PeriodicEvaluation, SwitchTelemetry)
@@ -51,7 +50,8 @@ from .sampling import ClientSampler, UniformSampler
 from .strategies.base import FLContext, Strategy
 from .training import evaluate_metric
 
-__all__ = ["RoundRecord", "FLHistory", "FederatedSimulation", "history_from_dict"]
+__all__ = ["RoundRecord", "FLHistory", "BaseSimulation", "FederatedSimulation",
+           "history_from_dict"]
 
 StateDict = Dict[str, np.ndarray]
 ModelFactory = Callable[[], Module]
@@ -106,6 +106,12 @@ class FLHistory:
     evaluations: List[Dict[str, float]] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
 
+    #: The record type of ``rounds``, which :meth:`from_dict` rebuilds.
+    record_type: ClassVar[type] = RoundRecord
+    #: The ``kind`` marker of serialized histories and checkpoints (``None``
+    #: for synchronous runs, which carry no ``kind`` key).
+    kind: ClassVar[Optional[str]] = None
+
     @property
     def summary(self) -> Dict[str, float]:
         """Worst-case / variance / average of the final per-device metric."""
@@ -123,20 +129,23 @@ class FLHistory:
         ``metadata`` must hold JSON-serializable values for the run store to
         persist it; the built-in callbacks only write ints/floats/lists.
         """
-        return {
+        data = {
             "strategy": self.strategy,
             "rounds": [record.to_dict() for record in self.rounds],
             "per_device_metric": dict(self.per_device_metric),
             "evaluations": [dict(e) for e in self.evaluations],
             "metadata": dict(self.metadata),
         }
+        if self.kind is not None:
+            data["kind"] = self.kind
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FLHistory":
         """Inverse of :meth:`to_dict` (used by checkpoint restore)."""
         return cls(
             strategy=str(data["strategy"]),
-            rounds=[RoundRecord.from_dict(r) for r in data.get("rounds", [])],
+            rounds=[cls.record_type.from_dict(r) for r in data.get("rounds", [])],
             per_device_metric=dict(data.get("per_device_metric", {})),
             evaluations=[dict(e) for e in data.get("evaluations", [])],
             metadata=dict(data.get("metadata", {})),
@@ -144,23 +153,19 @@ class FLHistory:
 
 
 def history_from_dict(data: Dict[str, object]) -> "FLHistory":
-    """Reconstruct a serialized history, dispatching on its ``kind`` marker.
+    """Rebuild a serialized history as the class its ``kind`` marker names.
 
-    Asynchronous runs serialize their histories with ``kind:
-    "federated_async"`` (their rounds are
-    :class:`~repro.fl.async_sim.simulation.CommitRecord`\\ s); everything else
-    is a plain :class:`FLHistory`.  The run store and runner use this instead
-    of :meth:`FLHistory.from_dict` so resume reconstructs the right class.
+    The run store and runner use this instead of :meth:`FLHistory.from_dict`
+    so that an asynchronous run resumes with its commit records.
     """
-    if data.get("kind") == "federated_async":
-        from .async_sim.simulation import AsyncFLHistory
+    from .async_sim.simulation import AsyncFLHistory
 
-        return AsyncFLHistory.from_dict(data)
-    return FLHistory.from_dict(data)
+    cls = AsyncFLHistory if data.get("kind") == AsyncFLHistory.kind else FLHistory
+    return cls.from_dict(data)
 
 
-class FederatedSimulation:
-    """Orchestrates a full FL run for a given strategy.
+class BaseSimulation:
+    """A federated run around its loop: everything but the loop itself.
 
     Parameters
     ----------
@@ -174,13 +179,11 @@ class FederatedSimulation:
     strategy:
         The FL algorithm under test.
     config:
-        FL hyperparameters.
-    sampler:
-        Per-round client sampler; defaults to uniform-without-replacement
-        derived from ``(config.seed, round_index)``.
+        FL hyperparameters; ``config.num_rounds`` is the default run budget.
     callbacks:
         Extra observers attached to every :meth:`run` (the built-in switch
-        telemetry and ``eval_every`` bookkeeping are always present).
+        telemetry, fault telemetry and ``eval_every`` bookkeeping are always
+        present).
     executor:
         Client-execution backend fanning out the per-client training step: a
         :class:`~repro.fl.execution.ClientExecutor` instance, a registry name
@@ -191,6 +194,13 @@ class FederatedSimulation:
         :meth:`run`; instances passed in are the caller's to close.
     """
 
+    #: The history class a run returns; its ``kind`` marks checkpoints too.
+    _history_cls: ClassVar[type] = FLHistory
+    #: What one unit of the run budget is called in messages.
+    _unit: ClassVar[str] = "round"
+    #: Simulated-time source registered on the tracer (event loops only).
+    _virtual_clock: Optional[Callable[[], float]] = None
+
     def __init__(
         self,
         model_fn: ModelFactory,
@@ -198,7 +208,6 @@ class FederatedSimulation:
         test_sets: Mapping[str, ArrayDataset],
         strategy: Strategy,
         config: FLConfig,
-        sampler: Optional[ClientSampler] = None,
         callbacks: Sequence[Callback] = (),
         executor: Optional[Union[str, ClientExecutor]] = None,
     ) -> None:
@@ -212,18 +221,11 @@ class FederatedSimulation:
                 f"config.num_clients ({config.num_clients}) does not match the "
                 f"provided client population ({len(clients)})"
             )
-        if getattr(strategy, "requires_async", False):
-            raise ValueError(
-                f"strategy '{strategy.name}' is asynchronous-only; run it with "
-                f"AsyncFederatedSimulation (RunSpec kind='federated_async')"
-            )
         self.model_fn = model_fn
         self.clients = list(clients)
         self.test_sets = dict(test_sets)
         self.strategy = strategy
         self.config = config
-        self.sampler = sampler if sampler is not None else UniformSampler()
-        self.sampler.bind(self.clients)
         self.callbacks = list(callbacks)
         if executor is None or isinstance(executor, str):
             self._executor = create_executor(executor or "serial")
@@ -233,7 +235,9 @@ class FederatedSimulation:
             self._owns_executor = False
 
         with dtype_mode(config.dtype):
-            self._global_state: StateDict = get_weights(model_fn())
+            template = get_weights(model_fn())
+        self._layout = StateLayout(template)
+        self._global_vec = self._layout.pack(template)
         self.context = FLContext(
             config=config,
             ema=EMALossTracker(alpha=config.ema_alpha),
@@ -241,6 +245,7 @@ class FederatedSimulation:
         self._history: Optional[FLHistory] = None
         self._active_callbacks: Optional[CallbackList] = None
         self._stop_requested = False
+        # (history, first round or commit) loaded by restore() for run().
         self._resume: Optional[Tuple[FLHistory, int]] = None
         # Run-level trace collector (repro.obs).  Attached externally (the
         # Runner) or auto-created by run() when config.trace/profile is set;
@@ -256,7 +261,8 @@ class FederatedSimulation:
     @property
     def global_state(self) -> StateDict:
         """Copy of the current global model weights."""
-        return {key: value.copy() for key, value in self._global_state.items()}
+        return {key: value.copy()
+                for key, value in self._layout.unpack(self._global_vec).items()}
 
     @property
     def history(self) -> Optional[FLHistory]:
@@ -267,49 +273,77 @@ class FederatedSimulation:
         """A model instance loaded with the current global weights."""
         with dtype_mode(self.config.dtype):
             model = self.model_fn()
-        set_weights(model, self._global_state)
+        set_weights(model, self._layout.unpack(self._global_vec))
         return model
 
     def request_stop(self) -> None:
-        """Ask :meth:`run` to stop gracefully after the current round."""
+        """Ask :meth:`run` to stop gracefully after the current round or commit."""
         self._stop_requested = True
+
+    def _obs_span(self, name: str, **attrs):
+        """A tracer span when tracing is attached, else a no-op context."""
+        if self.tracer is None:
+            return nullcontext()
+        return self.tracer.span(name, **attrs)
+
+    def _eval_index(self) -> int:
+        """The index :meth:`evaluate` reports to ``on_evaluate``."""
+        return self.context.round_index
+
+    def evaluate(self) -> Dict[str, float]:
+        """Evaluate the current global model on every per-device test set."""
+        with self._obs_span("evaluate", devices=len(self.test_sets)):
+            model = self.global_model()
+            # Evaluation forwards under the same dtype as training so
+            # test batches are fed to the model in its own compute dtype.
+            with dtype_mode(self.config.dtype):
+                metrics = {
+                    device: evaluate_metric(model, dataset, self.config.task)
+                    for device, dataset in self.test_sets.items()
+                }
+        if self._active_callbacks is not None:
+            self._active_callbacks.on_evaluate(self, self._eval_index(), metrics)
+        return metrics
 
     # -- checkpoint / resume ------------------------------------------- #
     def snapshot(self) -> Dict[str, object]:
         """Everything a bit-identical resume needs, as a checkpointable tree.
 
-        The tree holds the global weights, the strategy's persistent state
-        (:meth:`~repro.fl.strategies.base.Strategy.state_dict`), the EMA loss
-        tracker and the history so far.  Client sampling and per-client RNG
-        streams are pure functions of ``(seed, round)``, so they need no
-        state: restoring this snapshot into a freshly-built simulation of the
-        same spec and continuing from ``next_round`` reproduces the
-        uninterrupted run exactly (see :mod:`repro.store`).
-
-        Only callable while a run is active (or just finished): the snapshot
-        is anchored to the run's history.
+        The tree holds the strategy name and seed, the global weights, the
+        strategy's persistent state, the EMA loss tracker, the history so far
+        and the loop's own state.  Restored into a freshly-built simulation of
+        the same spec, it continues the run exactly (see :mod:`repro.store`).
+        Only callable while a run is active or just finished: the snapshot is
+        anchored to the run's history.
         """
         if self._history is None:
             raise RuntimeError("snapshot() requires an active or completed run")
-        history = self._history
-        next_round = history.rounds[-1].round_index + 1 if history.rounds else 0
         return {
+            # First, so a loop can settle pending work before the rest is read.
+            **self._loop_state(),
             "strategy": self.strategy.name,
             "seed": self.config.seed,
-            "next_round": next_round,
             "global_state": self.global_state,
             "strategy_state": self.strategy.state_dict(self.context),
             "ema": self.context.ema.state_dict(),
-            "history": history.to_dict(),
+            "history": self._history.to_dict(),
         }
 
     def restore(self, snapshot: Mapping[str, object]) -> None:
         """Load a :meth:`snapshot` so the next :meth:`run` continues from it.
 
-        The snapshot must come from a simulation of the same strategy and
-        seed; anything else would silently break the determinism guarantee,
-        so mismatches raise instead.
+        The snapshot must come from a simulation of the same kind, strategy
+        and seed, and its weights must have this model's keys and shapes;
+        anything else would silently break the determinism guarantee, so
+        mismatches raise before the weights are loaded.
         """
+        kind = snapshot.get("kind")
+        if kind != self._history_cls.kind:
+            raise ValueError(
+                f"checkpoint of kind {kind!r} cannot restore into a simulation "
+                f"of kind {self._history_cls.kind!r}: synchronous and "
+                f"asynchronous runs do not share checkpoints"
+            )
         if snapshot["strategy"] != self.strategy.name:
             raise ValueError(
                 f"checkpoint was written by strategy '{snapshot['strategy']}', "
@@ -320,13 +354,124 @@ class FederatedSimulation:
                 f"checkpoint was written at seed {snapshot['seed']}, "
                 f"this simulation runs seed {self.config.seed}"
             )
-        self._global_state = {key: np.asarray(value).copy()
-                              for key, value in snapshot["global_state"].items()}
+        # pack() refuses a missing or extra key and a reshaped tensor.
+        global_vec = self._layout.pack(snapshot["global_state"])
+        start = self._load_loop_state(snapshot)
+        self._global_vec = global_vec
         self.strategy.load_state_dict(self.context, snapshot["strategy_state"])
         self.context.ema.load_state_dict(snapshot["ema"])
+        self._resume = (self._history_cls.from_dict(snapshot["history"]), start)
+
+    def _loop_state(self) -> Dict[str, object]:
+        """The loop's own entries of the :meth:`snapshot` tree."""
+        raise NotImplementedError
+
+    def _load_loop_state(self, snapshot: Mapping[str, object]) -> int:
+        """Load :meth:`_loop_state`'s entries; return the first step to run."""
+        raise NotImplementedError
+
+    # -- the run ------------------------------------------------------- #
+    def _loop(self, start: int, target: int, callbacks: CallbackList) -> None:
+        """Advance the run from step ``start`` until ``target`` steps are done."""
+        raise NotImplementedError
+
+    def _default_callbacks(self) -> List[Callback]:
+        """The bookkeeping formerly hard-coded in the loop, as callbacks."""
+        defaults: List[Callback] = [SwitchTelemetry()]
+        if self.config.fault_policy is not None:
+            defaults.append(FaultTelemetry())
+        if self.config.eval_every:
+            defaults.append(PeriodicEvaluation(self.config.eval_every))
+        return defaults
+
+    def _run(self, budget: Optional[int]) -> FLHistory:
+        """:meth:`run` for ``budget`` rounds or commits (``config.num_rounds``)."""
+        target = budget if budget is not None else self.config.num_rounds
+        if target <= 0:
+            raise ValueError(f"num_{self._unit}s must be positive")
+        if self._resume is not None:
+            history, start = self._resume
+            if start > target:
+                # Leave the restore in place: the caller can retry run() with
+                # a sufficient budget instead of silently starting over.
+                raise ValueError(
+                    f"checkpoint is at {self._unit} {start} but the run has "
+                    f"only {target} {self._unit}(s)"
+                )
+            self._resume = None
+        else:
+            history, start = self._history_cls(strategy=self.strategy.name), 0
+        callbacks = CallbackList([*self._default_callbacks(), *self.callbacks])
+        if self.tracer is None and (self.config.trace or self.config.profile):
+            self.tracer = Tracer()
+        if self.tracer is not None:
+            if self._virtual_clock is not None:
+                self.tracer.set_virtual_clock(self._virtual_clock)
+            if start > 0:
+                # Steps [0, start) ran in an earlier process; annotate the
+                # gap so a resumed run's trace is well-formed rather than
+                # looking like it silently skipped them.
+                self.tracer.instant("resume_gap", next_round=start)
+        self._history = history
+        self._active_callbacks = callbacks
+        self._stop_requested = False
+        try:
+            with self._obs_span("run", strategy=self.strategy.name,
+                                seed=self.config.seed, rounds=target):
+                callbacks.on_run_start(self, history)
+                self._loop(start, target, callbacks)
+                history.per_device_metric = self.evaluate()
+                callbacks.on_run_end(self, history)
+        finally:
+            self._active_callbacks = None
+            if self._owns_executor:
+                # Release worker pools; the executor lazily re-creates them if
+                # this simulation runs again.
+                self._executor.close()
+        return history
+
+
+class FederatedSimulation(BaseSimulation):
+    """Synchronous rounds on :class:`BaseSimulation`.
+
+    Parameters are :class:`BaseSimulation`'s, plus:
+
+    sampler:
+        Per-round client sampler; defaults to uniform-without-replacement
+        derived from ``(config.seed, round_index)``.
+    """
+
+    def __init__(
+        self,
+        model_fn: ModelFactory,
+        clients: Sequence[ClientSpec],
+        test_sets: Mapping[str, ArrayDataset],
+        strategy: Strategy,
+        config: FLConfig,
+        sampler: Optional[ClientSampler] = None,
+        callbacks: Sequence[Callback] = (),
+        executor: Optional[Union[str, ClientExecutor]] = None,
+    ) -> None:
+        if getattr(strategy, "requires_async", False):
+            raise ValueError(
+                f"strategy '{strategy.name}' is asynchronous-only; run it with "
+                f"AsyncFederatedSimulation (RunSpec kind='federated_async')"
+            )
+        super().__init__(model_fn, clients, test_sets, strategy, config,
+                         callbacks=callbacks, executor=executor)
+        self.sampler = sampler if sampler is not None else UniformSampler()
+        self.sampler.bind(self.clients)
+
+    def _loop_state(self) -> Dict[str, object]:
+        # Client sampling and per-client RNG streams are pure functions of
+        # (seed, round), so the next round index is the loop's whole state.
+        rounds = self._history.rounds
+        return {"next_round": rounds[-1].round_index + 1 if rounds else 0}
+
+    def _load_loop_state(self, snapshot: Mapping[str, object]) -> int:
         next_round = int(snapshot["next_round"])
         self.context.round_index = max(next_round - 1, 0)
-        self._resume = (FLHistory.from_dict(snapshot["history"]), next_round)
+        return next_round
 
     # ------------------------------------------------------------------ #
     def select_clients(self, round_index: int) -> List[ClientSpec]:
@@ -366,8 +511,10 @@ class FederatedSimulation:
             # bitwise-identical to a round that selected only the survivors.
             # The fold runs under the configured compute dtype.
             with dtype_mode(self.config.dtype):
-                self._global_state, results = self.strategy.aggregate_stream(
-                    self._global_state, cohort, results, self.context)
+                new_state, results = self.strategy.aggregate_stream(
+                    self._layout.unpack(self._global_vec), cohort, results,
+                    self.context)
+            self._global_vec = self._layout.pack(new_state)
         with self._obs_span("aggregate", round=round_index, survivors=len(cohort)):
             with dtype_mode(self.config.dtype):
                 self.strategy.on_round_end(self.context, results)
@@ -403,35 +550,14 @@ class FederatedSimulation:
         callbacks.on_round_end(self, record, results)
         return record
 
-    def _obs_span(self, name: str, **attrs):
-        """A tracer span when tracing is attached, else a no-op context."""
-        if self.tracer is None:
-            return nullcontext()
-        return self.tracer.span(name, **attrs)
-
-    def evaluate(self) -> Dict[str, float]:
-        """Evaluate the current global model on every per-device test set."""
-        with self._obs_span("evaluate", devices=len(self.test_sets)):
-            model = self.global_model()
-            # Evaluation forwards under the same dtype as training so
-            # test batches are fed to the model in its own compute dtype.
-            with dtype_mode(self.config.dtype):
-                metrics = {
-                    device: evaluate_metric(model, dataset, self.config.task)
-                    for device, dataset in self.test_sets.items()
-                }
-        if self._active_callbacks is not None:
-            self._active_callbacks.on_evaluate(self, self.context.round_index, metrics)
-        return metrics
-
-    def _default_callbacks(self) -> List[Callback]:
-        """The bookkeeping formerly hard-coded in the loop, as callbacks."""
-        defaults: List[Callback] = [SwitchTelemetry()]
-        if self.config.fault_policy is not None:
-            defaults.append(FaultTelemetry())
-        if self.config.eval_every:
-            defaults.append(PeriodicEvaluation(self.config.eval_every))
-        return defaults
+    def _loop(self, start: int, target: int, callbacks: CallbackList) -> None:
+        for round_index in range(start, target):
+            # Checked before the round (not after) so a stop requested
+            # during on_run_start — e.g. early stopping re-triggered by a
+            # restored history — prevents any further training.
+            if self._stop_requested:
+                break
+            self.run_round(round_index, callbacks=callbacks)
 
     def run(self, num_rounds: Optional[int] = None) -> FLHistory:
         """Run the full simulation and return its history.
@@ -439,49 +565,4 @@ class FederatedSimulation:
         After :meth:`restore`, the run continues from the checkpoint's next
         round with the restored history, instead of starting from round 0.
         """
-        rounds = num_rounds if num_rounds is not None else self.config.num_rounds
-        if rounds <= 0:
-            raise ValueError("num_rounds must be positive")
-        if self._resume is not None:
-            history, start_round = self._resume
-            if start_round > rounds:
-                # Leave the restore in place: the caller can retry run() with
-                # a sufficient round budget instead of silently starting over.
-                raise ValueError(
-                    f"checkpoint is at round {start_round} but the run has "
-                    f"only {rounds} round(s)"
-                )
-            self._resume = None
-        else:
-            history, start_round = FLHistory(strategy=self.strategy.name), 0
-        callbacks = CallbackList([*self._default_callbacks(), *self.callbacks])
-        if self.tracer is None and (self.config.trace or self.config.profile):
-            self.tracer = Tracer()
-        if self.tracer is not None and start_round > 0:
-            # Rounds [0, start_round) ran in an earlier process; annotate the
-            # gap so a resumed run's trace is well-formed rather than looking
-            # like it silently skipped rounds.
-            self.tracer.instant("resume_gap", next_round=start_round)
-        self._history = history
-        self._active_callbacks = callbacks
-        self._stop_requested = False
-        try:
-            with self._obs_span("run", strategy=self.strategy.name,
-                                seed=self.config.seed, rounds=rounds):
-                callbacks.on_run_start(self, history)
-                for round_index in range(start_round, rounds):
-                    # Checked before the round (not after) so a stop requested
-                    # during on_run_start — e.g. early stopping re-triggered by
-                    # a restored history — prevents any further training.
-                    if self._stop_requested:
-                        break
-                    self.run_round(round_index, callbacks=callbacks)
-                history.per_device_metric = self.evaluate()
-                callbacks.on_run_end(self, history)
-        finally:
-            self._active_callbacks = None
-            if self._owns_executor:
-                # Release worker pools; the executor lazily re-creates them if
-                # this simulation runs again.
-                self._executor.close()
-        return history
+        return self._run(num_rounds)

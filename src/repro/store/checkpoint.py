@@ -2,7 +2,7 @@
 
 A checkpoint is one file holding an arbitrary *state tree*: nested dicts and
 lists whose leaves are NumPy arrays or JSON scalars — exactly the shape of
-:meth:`repro.fl.simulation.FederatedSimulation.snapshot`.  Arrays are stored
+:meth:`repro.fl.simulation.BaseSimulation.snapshot`.  Arrays are stored
 as ordinary ``.npy`` members of the archive (dtype, shape and raw bytes
 preserved exactly); everything else lives in an embedded JSON manifest whose
 floats round-trip bit-exactly through Python's ``repr``-based JSON encoder.

@@ -180,6 +180,23 @@ class TestCheckpointResume:
         assert resumed.version == 2
         assert run_digest(resumed, resumed.run()) == expected
 
+    def test_refused_resume_can_be_retried(self, tiny_bundle, tiny_clients,
+                                           tiny_model_fn):
+        full = make_sim(tiny_model_fn, tiny_clients, tiny_bundle)
+        expected = full.run(num_commits=4)
+
+        partial = make_sim(tiny_model_fn, tiny_clients, tiny_bundle)
+        partial.run(num_commits=3)
+        resumed = make_sim(tiny_model_fn, tiny_clients, tiny_bundle)
+        resumed.restore(partial.snapshot())
+        with pytest.raises(ValueError, match="commit 3"):
+            resumed.run(num_commits=2)
+        # The refusal keeps the restore in place, history included.
+        history = resumed.run(num_commits=4)
+        assert ([r.to_dict() for r in history.rounds]
+                == [r.to_dict() for r in expected.rounds])
+        assert history.per_device_metric == expected.per_device_metric
+
     def test_snapshotting_is_observationally_transparent(
             self, tiny_bundle, tiny_clients, tiny_model_fn):
         control = make_sim(tiny_model_fn, tiny_clients, tiny_bundle,

@@ -1,27 +1,103 @@
-"""Tests for the federated simulation loop."""
+"""Tests for the federated simulation loop and the scaffold both loops share."""
 
 import numpy as np
 import pytest
 
+from repro.fl.async_sim import AsyncFederatedSimulation, FedAsync
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, FLHistory
 from repro.fl.strategies import FedAvg, create_strategy
-from repro.nn.serialization import state_dict_to_vector
+from repro.nn.serialization import state_dict_to_vector, states_equal
 
 
+def build_sync(model_fn, clients, test_sets, config):
+    return FederatedSimulation(model_fn, clients, test_sets, FedAvg(), config)
+
+
+def build_async(model_fn, clients, test_sets, config):
+    return AsyncFederatedSimulation(model_fn, clients, test_sets, FedAsync(), config)
+
+
+BUILDERS = {"sync": build_sync, "async": build_async}
+KINDS = list(BUILDERS)
+
+# Each simulation's public attributes and checkpoint tree keys, pinned as
+# literals: the shared base must not take anything away from either class.
+PUBLIC_ATTRIBUTES = {
+    "sync": ["callbacks", "clients", "config", "context", "evaluate", "executor",
+             "global_model", "global_state", "history", "model_fn", "request_stop",
+             "restore", "run", "run_round", "sampler", "select_clients",
+             "snapshot", "strategy", "test_sets", "tracer"],
+    "async": ["callbacks", "clients", "clock", "concurrency", "config", "context",
+              "evaluate", "executor", "global_model", "global_state", "history",
+              "latency_models", "max_events", "model_fn", "model_for",
+              "request_stop", "restore", "run", "snapshot", "strategy",
+              "test_sets", "tracer", "version"],
+}
+SNAPSHOT_KEYS = {
+    "sync": ["ema", "global_state", "history", "next_round", "seed", "strategy",
+             "strategy_state"],
+    "async": ["avail_counts", "batch_count", "batches", "busy", "clock",
+              "dispatch_count", "ema", "global_state", "history", "job_count",
+              "jobs", "kind", "latency_counts", "online", "open_batch", "queue",
+              "results", "seed", "strategy", "strategy_state", "updates_lost",
+              "version"],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
 class TestSimulationConstruction:
-    def test_rejects_empty_clients(self, tiny_bundle, tiny_fl_config, tiny_model_fn):
-        with pytest.raises(ValueError):
-            FederatedSimulation(tiny_model_fn, [], tiny_bundle.test, FedAvg(), tiny_fl_config)
+    def test_rejects_empty_clients(self, kind, tiny_bundle, tiny_fl_config, tiny_model_fn):
+        with pytest.raises(ValueError, match="population"):
+            BUILDERS[kind](tiny_model_fn, [], tiny_bundle.test, tiny_fl_config)
 
-    def test_rejects_empty_test_sets(self, tiny_clients, tiny_fl_config, tiny_model_fn):
-        with pytest.raises(ValueError):
-            FederatedSimulation(tiny_model_fn, tiny_clients, {}, FedAvg(), tiny_fl_config)
+    def test_rejects_empty_test_sets(self, kind, tiny_clients, tiny_fl_config, tiny_model_fn):
+        with pytest.raises(ValueError, match="test_sets"):
+            BUILDERS[kind](tiny_model_fn, tiny_clients, {}, tiny_fl_config)
 
-    def test_rejects_mismatched_client_count(self, tiny_bundle, tiny_clients, tiny_model_fn):
+    def test_rejects_mismatched_client_count(self, kind, tiny_bundle, tiny_clients,
+                                             tiny_model_fn):
         config = FLConfig(num_clients=99, clients_per_round=3, num_rounds=1)
-        with pytest.raises(ValueError):
-            FederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test, FedAvg(), config)
+        with pytest.raises(ValueError, match="num_clients"):
+            BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test, config)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestSharedContract:
+    def test_public_attributes(self, kind, tiny_bundle, tiny_clients, tiny_fl_config,
+                               tiny_model_fn):
+        sim = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test, tiny_fl_config)
+        public = sorted(name for name in dir(sim) if not name.startswith("_"))
+        assert public == PUBLIC_ATTRIBUTES[kind]
+
+    def test_snapshot_keys(self, kind, tiny_bundle, tiny_clients, tiny_fl_config,
+                           tiny_model_fn):
+        sim = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test, tiny_fl_config)
+        sim.run(1)
+        assert sorted(sim.snapshot()) == SNAPSHOT_KEYS[kind]
+
+    @pytest.mark.parametrize("corruption", ["missing_key", "reshaped"])
+    def test_restore_refuses_malformed_weights(self, kind, corruption, tiny_bundle,
+                                               tiny_clients, tiny_fl_config,
+                                               tiny_model_fn):
+        source = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                tiny_fl_config)
+        source.run(1)
+        snapshot = source.snapshot()
+        weights = dict(snapshot["global_state"])
+        key = next(iter(weights))
+        if corruption == "missing_key":
+            del weights[key]
+        else:
+            weights[key] = weights[key][np.newaxis]
+        target = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                tiny_fl_config)
+        before = target.global_state
+        # The refusal names the key and comes from restore() itself, before
+        # any weights are loaded: nothing waits to fail in a later round.
+        with pytest.raises((KeyError, ValueError), match=key):
+            target.restore({**snapshot, "global_state": weights})
+        assert states_equal(target.global_state, before)
 
 
 class TestSimulationRun:
