@@ -51,7 +51,7 @@ from .strategies.base import FLContext, Strategy
 from .training import evaluate_metric
 
 __all__ = ["RoundRecord", "FLHistory", "BaseSimulation", "FederatedSimulation",
-           "history_from_dict"]
+           "history_from_dict", "check_checkpoint_dtype"]
 
 StateDict = Dict[str, np.ndarray]
 ModelFactory = Callable[[], Module]
@@ -162,6 +162,21 @@ def history_from_dict(data: Dict[str, object]) -> "FLHistory":
 
     cls = AsyncFLHistory if data.get("kind") == AsyncFLHistory.kind else FLHistory
     return cls.from_dict(data)
+
+
+def check_checkpoint_dtype(state: Mapping[str, object], dtype: str) -> None:
+    """Refuse checkpoint weights held in another dtype than the run's ``dtype``.
+
+    Checkpoints are dtype-exact (the npz codec preserves array dtypes), and
+    packing would cast silently, changing the run's numerics mid-run.
+    """
+    wrong = sorted({str(np.asarray(value).dtype) for value in state.values()}
+                   - {str(np.dtype(dtype))})
+    if wrong:
+        raise ValueError(
+            f"checkpoint holds {', '.join(wrong)} weights but this run's config "
+            f"dtype is '{dtype}'; cross-dtype resume is refused — restart "
+            f"the run fresh or keep the original dtype")
 
 
 class BaseSimulation:
@@ -333,9 +348,9 @@ class BaseSimulation:
         """Load a :meth:`snapshot` so the next :meth:`run` continues from it.
 
         The snapshot must come from a simulation of the same kind, strategy
-        and seed, and its weights must have this model's keys and shapes;
-        anything else would silently break the determinism guarantee, so
-        mismatches raise before the weights are loaded.
+        and seed, and its weights must have this model's keys, shapes and
+        dtype; anything else would silently break the determinism guarantee,
+        so mismatches raise before the weights are loaded.
         """
         kind = snapshot.get("kind")
         if kind != self._history_cls.kind:
@@ -354,6 +369,7 @@ class BaseSimulation:
                 f"checkpoint was written at seed {snapshot['seed']}, "
                 f"this simulation runs seed {self.config.seed}"
             )
+        check_checkpoint_dtype(snapshot["global_state"], self.config.dtype)
         # pack() refuses a missing or extra key and a reshaped tensor.
         global_vec = self._layout.pack(snapshot["global_state"])
         start = self._load_loop_state(snapshot)

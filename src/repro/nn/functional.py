@@ -6,8 +6,10 @@ the vectorization guidance for NumPy ML-systems code.
 
 The hot-path kernels — :func:`linear`, :func:`batch_norm_train`,
 :func:`batch_norm_eval`, :func:`hardswish` and :func:`cross_entropy` — are
-single autograd nodes whose hand-written backward closures replicate the
-seed's operator-composed graphs expression for expression.  im2col gathers
+single autograd nodes with hand-written backward closures.  Their forwards
+evaluate the seed's operator-composed graphs' expressions; so do the
+backwards, except batch norm's, which is the textbook form (two reductions
+and one fused input gradient) rather than the composed graph's.  im2col gathers
 through one ``np.take`` over a plan cached by ``(C, H, W, kernel, stride,
 padding)`` — the index arrays are a pure function of the geometry, which is
 fixed across the batches of a training run — and col2im scatters with
@@ -19,12 +21,12 @@ an input gradient only for an input that takes one.
 
 The seed compositions live on as a test-only oracle
 (``tests/oracle/seed_engine.py``).  The fused kernels match it bitwise
-wherever both see their operands in the same memory layout.  Where the
-layouts differ they round differently: at Table 4 shapes a 1x1 conv's
-weight-gradient contraction gets a C-contiguous gradient and batch-fastest
-columns from the seed kernels, a channel-major gradient and C-contiguous
-columns from these, and the two agree only to about an ulp (the oracle's
-whole-step test pins the bound).
+wherever both see their operands in the same memory layout, batch norm's
+gradients excepted, which agree with it to a few ulp.  Where the layouts
+differ they round differently: at Table 4 shapes a 1x1 conv's
+weight-gradient contraction gets batch-fastest columns from the seed gather
+and C-contiguous ones from ``np.take``, and the two agree only to about an
+ulp (the oracle's whole-step test pins the bound).
 """
 
 from __future__ import annotations
@@ -319,19 +321,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _linear_fused(x, weight, bias)
 
 
-def _seq_reduce(grad: np.ndarray, param_shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``param_shape`` one axis at a time, ascending.
-
-    This replicates :func:`repro.nn.tensor._unbroadcast`'s loop exactly —
-    sequential single-axis ``sum`` calls, not one multi-axis reduction — so
-    fused batch-norm gradients round identically to the composed graph.
-    """
-    for axis, size in enumerate(param_shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def batch_norm_train(
     x: Tensor,
     weight: Tensor,
@@ -345,45 +334,35 @@ def batch_norm_train(
     The returned statistics carry the ``keepdims`` shape of the reduction and
     feed the caller's running-stat update.
 
-    A single autograd node, bitwise-equal to the composed graph: forward and
-    backward evaluate the exact expressions of the composed
-    ``mean -> center -> var -> inv_std -> scale -> shift`` graph — including
-    the ``sum * (1/count)`` means, the duplicated ``centered`` gradient of
-    ``centered * centered``, and the sequential single-axis reductions of
-    broadcast gradients.
+    A single autograd node.  The forward evaluates the composed
+    ``mean -> center -> var -> inv_std -> scale -> shift`` graph's
+    expressions (``sum * (1/count)`` means included), so its outputs and
+    statistics are bitwise those of the composed graph.  The backward is the
+    textbook form: with ``x̂`` the normalized input, ``grad_bias = Σg``,
+    ``grad_weight = Σg·x̂`` and ``dx = w·inv_std·(g − (grad_bias +
+    x̂·grad_weight)/count)``, built in one buffer.  It reassociates the
+    composed graph's gradient, so it agrees with it to a few ulp.
     """
     count = int(np.prod([x.shape[a] for a in axes]))
     inv_count = 1.0 / count
-    x_data = x.data
-    mean = x_data.sum(axis=axes, keepdims=True) * inv_count
-    centered = x_data + (-mean)
-    sq = centered * centered
-    var = sq.sum(axis=axes, keepdims=True) * inv_count
-    var_eps = var + eps
-    inv_std = var_eps ** -0.5
-    normalized = centered * inv_std
+    mean = x.data.sum(axis=axes, keepdims=True) * inv_count
+    normalized = x.data - mean
+    out_data = normalized * normalized
+    var = out_data.sum(axis=axes, keepdims=True) * inv_count
+    inv_std = (var + eps) ** -0.5
+    normalized *= inv_std
     w_r = weight.data.reshape(param_shape)
-    b_r = bias.data.reshape(param_shape)
-    out_data = normalized * w_r + b_r
-    x_shape = x_data.shape
-    dtype = x_data.dtype
+    np.multiply(normalized, w_r, out=out_data)
+    out_data += bias.data.reshape(param_shape)
 
     def backward(grad: np.ndarray, out: Tensor) -> None:
-        grad_bias = _seq_reduce(grad, param_shape)
-        grad_weight = _seq_reduce(grad * normalized, param_shape)
-        g_norm = grad * w_r
-        g_centered = g_norm * inv_std
-        g_inv = _seq_reduce(g_norm * centered, param_shape)
-        g_var = g_inv * -0.5 * var_eps ** -1.5
-        g_sq = np.broadcast_to(g_var * inv_count, x_shape).astype(dtype)
-        # centered*centered sends its gradient to `centered` twice — two
-        # separate accumulations, replicated here addition by addition.
-        t = g_sq * centered
-        g_centered = g_centered + t
-        g_centered = g_centered + t
-        g_x = g_centered
-        g_mean = -_seq_reduce(g_centered, param_shape)
-        g_x = g_x + np.broadcast_to(g_mean * inv_count, x_shape).astype(dtype)
+        grad_bias = grad.sum(axis=axes, keepdims=True)
+        g_x = grad * normalized
+        grad_weight = g_x.sum(axis=axes, keepdims=True)
+        np.multiply(normalized, grad_weight * -inv_count, out=g_x)
+        g_x -= grad_bias * inv_count
+        g_x += grad
+        g_x *= w_r * inv_std
         out._send(x, g_x)
         out._send(weight, grad_weight.reshape(weight.data.shape))
         out._send(bias, grad_bias.reshape(bias.data.shape))
@@ -403,15 +382,16 @@ def batch_norm_eval(
 ) -> Tensor:
     """Inference-mode batch norm using the running statistics."""
     inv = 1.0 / np.sqrt(var + eps)
-    centered = x.data + (-mean)
-    normalized = centered * inv
+    normalized = (x.data - mean) * inv
     w_r = weight.data.reshape(param_shape)
-    out_data = normalized * w_r + bias.data.reshape(param_shape)
+    out_data = normalized * w_r
+    out_data += bias.data.reshape(param_shape)
 
     def backward(grad: np.ndarray, out: Tensor) -> None:
+        axes = tuple(axis for axis, size in enumerate(param_shape) if size == 1)
         out._send(x, (grad * w_r) * inv)
-        out._send(weight, _seq_reduce(grad * normalized, param_shape).reshape(weight.data.shape))
-        out._send(bias, _seq_reduce(grad, param_shape).reshape(bias.data.shape))
+        out._send(weight, (grad * normalized).sum(axis=axes).reshape(weight.data.shape))
+        out._send(bias, grad.sum(axis=axes).reshape(bias.data.shape))
 
     return Tensor._make(out_data, (x, weight, bias), backward)
 

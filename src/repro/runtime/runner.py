@@ -33,7 +33,8 @@ from ..fl.callbacks import CheckpointCallback
 from ..fl.config import FLConfig
 from ..fl.metrics import summarize_per_device
 from ..fl.async_sim import AsyncFederatedSimulation
-from ..fl.simulation import FederatedSimulation, FLHistory, history_from_dict
+from ..fl.simulation import (FederatedSimulation, FLHistory, check_checkpoint_dtype,
+                             history_from_dict)
 from ..fl.strategies import create_strategy
 from ..data.partition import build_client_specs
 from ..nn.layers import Module
@@ -57,20 +58,14 @@ _SUMMARY_KEYS = ("worst_case", "variance", "average")
 def _check_checkpoint_dtype(snapshot: Dict[str, Any], dtype_name: str) -> None:
     """Refuse to resume a run whose checkpoint was written under another dtype.
 
-    Checkpoints are dtype-exact (the npz codec preserves array dtypes), so a
-    checkpoint written by a float32 run cannot seed a float64 run (or vice
-    versa) without silently changing the numerics mid-run.  Both the sync and
-    async snapshot formats carry the weights under ``"global_state"``.
+    The same check as :meth:`BaseSimulation.restore`, made before the dataset
+    is built.  Both the sync and async snapshot formats carry the weights
+    under ``"global_state"``.
     """
-    expected = np.dtype(dtype_name)
-    state = snapshot.get("global_state") or {}
-    wrong = sorted({str(np.asarray(value).dtype) for value in state.values()}
-                   - {str(expected)})
-    if wrong:
-        raise CheckpointError(
-            f"checkpoint holds {', '.join(wrong)} weights but this run's config "
-            f"dtype is '{dtype_name}'; cross-dtype resume is refused — restart "
-            f"the run fresh or keep the original dtype")
+    try:
+        check_checkpoint_dtype(snapshot.get("global_state") or {}, dtype_name)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Tests for the federated simulation loop and the scaffold both loops share."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,22 @@ class TestSharedContract:
         with pytest.raises((KeyError, ValueError), match=key):
             target.restore({**snapshot, "global_state": weights})
         assert states_equal(target.global_state, before)
+
+    @pytest.mark.parametrize("written,restored", [("float32", "float64"),
+                                                  ("float64", "float32")])
+    def test_restore_refuses_cross_dtype_weights(self, kind, written, restored, tiny_bundle,
+                                                 tiny_clients, tiny_fl_config, tiny_model_fn):
+        source = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                dataclasses.replace(tiny_fl_config, dtype=written))
+        source.run(1)
+        snapshot = source.snapshot()
+        target = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                dataclasses.replace(tiny_fl_config, dtype=restored))
+        before = target.global_state
+        with pytest.raises(ValueError, match=f"holds {written} .*dtype is '{restored}'"):
+            target.restore(snapshot)
+        assert states_equal(target.global_state, before)
+        assert all(value.dtype == np.dtype(restored) for value in target.global_state.values())
 
 
 class TestSimulationRun:

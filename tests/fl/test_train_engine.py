@@ -8,10 +8,13 @@ per-round metrics and run fingerprints are **bitwise-identical** to the
 oracle for every sync strategy, on every execution backend, and across a
 checkpoint/resume round trip.
 
-At the Table 4 shapes (MobileNetV3-small, 24 px, batch 10) one conv weight
-gradient differs by an ulp: the two engines hand the contraction value-equal
-operands in different memory layouts, which round differently.
-:class:`TestTable4Step` pins that bound.
+The MLP fixture has no batch norm.  At the Table 4 shapes (MobileNetV3-small,
+24 px, batch 10) the gradients differ by a few ulp for two documented
+reasons: batch norm's textbook backward reassociates the composed graph's
+gradient, and one 1x1 conv weight gradient gets value-equal operands in
+different memory layouts, which round differently.  :class:`TestTable4Step`
+pins that bound; ``tests/nn/test_functional.py`` pins batch norm's backward
+alone at every Table 4 batch-norm input.
 """
 
 import dataclasses
@@ -251,19 +254,24 @@ class TestFlatAggregationPrimitives:
 class TestTable4Step:
     """One SGD step of the Table 4 model at the default scale's shapes.
 
-    The forward pass and the loss are bitwise equal to the oracle, and so is
-    every gradient but one.  The weight gradient of a 1x1 expand conv is the
-    contraction ``nop,nfp->of`` over value-equal operands laid out
-    differently: the oracle's composed batch norm hands back a C-contiguous
-    gradient and its fancy-index gather leaves the columns batch-fastest,
-    while the fused batch norm hands back a channel-major gradient and
-    ``np.take`` leaves the columns C-contiguous.  BLAS sums the two layouts in
-    a different order, so that gradient — and after the step, that weight —
-    differs by about one ulp.  Measured on x86-64 OpenBLAS: 2.2e-16 on the
-    gradient and 5.6e-17 on the weights; the bound below is 1e-15.
+    The forward pass and the loss are bitwise equal to the oracle.  The
+    gradients differ for two reasons:
+
+    * the weight gradient of a 1x1 expand conv is the contraction
+      ``nop,nfp->of`` over value-equal operands laid out differently: the
+      oracle's fancy-index gather leaves the columns batch-fastest, while
+      ``np.take`` leaves them C-contiguous, and BLAS sums the two layouts in
+      a different order;
+    * batch norm's backward is the textbook form (two reductions and one
+      fused input gradient), a reassociation of the oracle's composed
+      graph, so every gradient upstream of a batch norm differs by a few ulp.
+
+    Measured on x86-64 OpenBLAS: the worst element is 1.08e-15, on the stem
+    conv's weight gradient (magnitude 0.26); the weights after the step
+    differ by at most 2.2e-16.  The bound below is 4e-15.
     """
 
-    ATOL = 1e-15
+    ATOL = 4e-15
 
     @staticmethod
     def _step(engine):

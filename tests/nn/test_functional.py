@@ -9,22 +9,26 @@ from repro.nn.tensor import Tensor
 
 
 def scalar_loss_grad_check(build_loss, tensors, atol=1e-5):
-    """Compare autograd gradients against central differences for each tensor."""
+    """Compare autograd gradients against central differences for each tensor.
+
+    Coordinates are perturbed in place through their multi-index, so a
+    tensor in any memory layout (a transposed view included) is checked.
+    """
     loss = build_loss()
     loss.backward()
     grads = [t.grad.copy() for t in tensors]
     eps = 1e-6
     for t, grad in zip(tensors, grads):
-        flat = t.data.reshape(-1)
         # Check a handful of coordinates to keep the test fast.
         rng = np.random.default_rng(0)
-        for idx in rng.choice(flat.size, size=min(5, flat.size), replace=False):
-            orig = flat[idx]
-            flat[idx] = orig + eps
+        for idx in rng.choice(t.data.size, size=min(5, t.data.size), replace=False):
+            pos = np.unravel_index(idx, t.shape)
+            orig = t.data[pos]
+            t.data[pos] = orig + eps
             f_plus = float(build_loss().data)
-            flat[idx] = orig - eps
+            t.data[pos] = orig - eps
             f_minus = float(build_loss().data)
-            flat[idx] = orig
+            t.data[pos] = orig
             numerical = (f_plus - f_minus) / (2 * eps)
             assert abs(numerical - grad.reshape(-1)[idx]) < atol, (
                 f"grad mismatch at {idx}: {numerical} vs {grad.reshape(-1)[idx]}"
@@ -214,6 +218,17 @@ class TestActivations:
         assert 0.3 < (out > 0).mean() < 0.7
 
 
+def in_layout(a, layout):
+    """``a`` (NCHW) copied into the memory order ``layout``, e.g. ``"nhwc"``."""
+    perm = ["nchw".index(axis) for axis in layout]
+    return np.ascontiguousarray(a.transpose(perm)).transpose(np.argsort(perm))
+
+
+def layout_of(a):
+    """The memory order of a 4-D array, outermost axis first, e.g. ``"nhwc"``."""
+    return "".join("nchw"[axis] for axis in np.argsort([-s for s in a.strides], kind="stable"))
+
+
 def _fused_kernel_case(kernel, rng):
     """``(forward, inputs)`` for one single-node kernel on small random inputs."""
     def leaf(*shape, scale=1.0):
@@ -222,8 +237,12 @@ def _fused_kernel_case(kernel, rng):
     if kernel == "linear":
         x, w, b = leaf(4, 5), leaf(3, 5), leaf(3)
         return lambda: F.linear(x, w, b), [x, w, b]
-    if kernel == "batch_norm_train":
+    if kernel.startswith("batch_norm_train"):
+        # Optionally in a conv output's memory order: NHWC (conv2d) or CNHW
+        # (depthwise_conv2d).
         x, w, b = leaf(3, 2, 4, 4, scale=2.0), leaf(2), leaf(2)
+        if kernel != "batch_norm_train":
+            x.data = in_layout(x.data, kernel.rpartition("_")[2])
         return lambda: F.batch_norm_train(x, w, b, (0, 2, 3), (1, 2, 1, 1), 1e-5)[0], [x, w, b]
     if kernel == "batch_norm_eval":
         x, w, b = leaf(3, 2, 4, 4), leaf(2), leaf(2)
@@ -237,7 +256,8 @@ def _fused_kernel_case(kernel, rng):
 
 
 class TestFusedKernelGradients:
-    @pytest.mark.parametrize("kernel", ["linear", "batch_norm_train", "batch_norm_eval",
+    @pytest.mark.parametrize("kernel", ["linear", "batch_norm_train", "batch_norm_train_nhwc",
+                                        "batch_norm_train_cnhw", "batch_norm_eval",
                                         "hardswish", "pointwise_conv2d"])
     def test_gradient_check(self, kernel):
         """The hand-written backward of each fused kernel against central
@@ -252,6 +272,77 @@ class TestFusedKernelGradients:
             return (forward() * upstream).sum()
 
         scalar_loss_grad_check(build, inputs)
+
+
+# The batch-norm inputs of one Table 4 training step (MobileNetV3-small at
+# the default scale, 24 px, batch 10) in model order, with the memory order
+# the producing conv leaves them in.
+TABLE4_BATCH_NORM_INPUTS = [
+    ((10, 8, 12, 12), "nhwc"), ((10, 16, 12, 12), "nhwc"), ((10, 16, 12, 12), "cnhw"),
+    ((10, 8, 12, 12), "nhwc"), ((10, 24, 12, 12), "nhwc"), ((10, 24, 6, 6), "cnhw"),
+    ((10, 12, 6, 6), "nhwc"), ((10, 36, 6, 6), "nhwc"), ((10, 36, 6, 6), "cnhw"),
+    ((10, 12, 6, 6), "nhwc"), ((10, 48, 6, 6), "nhwc"), ((10, 48, 3, 3), "cnhw"),
+    ((10, 16, 3, 3), "nhwc"), ((10, 32, 3, 3), "nhwc"),
+]
+
+
+class TestBatchNormBackwardAtTable4Shapes:
+    """Batch norm's textbook backward against the oracle's composed graph.
+
+    The forward is bitwise the oracle's.  The gradients reassociate its
+    sums; measured on x86-64 the worst element is 2.9 ulp of the largest
+    gradient magnitude in both dtypes (6.5e-16 and 3.4e-7 relative).  The
+    bound is 8 ulp of it.
+    """
+
+    ULPS = 8
+
+    def test_inputs_are_the_table4_models(self, monkeypatch):
+        from repro.eval.factories import make_model_factory
+        from repro.eval.scale import get_scale
+
+        seen = []
+        kernel = F.batch_norm_train
+
+        def recording(x, *args):
+            seen.append((x.shape, layout_of(x.data)))
+            return kernel(x, *args)
+
+        monkeypatch.setattr(F, "batch_norm_train", recording)
+        rng = np.random.default_rng(0)
+        model = make_model_factory(get_scale("default"), 8, 24)()
+        model(Tensor(rng.uniform(0.0, 1.0, size=(10, 3, 24, 24))))
+        assert seen == TABLE4_BATCH_NORM_INPUTS
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "index", range(len(TABLE4_BATCH_NORM_INPUTS)),
+        ids=[f"bn{i:02d}-{'x'.join(map(str, shape))}-{layout}"
+             for i, (shape, layout) in enumerate(TABLE4_BATCH_NORM_INPUTS)])
+    def test_matches_oracle_within_bound(self, index, dtype):
+        from repro.nn.engine import dtype_mode
+        from repro.nn.layers import Parameter
+
+        shape, layout = TABLE4_BATCH_NORM_INPUTS[index]
+        channels = shape[1]
+        rng = np.random.default_rng(index)
+        x_np = rng.normal(0.5, 2.0, size=shape).astype(dtype)
+        w_np, b_np = rng.normal(size=channels), rng.normal(size=channels)
+        upstream = rng.normal(size=shape).astype(dtype)
+        results = []
+        for kernel in (F.batch_norm_train, seed_engine.batch_norm_train):
+            with dtype_mode(dtype):
+                x = Tensor(in_layout(x_np, layout), requires_grad=True)
+                w, b = Parameter(w_np.copy()), Parameter(b_np.copy())
+                out, _, _ = kernel(x, w, b, (0, 2, 3), (1, channels, 1, 1), 1e-5)
+                out.backward(upstream.copy())
+                results.append((out.data, x.grad, w.grad, b.grad))
+        flat, oracle = results
+        assert flat[0].tobytes() == oracle[0].tobytes()
+        for name, a, b in zip(("x", "weight", "bias"), flat[1:], oracle[1:]):
+            assert a.dtype == np.dtype(dtype), name
+            bound = self.ULPS * np.finfo(dtype).eps * float(np.max(np.abs(b)))
+            np.testing.assert_allclose(a, b, rtol=0, atol=bound, err_msg=name)
 
 
 class TestLosses:
@@ -419,13 +510,16 @@ class TestEngineKernelEquivalence:
         The conv's input is a C-contiguous tensor or a real conv output (NHWC
         memory order for conv2d, CNHW for depthwise), batch-normalized first:
         the input gradient flows back into batch-norm reductions, whose sums
-        round differently when the same values arrive in another layout.  The
-        3x3 source conv's own input takes no gradient: under float32 the flat
-        col2im sums overlapping taps in float64, the reference in float32.
+        round differently when the same values arrive in another layout.  Both
+        sides use the engine's batch norm, whose textbook backward is not the
+        oracle's composed graph: batch norm is only the layout probe here.
+        The 3x3 source conv's own input takes no gradient: under float32 the
+        flat col2im sums overlapping taps in float64, the reference in float32.
         """
         from repro.nn.engine import dtype_mode
         from repro.nn.layers import Parameter
 
+        batch_norm = F.batch_norm_train
         rng = np.random.default_rng(7)
         # Spatial axes of at least 8 so numpy's pairwise summation (not a
         # plain loop) runs when they are the contiguous ones.
@@ -447,7 +541,7 @@ class TestEngineKernelEquivalence:
                     leaves.append(source_w)
                     conv = F.conv2d if source == "conv2d" else F.depthwise_conv2d
                     h = conv(x, source_w, None, padding=1)
-                h, _, _ = F.batch_norm_train(h, gamma, beta, (0, 2, 3), (1, 4, 1, 1), 1e-5)
+                h, _, _ = batch_norm(h, gamma, beta, (0, 2, 3), (1, 4, 1, 1), 1e-5)
                 out = F.conv2d(h, w, b, stride=stride, padding=padding)
                 upstream = np.random.default_rng(8).normal(size=out.shape).astype(dtype)
                 out.backward(upstream)
