@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..data.partition import ClientSpec
 from ..fl.strategies.base import FLContext, StateDict, Strategy
-from ..fl.training import ClientResult, local_train
+from ..fl.training import ClientResult, local_train, measure_init_loss
 from ..nn.layers import Module
 from .swad import SWADAverager
 from .switch import SwitchDecision, decide_switch1, decide_switch2
@@ -46,53 +44,25 @@ class _GeneralizingStrategy(Strategy):
     def _use_swad_weights(self, switch1: bool, train_loss: float, context: FLContext) -> bool:
         raise NotImplementedError
 
-    def client_update(
-        self,
-        model: Module,
-        spec: ClientSpec,
-        global_state: StateDict,
-        context: FLContext,
-    ) -> ClientResult:
+    def client_update(self, model: Module, spec: ClientSpec, global_state: StateDict,
+                      context: FLContext) -> ClientResult:
         config = context.config
         # Private per-client stream: identical regardless of which execution
         # backend (serial / thread / process) runs this update.
         seed = context.client_seed(spec.client_id)
         rng = context.client_rng(spec.client_id)
 
-        # Bias measurement happens inside local_train (init_loss); to decide the
-        # switch *before* training we evaluate it here explicitly, mirroring
-        # Algorithm 1 where L_init is computed first.
-        from ..fl.training import evaluate_loss
-        from ..nn.serialization import set_weights
-
-        set_weights(model, global_state)
-        init_loss = evaluate_loss(model, spec.dataset, config.task,
-                                  batch_size=max(config.batch_size, 32))
+        # Bias measurement (Algorithm 1): L_init is measured before training
+        # because switch 1 decides how the client trains.
+        init_loss = measure_init_loss(model, spec.dataset, config, global_state)
         switch1 = self._use_transform(init_loss, context)
 
-        transform_fn = None
-        if switch1:
-            def transform_fn(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-                del labels
-                return self.transform(features, rng)
-
+        # Switch 1 turns on the random ISP transform and SWAD's per-batch average.
         averager = SWADAverager()
-
-        def batch_hook(hook_model: Module, batch_index: int, epoch_index: int) -> None:
-            averager.on_batch_end(hook_model, batch_index, epoch_index)
-
         result = local_train(
-            model,
-            spec.dataset,
-            config,
-            global_state,
-            transform=transform_fn,
-            batch_hook=batch_hook if switch1 else None,
-            seed=seed,
-            # Already measured above for the switch decision — identical
-            # weights and data, so re-evaluating it would be pure waste.
-            init_loss=init_loss,
-        )
+            model, spec.dataset, config, global_state,
+            transform=(lambda features, labels: self.transform(features, rng)) if switch1 else None,
+            batch_hook=averager.on_batch_end if switch1 else None, seed=seed)
         switch2 = self._use_swad_weights(switch1, result.train_loss, context)
         if switch2 and averager.count > 0:
             result.state = averager.average()
@@ -100,12 +70,8 @@ class _GeneralizingStrategy(Strategy):
         result.init_loss = init_loss
         result.metadata["device"] = spec.device
         result.metadata["switch"] = SwitchDecision(
-            switch1=switch1,
-            switch2=switch2,
-            init_loss=init_loss,
-            train_loss=result.train_loss,
-            ema_loss=context.ema.value,
-        )
+            switch1=switch1, switch2=switch2, init_loss=init_loss,
+            train_loss=result.train_loss, ema_loss=context.ema.value)
         return result
 
 

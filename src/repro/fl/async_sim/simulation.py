@@ -119,10 +119,11 @@ class _PendingJob:
 def _weightless_result(data: Mapping[str, object],
                        metadata: Dict[str, object]) -> ClientResult:
     """A :class:`ClientResult` without weights, from a commit entry or a
-    checkpointed update."""
+    checkpointed update.  ``init_loss`` stays ``None`` where unmeasured."""
+    init_loss = data.get("init_loss")
     return ClientResult(state={}, num_samples=int(data["num_samples"]),
                         train_loss=float(data["train_loss"]),
-                        init_loss=float(data.get("init_loss", data["train_loss"])),
+                        init_loss=None if init_loss is None else float(init_loss),
                         client_id=int(data["client_id"]), metadata=metadata)
 
 
@@ -527,7 +528,7 @@ class AsyncFederatedSimulation(BaseSimulation):
                     "client_id": int(update.result.client_id),
                     "num_samples": int(update.result.num_samples),
                     "train_loss": float(update.result.train_loss),
-                    "init_loss": float(update.result.init_loss),
+                    "init_loss": update.result.init_loss,
                     "metadata": dict(update.result.metadata),
                 }
                 for jid, update in sorted(self._results.items())
@@ -593,7 +594,8 @@ class AsyncFederatedSimulation(BaseSimulation):
         """Run until ``num_commits`` server commits (``config.num_rounds``).
 
         After :meth:`restore`, the run continues from the checkpoint's clock
-        and event queue instead of starting at virtual time zero.
+        and event queue instead of starting at virtual time zero.  Without
+        one, a second call raises ``ValueError``.
         """
         return self._run(num_commits)
 

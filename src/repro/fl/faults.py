@@ -250,7 +250,8 @@ def sanitize_result(result: "ClientResult", layout: StateLayout) -> Optional[str
         # bool mask np.isfinite(value) would — one reduction per tensor.
         if not math.isfinite(value.sum(dtype=np.float64)):
             return f"non-finite values in '{key}'"
-    if not (math.isfinite(result.train_loss) and math.isfinite(result.init_loss)):
+    if not (math.isfinite(result.train_loss)
+            and (result.init_loss is None or math.isfinite(result.init_loss))):
         return (f"non-finite reported losses (train={result.train_loss}, "
                 f"init={result.init_loss})")
     return None

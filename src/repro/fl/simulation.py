@@ -402,6 +402,10 @@ class BaseSimulation:
 
     def _run(self, budget: Optional[int]) -> FLHistory:
         """:meth:`run` for ``budget`` rounds or commits (``config.num_rounds``)."""
+        if self._history is not None and self._resume is None:
+            # Trained weights and a fed EMA are no fresh start.
+            raise ValueError("this simulation has already run; restore() a "
+                             "snapshot to continue it")
         target = budget if budget is not None else self.config.num_rounds
         if target <= 0:
             raise ValueError(f"num_{self._unit}s must be positive")
@@ -580,5 +584,6 @@ class FederatedSimulation(BaseSimulation):
 
         After :meth:`restore`, the run continues from the checkpoint's next
         round with the restored history, instead of starting from round 0.
+        Without one, a second call raises ``ValueError``.
         """
         return self._run(num_rounds)

@@ -19,15 +19,16 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ...data.partition import ClientSpec
+from ...nn.layers import Module
 from ...nn.serialization import StateLayout
-from ..training import ClientResult
+from ..training import ClientResult, measure_init_loss
 from .base import FLContext, StateDict, Strategy, consume_stream
 
 __all__ = ["QFedAvg"]
 
 
 class QFedAvg(Strategy):
-    """q-FedAvg baseline strategy (client training identical to FedAvg)."""
+    """q-FedAvg baseline strategy (FedAvg's client training, plus ``F_k``)."""
 
     name = "qfedavg"
 
@@ -35,6 +36,14 @@ class QFedAvg(Strategy):
         if q < 0:
             raise ValueError(f"q must be non-negative, got {q}")
         self.q = q
+
+    def client_update(self, model: Module, spec: ClientSpec, global_state: StateDict,
+                      context: FLContext) -> ClientResult:
+        """FedAvg's local SGD, reporting ``F_k`` (the client's ``L_init``)."""
+        init_loss = measure_init_loss(model, spec.dataset, context.config, global_state)
+        result = super().client_update(model, spec, global_state, context)
+        result.init_loss = init_loss
+        return result
 
     def aggregate_stream(
         self,

@@ -6,12 +6,14 @@ mini-batch SGD and report the updated weights together with the running
 training loss.  Strategy-specific behaviour (proximal terms, control variates,
 HeteroSwitch's switched transformations and SWAD averaging) hooks into this
 loop through small extension points rather than re-implementing it.
+Only the strategies that read the initial loss ``L_init`` measure it, with
+:func:`measure_init_loss` (HeteroSwitch's switch 1, q-FedAvg's ``F_k``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .config import FLConfig
 from .metrics import accuracy, heart_rate_deviation, mean_average_precision
 
 __all__ = ["ClientResult", "broadcast_weights", "compute_loss", "evaluate_loss",
-           "evaluate_metric", "local_train"]
+           "evaluate_metric", "local_train", "measure_init_loss"]
 
 StateDict = Dict[str, np.ndarray]
 BatchHook = Callable[[Module, int, int], None]
@@ -38,12 +40,13 @@ class ClientResult:
     ``client_id`` identifies the reporting client (stamped by the execution
     backend); aggregation uses it to check that results arrive in selection
     order no matter which order the parallel workers completed in.
+    ``init_loss`` is ``None`` unless the strategy measured ``L_init``.
     """
 
     state: StateDict
     num_samples: int
     train_loss: float
-    init_loss: float
+    init_loss: Optional[float] = None
     client_id: int = -1
     metadata: Dict[str, object] = field(default_factory=dict)
 
@@ -62,9 +65,8 @@ def broadcast_weights(model: Module, global_state: StateDict) -> FlatParams:
     return arena
 
 
-def compute_loss(model: Module, features: np.ndarray, labels: np.ndarray, task: str) -> Tensor:
-    """Forward pass + task-appropriate loss on one batch."""
-    outputs = model(Tensor(features))
+def task_loss(outputs: Tensor, labels: np.ndarray, task: str) -> Tensor:
+    """Task-appropriate loss of a batch's model outputs."""
     if task == "classification":
         return F.cross_entropy(outputs, labels.astype(int))
     if task == "multilabel":
@@ -74,17 +76,29 @@ def compute_loss(model: Module, features: np.ndarray, labels: np.ndarray, task: 
     raise ValueError(f"unknown task '{task}'")
 
 
-def evaluate_loss(model: Module, dataset: ArrayDataset, task: str, batch_size: int = 64) -> float:
-    """Average loss of ``model`` over ``dataset`` without building gradients."""
+def compute_loss(model: Module, features: np.ndarray, labels: np.ndarray, task: str) -> Tensor:
+    """Forward pass + task-appropriate loss on one batch."""
+    return task_loss(model(Tensor(features)), labels, task)
+
+
+def _eval_forward(model: Module, dataset: ArrayDataset,
+                  batch_size: int) -> Iterator[Tuple[Tensor, np.ndarray]]:
+    """Yield each batch's ``(outputs, labels)`` in eval mode under ``no_grad``."""
     model.eval()
-    total, count = 0.0, 0
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     with no_grad():
         for features, labels in loader:
-            loss = compute_loss(model, features, labels, task)
-            total += float(loss.data) * len(features)
-            count += len(features)
+            yield model(Tensor(features)), labels
     model.train()
+
+
+def evaluate_loss(model: Module, dataset: ArrayDataset, task: str, batch_size: int = 64) -> float:
+    """Average loss of ``model`` over ``dataset`` without building gradients."""
+    total, count = 0.0, 0
+    for outputs, labels in _eval_forward(model, dataset, batch_size):
+        loss = task_loss(outputs, labels, task)
+        total += float(loss.data) * len(labels)
+        count += len(labels)
     return total / max(count, 1)
 
 
@@ -96,15 +110,10 @@ def evaluate_metric(model: Module, dataset: ArrayDataset, task: str, batch_size:
     * regression     — ``1 - mean relative deviation`` so that, like accuracy,
       larger values indicate a better model.
     """
-    model.eval()
     outputs_list, labels_list = [], []
-    loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    with no_grad():
-        for features, labels in loader:
-            outputs = model(Tensor(features))
-            outputs_list.append(outputs.data)
-            labels_list.append(labels)
-    model.train()
+    for outputs, labels in _eval_forward(model, dataset, batch_size):
+        outputs_list.append(outputs.data)
+        labels_list.append(labels)
     outputs_all = np.concatenate(outputs_list, axis=0)
     labels_all = np.concatenate(labels_list, axis=0)
     if task == "classification":
@@ -117,6 +126,13 @@ def evaluate_metric(model: Module, dataset: ArrayDataset, task: str, batch_size:
     raise ValueError(f"unknown task '{task}'")
 
 
+def measure_init_loss(model: Module, dataset: ArrayDataset, config: FLConfig,
+                      global_state: StateDict) -> float:
+    """``L_init``: load ``global_state`` and evaluate it on the client's data."""
+    broadcast_weights(model, global_state)
+    return evaluate_loss(model, dataset, config.task, batch_size=max(config.batch_size, 32))
+
+
 def local_train(
     model: Module,
     dataset: ArrayDataset,
@@ -127,7 +143,6 @@ def local_train(
     batch_hook: Optional[BatchHook] = None,
     rng: Optional[np.random.Generator] = None,
     seed: int = 0,
-    init_loss: Optional[float] = None,
 ) -> ClientResult:
     """Run the generic ClientUpdate loop.
 
@@ -156,22 +171,14 @@ def local_train(
         per-batch weight averaging plug in here.
     rng:
         Random generator used by the transform.
-    init_loss:
-        Pre-computed loss of ``global_state`` on the client's data.  Callers
-        that already measured it (HeteroSwitch evaluates it to decide its
-        switches *before* training) pass it in so the identical evaluation is
-        not repeated; left ``None``, it is computed here.
 
     Returns
     -------
     ClientResult
-        Updated weights, sample count, running average train loss over all
-        batches (the paper's ``L_train``), and the pre-training loss on the
-        client's data (``L_init``).
+        Updated weights, sample count and running average train loss over all
+        batches (the paper's ``L_train``); ``init_loss`` is ``None``.
     """
     arena = broadcast_weights(model, global_state)
-    if init_loss is None:
-        init_loss = evaluate_loss(model, dataset, config.task, batch_size=max(config.batch_size, 32))
 
     if optimizer is None:
         optimizer = SGD(model.parameters(), lr=config.learning_rate,
@@ -200,5 +207,4 @@ def local_train(
         state=arena.state_dict(),
         num_samples=len(dataset),
         train_loss=train_loss,
-        init_loss=init_loss,
     )

@@ -70,7 +70,11 @@ def _check_checkpoint_dtype(snapshot: Dict[str, Any], dtype_name: str) -> None:
 
 @dataclass
 class RunResult:
-    """Outcome of executing one :class:`RunSpec` across all its seeds."""
+    """Outcome of executing one :class:`RunSpec` across all its seeds.
+
+    ``models`` is filled for centralized specs only; a federated seed's final
+    weights are its run-store entry's final checkpoint (``Runner(store=...)``).
+    """
 
     spec: RunSpec
     seeds: List[int]
@@ -169,7 +173,9 @@ class Runner:
 
         With ``resume=True`` (requires a store), seeds whose results are
         already in the store are loaded instead of re-run, and partially
-        completed seeds continue from their newest checkpoint.
+        completed seeds continue from their newest checkpoint.  Federated
+        seeds leave :attr:`RunResult.models` empty: building their models
+        would cost a resumed, completed seed its dataset construction.
         """
         spec.validate()
         if resume and self.store is None:

@@ -180,6 +180,47 @@ class TestCheckpointResume:
         assert resumed.version == 2
         assert run_digest(resumed, resumed.run()) == expected
 
+    def test_float_init_loss_checkpoint_resumes(self, tmp_path, tiny_bundle,
+                                                tiny_clients, tiny_model_fn):
+        """Checkpoints written when every client measured L_init hold a float
+        ``init_loss`` per in-flight update; they still resume bit for bit."""
+        full = make_sim(tiny_model_fn, tiny_clients, tiny_bundle,
+                        strategy=FedBuff(buffer_size=2), latency="extreme")
+        expected = run_digest(full, full.run())
+
+        partial = make_sim(tiny_model_fn, tiny_clients, tiny_bundle,
+                           strategy=FedBuff(buffer_size=2), latency="extreme")
+        partial.run(num_commits=2)
+        snapshot = partial.snapshot()
+        assert snapshot["results"], "no update in flight to carry init_loss"
+        for index, data in enumerate(snapshot["results"].values()):
+            data["init_loss"] = 0.5 + index
+        write_checkpoint(tmp_path / "measured.npz", snapshot)
+
+        resumed = make_sim(tiny_model_fn, tiny_clients, tiny_bundle,
+                           strategy=FedBuff(buffer_size=2), latency="extreme")
+        tree, _meta = read_checkpoint(tmp_path / "measured.npz")
+        resumed.restore(tree)
+        assert run_digest(resumed, resumed.run()) == expected
+
+    def test_unmeasured_init_loss_round_trips_as_none(self, tmp_path, tiny_bundle,
+                                                      tiny_clients, tiny_model_fn):
+        sim = make_sim(tiny_model_fn, tiny_clients, tiny_bundle,
+                       strategy=FedBuff(buffer_size=2), latency="extreme")
+        sim.run(num_commits=2)
+        write_checkpoint(tmp_path / "mid.npz", sim.snapshot())
+        tree, _meta = read_checkpoint(tmp_path / "mid.npz")
+        assert tree["results"]
+        assert all(data["init_loss"] is None for data in tree["results"].values())
+
+        resumed = make_sim(tiny_model_fn, tiny_clients, tiny_bundle,
+                           strategy=FedBuff(buffer_size=2), latency="extreme")
+        resumed.restore(tree)
+        resumed.run(num_commits=2)  # already there: no event is processed
+        again = resumed.snapshot()["results"]
+        assert sorted(again) == sorted(tree["results"])
+        assert all(data["init_loss"] is None for data in again.values())
+
     def test_refused_resume_can_be_retried(self, tiny_bundle, tiny_clients,
                                            tiny_model_fn):
         full = make_sim(tiny_model_fn, tiny_clients, tiny_bundle)

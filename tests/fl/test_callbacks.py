@@ -248,10 +248,14 @@ class TestEarlyStopping:
         config = FLConfig(num_clients=6, clients_per_round=3, num_rounds=8,
                           batch_size=4, learning_rate=0.02, seed=0)
         stopper = EarlyStopping(monitor="mean_train_loss", patience=2, min_delta=100.0)
-        sim = FederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
-                                  FedAvg(), config, callbacks=[stopper])
-        first = sim.run()
-        second = sim.run()
+
+        def run():
+            # A simulation runs once; the callback instance is shared.
+            return FederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                       FedAvg(), config, callbacks=[stopper]).run()
+
+        first = run()
+        second = run()
         # Patience is per run: the second run gets a fresh baseline + 2 stale
         # rounds, not a carried-over exhausted counter.
         assert len(first.rounds) == len(second.rounds) == 3

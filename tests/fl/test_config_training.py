@@ -5,9 +5,10 @@ import pytest
 
 from repro.data.dataset import ArrayDataset
 from repro.fl.config import FLConfig
-from repro.fl.training import ClientResult, compute_loss, evaluate_loss, evaluate_metric, local_train
+from repro.fl.training import (ClientResult, compute_loss, evaluate_loss, evaluate_metric,
+                               local_train, measure_init_loss)
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights, state_dict_to_vector
+from repro.nn.serialization import get_weights, state_dict_to_vector, states_equal
 
 
 class TestFLConfig:
@@ -94,11 +95,14 @@ class TestLocalTrain:
     def test_returns_client_result(self, classification_setup):
         model, dataset, config = classification_setup
         global_state = get_weights(model)
+        init_loss = measure_init_loss(model, dataset, config, global_state)
         result = local_train(model, dataset, config, global_state, seed=0)
         assert isinstance(result, ClientResult)
         assert result.num_samples == len(dataset)
         assert result.train_loss > 0
-        assert result.init_loss > 0
+        assert init_loss > 0
+        # L_init is measured by the strategies that read it, not here.
+        assert result.init_loss is None
 
     def test_training_changes_weights(self, classification_setup):
         model, dataset, config = classification_setup
@@ -112,21 +116,27 @@ class TestLocalTrain:
         config = FLConfig(num_clients=4, clients_per_round=2, num_rounds=1,
                           batch_size=5, learning_rate=0.3, local_epochs=10, seed=0)
         global_state = get_weights(model)
-        result = local_train(model, dataset, config, global_state, seed=0)
+        init_loss = measure_init_loss(model, dataset, config, global_state)
+        local_train(model, dataset, config, global_state, seed=0)
         final_loss = evaluate_loss(model, dataset, "classification")
-        assert final_loss < result.init_loss
+        assert final_loss < init_loss
 
     def test_starts_from_global_state(self, classification_setup):
         """local_train must overwrite whatever weights the model currently holds."""
         model, dataset, config = classification_setup
         global_state = get_weights(model)
+        clean = local_train(SimpleMLP(6, 2, hidden=8, seed=0), dataset, config,
+                            global_state, seed=0)
         # Scramble the model weights.
         for p in model.parameters():
             p.data += 10.0
         result = local_train(model, dataset, config, global_state, seed=0)
-        # init_loss is computed on the restored global weights, so it should be
-        # a sane cross-entropy value, not the loss of the scrambled model.
-        assert result.init_loss < 20.0
+        assert states_equal(result.state, clean.state)
+        # The L_init helper loads the global weights too, so it measures a
+        # sane cross-entropy value, not the loss of the scrambled model.
+        for p in model.parameters():
+            p.data += 10.0
+        assert measure_init_loss(model, dataset, config, global_state) < 20.0
 
     def test_transform_hook_called(self, classification_setup):
         model, dataset, config = classification_setup

@@ -428,7 +428,8 @@ class TestDerivedClientStreams:
             assert result.client_id == spec.client_id
             assert states_equal(result.state, expected.state)
             assert result.train_loss == expected.train_loss
-            assert result.init_loss == expected.init_loss
+            # FedAvg does not read L_init, so neither path measures it.
+            assert result.init_loss is None and expected.init_loss is None
 
 
 class TestReadOnlyClientContext:

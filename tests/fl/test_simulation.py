@@ -78,6 +78,29 @@ class TestSharedContract:
         sim.run(1)
         assert sorted(sim.snapshot()) == SNAPSHOT_KEYS[kind]
 
+    def test_second_run_refused(self, kind, tiny_bundle, tiny_clients, tiny_fl_config,
+                                tiny_model_fn):
+        """A finished simulation is not replayed on its own trained weights."""
+        sim = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test, tiny_fl_config)
+        sim.run(1)
+        weights, history = sim.global_state, sim.history.to_dict()
+        with pytest.raises(ValueError, match="already run"):
+            sim.run(1)
+        assert states_equal(sim.global_state, weights)
+        assert sim.history.to_dict() == history
+
+    def test_second_run_after_restore_continues(self, kind, tiny_bundle, tiny_clients,
+                                                tiny_fl_config, tiny_model_fn):
+        full = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test, tiny_fl_config)
+        expected = full.run(2)
+        sim = BUILDERS[kind](tiny_model_fn, tiny_clients, tiny_bundle.test, tiny_fl_config)
+        sim.run(1)
+        sim.restore(sim.snapshot())
+        history = sim.run(2)
+        assert [r.to_dict() for r in history.rounds] == [r.to_dict() for r in expected.rounds]
+        assert history.per_device_metric == expected.per_device_metric
+        assert states_equal(sim.global_state, full.global_state)
+
     @pytest.mark.parametrize("corruption", ["missing_key", "reshaped"])
     def test_restore_refuses_malformed_weights(self, kind, corruption, tiny_bundle,
                                                tiny_clients, tiny_fl_config,

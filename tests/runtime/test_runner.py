@@ -259,6 +259,14 @@ class TestCentralizedKind:
         assert "scenes" in result.metrics[0]
         assert 0.0 <= result.metrics[0]["scenes"] <= 1.0
 
+    def test_federated_run_leaves_models_empty(self, runner):
+        """``models`` is centralized-only: a federated seed's final weights
+        live in the run store's final checkpoint, not in memory."""
+        spec = RunSpec(dataset_kwargs={"devices": DEVICES}, seeds=[0])
+        result = runner.run(spec)
+        assert len(result.histories) == 1
+        assert result.models == []
+
     def test_unknown_averager(self, runner):
         spec = RunSpec(kind="centralized", dataset="scenes",
                        trainer_kwargs={"averager": "ema"}, seeds=[0])
