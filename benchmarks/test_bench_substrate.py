@@ -16,7 +16,7 @@ from repro.devices.profiles import get_device
 from repro.fl.config import FLConfig
 from repro.fl.training import local_train
 from repro.isp.pipeline import BASELINE_CONFIG, ISPPipeline
-from repro.isp.raw import RawImage, bayer_mosaic
+from repro.isp.raw import RawBatch, bayer_mosaic_batch
 from repro.nn import functional as F
 from repro.nn.models import MobileNetV3Small
 from repro.nn.optim import SGD
@@ -30,10 +30,10 @@ def scene():
 
 
 def test_bench_isp_pipeline(benchmark, scene):
-    raw = RawImage(bayer_mosaic(scene))
+    raw = RawBatch(bayer_mosaic_batch(scene[None]))
     pipeline = ISPPipeline(BASELINE_CONFIG)
-    out = benchmark(pipeline.process, raw)
-    assert out.shape == (64, 64, 3)
+    out = benchmark(pipeline.process_batch, raw)
+    assert out.shape == (1, 64, 64, 3)
 
 
 def test_bench_device_capture(benchmark, scene):

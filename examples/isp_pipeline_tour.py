@@ -9,6 +9,8 @@ the RAW into the final image, and the differences between devices are measured.
 It also demonstrates the per-stage ISP configuration of Table 3 by processing
 the same RAW capture with the Baseline / Option 1 / Option 2 pipelines.
 
+Every sensor and ISP call takes a batch; this tour passes batches of one scene.
+
 Run it with:  python examples/isp_pipeline_tour.py
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 from repro.data.scenes import SceneGenerator
 from repro.devices import DEVICE_PROFILES
 from repro.isp import BASELINE_CONFIG, OPTION1_CONFIG, OPTION2_CONFIG, ISPPipeline
-from repro.isp.raw import raw_to_training_array
+from repro.isp.raw import raw_to_training_array_batch
 
 
 def describe(name: str, image: np.ndarray) -> str:
@@ -41,8 +43,8 @@ def main() -> None:
     rng = np.random.default_rng(0)
     captures = {}
     for name, profile in DEVICE_PROFILES.items():
-        raw = profile.sensor.capture_raw(scene, rng)
-        processed = ISPPipeline(profile.isp).process(raw)
+        raw = profile.sensor.capture_raw_batch(scene[None], rng)
+        processed = ISPPipeline(profile.isp).process_batch(raw)[0]
         captures[name] = processed
         print("  " + describe(f"{name} ({profile.tier})", processed))
     print()
@@ -64,11 +66,11 @@ def main() -> None:
     # 2. One device's RAW capture processed by the three Table 3 pipelines.
     # ------------------------------------------------------------------ #
     pixel5 = DEVICE_PROFILES["Pixel5"]
-    raw = pixel5.sensor.capture_raw(scene, np.random.default_rng(1))
+    raw = pixel5.sensor.capture_raw_batch(scene[None], np.random.default_rng(1))
     print("The same Pixel5 RAW capture under the three Table 3 ISP configurations:")
-    print("  " + describe("raw (no ISP)", raw_to_training_array(raw)))
+    print("  " + describe("raw (no ISP)", raw_to_training_array_batch(raw)[0]))
     for config in (BASELINE_CONFIG, OPTION1_CONFIG, OPTION2_CONFIG):
-        processed = ISPPipeline(config).process(raw)
+        processed = ISPPipeline(config).process_batch(raw)[0]
         print("  " + describe(config.name, processed))
     print()
     print("Different ISP configurations render the identical sensor data into visibly"

@@ -6,16 +6,16 @@ and the image is resized into the tensor the model trains on.  Capturing the
 *same* scenes with *different* device profiles yields the per-device datasets
 used throughout Sections 3, 4 and 6.
 
-The whole path is vectorized over the batch dimension: sensor exposure,
-noise, Bayer sampling, all six ISP stages and the final resize are
-``(n, ...)`` kernels, run over fixed chunks of :data:`CAPTURE_CHUNK` scenes
-that share the capture's one noise generator in order.  A capture's
-temporaries are therefore O(chunk) whatever the pool size, and its output is
-bit-identical to the scene-by-scene loop it replaced (kept as a test
-oracle).  :func:`build_device_datasets` runs a fleet's captures on one thread per core, so a build holds O(threads x chunk)
-temporaries.  Captured datasets can additionally be persisted in a
-:class:`~repro.data.capture_cache.CaptureCache`, so repeated sweeps over one
-device fleet rebuild nothing.
+Every step is an ``(n, ...)`` kernel over the batch dimension: sensor
+exposure, noise, Bayer sampling, all six ISP stages and the final resize.
+They run over fixed chunks of :data:`CAPTURE_CHUNK` scenes that share the
+capture's one noise generator in order.  A capture's temporaries are
+therefore O(chunk) whatever the pool size, and its output is bit-identical
+to running the same kernels one scene at a time (the test oracle).
+:func:`build_device_datasets` runs a fleet's captures on one thread per core,
+so a build holds O(threads x chunk) temporaries.  Captured datasets can
+additionally be persisted in a :class:`~repro.data.capture_cache.CaptureCache`,
+so repeated sweeps over one device fleet rebuild nothing.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def capture_with_device(
     The scene -> RAW -> ISP -> tensor path runs as batched kernels over
     chunks of :data:`CAPTURE_CHUNK` scenes.  The chunks draw from one
     generator in scene order, so the result is bit-identical to a per-scene
-    loop over the scalar sensor, ISP and resize functions, sensor noise
-    included.
+    loop of one-scene calls to the same sensor, ISP and resize kernels,
+    sensor noise included.
     """
     scenes, labels = _validate_capture_inputs(scenes, labels)
     rng = np.random.default_rng(config.seed)

@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..isp.raw import RawBatch, RawImage, bayer_mosaic_batch
+from ..isp.raw import RawBatch, bayer_mosaic_batch
 from ..isp.resize import resize_bilinear_batch
 
 __all__ = ["SensorModel"]
@@ -88,8 +88,8 @@ class SensorModel:
         """Deterministically render scenes onto the sensor plane (no noise).
 
         Returns the ``(N, H, W, 3)`` linear sensor irradiance before CFA
-        sampling; every operation is per-pixel, so batching is bitwise
-        identical to exposing scene-by-scene.
+        sampling; every operation is per-pixel, so a scene's irradiance does
+        not depend on the rest of its batch.
         """
         scenes = np.clip(np.asarray(scenes, dtype=np.float64), 0.0, 1.0)
         if scenes.ndim != 4 or scenes.shape[-1] != 3:
@@ -102,21 +102,14 @@ class SensorModel:
             exposed = exposed * self._vignette_mask()[..., None]
         return np.clip(exposed, 0.0, 1.0)
 
-    def expose(self, scene: np.ndarray) -> np.ndarray:
-        """Render one scene onto the sensor plane (batched kernel, N=1)."""
-        scene = np.asarray(scene, dtype=np.float64)
-        if scene.ndim != 3:
-            raise ValueError(f"expected an (H, W, 3) scene, got shape {scene.shape}")
-        return self.expose_batch(scene[None])[0]
-
     def capture_raw_batch(self, scenes: np.ndarray, rng: np.random.Generator) -> RawBatch:
         """Capture ``(N, H, W)`` RAW Bayer mosaics with sensor noise applied.
 
         The noise realization is drawn as one ``(N, 2, H, W, 3)`` standard-
-        normal block, which consumes the generator's bitstream in exactly the
-        order the scalar path does (per scene: shot-noise draw, then read-
-        noise draw) — so batched captures reproduce the scalar captures
-        bit-for-bit from the same seed.
+        normal block, which consumes the generator's bitstream scene by scene
+        (per scene: shot-noise draw, then read-noise draw) — so capturing a
+        pool in consecutive chunks from one generator draws the same noise as
+        capturing it at once.
         """
         irradiance = self.expose_batch(scenes)
         # Shot noise: variance proportional to the signal; read noise: constant.
@@ -129,10 +122,3 @@ class SensorModel:
         noisy = np.clip(noisy, 0.0, 1.0)
         mosaics = bayer_mosaic_batch(noisy, pattern=self.bayer_pattern)
         return RawBatch(mosaics=mosaics, pattern=self.bayer_pattern, black_level=self.black_level)
-
-    def capture_raw(self, scene: np.ndarray, rng: np.random.Generator) -> RawImage:
-        """Capture one RAW Bayer mosaic (batched kernel, N=1; same RNG stream)."""
-        scene = np.asarray(scene, dtype=np.float64)
-        if scene.ndim != 3:
-            raise ValueError(f"expected an (H, W, 3) scene, got shape {scene.shape}")
-        return self.capture_raw_batch(scene[None], rng)[0]

@@ -133,31 +133,20 @@ class SwitchTelemetry(Callback):
     This is the bookkeeping the simulation loop used to hard-code: it reads
     each client result's ``metadata["switch"]`` decision and records how many
     clients applied the ISP transform (switch 1) and SWAD (switch 2).
-
-    Counting runs through a :class:`repro.obs.MetricsRegistry` (labeled
-    ``switches`` counters, one series per switch kind); the history outputs
-    — per-round record fields and run totals — are unchanged.
     """
 
     name = "switch_telemetry"
-
-    def __init__(self) -> None:
-        from ..obs import MetricsRegistry
-
-        self.metrics = MetricsRegistry()
 
     def on_round_end(self, sim, record, results) -> None:
         switch_info = [result.metadata.get("switch") for result in results]
         record.num_switch1 = sum(1 for s in switch_info if s is not None and s.switch1)
         record.num_switch2 = sum(1 for s in switch_info if s is not None and s.switch2)
-        self.metrics.counter("switches", kind="switch1").inc(record.num_switch1)
-        self.metrics.counter("switches", kind="switch2").inc(record.num_switch2)
 
     def on_run_end(self, sim, history) -> None:
-        # Derive totals from the round records rather than the instance
-        # counters: a run resumed from a checkpoint replays only the remaining
-        # rounds through this instance, but its restored history carries every
-        # earlier record — so the totals stay identical to an uninterrupted run.
+        # Derive totals from the round records: a run resumed from a
+        # checkpoint replays only the remaining rounds through this instance,
+        # but its restored history carries every earlier record — so the
+        # totals stay identical to an uninterrupted run.
         history.metadata["total_switch1"] = sum(r.num_switch1 for r in history.rounds)
         history.metadata["total_switch2"] = sum(r.num_switch2 for r in history.rounds)
 

@@ -6,10 +6,10 @@ compression — plus the random ISP transformations HeteroSwitch applies on the
 client (Eq. 2 and Eq. 3).
 """
 
-from .compression import COMPRESSION_METHODS, compress, compress_batch, jpeg_compress
-from .demosaic import DEMOSAIC_METHODS, demosaic, demosaic_batch
-from .denoise import DENOISE_METHODS, denoise, denoise_batch
-from .gamut import GAMUT_METHODS, gamut_map, gamut_map_batch
+from .compression import COMPRESSION_METHODS, compress_batch, jpeg_compress_batch
+from .demosaic import DEMOSAIC_METHODS, demosaic_batch
+from .denoise import DENOISE_METHODS, denoise_batch
+from .gamut import GAMUT_METHODS, gamut_map_batch
 from .pipeline import (
     BASELINE_CONFIG,
     ISP_STAGES,
@@ -19,24 +19,9 @@ from .pipeline import (
     OPTION2_CONFIG,
     stage_variants,
 )
-from .raw import (
-    BAYER_PATTERNS,
-    RawBatch,
-    RawImage,
-    bayer_mosaic,
-    bayer_mosaic_batch,
-    raw_to_training_array,
-    raw_to_training_array_batch,
-)
-from .resize import resize_bilinear, resize_bilinear_batch
-from .tone import (
-    TONE_METHODS,
-    apply_gamma,
-    srgb_gamma,
-    srgb_gamma_inverse,
-    tone_transform,
-    tone_transform_batch,
-)
+from .raw import BAYER_PATTERNS, RawBatch, bayer_mosaic_batch, raw_to_training_array_batch
+from .resize import resize_bilinear_batch
+from .tone import TONE_METHODS, srgb_gamma, srgb_gamma_inverse, tone_transform_batch
 from .transforms import (
     Compose,
     GaussianNoise,
@@ -45,18 +30,15 @@ from .transforms import (
     RandomGaussianFilter1D,
     RandomWhiteBalance,
     Transform,
+    apply_gamma,
     apply_white_balance_gains,
 )
-from .white_balance import WHITE_BALANCE_METHODS, white_balance, white_balance_batch
+from .white_balance import WHITE_BALANCE_METHODS, white_balance_batch
 
 __all__ = [
-    "RawImage",
     "RawBatch",
-    "bayer_mosaic",
     "bayer_mosaic_batch",
-    "raw_to_training_array",
     "raw_to_training_array_batch",
-    "resize_bilinear",
     "resize_bilinear_batch",
     "BAYER_PATTERNS",
     "ISPConfig",
@@ -66,27 +48,21 @@ __all__ = [
     "OPTION2_CONFIG",
     "ISP_STAGES",
     "stage_variants",
-    "demosaic",
     "demosaic_batch",
     "DEMOSAIC_METHODS",
-    "denoise",
     "denoise_batch",
     "DENOISE_METHODS",
-    "white_balance",
     "white_balance_batch",
     "WHITE_BALANCE_METHODS",
-    "gamut_map",
     "gamut_map_batch",
     "GAMUT_METHODS",
-    "tone_transform",
     "tone_transform_batch",
     "TONE_METHODS",
     "srgb_gamma",
     "srgb_gamma_inverse",
     "apply_gamma",
-    "compress",
     "compress_batch",
-    "jpeg_compress",
+    "jpeg_compress_batch",
     "COMPRESSION_METHODS",
     "Transform",
     "Compose",

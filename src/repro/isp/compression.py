@@ -6,22 +6,22 @@ DCT, quality-scaled quantization of the luma/chroma planes, inverse DCT —
 which reproduces the characteristic blocking/ringing distortion without the
 entropy-coding bookkeeping (lossless, so irrelevant to data heterogeneity).
 
-The block transform is independent per 8x8 tile, so the batched ``(N, H, W,
-C)`` kernel tiles the whole batch at once and is bitwise identical to
-compressing image-by-image.
+The block transform is independent per 8x8 tile, so the ``(N, H, W, C)``
+kernels tile the whole batch at once and each image's output does not depend
+on the rest of the batch.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 from scipy.fft import dctn, idctn
 
 __all__ = [
-    "compress",
     "compress_batch",
     "COMPRESSION_METHODS",
-    "COMPRESSION_BATCH_METHODS",
-    "jpeg_compress",
+    "jpeg_compress_batch",
     "compress_none",
     "quality_to_quant_table",
 ]
@@ -99,54 +99,16 @@ def jpeg_compress_batch(images: np.ndarray, quality: int = 85) -> np.ndarray:
     return np.clip(rgb.reshape(images.shape), 0.0, 1.0)
 
 
-def jpeg_compress(image: np.ndarray, quality: int = 85) -> np.ndarray:
-    """Apply JPEG-style lossy compression to one image (batched kernel, N=1)."""
-    return jpeg_compress_batch(np.asarray(image, dtype=np.float64)[None], quality)[0]
-
-
-def compress_none(image: np.ndarray) -> np.ndarray:
+def compress_none(images: np.ndarray) -> np.ndarray:
     """Pass-through used when the compression stage is omitted."""
-    return np.asarray(image, dtype=np.float64)
-
-
-def _jpeg85(image: np.ndarray) -> np.ndarray:
-    return jpeg_compress(image, quality=85)
-
-
-def _jpeg50(image: np.ndarray) -> np.ndarray:
-    return jpeg_compress(image, quality=50)
-
-
-def _jpeg85_batch(images: np.ndarray) -> np.ndarray:
-    return jpeg_compress_batch(images, quality=85)
-
-
-def _jpeg50_batch(images: np.ndarray) -> np.ndarray:
-    return jpeg_compress_batch(images, quality=50)
+    return np.asarray(images, dtype=np.float64)
 
 
 COMPRESSION_METHODS = {
-    "jpeg85": _jpeg85,
+    "jpeg85": partial(jpeg_compress_batch, quality=85),
     "none": compress_none,
-    "jpeg50": _jpeg50,
+    "jpeg50": partial(jpeg_compress_batch, quality=50),
 }
-
-COMPRESSION_BATCH_METHODS = {
-    "jpeg85": _jpeg85_batch,
-    "none": compress_none,
-    "jpeg50": _jpeg50_batch,
-}
-
-
-def compress(image: np.ndarray, method: str = "jpeg85") -> np.ndarray:
-    """Compress with the named method (see :data:`COMPRESSION_METHODS`)."""
-    try:
-        fn = COMPRESSION_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown compression method '{method}'; options: {sorted(COMPRESSION_METHODS)}"
-        ) from exc
-    return fn(image)
 
 
 def compress_batch(images: np.ndarray, method: str = "jpeg85") -> np.ndarray:
@@ -155,9 +117,9 @@ def compress_batch(images: np.ndarray, method: str = "jpeg85") -> np.ndarray:
     if images.ndim != 4:
         raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
     try:
-        fn = COMPRESSION_BATCH_METHODS[method]
+        fn = COMPRESSION_METHODS[method]
     except KeyError as exc:
         raise ValueError(
-            f"unknown compression method '{method}'; options: {sorted(COMPRESSION_BATCH_METHODS)}"
+            f"unknown compression method '{method}'; options: {sorted(COMPRESSION_METHODS)}"
         ) from exc
     return fn(images)

@@ -15,8 +15,8 @@ implement three well-separated reconstruction strategies:
   by a small median-based refinement of the chroma channels, mimicking AHD's
   artifact suppression.
 
-Each method's implementation is a batched kernel over a
-:class:`~repro.isp.raw.RawBatch`; the per-image functions wrap it with N=1.
+Each method is a kernel over a :class:`~repro.isp.raw.RawBatch` of ``(N, H,
+W)`` mosaics that reconstructs every capture independently.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ import numpy as np
 from scipy import ndimage
 
 from .filters import median_filter_3x3
-from .raw import BAYER_PATTERNS, RawBatch, RawImage
+from .raw import BAYER_PATTERNS, RawBatch
 
 __all__ = [
-    "demosaic",
     "demosaic_batch",
     "DEMOSAIC_METHODS",
-    "DEMOSAIC_BATCH_METHODS",
-    "demosaic_bilinear",
-    "demosaic_binning",
-    "demosaic_ahd",
+    "demosaic_bilinear_batch",
+    "demosaic_binning_batch",
+    "demosaic_ahd_batch",
 ]
 
 _INTERP_KERNEL = np.array([[0.25, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.25]])
@@ -121,47 +119,17 @@ def demosaic_ahd_batch(raw: RawBatch) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def demosaic_bilinear(raw: RawImage) -> np.ndarray:
-    """Bilinear demosaicing of one capture (batched kernel, N=1)."""
-    return demosaic_bilinear_batch(raw.as_batch())[0]
-
-
-def demosaic_binning(raw: RawImage) -> np.ndarray:
-    """Pixel-binning demosaicing of one capture (batched kernel, N=1)."""
-    return demosaic_binning_batch(raw.as_batch())[0]
-
-
-def demosaic_ahd(raw: RawImage) -> np.ndarray:
-    """AHD-flavoured demosaicing of one capture (batched kernel, N=1)."""
-    return demosaic_ahd_batch(raw.as_batch())[0]
-
-
 DEMOSAIC_METHODS = {
-    "ppg": demosaic_bilinear,
-    "binning": demosaic_binning,
-    "ahd": demosaic_ahd,
-}
-
-DEMOSAIC_BATCH_METHODS = {
     "ppg": demosaic_bilinear_batch,
     "binning": demosaic_binning_batch,
     "ahd": demosaic_ahd_batch,
 }
 
 
-def demosaic(raw: RawImage, method: str = "ppg") -> np.ndarray:
-    """Demosaic a RAW image with the named method (see :data:`DEMOSAIC_METHODS`)."""
+def demosaic_batch(raw: RawBatch, method: str = "ppg") -> np.ndarray:
+    """Demosaic a RAW batch with the named method (see :data:`DEMOSAIC_METHODS`)."""
     try:
         fn = DEMOSAIC_METHODS[method]
     except KeyError as exc:
         raise ValueError(f"unknown demosaic method '{method}'; options: {sorted(DEMOSAIC_METHODS)}") from exc
-    return fn(raw)
-
-
-def demosaic_batch(raw: RawBatch, method: str = "ppg") -> np.ndarray:
-    """Demosaic a RAW batch with the named method (see :data:`DEMOSAIC_BATCH_METHODS`)."""
-    try:
-        fn = DEMOSAIC_BATCH_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(f"unknown demosaic method '{method}'; options: {sorted(DEMOSAIC_BATCH_METHODS)}") from exc
     return fn(raw)

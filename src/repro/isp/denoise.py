@@ -5,9 +5,8 @@ edge-preserving median + bilateral-flavoured blend).  Option 1 omits the stage
 entirely.  Option 2 is wavelet BayesShrink soft-thresholding implemented with
 an orthogonal Haar transform, following Chipman et al. (1997).
 
-Every method has a batched ``(N, H, W, C)`` kernel (the implementation) and a
-per-image wrapper; the batched path processes each image independently, so
-stacking is bitwise identical to looping.
+Every method is an ``(N, H, W, C)`` kernel that processes each image
+independently, so an image's output does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ import numpy as np
 from .filters import median_filter_3x3
 
 __all__ = [
-    "denoise",
     "denoise_batch",
     "DENOISE_METHODS",
-    "DENOISE_BATCH_METHODS",
-    "denoise_fbdd",
-    "denoise_wavelet_bayes",
-    "denoise_none",
+    "denoise_fbdd_batch",
+    "denoise_wavelet_bayes_batch",
+    "denoise_none_batch",
 ]
 
 
@@ -119,47 +116,17 @@ def denoise_wavelet_bayes_batch(images: np.ndarray, levels: int = 1) -> np.ndarr
     return np.clip(out, 0.0, 1.0)
 
 
-def denoise_none(image: np.ndarray) -> np.ndarray:
-    """Pass-through used when the denoising stage is omitted."""
-    return np.asarray(image, dtype=np.float64)
-
-
-def denoise_fbdd(image: np.ndarray, strength: float = 0.5) -> np.ndarray:
-    """FBDD-style denoising of one image (batched kernel, N=1)."""
-    return denoise_fbdd_batch(np.asarray(image, dtype=np.float64)[None], strength)[0]
-
-
-def denoise_wavelet_bayes(image: np.ndarray, levels: int = 1) -> np.ndarray:
-    """Wavelet BayesShrink denoising of one image (batched kernel, N=1)."""
-    return denoise_wavelet_bayes_batch(np.asarray(image, dtype=np.float64)[None], levels)[0]
-
-
 DENOISE_METHODS = {
-    "fbdd": denoise_fbdd,
-    "none": denoise_none,
-    "wavelet_bayes": denoise_wavelet_bayes,
-}
-
-DENOISE_BATCH_METHODS = {
     "fbdd": denoise_fbdd_batch,
     "none": denoise_none_batch,
     "wavelet_bayes": denoise_wavelet_bayes_batch,
 }
 
 
-def denoise(image: np.ndarray, method: str = "fbdd") -> np.ndarray:
-    """Denoise with the named method (see :data:`DENOISE_METHODS`)."""
+def denoise_batch(images: np.ndarray, method: str = "fbdd") -> np.ndarray:
+    """Denoise an ``(N, H, W, C)`` batch with the named method (see :data:`DENOISE_METHODS`)."""
     try:
         fn = DENOISE_METHODS[method]
     except KeyError as exc:
         raise ValueError(f"unknown denoise method '{method}'; options: {sorted(DENOISE_METHODS)}") from exc
-    return fn(image)
-
-
-def denoise_batch(images: np.ndarray, method: str = "fbdd") -> np.ndarray:
-    """Denoise an ``(N, H, W, C)`` batch with the named method."""
-    try:
-        fn = DENOISE_BATCH_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(f"unknown denoise method '{method}'; options: {sorted(DENOISE_BATCH_METHODS)}") from exc
     return fn(images)

@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "gamut_map",
     "gamut_map_batch",
     "GAMUT_METHODS",
-    "GAMUT_BATCH_METHODS",
     "SRGB_TO_XYZ",
     "XYZ_TO_SRGB",
     "XYZ_TO_PROPHOTO",
@@ -76,23 +74,14 @@ GAMUT_METHODS = {
     "prophoto": gamut_prophoto,
 }
 
-# The gamut transforms are pure per-pixel matrix products, so the per-image
-# functions already are the batched kernels.
-GAMUT_BATCH_METHODS = GAMUT_METHODS
 
-
-def gamut_map(image: np.ndarray, method: str = "srgb") -> np.ndarray:
-    """Gamut-map with the named method (see :data:`GAMUT_METHODS`)."""
+def gamut_map_batch(images: np.ndarray, method: str = "srgb") -> np.ndarray:
+    """Gamut-map an ``(N, H, W, C)`` batch with the named method (see :data:`GAMUT_METHODS`)."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 4:
+        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
     try:
         fn = GAMUT_METHODS[method]
     except KeyError as exc:
         raise ValueError(f"unknown gamut method '{method}'; options: {sorted(GAMUT_METHODS)}") from exc
-    return fn(image)
-
-
-def gamut_map_batch(images: np.ndarray, method: str = "srgb") -> np.ndarray:
-    """Gamut-map an ``(N, H, W, C)`` batch with the named method."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4:
-        raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
-    return gamut_map(images, method)
+    return fn(images)

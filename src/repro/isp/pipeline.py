@@ -2,8 +2,8 @@
 
 An :class:`ISPConfig` names the algorithm used at each of the six stages —
 denoising, demosaicing, white balance, gamut mapping, tone transformation and
-compression — and :class:`ISPPipeline` runs a RAW capture through them in
-order, producing the processed image a device's camera app would hand to the
+compression — and :class:`ISPPipeline` runs a batch of RAW captures through
+them, producing the processed images a device's camera app would hand to the
 training pipeline.
 
 Table 3's Baseline / Option 1 / Option 2 columns are provided as ready-made
@@ -22,7 +22,7 @@ from .compression import COMPRESSION_METHODS, compress_batch
 from .demosaic import DEMOSAIC_METHODS, demosaic_batch
 from .denoise import DENOISE_METHODS, denoise_batch
 from .gamut import GAMUT_METHODS, gamut_map_batch
-from .raw import RawBatch, RawImage
+from .raw import RawBatch
 from .tone import TONE_METHODS, tone_transform_batch
 from .white_balance import WHITE_BALANCE_METHODS, white_balance_batch
 
@@ -36,7 +36,9 @@ __all__ = [
     "stage_variants",
 ]
 
-# Order of the ISP stages as they execute (Fig. 1 of the paper).
+# The ISP stages in Table 3's row order; stage_variants and the Fig. 3 rows
+# follow it.  Execution order differs: ISPPipeline.process_batch demosaics
+# before it denoises, because the denoisers work in the RGB domain.
 ISP_STAGES = (
     "denoise",
     "demosaic",
@@ -145,7 +147,7 @@ def stage_variants(base: ISPConfig = BASELINE_CONFIG) -> List[ISPConfig]:
 
 
 class ISPPipeline:
-    """Run a RAW capture through the six ISP stages of an :class:`ISPConfig`."""
+    """Run RAW captures through the six ISP stages of an :class:`ISPConfig`."""
 
     def __init__(self, config: ISPConfig = BASELINE_CONFIG) -> None:
         self.config = config
@@ -166,13 +168,6 @@ class ISPPipeline:
         images = tone_transform_batch(images, self.config.tone)
         images = compress_batch(images, self.config.compression)
         return np.clip(images, 0.0, 1.0)
-
-    def process(self, raw: RawImage) -> np.ndarray:
-        """Process one RAW mosaic into an HxWx3 image (batched kernel, N=1)."""
-        return self.process_batch(raw.as_batch())[0]
-
-    def __call__(self, raw: RawImage) -> np.ndarray:
-        return self.process(raw)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ISPPipeline({self.config.as_dict()})"

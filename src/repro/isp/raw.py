@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RawImage",
     "RawBatch",
-    "bayer_mosaic",
     "bayer_mosaic_batch",
     "BAYER_PATTERNS",
-    "raw_to_training_array",
     "raw_to_training_array_batch",
 ]
 
@@ -33,57 +30,23 @@ BAYER_PATTERNS = {
 
 
 @dataclass
-class RawImage:
-    """A single-channel Bayer mosaic plus the metadata needed to process it.
+class RawBatch:
+    """A stack of RAW Bayer mosaics plus the metadata needed to process them.
 
     Attributes
     ----------
-    mosaic:
-        2-D float array in [0, 1]; each pixel holds the response of one colour
-        site according to ``pattern``.
+    mosaics:
+        ``(N, H, W)`` float array in [0, 1]; each pixel holds the response of
+        one colour site according to ``pattern``.
     pattern:
         Bayer pattern name (key of :data:`BAYER_PATTERNS`).
     black_level:
         Sensor black level already subtracted from the data (kept for record).
     device:
-        Name of the device profile that produced the capture, if any.
-    """
+        Name of the device profile that produced the captures, if any.
 
-    mosaic: np.ndarray
-    pattern: str = "RGGB"
-    black_level: float = 0.0
-    device: str | None = None
-
-    def __post_init__(self) -> None:
-        self.mosaic = np.asarray(self.mosaic, dtype=np.float64)
-        if self.mosaic.ndim != 2:
-            raise ValueError(f"RAW mosaic must be 2-D, got shape {self.mosaic.shape}")
-        if self.mosaic.shape[0] % 2 or self.mosaic.shape[1] % 2:
-            raise ValueError("RAW mosaic dimensions must be even (full Bayer tiles)")
-        if self.pattern not in BAYER_PATTERNS:
-            raise ValueError(f"unknown Bayer pattern '{self.pattern}'")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.mosaic.shape
-
-    def channel_mask(self, channel: str) -> np.ndarray:
-        """Boolean mask of pixels belonging to ``channel`` ('R', 'G', or 'B')."""
-        return _channel_mask(self.mosaic.shape, self.pattern, channel)
-
-    def as_batch(self) -> "RawBatch":
-        """View this capture as a single-image :class:`RawBatch`."""
-        return RawBatch(mosaics=self.mosaic[None], pattern=self.pattern,
-                        black_level=self.black_level, device=self.device)
-
-
-@dataclass
-class RawBatch:
-    """A stack of RAW Bayer mosaics sharing one pattern and black level.
-
-    The batched ISP kernels consume this instead of :class:`RawImage`:
-    ``mosaics`` is ``(N, H, W)`` and all per-capture metadata is shared, which
-    matches how captures are produced (one device, one scene pool).
+    The metadata is shared by the whole stack, which matches how captures are
+    produced (one device, one scene pool).
     """
 
     mosaics: np.ndarray
@@ -111,10 +74,6 @@ class RawBatch:
         """Boolean ``(H, W)`` mask of pixels belonging to ``channel``."""
         return _channel_mask(self.mosaics.shape[1:], self.pattern, channel)
 
-    def __getitem__(self, index: int) -> RawImage:
-        return RawImage(mosaic=self.mosaics[index], pattern=self.pattern,
-                        black_level=self.black_level, device=self.device)
-
 
 def _channel_mask(shape: tuple[int, int], pattern: str, channel: str) -> np.ndarray:
     h, w = shape
@@ -128,7 +87,11 @@ def _channel_mask(shape: tuple[int, int], pattern: str, channel: str) -> np.ndar
 
 
 def bayer_mosaic_batch(rgb: np.ndarray, pattern: str = "RGGB") -> np.ndarray:
-    """Sample an ``(N, H, W, 3)`` linear-RGB batch onto ``(N, H, W)`` mosaics."""
+    """Sample an ``(N, H, W, 3)`` linear-RGB batch onto ``(N, H, W)`` mosaics.
+
+    Each output pixel keeps only the colour channel its CFA site is sensitive
+    to, exactly like a single-chip sensor behind a colour filter array.
+    """
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.ndim != 4 or rgb.shape[3] != 3:
         raise ValueError(f"expected an (N, H, W, 3) batch, got {rgb.shape}")
@@ -143,18 +106,6 @@ def bayer_mosaic_batch(rgb: np.ndarray, pattern: str = "RGGB") -> np.ndarray:
     for key, (dy, dx) in sites.items():
         mosaics[:, dy::2, dx::2] = rgb[:, dy::2, dx::2, channel_index[key]]
     return mosaics
-
-
-def bayer_mosaic(rgb: np.ndarray, pattern: str = "RGGB") -> np.ndarray:
-    """Sample an HxWx3 linear-RGB image onto a Bayer mosaic.
-
-    Each output pixel keeps only the colour channel its CFA site is sensitive
-    to, exactly like a single-chip sensor behind a colour filter array.
-    """
-    rgb = np.asarray(rgb, dtype=np.float64)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ValueError(f"expected HxWx3 image, got {rgb.shape}")
-    return bayer_mosaic_batch(rgb[None], pattern=pattern)[0]
 
 
 def raw_to_training_array_batch(raw: RawBatch) -> np.ndarray:
@@ -176,8 +127,3 @@ def raw_to_training_array_batch(raw: RawBatch) -> np.ndarray:
     green = 0.5 * (plane("G1") + plane("G2"))
     blue = plane("B")
     return np.stack([red, green, blue], axis=-1)
-
-
-def raw_to_training_array(raw: RawImage) -> np.ndarray:
-    """Convert one RAW mosaic to a 3-channel training array (batched kernel, N=1)."""
-    return raw_to_training_array_batch(raw.as_batch())[0]

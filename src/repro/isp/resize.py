@@ -2,10 +2,10 @@
 
 Both the sensor (scene -> sensor plane) and the capture layer (processed
 image -> training tensor) need the same dependency-light deterministic
-resize.  The batched kernel operates on ``(N, H, W, C)`` arrays with pure
-elementwise gather/lerp arithmetic, so resizing a stacked batch is bitwise
-identical to resizing each image alone — the property the batched capture
-path's equivalence guarantee rests on.
+resize.  The kernel operates on ``(N, H, W, C)`` arrays with pure elementwise
+gather/lerp arithmetic, so resizing a stacked batch is bitwise identical to
+resizing each image alone — the property that lets a capture run in chunks
+without changing a value.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["resize_bilinear", "resize_bilinear_batch"]
+__all__ = ["resize_bilinear_batch"]
 
 
 def resize_bilinear_batch(images: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
@@ -38,11 +38,3 @@ def resize_bilinear_batch(images: np.ndarray, size: Tuple[int, int]) -> np.ndarr
     # array — half the gather/fma traffic of the naive four-corner blend.
     rows = images[:, row_lo] * (1 - row_frac) + images[:, row_hi] * row_frac
     return rows[:, :, col_lo] * (1 - col_frac) + rows[:, :, col_hi] * col_frac
-
-
-def resize_bilinear(image: np.ndarray, size: Tuple[int, int]) -> np.ndarray:
-    """Resize one ``(H, W, C)`` image (thin wrapper over the batched kernel)."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ValueError(f"expected an (H, W, C) image, got shape {image.shape}")
-    return resize_bilinear_batch(image[None], size)[0]

@@ -6,10 +6,10 @@ Option 2 applies the sRGB gamma followed by histogram (tone) equalization.
 Section 3.4 identifies tone transformation as the second most influential ISP
 stage (49.2% degradation when omitted).
 
-The gamma curves are elementwise, so they batch trivially; equalization
-estimates a per-image luminance CDF, which the batched kernel computes with a
-vectorized histogram + linear-interpolation lookup that reproduces
-``np.histogram``/``np.interp`` exactly per image.
+The gamma curves are elementwise, so they apply to a batch as they are;
+equalization estimates a per-image luminance CDF, which its ``(N, H, W, C)``
+kernel computes with a vectorized histogram + linear-interpolation lookup that
+reproduces ``np.histogram``/``np.interp`` exactly per image.
 """
 
 from __future__ import annotations
@@ -17,15 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "tone_transform",
     "tone_transform_batch",
     "TONE_METHODS",
-    "TONE_BATCH_METHODS",
     "srgb_gamma",
     "srgb_gamma_inverse",
-    "tone_equalize",
+    "tone_equalize_batch",
     "tone_none",
-    "apply_gamma",
 ]
 
 
@@ -43,14 +40,6 @@ def srgb_gamma_inverse(image: np.ndarray) -> np.ndarray:
     low = image / 12.92
     high = np.power((image + 0.055) / 1.055, 2.4)
     return np.where(image <= 0.04045, low, high)
-
-
-def apply_gamma(image: np.ndarray, gamma: float) -> np.ndarray:
-    """Raise the image to the power ``gamma`` (Eq. 3's random-gamma primitive)."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    image = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
-    return np.power(image, gamma)
 
 
 def _rowwise_histogram(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -100,8 +89,8 @@ def tone_equalize_batch(images: np.ndarray, bins: int = 64) -> np.ndarray:
     hist = _rowwise_histogram(flat_lum, edges)
     cdf = np.cumsum(hist, axis=1).astype(np.float64)
     totals = cdf[:, -1:]
-    # A zero total can only happen for an empty image; guard like the scalar
-    # path did (return the encoded image unchanged for such rows).
+    # A zero total can only happen for an empty image; such rows return the
+    # encoded image unchanged.
     safe_totals = np.maximum(totals, 1.0)
     cdf = cdf / safe_totals
     equalized_lum = _rowwise_interp(flat_lum, edges[:-1], cdf).reshape(luminance.shape)
@@ -109,11 +98,6 @@ def tone_equalize_batch(images: np.ndarray, bins: int = 64) -> np.ndarray:
     ratio = equalized_lum / np.maximum(luminance, 1e-6)
     ratio = np.where((totals <= 0).reshape(-1, 1, 1), 1.0, ratio)
     return np.clip(encoded * ratio[..., None], 0.0, 1.0)
-
-
-def tone_equalize(image: np.ndarray, bins: int = 64) -> np.ndarray:
-    """sRGB gamma + luminance equalization of one image (batched kernel, N=1)."""
-    return tone_equalize_batch(np.asarray(image, dtype=np.float64)[None], bins)[0]
 
 
 def tone_none(image: np.ndarray) -> np.ndarray:
@@ -124,34 +108,17 @@ def tone_none(image: np.ndarray) -> np.ndarray:
 TONE_METHODS = {
     "srgb_gamma": srgb_gamma,
     "none": tone_none,
-    "srgb_gamma_equalize": tone_equalize,
-}
-
-# The gamma curves are elementwise and equalization dispatches on batch rank,
-# so only equalize needs a distinct batched entry.
-TONE_BATCH_METHODS = {
-    "srgb_gamma": srgb_gamma,
-    "none": tone_none,
     "srgb_gamma_equalize": tone_equalize_batch,
 }
 
 
-def tone_transform(image: np.ndarray, method: str = "srgb_gamma") -> np.ndarray:
-    """Tone-transform with the named method (see :data:`TONE_METHODS`)."""
-    try:
-        fn = TONE_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(f"unknown tone method '{method}'; options: {sorted(TONE_METHODS)}") from exc
-    return fn(image)
-
-
 def tone_transform_batch(images: np.ndarray, method: str = "srgb_gamma") -> np.ndarray:
-    """Tone-transform an ``(N, H, W, C)`` batch with the named method."""
+    """Tone-transform an ``(N, H, W, C)`` batch with the named method (see :data:`TONE_METHODS`)."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4:
         raise ValueError(f"expected an (N, H, W, C) batch, got shape {images.shape}")
     try:
-        fn = TONE_BATCH_METHODS[method]
+        fn = TONE_METHODS[method]
     except KeyError as exc:
-        raise ValueError(f"unknown tone method '{method}'; options: {sorted(TONE_BATCH_METHODS)}") from exc
+        raise ValueError(f"unknown tone method '{method}'; options: {sorted(TONE_METHODS)}") from exc
     return fn(images)

@@ -5,9 +5,9 @@ influential ISP stages (56.0% accuracy degradation when omitted).  Baseline is
 the gray-world assumption, Option 1 omits the stage, Option 2 is white-patch
 (a.k.a. max-RGB) balancing.
 
-Gains are estimated per image, so the batched ``(N, H, W, C)`` kernels reduce
-over each image's pixels independently — stacking is bitwise identical to
-looping image-by-image.
+Gains are estimated per image: the ``(N, H, W, C)`` kernels reduce over each
+image's pixels independently, so an image's output does not depend on the
+rest of its batch.
 """
 
 from __future__ import annotations
@@ -15,22 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "white_balance",
     "white_balance_batch",
     "WHITE_BALANCE_METHODS",
-    "WHITE_BALANCE_BATCH_METHODS",
-    "gray_world",
-    "white_patch",
-    "white_balance_none",
-    "apply_gains",
+    "gray_world_batch",
+    "white_patch_batch",
+    "white_balance_none_batch",
 ]
-
-
-def apply_gains(image: np.ndarray, gains: np.ndarray | tuple[float, float, float]) -> np.ndarray:
-    """Apply per-channel multiplicative gains (the diagonal model of Eq. 2)."""
-    image = np.asarray(image, dtype=np.float64)
-    gains_arr = np.asarray(gains, dtype=np.float64).reshape(1, 1, 3)
-    return np.clip(image * gains_arr, 0.0, 1.0)
 
 
 def _as_batch(images: np.ndarray) -> np.ndarray:
@@ -62,51 +52,19 @@ def white_balance_none_batch(images: np.ndarray) -> np.ndarray:
     return _as_batch(images)
 
 
-def gray_world(image: np.ndarray) -> np.ndarray:
-    """Gray-world white balance of one image (batched kernel, N=1)."""
-    return gray_world_batch(np.asarray(image, dtype=np.float64)[None])[0]
-
-
-def white_patch(image: np.ndarray, percentile: float = 99.0) -> np.ndarray:
-    """White-patch balance of one image (batched kernel, N=1)."""
-    return white_patch_batch(np.asarray(image, dtype=np.float64)[None], percentile)[0]
-
-
-def white_balance_none(image: np.ndarray) -> np.ndarray:
-    """Pass-through used when the white-balance stage is omitted."""
-    return np.asarray(image, dtype=np.float64)
-
-
 WHITE_BALANCE_METHODS = {
-    "gray_world": gray_world,
-    "none": white_balance_none,
-    "white_patch": white_patch,
-}
-
-WHITE_BALANCE_BATCH_METHODS = {
     "gray_world": gray_world_batch,
     "none": white_balance_none_batch,
     "white_patch": white_patch_batch,
 }
 
 
-def white_balance(image: np.ndarray, method: str = "gray_world") -> np.ndarray:
-    """White-balance with the named method (see :data:`WHITE_BALANCE_METHODS`)."""
+def white_balance_batch(images: np.ndarray, method: str = "gray_world") -> np.ndarray:
+    """White-balance an ``(N, H, W, C)`` batch (methods: :data:`WHITE_BALANCE_METHODS`)."""
     try:
         fn = WHITE_BALANCE_METHODS[method]
     except KeyError as exc:
         raise ValueError(
             f"unknown white balance method '{method}'; options: {sorted(WHITE_BALANCE_METHODS)}"
-        ) from exc
-    return fn(image)
-
-
-def white_balance_batch(images: np.ndarray, method: str = "gray_world") -> np.ndarray:
-    """White-balance an ``(N, H, W, C)`` batch with the named method."""
-    try:
-        fn = WHITE_BALANCE_BATCH_METHODS[method]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown white balance method '{method}'; options: {sorted(WHITE_BALANCE_BATCH_METHODS)}"
         ) from exc
     return fn(images)

@@ -7,7 +7,7 @@ results or fingerprints):
   wall clock and — in async runs — the simulated virtual clock, in a
   bounded ring buffer.
 - :class:`MetricsRegistry` (``obs.metrics``): labeled counter/gauge/
-  histogram series backing `SwitchTelemetry`/`AsyncTelemetry`.
+  histogram series backing `FaultTelemetry`/`AsyncTelemetry`.
 - :data:`PROFILER` (``obs.profiling``): per-kernel timers wrapped around
   the engine kernels only while ``FLConfig.profile`` is on; off, the
   kernels are the undecorated functions.

@@ -98,6 +98,13 @@ def _device_capture(
     ``--capture-cache``); it never changes the data, only the build cost.
     """
     device_names = list(devices) if devices else list(DEVICE_NAMES)
+    if shares == "market":
+        share_map = {name: value for name, value in market_shares().items()
+                     if name in device_names}
+    elif shares == "uniform":
+        share_map = {name: 1.0 for name in device_names}
+    else:
+        raise ValueError(f"shares must be 'market' or 'uniform', got '{shares}'")
     bundle = build_device_datasets(
         samples_per_class_train=scale.samples_per_class_train,
         samples_per_class_test=scale.samples_per_class_test,
@@ -109,13 +116,6 @@ def _device_capture(
         seed=seed,
         cache=capture_cache,
     )
-    if shares == "market":
-        share_map = {name: value for name, value in market_shares().items()
-                     if name in device_names}
-    elif shares == "uniform":
-        share_map = {name: 1.0 for name in device_names}
-    else:
-        raise ValueError(f"shares must be 'market' or 'uniform', got '{shares}'")
     return DataBundle(
         train=bundle.train,
         test=bundle.test,

@@ -1,23 +1,24 @@
-"""Golden scalar-vs-batched equivalence for every ISP stage (Table 3).
+"""Batch-independence of every ISP stage kernel (Table 3).
 
-The batched capture engine's hard guarantee: for every method of all six ISP
-stages — and for the composed pipeline, the RAW path and the resize — the
-batched ``(N, ...)`` kernel output is *bitwise* equal to running the per-image
-scalar function on each batch member.  A second family of tests pins the
-kernels to the legacy per-image formulations they replaced (``ndimage``'s
+The chunked capture engine's hard guarantee: for every method of all six ISP
+stages — and for the composed pipeline, the RAW path and the resize — an
+``(N, ...)`` kernel's output for a batch is *bitwise* equal to running the
+same kernel on each batch member alone (N=1).  A second family of tests pins
+the kernels to the legacy per-image formulations they replaced (``ndimage``'s
 rank filter, ``np.histogram``/``np.interp``) so silent numeric drift in a
-reimplementation cannot hide behind the shared-kernel equivalence.
+reimplementation cannot hide behind the kernel-vs-itself equivalence; the
+capture goldens in ``tests/data/test_capture.py`` pin whole captures.
 """
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from repro.isp.compression import COMPRESSION_METHODS, compress, compress_batch
-from repro.isp.demosaic import DEMOSAIC_METHODS, demosaic, demosaic_batch
-from repro.isp.denoise import DENOISE_METHODS, denoise, denoise_batch
+from repro.isp.compression import COMPRESSION_METHODS, compress_batch
+from repro.isp.demosaic import DEMOSAIC_METHODS, demosaic_batch
+from repro.isp.denoise import DENOISE_METHODS, denoise_batch
 from repro.isp.filters import median_filter_3x3
-from repro.isp.gamut import GAMUT_METHODS, gamut_map, gamut_map_batch
+from repro.isp.gamut import GAMUT_METHODS, gamut_map_batch
 from repro.isp.pipeline import (
     BASELINE_CONFIG,
     OPTION1_CONFIG,
@@ -25,17 +26,10 @@ from repro.isp.pipeline import (
     ISPPipeline,
     stage_variants,
 )
-from repro.isp.raw import (
-    BAYER_PATTERNS,
-    RawBatch,
-    bayer_mosaic,
-    bayer_mosaic_batch,
-    raw_to_training_array,
-    raw_to_training_array_batch,
-)
-from repro.isp.resize import resize_bilinear, resize_bilinear_batch
-from repro.isp.tone import TONE_METHODS, tone_transform, tone_transform_batch
-from repro.isp.white_balance import WHITE_BALANCE_METHODS, white_balance, white_balance_batch
+from repro.isp.raw import BAYER_PATTERNS, RawBatch, bayer_mosaic_batch, raw_to_training_array_batch
+from repro.isp.resize import resize_bilinear_batch
+from repro.isp.tone import TONE_METHODS, tone_transform_batch
+from repro.isp.white_balance import WHITE_BALANCE_METHODS, white_balance_batch
 
 
 def make_batch(n=5, h=16, w=16, seed=0):
@@ -46,50 +40,60 @@ def make_raw_batch(n=5, h=16, w=16, seed=0, pattern="RGGB"):
     return RawBatch(bayer_mosaic_batch(make_batch(n, h, w, seed), pattern), pattern=pattern)
 
 
+def captures(raw):
+    """Each capture of a RAW batch as a batch of its own."""
+    return [RawBatch(mosaic[None], pattern=raw.pattern) for mosaic in raw.mosaics]
+
+
+def alone(kernel, *args):
+    """``kernel`` applied to one item as a batch of one (N=1)."""
+    return lambda item: kernel(item[None], *args)[0]
+
+
 def assert_batch_equals_scalar(batch_out, scalar_fn, items):
-    """Exact (bitwise) equality of the batched kernel vs the per-item loop."""
+    """Exact (bitwise) equality of the batch output vs the per-item loop."""
     for index, item in enumerate(items):
         np.testing.assert_array_equal(batch_out[index], scalar_fn(item))
 
 
 class TestStageEquivalence:
-    """Every method of every Table 3 stage: batched == scalar, bit for bit."""
+    """Every method of every Table 3 stage: batched == one at a time, bit for bit."""
 
     @pytest.mark.parametrize("method", sorted(DEMOSAIC_METHODS))
     def test_demosaic(self, method):
         raw = make_raw_batch(seed=1)
         out = demosaic_batch(raw, method)
-        assert_batch_equals_scalar(out, lambda r: demosaic(r, method), list(raw))
+        assert_batch_equals_scalar(out, lambda r: demosaic_batch(r, method)[0], captures(raw))
 
     @pytest.mark.parametrize("method", sorted(DENOISE_METHODS))
     def test_denoise(self, method):
         batch = make_batch(seed=2)
         out = denoise_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: denoise(im, method), batch)
+        assert_batch_equals_scalar(out, alone(denoise_batch, method), batch)
 
     @pytest.mark.parametrize("method", sorted(WHITE_BALANCE_METHODS))
     def test_white_balance(self, method):
         batch = make_batch(seed=3)
         out = white_balance_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: white_balance(im, method), batch)
+        assert_batch_equals_scalar(out, alone(white_balance_batch, method), batch)
 
     @pytest.mark.parametrize("method", sorted(GAMUT_METHODS))
     def test_gamut(self, method):
         batch = make_batch(seed=4)
         out = gamut_map_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: gamut_map(im, method), batch)
+        assert_batch_equals_scalar(out, alone(gamut_map_batch, method), batch)
 
     @pytest.mark.parametrize("method", sorted(TONE_METHODS))
     def test_tone(self, method):
         batch = make_batch(seed=5)
         out = tone_transform_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: tone_transform(im, method), batch)
+        assert_batch_equals_scalar(out, alone(tone_transform_batch, method), batch)
 
     @pytest.mark.parametrize("method", sorted(COMPRESSION_METHODS))
     def test_compression(self, method):
         batch = make_batch(n=4, h=20, w=12, seed=6)  # non-multiple-of-8 planes
         out = compress_batch(batch, method)
-        assert_batch_equals_scalar(out, lambda im: compress(im, method), batch)
+        assert_batch_equals_scalar(out, alone(compress_batch, method), batch)
 
 
 class TestPipelineEquivalence:
@@ -99,7 +103,7 @@ class TestPipelineEquivalence:
         raw = make_raw_batch(seed=7)
         pipeline = ISPPipeline(config)
         out = pipeline.process_batch(raw)
-        assert_batch_equals_scalar(out, pipeline.process, list(raw))
+        assert_batch_equals_scalar(out, lambda r: pipeline.process_batch(r)[0], captures(raw))
 
     @pytest.mark.parametrize("config", stage_variants(), ids=lambda c: c.name)
     def test_all_stage_variants(self, config):
@@ -107,26 +111,27 @@ class TestPipelineEquivalence:
         raw = make_raw_batch(seed=8)
         pipeline = ISPPipeline(config)
         out = pipeline.process_batch(raw)
-        assert_batch_equals_scalar(out, pipeline.process, list(raw))
+        assert_batch_equals_scalar(out, lambda r: pipeline.process_batch(r)[0], captures(raw))
 
     @pytest.mark.parametrize("pattern", sorted(BAYER_PATTERNS))
     def test_raw_training_path(self, pattern):
         raw = make_raw_batch(seed=9, pattern=pattern)
         out = raw_to_training_array_batch(raw)
-        assert_batch_equals_scalar(out, raw_to_training_array, list(raw))
+        assert_batch_equals_scalar(out, lambda r: raw_to_training_array_batch(r)[0],
+                                   captures(raw))
 
     @pytest.mark.parametrize("pattern", sorted(BAYER_PATTERNS))
     def test_bayer_mosaic(self, pattern):
         batch = make_batch(seed=10)
         out = bayer_mosaic_batch(batch, pattern)
-        assert_batch_equals_scalar(out, lambda im: bayer_mosaic(im, pattern), batch)
+        assert_batch_equals_scalar(out, alone(bayer_mosaic_batch, pattern), batch)
 
     @pytest.mark.parametrize("size", [(8, 8), (16, 16), (33, 17), (48, 48)])
     def test_resize(self, size):
         batch = make_batch(n=4, h=24, w=20, seed=11)
         out = resize_bilinear_batch(batch, size)
         assert out.shape == (4, size[0], size[1], 3)
-        assert_batch_equals_scalar(out, lambda im: resize_bilinear(im, size), batch)
+        assert_batch_equals_scalar(out, alone(resize_bilinear_batch, size), batch)
 
     def test_resize_same_size_returns_copy(self):
         batch = make_batch(n=2, h=8, w=8)
@@ -206,7 +211,7 @@ class TestLegacyFormulations:
 
     def test_equalize_matches_legacy_np_interp_formulation(self):
         """The full equalize kernel against the seed's np.histogram/np.interp code."""
-        from repro.isp.tone import srgb_gamma, tone_equalize
+        from repro.isp.tone import srgb_gamma, tone_equalize_batch
 
         rng = np.random.default_rng(16)
         image = rng.random((16, 16, 3)) * 0.4
@@ -220,7 +225,7 @@ class TestLegacyFormulations:
         ratio = equalized_lum / np.maximum(luminance, 1e-6)
         legacy = np.clip(encoded * ratio[..., None], 0.0, 1.0)
 
-        np.testing.assert_array_equal(tone_equalize(image), legacy)
+        np.testing.assert_array_equal(tone_equalize_batch(image[None])[0], legacy)
 
 
 class TestBatchValidation:
@@ -231,13 +236,6 @@ class TestBatchValidation:
     def test_raw_batch_rejects_odd_dims(self):
         with pytest.raises(ValueError):
             RawBatch(np.zeros((2, 5, 4)))
-
-    def test_raw_batch_round_trip_to_images(self):
-        raw = make_raw_batch(n=3)
-        assert len(raw) == 3
-        single = raw[1]
-        np.testing.assert_array_equal(single.mosaic, raw.mosaics[1])
-        np.testing.assert_array_equal(single.as_batch().mosaics[0], raw.mosaics[1])
 
     @pytest.mark.parametrize("dispatch", [denoise_batch, white_balance_batch, gamut_map_batch,
                                           tone_transform_batch, compress_batch])
@@ -254,9 +252,3 @@ class TestBatchValidation:
     def test_unknown_demosaic_method_raises(self):
         with pytest.raises(ValueError):
             demosaic_batch(make_raw_batch(n=2), "no_such_method")
-
-    def test_channel_masks_consistent_with_raw_image(self):
-        raw = make_raw_batch(n=2, pattern="GBRG")
-        for channel in "RGB":
-            np.testing.assert_array_equal(raw.channel_mask(channel),
-                                          raw[0].channel_mask(channel))

@@ -12,12 +12,13 @@ from repro.isp.pipeline import (
     OPTION2_CONFIG,
     stage_variants,
 )
-from repro.isp.raw import RawImage, bayer_mosaic
+from repro.isp.raw import RawBatch, bayer_mosaic_batch
 
 
 def make_raw(seed=0, size=16):
-    rgb = np.random.default_rng(seed).random((size, size, 3))
-    return RawImage(bayer_mosaic(rgb))
+    """A one-capture RAW batch of a random scene."""
+    rgb = np.random.default_rng(seed).random((1, size, size, 3))
+    return RawBatch(bayer_mosaic_batch(rgb))
 
 
 class TestISPConfig:
@@ -61,31 +62,26 @@ class TestISPConfig:
 
 class TestISPPipeline:
     def test_output_shape_and_range(self):
-        out = ISPPipeline(BASELINE_CONFIG).process(make_raw())
+        out = ISPPipeline(BASELINE_CONFIG).process_batch(make_raw())[0]
         assert out.shape == (16, 16, 3)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     @pytest.mark.parametrize("config", [BASELINE_CONFIG, OPTION1_CONFIG, OPTION2_CONFIG])
     def test_all_reference_configs_run(self, config):
-        out = ISPPipeline(config).process(make_raw(seed=1))
+        out = ISPPipeline(config).process_batch(make_raw(seed=1))[0]
         assert np.isfinite(out).all()
 
     def test_different_configs_produce_different_images(self):
         raw = make_raw(seed=2)
-        base = ISPPipeline(BASELINE_CONFIG).process(raw)
-        alt = ISPPipeline(OPTION2_CONFIG).process(raw)
+        base = ISPPipeline(BASELINE_CONFIG).process_batch(raw)[0]
+        alt = ISPPipeline(OPTION2_CONFIG).process_batch(raw)[0]
         assert np.abs(base - alt).mean() > 0.01
 
     def test_deterministic(self):
         raw = make_raw(seed=3)
-        a = ISPPipeline(BASELINE_CONFIG).process(raw)
-        b = ISPPipeline(BASELINE_CONFIG).process(raw)
+        a = ISPPipeline(BASELINE_CONFIG).process_batch(raw)[0]
+        b = ISPPipeline(BASELINE_CONFIG).process_batch(raw)[0]
         np.testing.assert_allclose(a, b)
-
-    def test_callable_interface(self):
-        pipeline = ISPPipeline()
-        raw = make_raw()
-        np.testing.assert_allclose(pipeline(raw), pipeline.process(raw))
 
 
 class TestStageVariants:
@@ -110,5 +106,5 @@ class TestStageVariants:
     def test_variants_runnable(self):
         raw = make_raw(seed=4)
         for variant in stage_variants(BASELINE_CONFIG):
-            out = ISPPipeline(variant).process(raw)
+            out = ISPPipeline(variant).process_batch(raw)[0]
             assert out.shape == (16, 16, 3)

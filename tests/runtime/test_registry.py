@@ -88,3 +88,17 @@ class TestComponentRegistryContents:
     def test_callbacks_registered(self):
         assert {"eval_every", "early_stopping", "switch_telemetry",
                 "round_logger"} <= set(CALLBACK_REGISTRY)
+
+
+class TestDeviceCaptureShares:
+    def test_bad_shares_refused_before_any_capture(self, monkeypatch):
+        """A typo'd ``shares`` fails fast instead of after capturing the fleet."""
+        from repro.eval.scale import get_scale
+
+        calls = []
+        monkeypatch.setattr("repro.runtime.registries.build_device_datasets",
+                            lambda **kwargs: calls.append(kwargs))
+        with pytest.raises(ValueError, match="shares must be 'market' or 'uniform'"):
+            DATASET_REGISTRY.create("device_capture", scale=get_scale("smoke"), seed=0,
+                                    shares="Market")
+        assert calls == []
