@@ -7,6 +7,11 @@ are returned to the server instead of the final SGD iterate.  Conventional SWA
 (Izmailov et al., 2018) averages once per *epoch*; Fig. 7 compares the two and
 finds the denser averaging more robust, which is why HeteroSwitch uses SWAD.
 
+Both plug into :func:`~repro.fl.training.local_train`'s per-batch hook
+(``batch_hook=averager.on_batch_end``): SWAD folds every batch in, SWA only
+the last batch of each epoch.  That hook is the only averaging path, for
+HeteroSwitch's clients and for the Fig. 7 centralized runs alike.
+
 The running average is one flat vector; the seed per-key dict loop it
 replaced is kept as a test oracle (``tests/oracle/seed_engine.py``) and the
 two are pinned bitwise equal.

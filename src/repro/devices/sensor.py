@@ -121,4 +121,4 @@ class SensorModel:
             noisy = np.clip(noisy + self.black_level, 0.0, 1.0 + self.black_level) - self.black_level
         noisy = np.clip(noisy, 0.0, 1.0)
         mosaics = bayer_mosaic_batch(noisy, pattern=self.bayer_pattern)
-        return RawBatch(mosaics=mosaics, pattern=self.bayer_pattern, black_level=self.black_level)
+        return RawBatch(mosaics=mosaics, pattern=self.bayer_pattern)

@@ -1,6 +1,6 @@
 """Experiment harness: one runner per table/figure of the paper, plus reporting."""
 
-from .centralized import evaluate_on_devices, evaluate_under_transform, train_centralized
+from .centralized import evaluate_on_devices, evaluate_under_transform
 from .experiments import (
     EXPERIMENTS,
     ecg_heart_rate,
@@ -32,7 +32,6 @@ __all__ = [
     "SCALES",
     "get_scale",
     "make_model_factory",
-    "train_centralized",
     "evaluate_on_devices",
     "evaluate_under_transform",
     "results_to_markdown",

@@ -1,74 +1,26 @@
-"""Centralized (non-federated) training helpers for the characterization study.
+"""Evaluation helpers for centralized (non-federated) runs.
 
 Sections 3.2-3.4 of the paper train a model on one device type's data and test
-it on every other device type; the training itself is ordinary centralized SGD.
-These helpers provide that loop, plus robustness evaluation under test-time
-transformations for the Fig. 7 SWA/SWAD comparison.
+it on every other device type; Fig. 7 tests SWA/SWAD-trained models under
+test-time transformations.  The training itself is a centralized
+:class:`~repro.runtime.RunSpec` that :class:`~repro.runtime.Runner` runs with
+:func:`~repro.fl.training.local_train`; these helpers score the trained
+models.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
-from ..data.dataset import ArrayDataset, DataLoader
+from ..core.transforms import NCHWTransform
+from ..data.dataset import ArrayDataset
+from ..fl.training import evaluate_metric
 from ..isp.transforms import Transform
 from ..nn.layers import Module
-from ..nn.optim import SGD
-from ..nn.serialization import set_weights
-from ..core.swad import WeightAverager
-from ..core.transforms import NCHWTransform
-from ..fl.training import compute_loss, evaluate_metric
 
-__all__ = ["train_centralized", "evaluate_on_devices", "evaluate_under_transform"]
-
-
-def train_centralized(
-    model: Module,
-    dataset: ArrayDataset,
-    epochs: int,
-    batch_size: int = 10,
-    learning_rate: float = 0.1,
-    task: str = "classification",
-    transform: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None,
-    weight_averager: Optional[WeightAverager] = None,
-    average_per_epoch: bool = False,
-    seed: int = 0,
-) -> Module:
-    """Train a model with plain SGD on one dataset.
-
-    Parameters
-    ----------
-    transform:
-        Optional per-batch feature transform (NCHW layout), used to train the
-        "with random transformation" variants of Fig. 7.
-    weight_averager:
-        Optional running weight average; updated per batch (SWAD) or per epoch
-        (SWA) depending on ``average_per_epoch``.  When given, the averaged
-        weights are loaded back into the model at the end of training.
-    """
-    if epochs <= 0:
-        raise ValueError("epochs must be positive")
-    optimizer = SGD(model.parameters(), lr=learning_rate)
-    rng = np.random.default_rng(seed)
-    loader = DataLoader(dataset, batch_size=batch_size, shuffle=True, seed=seed)
-    model.train()
-    for epoch in range(epochs):
-        for features, labels in loader:
-            if transform is not None:
-                features = transform(features, rng)
-            loss = compute_loss(model, features, labels, task)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            if weight_averager is not None and not average_per_epoch:
-                weight_averager.update_from_model(model)
-        if weight_averager is not None and average_per_epoch:
-            weight_averager.update_from_model(model)
-    if weight_averager is not None and weight_averager.count > 0:
-        set_weights(model, weight_averager.average())
-    return model
+__all__ = ["evaluate_on_devices", "evaluate_under_transform"]
 
 
 def evaluate_on_devices(

@@ -6,20 +6,25 @@
 * :func:`fig3_isp_stage_ablation`  — Fig. 3: per-ISP-stage degradation.
 * :func:`fig4_fairness`            — Fig. 4: degradation vs the dominant devices.
 * :func:`fig5_domain_generalization` — Fig. 5: leave-one-device-out DG.
+
+Every run is a :class:`~repro.runtime.RunSpec` on the ``device_capture``
+dataset that :class:`~repro.runtime.Runner` executes: federated FedAvg runs
+for Figs. 1, 4 and 5, and centralized runs for Table 2 and Figs. 2-3, which
+train on one device (``partition_kwargs.exclude`` names the others) or on the
+pooled baseline-ISP images (``dataset_kwargs.isp_override``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..data.capture import DeviceDatasetBundle, build_device_datasets
 from ..devices.profiles import DEVICE_NAMES, DOMINANT_DEVICES
 from ..fl.metrics import mean_value, model_quality_degradation
 from ..isp.pipeline import BASELINE_CONFIG, stage_variants
-from .centralized import evaluate_on_devices, train_centralized
-from .factories import make_model_factory
+from .centralized import evaluate_on_devices
 from .results import ExperimentResult
 from .scale import ExperimentScale, get_scale
 
@@ -33,34 +38,12 @@ __all__ = [
 ]
 
 
-def _build_bundle(scale: ExperimentScale, devices: Optional[Sequence[str]] = None,
-                  raw: bool = False, isp_override=None, seed: int = 0) -> DeviceDatasetBundle:
-    return build_device_datasets(
-        samples_per_class_train=scale.samples_per_class_train,
-        samples_per_class_test=scale.samples_per_class_test,
-        num_classes=scale.num_classes,
-        image_size=scale.image_size,
-        scene_size=scale.scene_size,
-        devices=devices,
-        raw=raw,
-        isp_override=isp_override,
-        seed=seed,
-    )
+def _centralized_spec(name: str, scale: ExperimentScale, seed: int, **spec_fields):
+    """A centralized run on the device-capture dataset (the Section 3.2 protocol)."""
+    from ..runtime import RunSpec, spec_scale  # late: runtime imports repro.eval
 
-
-def _train_on_device(bundle: DeviceDatasetBundle, device: str, scale: ExperimentScale,
-                     seed: int = 0):
-    """Centralized training on one device's data (the Section 3.2 protocol)."""
-    factory = make_model_factory(scale, bundle.num_classes, bundle.image_size, seed=seed)
-    model = factory()
-    return train_centralized(
-        model,
-        bundle.train[device],
-        epochs=scale.central_epochs,
-        batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate,
-        seed=seed,
-    )
+    return RunSpec(name=name, kind="centralized", dataset="device_capture",
+                   scale=spec_scale(scale), seeds=[seed], **spec_fields)
 
 
 def _fedavg_metrics(name: str, scale: "str | ExperimentScale", seed: int, runner=None,
@@ -131,13 +114,19 @@ def fig1_homo_vs_hetero(scale: "str | ExperimentScale" = "smoke",
 # --------------------------------------------------------------------------- #
 def _cross_device_matrix(scale: ExperimentScale, raw: bool,
                          devices: Optional[Sequence[str]], seed: int) -> ExperimentResult:
+    from ..runtime import Runner  # late: runtime imports repro.eval
+
     device_names = list(devices) if devices else DEVICE_NAMES
-    bundle = _build_bundle(scale, devices=device_names, raw=raw, seed=seed)
+    experiment_id = "fig2" if raw else "table2"
+    runner = Runner()  # every train device's run shares one memoised capture
 
     accuracy_matrix: Dict[str, Dict[str, float]] = {}
     for train_device in device_names:
-        model = _train_on_device(bundle, train_device, scale, seed=seed)
-        accuracy_matrix[train_device] = evaluate_on_devices(model, bundle.test)
+        spec = _centralized_spec(
+            f"{experiment_id}/{train_device}", scale, seed,
+            dataset_kwargs={"devices": device_names, "raw": raw},
+            partition_kwargs={"exclude": [d for d in device_names if d != train_device]})
+        accuracy_matrix[train_device] = runner.run(spec).metrics[0]
 
     headers = ["train \\ test"] + device_names + ["mean_others"]
     rows: List[List[object]] = []
@@ -165,7 +154,6 @@ def _cross_device_matrix(scale: ExperimentScale, raw: bool,
     mean_others_row.append(float(np.mean(degradations)) if degradations else 0.0)
     rows.append(mean_others_row)
 
-    experiment_id = "fig2" if raw else "table2"
     description = (
         "Cross-device model-quality degradation (RAW data)" if raw
         else "Cross-device model-quality degradation (ISP-processed images)"
@@ -210,31 +198,27 @@ def fig3_isp_stage_ablation(scale: "str | ExperimentScale" = "smoke",
     tested on images whose ISP replaces a single stage with Option 1 (omitted)
     or Option 2 (alternative algorithm).
     """
+    from ..runtime import Runner  # late: runtime imports repro.eval
+
     scale = get_scale(scale)
     device_names = list(devices) if devices else DEVICE_NAMES[:3]
 
-    baseline_bundle = _build_bundle(scale, devices=device_names, isp_override=BASELINE_CONFIG,
-                                    seed=seed)
-    # Train one model on the pooled baseline-ISP images of the selected devices.
-    pooled = None
-    for device in device_names:
-        pooled = baseline_bundle.train[device] if pooled is None else pooled.merge(
-            baseline_bundle.train[device]
-        )
-    factory = make_model_factory(scale, baseline_bundle.num_classes, baseline_bundle.image_size,
-                                 seed=seed)
-    model = train_centralized(
-        factory(), pooled, epochs=scale.central_epochs, batch_size=scale.batch_size,
-        learning_rate=scale.learning_rate, seed=seed,
-    )
-
-    baseline_accuracy = mean_value(evaluate_on_devices(model, baseline_bundle.test))
+    # The variant bundles are each built once, so the runner caches none.
+    runner = Runner(cache_datasets=False)
+    spec = _centralized_spec("fig3/baseline", scale, seed, dataset_kwargs={
+        "devices": device_names, "isp_override": dataclasses.asdict(BASELINE_CONFIG)})
+    # One model trained on the pooled baseline-ISP images of the selected devices.
+    result = runner.run(spec)
+    model = result.models[0]
+    baseline_accuracy = mean_value(result.metrics[0])
 
     rows: List[List[object]] = []
     degradations: Dict[str, float] = {}
     for variant in stage_variants(BASELINE_CONFIG):
-        variant_bundle = _build_bundle(scale, devices=device_names, isp_override=variant, seed=seed)
-        accuracy = mean_value(evaluate_on_devices(model, variant_bundle.test))
+        variant_spec = spec.with_overrides(dataset_kwargs={
+            "devices": device_names, "isp_override": dataclasses.asdict(variant)})
+        test_sets = runner.build_bundle(variant_spec, seed).test
+        accuracy = mean_value(evaluate_on_devices(model, test_sets))
         degradation = model_quality_degradation(baseline_accuracy, accuracy)
         rows.append([variant.name, accuracy, degradation])
         degradations[variant.name] = degradation

@@ -141,7 +141,6 @@ def local_train(
     optimizer: Optional[Optimizer] = None,
     transform: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     batch_hook: Optional[BatchHook] = None,
-    rng: Optional[np.random.Generator] = None,
     seed: int = 0,
 ) -> ClientResult:
     """Run the generic ClientUpdate loop.
@@ -167,10 +166,10 @@ def local_train(
         HeteroSwitch's random WB / gamma transforms plug in here.
     batch_hook:
         Called after every optimizer step with ``(model, batch_index,
-        epoch_index)``; SCAFFOLD's control-variate correction and SWAD's
-        per-batch weight averaging plug in here.
-    rng:
-        Random generator used by the transform.
+        epoch_index)``; SCAFFOLD's control-variate correction and SWA's
+        per-epoch / SWAD's per-batch weight averaging plug in here.
+    seed:
+        Seed of the mini-batch shuffle.
 
     Returns
     -------
@@ -183,7 +182,6 @@ def local_train(
     if optimizer is None:
         optimizer = SGD(model.parameters(), lr=config.learning_rate,
                         momentum=config.momentum, weight_decay=config.weight_decay)
-    rng = rng or np.random.default_rng(seed)
 
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, seed=seed)
     model.train()

@@ -40,19 +40,13 @@ class RawBatch:
         one colour site according to ``pattern``.
     pattern:
         Bayer pattern name (key of :data:`BAYER_PATTERNS`).
-    black_level:
-        Sensor black level already subtracted from the data (kept for record).
-    device:
-        Name of the device profile that produced the captures, if any.
 
-    The metadata is shared by the whole stack, which matches how captures are
+    The pattern is shared by the whole stack, which matches how captures are
     produced (one device, one scene pool).
     """
 
     mosaics: np.ndarray
     pattern: str = "RGGB"
-    black_level: float = 0.0
-    device: str | None = None
 
     def __post_init__(self) -> None:
         self.mosaics = np.asarray(self.mosaics, dtype=np.float64)

@@ -5,22 +5,19 @@ global weights, train locally, and return updated weights (or deltas).  These
 helpers convert between a module's ``state_dict`` and flat vectors, and provide
 the arithmetic used by aggregation rules (averaging, scaling, deltas).
 
-:func:`save_state` / :func:`load_state` persist a state dict as an ``.npz``
-archive with exact dtype/shape preservation — the codec the run store's
-checkpoints (:mod:`repro.store`) are built on — and :func:`state_fingerprint`
-hashes the raw bytes of a state so two runs can be compared for bit-identity
-without shipping the weights themselves.
+:func:`state_fingerprint` hashes the raw bytes of a state so two runs can be
+compared for bit-identity without shipping the weights themselves.  States
+are persisted by the run store's checkpoint codec
+(:mod:`repro.store.checkpoint`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..io import atomic_write
 from .layers import Module
 
 __all__ = [
@@ -39,8 +36,6 @@ __all__ = [
     "average_states",
     "StreamingAverager",
     "state_norm",
-    "save_state",
-    "load_state",
     "state_fingerprint",
 ]
 
@@ -387,28 +382,6 @@ def state_norm(state: StateDict) -> float:
         float(np.sum(np.asarray(value, dtype=np.float64) ** 2))
         for value in state.values()
     )))
-
-
-def save_state(path, state: StateDict) -> None:
-    """Persist a state dict as an ``.npz`` archive (crash-safe, bit-exact).
-
-    Every entry's dtype, shape and raw bytes survive the round trip, so
-    ``states_equal(state, load_state(path))`` holds for any state this module
-    produces.  The archive is written to a temporary sibling and moved into
-    place with :func:`os.replace`, so a reader (or a resumed run) never
-    observes a half-written file.
-    """
-    for key in state:
-        if not isinstance(key, str) or not key:
-            raise ValueError(f"state dict keys must be non-empty strings, got {key!r}")
-    with atomic_write(path) as handle:
-        np.savez(handle, **{key: np.asarray(value) for key, value in state.items()})
-
-
-def load_state(path) -> StateDict:
-    """Inverse of :func:`save_state`: read an ``.npz`` archive as a state dict."""
-    with np.load(os.fspath(path), allow_pickle=False) as archive:
-        return {key: archive[key] for key in archive.files}
 
 
 def state_fingerprint(state: StateDict) -> str:

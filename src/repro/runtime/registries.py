@@ -15,7 +15,7 @@ re-exported here so :mod:`repro.runtime` is a one-stop shop for everything a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from ..fl.callbacks import CALLBACK_REGISTRY
 from ..fl.execution import EXECUTOR_REGISTRY
 from ..fl.sampling import SAMPLER_REGISTRY
 from ..fl.strategies import STRATEGY_REGISTRY
+from ..isp.pipeline import ISPConfig
 from ..nn.models import MODEL_REGISTRY
 from ..registry import Registry
 
@@ -87,12 +88,16 @@ def _device_capture(
     devices: Optional[Sequence[str]] = None,
     raw: bool = False,
     shares: str = "market",
+    isp_override: Optional[Dict[str, str]] = None,
     capture_cache: Optional[str] = None,
 ) -> DataBundle:
-    """The Table 1 smartphone-capture dataset (Tables 4/5, Figs 1, 4, 5, 9).
+    """The Table 1 smartphone-capture dataset (Tables 2/4/5, Figs 1-5, 9).
 
     ``shares`` selects the partition weighting: ``"market"`` follows the
     Table 1 market shares, ``"uniform"`` weights every device equally.
+    ``isp_override`` is a dict of :class:`~repro.isp.pipeline.ISPConfig`
+    fields (e.g. ``dataclasses.asdict(BASELINE_CONFIG)``) that replaces every
+    device's own ISP; Fig. 3 uses it for its stage ablation.
     ``capture_cache`` names a directory where per-device captures are
     persisted and reloaded bitwise-identically (the CLI's
     ``--capture-cache``); it never changes the data, only the build cost.
@@ -105,6 +110,14 @@ def _device_capture(
         share_map = {name: 1.0 for name in device_names}
     else:
         raise ValueError(f"shares must be 'market' or 'uniform', got '{shares}'")
+    isp_config = None
+    if isp_override is not None:
+        known = [f.name for f in fields(ISPConfig)]
+        unknown = sorted(set(isp_override) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown isp_override field(s) {unknown}; ISPConfig has {known}")
+        isp_config = ISPConfig(**isp_override)
     bundle = build_device_datasets(
         samples_per_class_train=scale.samples_per_class_train,
         samples_per_class_test=scale.samples_per_class_test,
@@ -113,6 +126,7 @@ def _device_capture(
         scene_size=scale.scene_size,
         devices=device_names,
         raw=raw,
+        isp_override=isp_config,
         seed=seed,
         cache=capture_cache,
     )

@@ -5,8 +5,9 @@ model factory, client population, strategy, sampler, callbacks — runs every
 requested seed, and returns a :class:`RunResult` with per-seed histories and a
 cross-seed summary.  Dataset bundles are memoised per ``(dataset, scale, seed,
 kwargs)``, so sweeping strategies or hyperparameters over one dataset builds
-the data once instead of once per run.  Every federated run of the paper's
-experiment runners (:mod:`repro.eval`) goes through this class.
+the data once instead of once per run.  Every run of the paper's experiment
+runners (:mod:`repro.eval`), federated or centralized, goes through this
+class.
 
 Attach a :class:`~repro.store.RunStore` (``Runner(store=..., checkpoint_every=
 ...)``) to make runs durable: every federated seed gets a manifest + periodic
@@ -18,6 +19,7 @@ bitwise identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -25,7 +27,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..core.swad import SWAAverager, SWADAverager
-from ..eval.centralized import evaluate_on_devices, train_centralized
+from ..eval.centralized import evaluate_on_devices
 from ..eval.factories import make_model_factory
 from ..eval.results import ExperimentResult
 from ..eval.scale import ExperimentScale
@@ -36,8 +38,11 @@ from ..fl.async_sim import AsyncFederatedSimulation
 from ..fl.simulation import (FederatedSimulation, FLHistory, check_checkpoint_dtype,
                              history_from_dict)
 from ..fl.strategies import create_strategy
+from ..fl.training import local_train
+from ..data.dataset import ArrayDataset
 from ..data.partition import build_client_specs
 from ..nn.layers import Module
+from ..nn.serialization import get_weights, set_weights
 from ..obs import Tracer, export_run_obs
 from ..store import CheckpointError, RunStore
 from .registries import (
@@ -304,15 +309,29 @@ class Runner:
         return FLConfig(**settings)
 
     def _run_centralized(self, spec: RunSpec, seed: int):
-        """One centralized SGD run (Fig. 7 style): returns (model, metrics)."""
+        """One centralized SGD run: returns (model, metrics).
+
+        Trains on the bundle's train sets left after
+        ``partition_kwargs["exclude"]``, merged in bundle order, with one
+        :func:`local_train` call of ``epochs`` local epochs; every device's
+        test set is scored.
+        """
         scale = spec.resolve_scale()
         bundle = self.build_bundle(spec, seed)
-        if len(bundle.train) != 1:
+        exclude = spec.partition_kwargs.get("exclude", [])
+        unknown = sorted(set(exclude) - set(bundle.train))
+        if unknown:
             raise ValueError(
-                f"centralized runs need a single pooled train set, dataset "
-                f"'{spec.dataset}' produced {sorted(bundle.train)}"
+                f"partition_kwargs.exclude names unknown device(s) {unknown}; "
+                f"dataset '{spec.dataset}' has {sorted(bundle.train)}"
             )
-        train_set = next(iter(bundle.train.values()))
+        kept = [dataset for name, dataset in bundle.train.items() if name not in exclude]
+        if not kept:
+            raise ValueError(
+                f"partition_kwargs.exclude leaves no train set: it excludes every "
+                f"device of dataset '{spec.dataset}'"
+            )
+        train_set = functools.reduce(ArrayDataset.merge, kept)
         trainer = dict(spec.trainer_kwargs)
         epochs = int(trainer.pop("epochs", scale.central_epochs))
         batch_size = int(trainer.pop("batch_size", scale.batch_size))
@@ -322,32 +341,38 @@ class Runner:
         if trainer:
             raise ValueError(f"unknown trainer_kwargs {sorted(trainer)}")
 
-        batches_per_epoch = max(1, int(np.ceil(len(train_set) / batch_size)))
         if averager_name == "swa":
-            weight_averager, average_per_epoch = SWAAverager(batches_per_epoch), True
+            batches_per_epoch = max(1, int(np.ceil(len(train_set) / batch_size)))
+            averager = SWAAverager(batches_per_epoch)
         elif averager_name == "swad":
-            weight_averager, average_per_epoch = SWADAverager(), False
+            averager = SWADAverager()
         elif averager_name == "none":
-            weight_averager, average_per_epoch = None, False
+            averager = None
         else:
             raise ValueError(
                 f"averager must be 'none', 'swa' or 'swad', got '{averager_name}'"
             )
-        transform = (default_train_transform(float(transform_degree))
-                     if transform_degree is not None else None)
+        transform = None
+        if transform_degree is not None:
+            train_transform = default_train_transform(float(transform_degree))
+            rng = np.random.default_rng(seed)
+            transform = lambda features, _: train_transform(features, rng)
 
+        config = FLConfig(num_clients=1, clients_per_round=1, local_epochs=epochs,
+                          batch_size=batch_size, learning_rate=learning_rate,
+                          task=bundle.task)
         factory = make_model_factory(
             scale, bundle.num_classes, bundle.image_size,
             in_channels=bundle.in_channels,
             model_name=spec.model or bundle.default_model,
             seed=seed,
         )
-        model = train_centralized(
-            factory(), train_set, epochs=epochs, batch_size=batch_size,
-            learning_rate=learning_rate, task=bundle.task, transform=transform,
-            weight_averager=weight_averager, average_per_epoch=average_per_epoch,
-            seed=seed,
-        )
+        model = factory()
+        local_train(model, train_set, config, get_weights(model), transform=transform,
+                    batch_hook=averager.on_batch_end if averager is not None else None,
+                    seed=seed)
+        if averager is not None and averager.count:
+            set_weights(model, averager.average())
         return model, evaluate_on_devices(model, bundle.test, bundle.task)
 
     # -- summary ------------------------------------------------------------ #

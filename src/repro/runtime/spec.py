@@ -46,7 +46,9 @@ RUN_KINDS = ("federated", "federated_async", "centralized")
 # latency_kwargs keys a federated_async spec may carry.  ``regime`` names a
 # preset from repro.devices.latency.LATENCY_REGIMES.
 _LATENCY_KWARGS_FIELDS = ("regime",)
-# partition_kwargs keys a federated spec may carry (build_client_specs options).
+# partition_kwargs keys any spec may carry.  ``exclude`` leaves the named
+# devices' training data out (federated: build_client_specs; centralized: the
+# pooled train set); their test sets are still scored.
 _PARTITION_KWARGS_FIELDS = ("exclude",)
 
 _FL_CONFIG_FIELDS = {f.name for f in dataclasses.fields(FLConfig)}
@@ -69,8 +71,8 @@ class RunSpec:
     kind:
         ``"federated"`` (the synchronous FL loop), ``"federated_async"``
         (the event-driven asynchronous loop with a simulated clock), or
-        ``"centralized"`` (single-model SGD, e.g. the Fig. 7 SWA/SWAD
-        comparison).
+        ``"centralized"`` (single-model SGD: the Table 2 / Figs. 2-3
+        characterization and the Fig. 7 SWA/SWAD comparison).
     strategy / strategy_kwargs:
         FL strategy registry key and constructor arguments (federated kinds
         only).  Asynchronous strategies (``fedasync``/``fedbuff``) require
@@ -80,7 +82,10 @@ class RunSpec:
     dataset / dataset_kwargs:
         Dataset-builder registry key and arguments (e.g. ``devices=[...]``).
     partition_kwargs:
-        Extra arguments for client partitioning (e.g. ``exclude=[...]``).
+        Which training data a run uses; currently ``exclude=[...]``, the
+        devices whose train sets are left out (every device is still
+        tested).  Federated runs partition the rest into clients;
+        centralized runs train on the rest, merged in bundle order.
     sampler / sampler_kwargs:
         Client-sampler registry key and constructor arguments.
     executor / max_workers:
@@ -165,12 +170,12 @@ class RunSpec:
                     "trainer_kwargs only applies to centralized specs; federated "
                     "runs configure training via config_overrides"
                 )
-            unknown = set(self.partition_kwargs) - set(_PARTITION_KWARGS_FIELDS)
-            if unknown:
-                raise ValueError(
-                    f"unknown partition_kwargs {sorted(unknown)}; "
-                    f"valid keys: {sorted(_PARTITION_KWARGS_FIELDS)}"
-                )
+        unknown = set(self.partition_kwargs) - set(_PARTITION_KWARGS_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"unknown partition_kwargs {sorted(unknown)}; "
+                f"valid keys: {sorted(_PARTITION_KWARGS_FIELDS)}"
+            )
         if self.kind == "federated":
             _require(SAMPLER_REGISTRY, self.sampler)
             if self.strategy in ASYNC_STRATEGY_NAMES:
@@ -234,8 +239,7 @@ class RunSpec:
             # silently ignored instead of letting a wrong run look valid.
             ignored = [name for name in
                        ("strategy_kwargs", "config_overrides", "callbacks",
-                        "sampler_kwargs", "partition_kwargs",
-                        "latency_kwargs") if getattr(self, name)]
+                        "sampler_kwargs", "latency_kwargs") if getattr(self, name)]
             if self.strategy != RunSpec.strategy:
                 ignored.append("strategy")
             if self.sampler != RunSpec.sampler:

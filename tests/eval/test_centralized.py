@@ -1,15 +1,18 @@
-"""Tests for the centralized-training helpers used by the characterization study."""
+"""Tests for centralized training (one ``local_train`` call, as the Runner's
+centralized kind makes it) and the evaluation helpers of the characterization
+study."""
 
 import numpy as np
 import pytest
 
-from repro.core.swad import SWADAverager
 from repro.core.transforms import default_isp_transform
 from repro.data.dataset import ArrayDataset
-from repro.eval.centralized import evaluate_on_devices, evaluate_under_transform, train_centralized
-from repro.fl.training import evaluate_loss, evaluate_metric
+from repro.eval.centralized import evaluate_on_devices, evaluate_under_transform
+from repro.fl.config import FLConfig
+from repro.fl.training import evaluate_loss, evaluate_metric, local_train
 from repro.isp.transforms import GaussianNoise
 from repro.nn.models import SimpleMLP
+from repro.nn.serialization import get_weights
 
 
 @pytest.fixture
@@ -27,48 +30,35 @@ def make_model():
     return SimpleMLP(3 * 6 * 6, 3, hidden=16, seed=0)
 
 
-class TestTrainCentralized:
+def train(model, dataset, epochs, learning_rate, **kwargs):
+    """Centralized SGD: ``epochs`` local epochs from the model's own weights."""
+    config = FLConfig(num_clients=1, clients_per_round=1, local_epochs=epochs,
+                      batch_size=6, learning_rate=learning_rate)
+    local_train(model, dataset, config, get_weights(model), seed=0, **kwargs)
+    return model
+
+
+class TestCentralizedTraining:
     def test_training_improves_loss(self, separable_dataset):
         model = make_model()
         initial = evaluate_loss(model, separable_dataset, "classification")
-        train_centralized(model, separable_dataset, epochs=8, batch_size=6,
-                          learning_rate=0.3, seed=0)
+        train(model, separable_dataset, epochs=8, learning_rate=0.3)
         assert evaluate_loss(model, separable_dataset, "classification") < initial
 
     def test_training_reaches_good_accuracy(self, separable_dataset):
-        model = make_model()
-        train_centralized(model, separable_dataset, epochs=15, batch_size=6,
-                          learning_rate=0.3, seed=0)
+        model = train(make_model(), separable_dataset, epochs=15, learning_rate=0.3)
         assert evaluate_metric(model, separable_dataset, "classification") > 0.7
 
     def test_invalid_epochs(self, separable_dataset):
-        with pytest.raises(ValueError):
-            train_centralized(make_model(), separable_dataset, epochs=0)
+        with pytest.raises(ValueError, match="local_epochs must be positive"):
+            train(make_model(), separable_dataset, epochs=0, learning_rate=0.1)
 
     def test_with_transform(self, separable_dataset):
-        model = make_model()
         transform = default_isp_transform(wb_degree=0.2, gamma_degree=0.2)
-        train_centralized(model, separable_dataset, epochs=3, batch_size=6,
-                          learning_rate=0.2, transform=transform, seed=0)
+        rng = np.random.default_rng(0)
+        model = train(make_model(), separable_dataset, epochs=3, learning_rate=0.2,
+                      transform=lambda features, _: transform(features, rng))
         assert evaluate_metric(model, separable_dataset, "classification") >= 0.0
-
-    def test_with_swad_averager_loads_average(self, separable_dataset):
-        model = make_model()
-        averager = SWADAverager()
-        train_centralized(model, separable_dataset, epochs=2, batch_size=6,
-                          learning_rate=0.2, weight_averager=averager, seed=0)
-        assert averager.count > 0
-        # The loaded weights are exactly the averager's average.
-        np.testing.assert_allclose(model.state_dict()["fc1.weight"],
-                                   averager.average()["fc1.weight"])
-
-    def test_per_epoch_averaging_counts_epochs(self, separable_dataset):
-        model = make_model()
-        averager = SWADAverager()
-        train_centralized(model, separable_dataset, epochs=3, batch_size=6,
-                          learning_rate=0.2, weight_averager=averager,
-                          average_per_epoch=True, seed=0)
-        assert averager.count == 3
 
 
 class TestEvaluationHelpers:
@@ -79,17 +69,13 @@ class TestEvaluationHelpers:
         assert metrics["a"] == pytest.approx(metrics["b"])
 
     def test_evaluate_under_transform_returns_accuracy(self, separable_dataset):
-        model = make_model()
-        train_centralized(model, separable_dataset, epochs=10, batch_size=6,
-                          learning_rate=0.3, seed=0)
+        model = train(make_model(), separable_dataset, epochs=10, learning_rate=0.3)
         clean = evaluate_metric(model, separable_dataset, "classification")
         perturbed = evaluate_under_transform(model, separable_dataset, GaussianNoise(0.0), seed=0)
         assert perturbed == pytest.approx(clean)
 
     def test_strong_noise_degrades_accuracy(self, separable_dataset):
-        model = make_model()
-        train_centralized(model, separable_dataset, epochs=15, batch_size=6,
-                          learning_rate=0.3, seed=0)
+        model = train(make_model(), separable_dataset, epochs=15, learning_rate=0.3)
         clean = evaluate_metric(model, separable_dataset, "classification")
         noisy = evaluate_under_transform(model, separable_dataset,
                                          GaussianNoise(degree=5.0, max_sigma=0.4), seed=0)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from oracle import seed_engine
 
 from repro.nn.layers import Linear, Sequential, ReLU
-from repro.nn.models import MODEL_REGISTRY, create_model
 from repro.nn.serialization import (
     StateLayout,
     StreamingAverager,
@@ -15,8 +14,6 @@ from repro.nn.serialization import (
     average_states,
     clone_state,
     get_weights,
-    load_state,
-    save_state,
     scale_state,
     set_weights,
     state_dict_to_vector,
@@ -27,20 +24,6 @@ from repro.nn.serialization import (
     vector_to_state_dict,
     zeros_like_state,
 )
-
-# Constructor kwargs producing the smallest sensible instance of each
-# registered model (mirrors make_model_factory's dispatch).
-_MODEL_KWARGS = {
-    "simple_mlp": dict(input_dim=3 * 8 * 8, num_classes=3, seed=0),
-    "linear": dict(input_dim=3 * 8 * 8, num_classes=3, seed=0),
-    "simple_cnn": dict(num_classes=3, in_channels=3, image_size=8, seed=0),
-    "multilabel_cnn": dict(num_labels=3, in_channels=3, image_size=8, seed=0),
-    "ecg_regressor": dict(window_size=16, seed=0),
-    "mobilenetv3_small": dict(num_classes=3, in_channels=3, width_mult=0.5, seed=0),
-    "shufflenet_v2_x0_5": dict(num_classes=3, in_channels=3, width_mult=0.5, seed=0),
-    "squeezenet1_1": dict(num_classes=3, in_channels=3, width_mult=0.5, seed=0),
-}
-
 
 @pytest.fixture
 def model():
@@ -254,47 +237,6 @@ class TestCloneState:
         assert not np.shares_memory(cloned["w"], state["w"])
         cloned["w"][0, 0] = 99.0
         assert state["w"][0, 0] == 0.0
-
-
-class TestSaveLoadState:
-    def test_every_registered_model_round_trips(self, tmp_path):
-        """Acceptance: npz round trip preserves dtype, shape and bytes for the
-        full state (parameters + buffers) of every model in the registry."""
-        assert set(_MODEL_KWARGS) == set(MODEL_REGISTRY), \
-            "update _MODEL_KWARGS when registering a new model"
-        for name, kwargs in _MODEL_KWARGS.items():
-            state = get_weights(create_model(name, **kwargs))
-            path = tmp_path / f"{name}.npz"
-            save_state(path, state)
-            loaded = load_state(path)
-            assert list(loaded) == list(state), name
-            for key in state:
-                assert loaded[key].dtype == state[key].dtype, (name, key)
-                assert loaded[key].shape == state[key].shape, (name, key)
-            assert states_equal(state, loaded), name
-
-    def test_loaded_state_drives_a_model(self, model, tmp_path):
-        path = tmp_path / "model.npz"
-        save_state(path, get_weights(model))
-        other = Sequential(Linear(4, 8, rng=np.random.default_rng(9)), ReLU(),
-                           Linear(8, 2, rng=np.random.default_rng(10)))
-        set_weights(other, load_state(path))
-        assert states_equal(get_weights(other), get_weights(model))
-
-    def test_atomic_write_leaves_no_temp_files(self, model, tmp_path):
-        path = tmp_path / "model.npz"
-        save_state(path, get_weights(model))
-        save_state(path, get_weights(model))  # overwrite goes through replace
-        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
-
-    def test_non_string_keys_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="non-empty strings"):
-            save_state(tmp_path / "bad.npz", {3: np.zeros(1)})
-
-    def test_nan_and_negative_zero_survive(self, tmp_path):
-        state = {"w": np.array([np.nan, -0.0, np.inf])}
-        save_state(tmp_path / "s.npz", state)
-        assert states_equal(state, load_state(tmp_path / "s.npz"))
 
 
 class TestStateFingerprint:

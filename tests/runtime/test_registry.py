@@ -102,3 +102,34 @@ class TestDeviceCaptureShares:
             DATASET_REGISTRY.create("device_capture", scale=get_scale("smoke"), seed=0,
                                     shares="Market")
         assert calls == []
+
+
+class TestDeviceCaptureISPOverride:
+    def test_dict_becomes_the_isp_config_of_every_capture(self, monkeypatch):
+        import dataclasses
+
+        from repro.eval.scale import get_scale
+        from repro.isp.pipeline import OPTION2_CONFIG
+
+        calls = []
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            raise RuntimeError("stop before capturing")
+
+        monkeypatch.setattr("repro.runtime.registries.build_device_datasets", spy)
+        with pytest.raises(RuntimeError, match="stop before capturing"):
+            DATASET_REGISTRY.create("device_capture", scale=get_scale("smoke"), seed=0,
+                                    isp_override=dataclasses.asdict(OPTION2_CONFIG))
+        assert [call["isp_override"] for call in calls] == [OPTION2_CONFIG]
+
+    def test_unknown_fields_refused_before_any_capture(self, monkeypatch):
+        from repro.eval.scale import get_scale
+
+        calls = []
+        monkeypatch.setattr("repro.runtime.registries.build_device_datasets",
+                            lambda **kwargs: calls.append(kwargs))
+        with pytest.raises(ValueError, match=r"unknown isp_override field\(s\) \['gama'\]"):
+            DATASET_REGISTRY.create("device_capture", scale=get_scale("smoke"), seed=0,
+                                    isp_override={"gama": "srgb"})
+        assert calls == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.swad import SWAAverager, SWADAverager
 from repro.core.transforms import ecg_transform
 from repro.data.capture import build_device_datasets
 from repro.data.cifar_synthetic import SyntheticCifarConfig, build_synthetic_cifar
@@ -14,6 +15,8 @@ from repro.eval.scale import get_scale
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
+from repro.fl.training import local_train
+from repro.nn.serialization import get_weights, states_equal
 from repro.runtime import Runner, RunSpec
 
 DEVICES = ["Pixel5", "S6", "G7"]
@@ -249,6 +252,15 @@ class TestDatasetCache:
         assert runner.build_bundle(spec, seed=0) is not runner.build_bundle(spec, seed=0)
 
 
+def _hand_trained(bundle, train_set, **kwargs):
+    """A centralized smoke run assembled by hand: one ``local_train`` call."""
+    model = make_model_factory(SMOKE, bundle.num_classes, bundle.image_size, seed=0)()
+    config = FLConfig(num_clients=1, clients_per_round=1, local_epochs=SMOKE.central_epochs,
+                      batch_size=SMOKE.batch_size, learning_rate=SMOKE.learning_rate)
+    local_train(model, train_set, config, get_weights(model), seed=0, **kwargs)
+    return model
+
+
 class TestCentralizedKind:
     def test_centralized_run(self, runner):
         spec = RunSpec(kind="centralized", dataset="scenes",
@@ -266,6 +278,52 @@ class TestCentralizedKind:
         result = runner.run(spec)
         assert len(result.histories) == 1
         assert result.models == []
+
+    def test_swad_run_loads_the_average(self, runner):
+        """The returned model holds exactly the SWAD average of a hand-built
+        ``local_train`` on the same data, from the same initial weights."""
+        spec = RunSpec(kind="centralized", dataset="scenes",
+                       trainer_kwargs={"averager": "swad"}, seeds=[0])
+        bundle = runner.build_bundle(spec, seed=0)
+        averager = SWADAverager()
+        _hand_trained(bundle, bundle.train["scenes"], batch_hook=averager.on_batch_end)
+        assert averager.count > 0
+        assert states_equal(get_weights(runner.run(spec).models[0]), averager.average())
+
+    def test_swa_averages_once_per_epoch(self, runner, monkeypatch):
+        averagers = []
+
+        class RecordingSWA(SWAAverager):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                averagers.append(self)
+
+        monkeypatch.setattr("repro.runtime.runner.SWAAverager", RecordingSWA)
+        spec = RunSpec(kind="centralized", dataset="scenes",
+                       trainer_kwargs={"averager": "swa", "epochs": 3}, seeds=[0])
+        runner.run(spec)
+        assert [averager.count for averager in averagers] == [3]
+
+    def test_exclude_pools_the_remaining_train_sets(self, runner):
+        """A centralized run trains on the non-excluded train sets merged in
+        bundle order, and still scores every device's test set."""
+        spec = RunSpec(kind="centralized", dataset_kwargs={"devices": DEVICES},
+                       partition_kwargs={"exclude": ["S6"]}, seeds=[0])
+        bundle = runner.build_bundle(spec, seed=0)
+        model = _hand_trained(bundle, bundle.train["Pixel5"].merge(bundle.train["G7"]))
+        result = runner.run(spec)
+        assert list(result.metrics[0]) == DEVICES
+        assert states_equal(get_weights(result.models[0]), get_weights(model))
+
+    @pytest.mark.parametrize("exclude, message", [
+        (["Pixel5"], r"partition_kwargs\.exclude names unknown device\(s\) \['Pixel5'\]"),
+        (["scenes"], r"partition_kwargs\.exclude leaves no train set"),
+    ], ids=["unknown_device", "nothing_left"])
+    def test_bad_exclude_refused(self, runner, exclude, message):
+        spec = RunSpec(kind="centralized", dataset="scenes",
+                       partition_kwargs={"exclude": exclude}, seeds=[0])
+        with pytest.raises(ValueError, match=message):
+            runner.run(spec)
 
     def test_unknown_averager(self, runner):
         spec = RunSpec(kind="centralized", dataset="scenes",

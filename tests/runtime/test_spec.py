@@ -55,6 +55,12 @@ class TestValidation:
         spec = RunSpec(partition_kwargs={"exclude": ["S6"]})
         assert RunSpec.from_json(spec.to_json()) == spec
 
+    def test_centralized_partition_kwargs_share_the_key_check(self):
+        spec = RunSpec(kind="centralized", partition_kwargs={"exclude": ["S6"]})
+        assert RunSpec.from_json(spec.to_json()) == spec
+        with pytest.raises(ValueError, match=r"unknown partition_kwargs \['exclud'\].*exclude"):
+            RunSpec(kind="centralized", partition_kwargs={"exclud": ["S6"]})
+
     def test_empty_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
             RunSpec(seeds=[])

@@ -6,6 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.nn.layers import Linear, ReLU, Sequential
+from repro.nn.models import MODEL_REGISTRY, create_model
+from repro.nn.serialization import get_weights, set_weights, states_equal
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -13,6 +16,24 @@ from repro.store.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+
+# Constructor kwargs producing the smallest sensible instance of each
+# registered model (mirrors make_model_factory's dispatch).
+_MODEL_KWARGS = {
+    "simple_mlp": dict(input_dim=3 * 8 * 8, num_classes=3, seed=0),
+    "linear": dict(input_dim=3 * 8 * 8, num_classes=3, seed=0),
+    "simple_cnn": dict(num_classes=3, in_channels=3, image_size=8, seed=0),
+    "multilabel_cnn": dict(num_labels=3, in_channels=3, image_size=8, seed=0),
+    "ecg_regressor": dict(window_size=16, seed=0),
+    "mobilenetv3_small": dict(num_classes=3, in_channels=3, width_mult=0.5, seed=0),
+    "shufflenet_v2_x0_5": dict(num_classes=3, in_channels=3, width_mult=0.5, seed=0),
+    "squeezenet1_1": dict(num_classes=3, in_channels=3, width_mult=0.5, seed=0),
+}
+
+
+def _mlp(seed):
+    return Sequential(Linear(4, 8, rng=np.random.default_rng(seed)), ReLU(),
+                      Linear(8, 2, rng=np.random.default_rng(seed + 1)))
 
 
 def roundtrip(tmp_path, tree, extra_meta=None):
@@ -73,6 +94,23 @@ class TestRoundTrip:
         assert loaded["x"].dtype == np.float32 and float(loaded["x"]) == 1.5
         assert loaded["n"].dtype == np.int64 and int(loaded["n"]) == -3
 
+    def test_every_registered_model_state_round_trips(self, tmp_path):
+        """The full state (parameters + buffers) of every registered model
+        keeps its key order, dtypes, shapes and bytes."""
+        assert set(_MODEL_KWARGS) == set(MODEL_REGISTRY), \
+            "update _MODEL_KWARGS when registering a new model"
+        for name, kwargs in _MODEL_KWARGS.items():
+            state = get_weights(create_model(name, **kwargs))
+            loaded, _ = roundtrip(tmp_path, {"global_state": state})
+            assert list(loaded["global_state"]) == list(state), name
+            assert states_equal(state, loaded["global_state"]), name
+
+    def test_loaded_state_drives_a_model(self, tmp_path):
+        model, other = _mlp(0), _mlp(9)
+        loaded, _ = roundtrip(tmp_path, {"global_state": get_weights(model)})
+        set_weights(other, loaded["global_state"])
+        assert states_equal(get_weights(other), get_weights(model))
+
     def test_extra_meta_round_trips(self, tmp_path):
         _, meta = roundtrip(tmp_path, {"x": 1}, extra_meta={"round": 5})
         assert meta["round"] == 5
@@ -88,6 +126,12 @@ class TestRejections:
     def test_non_scalar_dict_key_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="keys must be str or int"):
             write_checkpoint(tmp_path / "x.npz", {("a", 1): 2})
+
+    @pytest.mark.parametrize("key", [True, 1.5, None])
+    def test_bool_float_and_none_dict_keys_raise(self, tmp_path, key):
+        with pytest.raises(CheckpointError, match="keys must be str or int"):
+            write_checkpoint(tmp_path / "x.npz", {"state": {key: np.zeros(1)}})
+        assert list(tmp_path.iterdir()) == []
 
     def test_not_a_checkpoint_raises(self, tmp_path):
         path = tmp_path / "plain.npz"

@@ -12,12 +12,12 @@ import pytest
 from repro.data.capture import build_device_datasets
 from repro.data.partition import build_client_specs
 from repro.devices.profiles import market_shares
-from repro.eval.centralized import evaluate_on_devices, train_centralized
 from repro.eval.factories import make_model_factory
 from repro.eval.scale import get_scale
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
+from repro.runtime import Runner, RunSpec, spec_scale
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +39,14 @@ class TestSystemInducedHeterogeneityExists:
         across device types (the mechanism behind Section 3.2).  The full directional
         claim — own device is best, by 1-50% — is checked by the Table 2 benchmark at
         a larger scale; at smoke scale we only assert the mechanism is present."""
-        scale = get_scale("smoke")
-        factory = make_model_factory(scale, bundle.num_classes, bundle.image_size, seed=0)
-        model = train_centralized(factory(), bundle.train["Pixel5"], epochs=12, batch_size=6,
-                                  learning_rate=0.02, seed=0)
-        metrics = evaluate_on_devices(model, bundle.test)
+        scale = get_scale("smoke").with_overrides(
+            samples_per_class_train=6, samples_per_class_test=3, num_classes=3)
+        devices = list(bundle.train)
+        spec = RunSpec(kind="centralized", dataset_kwargs={"devices": devices},
+                       partition_kwargs={"exclude": [d for d in devices if d != "Pixel5"]},
+                       scale=spec_scale(scale), seeds=[0],
+                       trainer_kwargs={"epochs": 12, "batch_size": 6, "learning_rate": 0.02})
+        metrics = Runner().run(spec).metrics[0]
         own = metrics["Pixel5"]
         others = [metrics[d] for d in metrics if d != "Pixel5"]
         assert own > 1.0 / bundle.num_classes  # learned something on its own device
