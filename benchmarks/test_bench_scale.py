@@ -36,7 +36,7 @@ from repro.fl.execution import create_executor
 from repro.fl.strategies import create_strategy
 from repro.fl.strategies.base import FLContext
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights, state_fingerprint
+from repro.nn.serialization import state_fingerprint
 
 FLEET_SIZES = (8, 64, 256)
 SAMPLES_PER_CLIENT = 6
@@ -78,7 +78,7 @@ def _run_round(executor_name: str, num_clients: int):
                       batch_size=SAMPLES_PER_CLIENT, learning_rate=0.05, seed=0)
     context = FLContext(config=config, ema=EMALossTracker())
     strategy = create_strategy("fedavg")
-    global_state = get_weights(_model_fn())
+    global_state = _model_fn().state_dict()
     start = time.perf_counter()
     with create_executor(executor_name) as executor:
         stream = executor.iter_round(strategy, _model_fn,

@@ -2,8 +2,10 @@
 
 Runs the Table 4 workload — the paper's MobileNetV3-small model over the
 market-share device population — once per strategy in each compute dtype
-and records best-round wall clock into ``results/train.{md,json}``, plus a
-per-kernel breakdown of one profiled round per dtype.
+and records the best round's wall clock into ``results/train.{md,json}``,
+next to the median and interquartile range of all its rounds (the spread a
+reader needs to tell a change from noise), plus a per-kernel breakdown of one
+profiled round per dtype.
 
 The float32 columns time the opt-in fast precision path
 (``FLConfig.dtype="float32"``): final weights are asserted finite and
@@ -80,11 +82,20 @@ def _run_strategy(strategy_name, bundle, clients, factory, scale, dtype):
                               create_strategy(strategy_name), _config(scale, dtype),
                               callbacks=[timer])
     sim.run()
-    # Best (minimum) round, not the mean: the first round pays dtype-
-    # independent one-off costs (im2col index plans, BLAS thread-pool
-    # spin-up) and a shared 1-core runner adds
-    # scheduling noise; the fastest round is the steady-state cost.
-    return min(timer.durations), sim.global_state
+    return timer.durations, sim.global_state
+
+
+def _round_stats(durations):
+    """``(best, median, iqr)`` of the per-round wall clocks, in seconds.
+
+    The best (minimum) round is the headline, not the mean: the first round
+    pays dtype-independent one-off costs (im2col index plans, BLAS
+    thread-pool spin-up) and a shared 1-core runner adds scheduling noise,
+    so the fastest round is the steady-state cost.  The median and IQR of
+    all rounds show how far that figure can be trusted.
+    """
+    q1, median, q3 = np.percentile(durations, [25, 50, 75])
+    return min(durations), float(median), float(q3 - q1)
 
 
 def _profile_kernels(strategy_name, bundle, clients, factory, scale, dtype):
@@ -116,7 +127,7 @@ def _train_throughput(scale) -> ExperimentResult:
     total_float64 = 0.0
     total_float32 = 0.0
     for strategy_name in STRATEGIES:
-        float64_round, _ = _run_strategy(
+        float64_rounds, _ = _run_strategy(
             strategy_name, bundle, clients, factory, scale, "float64")
         # The float32 fast path: same engine, single-precision compute.
         # No weight-space closeness assertion here: across multiple rounds of
@@ -125,25 +136,35 @@ def _train_throughput(scale) -> ExperimentResult:
         # tolerance is pinned at smoke scale in
         # tests/fl/test_dtype_equivalence.py.  The bench checks the result is
         # finite and actually single-precision end to end.
-        float32_round, float32_state = _run_strategy(
+        float32_rounds, float32_state = _run_strategy(
             strategy_name, bundle, clients, factory, scale, "float32")
         for key, value in float32_state.items():
             assert value.dtype == np.float32, (
                 f"{strategy_name}: '{key}' leaked out as {value.dtype}")
             assert np.all(np.isfinite(value)), (
                 f"{strategy_name}: '{key}' is not finite under float32")
+        float64_round, float64_median, float64_iqr = _round_stats(float64_rounds)
+        float32_round, float32_median, float32_iqr = _round_stats(float32_rounds)
         float32_speedup = float64_round / float32_round
         total_float64 += float64_round
         total_float32 += float32_round
-        rows.append([strategy_name, f"{float64_round * 1e3:.1f}",
-                     f"{float32_round * 1e3:.1f}", f"{float32_speedup:.2f}"])
-        scalars[f"{strategy_name}_float64_round_s"] = float64_round
-        scalars[f"{strategy_name}_float32_round_s"] = float32_round
+        rows.append([strategy_name,
+                     f"{float64_round * 1e3:.1f}", f"{float64_median * 1e3:.1f}",
+                     f"{float64_iqr * 1e3:.1f}",
+                     f"{float32_round * 1e3:.1f}", f"{float32_median * 1e3:.1f}",
+                     f"{float32_iqr * 1e3:.1f}", f"{float32_speedup:.2f}"])
+        for dtype, best, median, iqr in (
+                ("float64", float64_round, float64_median, float64_iqr),
+                ("float32", float32_round, float32_median, float32_iqr)):
+            scalars[f"{strategy_name}_{dtype}_round_s"] = best
+            scalars[f"{strategy_name}_{dtype}_round_median_s"] = median
+            scalars[f"{strategy_name}_{dtype}_round_iqr_s"] = iqr
         scalars[f"{strategy_name}_float32_speedup"] = float32_speedup
 
     float32_speedup_overall = total_float64 / total_float32
-    rows.append(["ALL (aggregate)", f"{total_float64 * 1e3:.1f}",
-                 f"{total_float32 * 1e3:.1f}", f"{float32_speedup_overall:.2f}"])
+    rows.append(["ALL (aggregate)", f"{total_float64 * 1e3:.1f}", "-", "-",
+                 f"{total_float32 * 1e3:.1f}", "-", "-",
+                 f"{float32_speedup_overall:.2f}"])
     scalars["float32_speedup_overall"] = float32_speedup_overall
 
     # Where does a round actually go?  One profiled heteroswitch run per
@@ -165,8 +186,9 @@ def _train_throughput(scale) -> ExperimentResult:
             share = entry["seconds"] / kernel_total if kernel_total else 0.0
             ms = f"{entry['seconds'] * 1e3:.1f}"
             rows.append([f"kernel/{name} [{dtype}] ({entry['calls']} calls)",
-                         ms if dtype == "float64" else "-",
-                         ms if dtype == "float32" else "-", f"{share:.2f}"])
+                         ms if dtype == "float64" else "-", "-", "-",
+                         ms if dtype == "float32" else "-", "-", "-",
+                         f"{share:.2f}"])
             scalars[f"kernel{suffix}_{name}_s"] = entry["seconds"]
 
     # CI gate: float32 must never be slower than float64.  The aggregate
@@ -181,15 +203,18 @@ def _train_throughput(scale) -> ExperimentResult:
             "Best-round training wall clock on the Table 4 workload "
             "(MobileNetV3-small, market-share clients, "
             f"{CLIENTS_PER_ROUND} clients/round, {TRAIN_ROUNDS} rounds) on the "
-            "flat-parameter engine, per compute dtype.  The float32 columns "
+            "flat-parameter engine, per compute dtype, with the median and "
+            f"interquartile range of the {TRAIN_ROUNDS} rounds beside it "
+            "(the *_median_ms and *_iqr_ms columns).  The float32 columns "
             "run under FLConfig.dtype='float32' (weights asserted finite and "
             "single-precision; float32_speedup is float32-over-float64).  The "
             "kernel/* rows break one profiled heteroswitch round down by "
             "engine kernel per dtype (the dtype's ms column = total ms, "
             "float32_speedup column = share of that dtype's kernel time)."
         ),
-        headers=["strategy", "float64_ms_per_round", "float32_ms_per_round",
-                 "float32_speedup"],
+        headers=["strategy", "float64_ms_per_round", "float64_median_ms",
+                 "float64_iqr_ms", "float32_ms_per_round", "float32_median_ms",
+                 "float32_iqr_ms", "float32_speedup"],
         rows=rows,
         scalars=scalars,
         metadata={"scale": scale.name, "model": "mobilenetv3_small",

@@ -23,9 +23,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..nn.flat import flat_arena_of
+from ..nn.flat import FlatParams
 from ..nn.layers import Module
-from ..nn.serialization import StateLayout, get_weights
+from ..nn.serialization import StateLayout
 
 __all__ = ["WeightAverager", "SWADAverager", "SWAAverager"]
 
@@ -41,18 +41,17 @@ class WeightAverager:
     Internally the average lives as one flat vector: SWAD folds a state in
     after *every* batch, and the incremental mean over the concatenated
     vector is elementwise — hence bitwise — identical to a per-key dict
-    loop, at a fraction of the interpreter overhead.  When the
-    model carries a :class:`~repro.nn.flat.FlatParams` arena,
-    :meth:`update_from_model` flattens straight from the arena without
-    materialising an intermediate state dict at all.
+    loop, at a fraction of the interpreter overhead.
+    :meth:`update_from_model` flattens straight from the model's
+    :class:`~repro.nn.flat.FlatParams` arena (built on first use; inside
+    ``local_train`` it already exists) without materialising an intermediate
+    state dict at all.
     """
 
-    def __init__(self, initial_state: Optional[StateDict] = None) -> None:
+    def __init__(self) -> None:
         self._layout: Optional[StateLayout] = None
         self._flat: Optional[np.ndarray] = None
         self._count = 0
-        if initial_state is not None:
-            self.update(initial_state)
 
     @property
     def count(self) -> int:
@@ -77,12 +76,8 @@ class WeightAverager:
         self._fold(self._layout.pack(state))
 
     def update_from_model(self, model: Module) -> None:
-        """Convenience: fold the model's current weights into the average."""
-        arena = flat_arena_of(model)
-        if arena is None:
-            self.update(get_weights(model))
-            return
-        keys, shapes, vector = arena.pack_with_buffers()
+        """Fold the model's current weights (parameters and buffers) into the average."""
+        keys, shapes, vector = FlatParams.from_module(model).pack_with_buffers()
         if self._layout is None:
             self._layout = StateLayout.from_keys_shapes(keys, shapes,
                                                         dtype=vector.dtype)
@@ -117,8 +112,8 @@ class SWAAverager(WeightAverager):
     boundaries from the per-batch hook the training loop exposes.
     """
 
-    def __init__(self, batches_per_epoch: int, initial_state: Optional[StateDict] = None) -> None:
-        super().__init__(initial_state)
+    def __init__(self, batches_per_epoch: int) -> None:
+        super().__init__()
         if batches_per_epoch <= 0:
             raise ValueError("batches_per_epoch must be positive")
         self.batches_per_epoch = batches_per_epoch

@@ -198,17 +198,15 @@ def fig3_isp_stage_ablation(scale: "str | ExperimentScale" = "smoke",
     tested on images whose ISP replaces a single stage with Option 1 (omitted)
     or Option 2 (alternative algorithm).
     """
-    from ..runtime import Runner  # late: runtime imports repro.eval
+    from ..runtime import Runner, build_dataset  # late: runtime imports repro.eval
 
     scale = get_scale(scale)
     device_names = list(devices) if devices else DEVICE_NAMES[:3]
 
-    # The variant bundles are each built once, so the runner caches none.
-    runner = Runner(cache_datasets=False)
     spec = _centralized_spec("fig3/baseline", scale, seed, dataset_kwargs={
         "devices": device_names, "isp_override": dataclasses.asdict(BASELINE_CONFIG)})
     # One model trained on the pooled baseline-ISP images of the selected devices.
-    result = runner.run(spec)
+    result = Runner().run(spec)
     model = result.models[0]
     baseline_accuracy = mean_value(result.metrics[0])
 
@@ -217,7 +215,9 @@ def fig3_isp_stage_ablation(scale: "str | ExperimentScale" = "smoke",
     for variant in stage_variants(BASELINE_CONFIG):
         variant_spec = spec.with_overrides(dataset_kwargs={
             "devices": device_names, "isp_override": dataclasses.asdict(variant)})
-        test_sets = runner.build_bundle(variant_spec, seed).test
+        # Each variant's bundle is used once: build it, keep only its test sets.
+        test_sets = build_dataset(variant_spec.dataset, scale=variant_spec.resolve_scale(),
+                                  seed=seed, **variant_spec.dataset_kwargs).test
         accuracy = mean_value(evaluate_on_devices(model, test_sets))
         degradation = model_quality_degradation(baseline_accuracy, accuracy)
         rows.append([variant.name, accuracy, degradation])

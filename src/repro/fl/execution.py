@@ -49,6 +49,7 @@ import sys
 import threading
 import time
 import traceback
+import types
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
 from concurrent.futures import wait as _futures_wait
@@ -322,6 +323,22 @@ def _capture_attempt(strategy: "Strategy", model: "Module", spec: ClientSpec,
         return exc
 
 
+def _scratch_model(holder, model_fn: ModelFactory, dtype: str) -> "Module":
+    """The scratch model cached on ``holder``, rebuilt when ``(model_fn, dtype)`` changes.
+
+    Each backend keeps its own holder — the executor, a thread-local or a
+    worker-local object.  The cache is keyed on the compute dtype too: the
+    same factory at a different precision must rebuild, or a float64 model
+    would silently serve a float32 round (and vice versa).
+    """
+    key = getattr(holder, "scratch_key", None)
+    if key is None or key[0] is not model_fn or key[1] != dtype:
+        with dtype_mode(dtype):
+            holder.scratch_model = model_fn()
+        holder.scratch_key = (model_fn, dtype)
+    return holder.scratch_model
+
+
 class ClientExecutor:
     """Interface: train one wave of client jobs, yield outcomes in job order.
 
@@ -388,25 +405,8 @@ class SerialExecutor(ClientExecutor):
 
     name = "serial"
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers)
-        self._factory: Optional[ModelFactory] = None
-        self._model: Optional["Module"] = None
-        self._model_dtype: Optional[str] = None
-
-    def _scratch_model(self, model_fn, context) -> "Module":
-        # The scratch-model cache is keyed on (factory, compute dtype): the
-        # same factory at a different precision must rebuild, or a float64
-        # model would silently serve a float32 round (and vice versa).
-        dtype = context.config.dtype
-        if self._factory is not model_fn or self._model_dtype != dtype:
-            with dtype_mode(dtype):
-                self._factory, self._model = model_fn, model_fn()
-            self._model_dtype = dtype
-        return self._model
-
     def iter_round(self, strategy, model_fn, jobs, global_state, context):
-        model = self._scratch_model(model_fn, context)
+        model = _scratch_model(self, model_fn, context.config.dtype)
         for spec, attempt in jobs:
             yield _capture_attempt(strategy, model, spec, global_state, context,
                                    attempt)
@@ -435,19 +435,9 @@ class ThreadExecutor(ClientExecutor):
             self._pool_workers = workers
         return self._pool
 
-    def _thread_model(self, model_fn, context) -> "Module":
-        cache = self._local
-        dtype = context.config.dtype
-        if (getattr(cache, "factory", None) is not model_fn
-                or getattr(cache, "dtype", None) != dtype):
-            with dtype_mode(dtype):
-                cache.factory, cache.model = model_fn, model_fn()
-            cache.dtype = dtype
-        return cache.model
-
     def _attempt_one(self, strategy, model_fn, spec, global_state, context,
                      attempt):
-        model = self._thread_model(model_fn, context)
+        model = _scratch_model(self._local, model_fn, context.config.dtype)
         return _capture_attempt(strategy, model, spec, global_state, context,
                                 attempt)
 
@@ -534,8 +524,7 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
     static = _SHM_STATIC
     assert static is not None, "worker forked without a staged (strategy, model_fn)"
     strategy, model_fn = static
-    model: Optional["Module"] = None
-    model_dtype: Optional[str] = None
+    scratch = types.SimpleNamespace()
     layout: Optional[StateLayout] = None
     shm_name: Optional[str] = None
     shm_vector: Optional[np.ndarray] = None
@@ -580,11 +569,7 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                 # Safe because client_update treats global_state as read-only
                 # and model loading copies values in (load_state_dict).
                 global_state = layout.unpack(np.asarray(shm_vector))
-                dtype = round_context.config.dtype
-                if model is None or model_dtype != dtype:
-                    with dtype_mode(dtype):
-                        model = model_fn()
-                    model_dtype = dtype
+                model = _scratch_model(scratch, model_fn, round_context.config.dtype)
                 result = run_client(strategy, model, spec, global_state,
                                     round_context, attempt=attempt)
                 try:

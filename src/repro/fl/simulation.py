@@ -38,7 +38,7 @@ from ..data.dataset import ArrayDataset
 from ..data.partition import ClientSpec
 from ..nn.engine import dtype_mode
 from ..nn.layers import Module
-from ..nn.serialization import StateLayout, get_weights, set_weights
+from ..nn.serialization import StateLayout
 from ..obs import Tracer, merge_client_spans
 from .callbacks import (Callback, CallbackList, FaultTelemetry,
                         PeriodicEvaluation, SwitchTelemetry)
@@ -250,7 +250,7 @@ class BaseSimulation:
             self._owns_executor = False
 
         with dtype_mode(config.dtype):
-            template = get_weights(model_fn())
+            template = model_fn().state_dict()
         self._layout = StateLayout(template)
         self._global_vec = self._layout.pack(template)
         self.context = FLContext(
@@ -288,7 +288,7 @@ class BaseSimulation:
         """A model instance loaded with the current global weights."""
         with dtype_mode(self.config.dtype):
             model = self.model_fn()
-        set_weights(model, self._layout.unpack(self._global_vec))
+        model.load_state_dict(self._layout.unpack(self._global_vec))
         return model
 
     def request_stop(self) -> None:

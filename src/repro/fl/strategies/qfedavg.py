@@ -79,9 +79,9 @@ class QFedAvg(Strategy):
         # whole-vector form of the seed dict-based reduction (pinned bitwise
         # against the test oracle, tests/oracle/seed_engine.py).
         # Elementwise ops (subtract, scale, accumulate) are bitwise-identical
-        # flattened; the delta norm replays state_norm's per-key partial sums
-        # segment by segment in layout (key-insertion) order, including its
-        # sqrt-then-square round trip, so h_k matches bit-for-bit.
+        # flattened; the delta norm replays the oracle's per-key partial sums
+        # (its state_norm) segment by segment in layout (key-insertion) order,
+        # including the sqrt-then-square round trip, so h_k matches bit-for-bit.
         layout = StateLayout(global_state)
         global_vec = layout.pack(global_state)
         # The running sum always accumulates in float64 (cast back to the

@@ -7,7 +7,7 @@ the model zoo.
 """
 
 from . import functional
-from .flat import FlatParams, flat_arena_of
+from .flat import FlatParams
 from .layers import (
     AvgPool2d,
     BatchNorm1d,
@@ -33,14 +33,8 @@ from .optim import SGD, Optimizer, ProximalSGD
 from .serialization import (
     StateLayout,
     add_states,
-    average_states,
-    get_weights,
     scale_state,
-    set_weights,
-    state_dict_to_vector,
-    state_norm,
     subtract_states,
-    vector_to_state_dict,
     zeros_like_state,
 )
 from .tensor import Tensor, no_grad
@@ -50,7 +44,6 @@ __all__ = [
     "no_grad",
     "functional",
     "FlatParams",
-    "flat_arena_of",
     "StateLayout",
     "Module",
     "Parameter",
@@ -74,14 +67,8 @@ __all__ = [
     "Optimizer",
     "SGD",
     "ProximalSGD",
-    "get_weights",
-    "set_weights",
-    "state_dict_to_vector",
-    "vector_to_state_dict",
     "zeros_like_state",
     "add_states",
     "subtract_states",
     "scale_state",
-    "average_states",
-    "state_norm",
 ]

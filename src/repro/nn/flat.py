@@ -31,7 +31,7 @@ import numpy as np
 from .engine import current_dtype
 from .layers import Module, Parameter
 
-__all__ = ["FlatParams", "flat_arena_of"]
+__all__ = ["FlatParams"]
 
 StateDict = Dict[str, np.ndarray]
 
@@ -230,10 +230,3 @@ class FlatParams:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlatParams(size={self.size}, params={len(self.params)})"
 
-
-def flat_arena_of(model: Module) -> Optional[FlatParams]:
-    """The model's cached arena if one exists and is still valid, else None."""
-    arena = getattr(model, "_flat_arena", None)
-    if isinstance(arena, FlatParams) and arena.is_valid():
-        return arena
-    return None

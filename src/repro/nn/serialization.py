@@ -1,41 +1,39 @@
-"""Model weight (de)serialization helpers used by the FL framework.
+"""State-dict helpers of the FL framework.
 
-Federated learning exchanges model *parameter vectors*: clients receive the
-global weights, train locally, and return updated weights (or deltas).  These
-helpers convert between a module's ``state_dict`` and flat vectors, and provide
-the arithmetic used by aggregation rules (averaging, scaling, deltas).
+A model's weights leave and enter it one way: ``Module.state_dict()`` and
+``Module.load_state_dict(state)`` (or, on the hot path, the
+:class:`~repro.nn.flat.FlatParams` arena's methods of the same names).  This
+module holds what the framework does with those dicts:
 
-:func:`state_fingerprint` hashes the raw bytes of a state so two runs can be
-compared for bit-identity without shipping the weights themselves.  States
-are persisted by the run store's checkpoint codec
+* :class:`StateLayout` — the one flatten order (the dict's insertion order)
+  that the simulations, executors and aggregation rules pack states in;
+* :class:`StreamingAverager` — the one weighted fold of client states;
+* the per-key arithmetic of the strategies (``add_states``, ``scale_state``,
+  ``subtract_states``, ``zeros_like_state``);
+* comparisons: :func:`states_equal` (bitwise), :func:`states_allclose`
+  (within tolerance) and :func:`state_fingerprint`, a hash of the raw bytes
+  so two runs can be compared for bit-identity without shipping the weights.
+
+States are persisted by the run store's checkpoint codec
 (:mod:`repro.store.checkpoint`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from .layers import Module
-
 __all__ = [
     "StateLayout",
-    "state_dict_to_vector",
-    "vector_to_state_dict",
-    "get_weights",
-    "set_weights",
-    "clone_state",
     "states_equal",
     "states_allclose",
     "zeros_like_state",
     "add_states",
     "scale_state",
     "subtract_states",
-    "average_states",
     "StreamingAverager",
-    "state_norm",
     "state_fingerprint",
 ]
 
@@ -48,7 +46,7 @@ class StateLayout:
     Aggregation rules reduce many client state dicts; packing each dict into
     one contiguous vector turns the per-key Python loops into whole-vector
     NumPy ops.  The layout keeps the *insertion* order of the template's keys
-    (not sorted order): per-key reductions such as :func:`state_norm` sum
+    (not sorted order): per-key reductions such as q-FedAvg's delta norm sum
     their per-key partials in iteration order, and replaying that exact order
     segment-by-segment is what keeps flat reductions bitwise-identical to the
     seed dict-based reductions (the test oracle).
@@ -115,48 +113,6 @@ class StateLayout:
         """Iterate ``(key, flat_segment)`` pairs of ``vector`` in layout order."""
         for key, start, end in zip(self.keys, self.offsets[:-1], self.offsets[1:]):
             yield key, vector[start:end]
-
-
-def get_weights(model: Module) -> StateDict:
-    """Return a copy of the model's full state (parameters + buffers)."""
-    return model.state_dict()
-
-
-def set_weights(model: Module, state: StateDict) -> None:
-    """Load a state dict into a model in-place."""
-    model.load_state_dict(state)
-
-
-def state_dict_to_vector(state: StateDict) -> np.ndarray:
-    """Flatten a state dict into a single 1-D array (keys sorted for determinism)."""
-    return np.concatenate([np.ravel(state[key]) for key in sorted(state)]) if state else np.zeros(0)
-
-
-def vector_to_state_dict(vector: np.ndarray, template: StateDict) -> StateDict:
-    """Unflatten ``vector`` using the shapes of ``template`` (keys sorted)."""
-    result: StateDict = {}
-    offset = 0
-    for key in sorted(template):
-        size = template[key].size
-        chunk = vector[offset : offset + size]
-        if chunk.size != size:
-            raise ValueError("vector length does not match template")
-        result[key] = chunk.reshape(template[key].shape).copy()
-        offset += size
-    if offset != vector.size:
-        raise ValueError("vector length does not match template")
-    return result
-
-
-def clone_state(state: StateDict) -> StateDict:
-    """Deep copy of a state dict as contiguous, owned arrays.
-
-    Used to build pickle-safe client payloads for the process execution
-    backend: the copies alias no model buffers (a worker's scratch model keeps
-    training after the result is shipped) and are C-contiguous, so pickling is
-    a flat memory copy.
-    """
-    return {key: np.asarray(value).copy() for key, value in state.items()}
 
 
 def states_equal(a: StateDict, b: StateDict) -> bool:
@@ -308,8 +264,8 @@ class StreamingAverager:
 
     Element for element this is the multiply-add sequence of the seed
     per-key reduction (states outermost, starting from zeros, weights
-    normalized up front), and :func:`average_states` delegates here, so
-    streaming is bitwise-identical to materializing the full list first.
+    normalized up front), so streaming is bitwise-identical to materializing
+    the full list first.
 
     Precision: the running accumulator is **always float64**, whatever the
     input states' compute dtype; the result is cast back to the input dtype
@@ -354,34 +310,6 @@ class StreamingAverager:
         if self._layout.dtype == np.float64:
             return self._layout.unpack(self._accumulator)
         return self._layout.unpack(self._accumulator.astype(self._layout.dtype))
-
-
-def average_states(states: Sequence[StateDict], weights: Iterable[float] | None = None) -> StateDict:
-    """Weighted average of state dicts (the FedAvg aggregation primitive).
-
-    Delegates to :class:`StreamingAverager`, so the materialized and
-    streaming reductions cannot drift: both run the identical multiply-add
-    sequence (clients outermost, weights normalized up front).
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("cannot average an empty list of states")
-    averager = StreamingAverager(len(states), weights)
-    for state in states:
-        averager.add(state)
-    return averager.finalize()
-
-
-def state_norm(state: StateDict) -> float:
-    """L2 norm of the flattened state (used by q-FedAvg's Lipschitz estimate).
-
-    Squares and sums in float64 whatever the state's compute dtype (a no-op
-    for the float64 golden path), following the accumulate-in-float64 rule.
-    """
-    return float(np.sqrt(sum(
-        float(np.sum(np.asarray(value, dtype=np.float64) ** 2))
-        for value in state.values()
-    )))
 
 
 def state_fingerprint(state: StateDict) -> str:

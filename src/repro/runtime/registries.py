@@ -117,7 +117,10 @@ def _device_capture(
         if unknown:
             raise ValueError(
                 f"unknown isp_override field(s) {unknown}; ISPConfig has {known}")
-        isp_config = ISPConfig(**isp_override)
+        try:
+            isp_config = ISPConfig(**isp_override)
+        except ValueError as exc:
+            raise ValueError(f"isp_override: {exc}") from exc
     bundle = build_device_datasets(
         samples_per_class_train=scale.samples_per_class_train,
         samples_per_class_test=scale.samples_per_class_test,

@@ -42,7 +42,6 @@ from ..fl.training import local_train
 from ..data.dataset import ArrayDataset
 from ..data.partition import build_client_specs
 from ..nn.layers import Module
-from ..nn.serialization import get_weights, set_weights
 from ..obs import Tracer, export_run_obs
 from ..store import CheckpointError, RunStore
 from .registries import (
@@ -124,8 +123,6 @@ class Runner:
 
     Parameters
     ----------
-    cache_datasets:
-        Memoise dataset bundles across runs (default on).
     store:
         Optional :class:`~repro.store.RunStore` (or a path to create one at)
         making federated runs durable: manifests, checkpoints and results are
@@ -137,10 +134,8 @@ class Runner:
         only the final snapshot).
     """
 
-    def __init__(self, cache_datasets: bool = True,
-                 store: "RunStore | str | None" = None,
+    def __init__(self, store: "RunStore | str | None" = None,
                  checkpoint_every: Optional[int] = None) -> None:
-        self.cache_datasets = cache_datasets
         if store is not None and not isinstance(store, RunStore):
             store = RunStore(store)
         self.store = store
@@ -165,12 +160,10 @@ class Runner:
              "kwargs": spec.dataset_kwargs},
             sort_keys=True, default=str,
         )
-        if self.cache_datasets and key in self._bundle_cache:
-            return self._bundle_cache[key]
-        bundle = build_dataset(spec.dataset, scale=scale, seed=seed, **spec.dataset_kwargs)
-        if self.cache_datasets:
-            self._bundle_cache[key] = bundle
-        return bundle
+        if key not in self._bundle_cache:
+            self._bundle_cache[key] = build_dataset(spec.dataset, scale=scale, seed=seed,
+                                                    **spec.dataset_kwargs)
+        return self._bundle_cache[key]
 
     # -- execution ---------------------------------------------------------- #
     def run(self, spec: RunSpec, resume: bool = False) -> RunResult:
@@ -368,11 +361,11 @@ class Runner:
             seed=seed,
         )
         model = factory()
-        local_train(model, train_set, config, get_weights(model), transform=transform,
+        local_train(model, train_set, config, model.state_dict(), transform=transform,
                     batch_hook=averager.on_batch_end if averager is not None else None,
                     seed=seed)
         if averager is not None and averager.count:
-            set_weights(model, averager.average())
+            model.load_state_dict(averager.average())
         return model, evaluate_on_devices(model, bundle.test, bundle.task)
 
     # -- summary ------------------------------------------------------------ #

@@ -9,7 +9,6 @@ from repro.core.ema import EMALossTracker
 from repro.core.swad import SWAAverager, SWADAverager, WeightAverager
 from repro.core.switch import SwitchDecision, decide_switch1, decide_switch2
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights
 
 
 class TestEMALossTracker:
@@ -105,18 +104,21 @@ class TestWeightAverager:
             WeightAverager().average()
 
     def test_mismatched_keys_raise(self):
-        averager = WeightAverager({"w": np.zeros(1)})
+        averager = WeightAverager()
+        averager.update({"w": np.zeros(1)})
         with pytest.raises(KeyError):
             averager.update({"v": np.zeros(1)})
 
     def test_average_returns_copies(self):
-        averager = WeightAverager({"w": np.array([1.0])})
+        averager = WeightAverager()
+        averager.update({"w": np.array([1.0])})
         avg = averager.average()
         avg["w"][...] = 99.0
         np.testing.assert_allclose(averager.average()["w"], [1.0])
 
     def test_reset(self):
-        averager = WeightAverager({"w": np.array([1.0])})
+        averager = WeightAverager()
+        averager.update({"w": np.array([1.0])})
         averager.reset()
         assert averager.count == 0
 
@@ -125,7 +127,18 @@ class TestWeightAverager:
         averager = WeightAverager()
         averager.update_from_model(model)
         np.testing.assert_allclose(
-            averager.average()["fc1.weight"], get_weights(model)["fc1.weight"]
+            averager.average()["fc1.weight"], model.state_dict()["fc1.weight"]
+        )
+
+    def test_update_from_model_reads_rebound_parameters(self):
+        """A parameter rebound after the arena was built is folded, not the stale copy."""
+        model = SimpleMLP(4, 2, hidden=4, seed=0)
+        averager = WeightAverager()
+        averager.update_from_model(model)
+        model.fc1.weight.data = model.fc1.weight.data + 2.0
+        averager.update_from_model(model)
+        np.testing.assert_allclose(
+            averager.average()["fc1.weight"], model.state_dict()["fc1.weight"] - 1.0
         )
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20))
@@ -159,8 +172,8 @@ class TestSWADvsSWA:
     def test_swad_average_lies_between_iterates(self):
         averager = SWADAverager()
         model = SimpleMLP(4, 2, hidden=4, seed=0)
-        first = get_weights(model)["fc1.weight"].copy()
-        averager.update(get_weights(model))
+        first = model.state_dict()["fc1.weight"].copy()
+        averager.update(model.state_dict())
         for p in model.parameters():
             p.data += 1.0
         averager.update_from_model(model)

@@ -12,7 +12,6 @@ from repro.fl.config import FLConfig
 from repro.fl.training import evaluate_loss, evaluate_metric, local_train
 from repro.isp.transforms import GaussianNoise
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights
 
 
 @pytest.fixture
@@ -34,7 +33,7 @@ def train(model, dataset, epochs, learning_rate, **kwargs):
     """Centralized SGD: ``epochs`` local epochs from the model's own weights."""
     config = FLConfig(num_clients=1, clients_per_round=1, local_epochs=epochs,
                       batch_size=6, learning_rate=learning_rate)
-    local_train(model, dataset, config, get_weights(model), seed=0, **kwargs)
+    local_train(model, dataset, config, model.state_dict(), seed=0, **kwargs)
     return model
 
 

@@ -8,7 +8,7 @@ from repro.fl.config import FLConfig
 from repro.fl.training import (ClientResult, compute_loss, evaluate_loss, evaluate_metric,
                                local_train, measure_init_loss)
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights, state_dict_to_vector, states_equal
+from repro.nn.serialization import StateLayout, states_equal
 
 
 class TestFLConfig:
@@ -94,7 +94,7 @@ class TestComputeAndEvaluate:
 class TestLocalTrain:
     def test_returns_client_result(self, classification_setup):
         model, dataset, config = classification_setup
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         init_loss = measure_init_loss(model, dataset, config, global_state)
         result = local_train(model, dataset, config, global_state, seed=0)
         assert isinstance(result, ClientResult)
@@ -106,16 +106,16 @@ class TestLocalTrain:
 
     def test_training_changes_weights(self, classification_setup):
         model, dataset, config = classification_setup
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         result = local_train(model, dataset, config, global_state, seed=0)
-        assert not np.allclose(state_dict_to_vector(result.state),
-                               state_dict_to_vector(global_state))
+        layout = StateLayout(global_state)
+        assert not np.allclose(layout.pack(result.state), layout.pack(global_state))
 
     def test_training_reduces_loss(self, classification_setup):
         model, dataset, _ = classification_setup
         config = FLConfig(num_clients=4, clients_per_round=2, num_rounds=1,
                           batch_size=5, learning_rate=0.3, local_epochs=10, seed=0)
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         init_loss = measure_init_loss(model, dataset, config, global_state)
         local_train(model, dataset, config, global_state, seed=0)
         final_loss = evaluate_loss(model, dataset, "classification")
@@ -124,7 +124,7 @@ class TestLocalTrain:
     def test_starts_from_global_state(self, classification_setup):
         """local_train must overwrite whatever weights the model currently holds."""
         model, dataset, config = classification_setup
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         clean = local_train(SimpleMLP(6, 2, hidden=8, seed=0), dataset, config,
                             global_state, seed=0)
         # Scramble the model weights.
@@ -146,7 +146,7 @@ class TestLocalTrain:
             calls["count"] += 1
             return features
 
-        local_train(model, dataset, config, get_weights(model), transform=transform, seed=0)
+        local_train(model, dataset, config, model.state_dict(), transform=transform, seed=0)
         assert calls["count"] > 0
 
     def test_batch_hook_called_once_per_batch(self, classification_setup):
@@ -156,20 +156,22 @@ class TestLocalTrain:
         def hook(hook_model, batch_index, epoch_index):
             seen.append((epoch_index, batch_index))
 
-        local_train(model, dataset, config, get_weights(model), batch_hook=hook, seed=0)
+        local_train(model, dataset, config, model.state_dict(), batch_hook=hook, seed=0)
         batches_per_epoch = int(np.ceil(len(dataset) / config.batch_size))
         assert len(seen) == batches_per_epoch * config.local_epochs
 
     def test_deterministic_given_seed(self, classification_setup):
         model, dataset, config = classification_setup
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         a = local_train(model, dataset, config, global_state, seed=7)
         b = local_train(model, dataset, config, global_state, seed=7)
-        np.testing.assert_allclose(state_dict_to_vector(a.state), state_dict_to_vector(b.state))
+        layout = StateLayout(global_state)
+        np.testing.assert_allclose(layout.pack(a.state), layout.pack(b.state))
 
     def test_different_seeds_differ(self, classification_setup):
         model, dataset, config = classification_setup
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         a = local_train(model, dataset, config, global_state, seed=1)
         b = local_train(model, dataset, config, global_state, seed=2)
-        assert not np.allclose(state_dict_to_vector(a.state), state_dict_to_vector(b.state))
+        layout = StateLayout(global_state)
+        assert not np.allclose(layout.pack(a.state), layout.pack(b.state))

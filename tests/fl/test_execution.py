@@ -41,7 +41,7 @@ from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import FLContext, create_strategy
 from repro.fl.training import local_train
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights, states_equal
+from repro.nn.serialization import states_equal
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -162,6 +162,27 @@ class TestExecutorRegistry:
             create_executor("thread", max_workers=bad)
 
 
+class TestScratchModelCache:
+    def test_rebuilt_only_when_factory_or_dtype_changes(self):
+        from types import SimpleNamespace
+
+        from repro.fl.execution import _scratch_model
+
+        holder, calls = SimpleNamespace(), []
+
+        def factory():
+            calls.append(1)
+            return _round_model()
+
+        model = _scratch_model(holder, factory, "float64")
+        assert _scratch_model(holder, factory, "float64") is model
+        model32 = _scratch_model(holder, factory, "float32")
+        assert model32 is not model
+        assert model32.parameters()[0].data.dtype == np.float32
+        assert _scratch_model(holder, _round_model, "float32") is not model32
+        assert len(calls) == 2
+
+
 def _round_model():
     # NCHW image batches so HeteroSwitch's ISP transform applies unchanged.
     return SimpleMLP(3 * 4 * 4, 2, hidden=8, seed=0)
@@ -187,7 +208,7 @@ def make_round_results(strategy_name, num_clients=3, seed=0):
     """Real client updates for one synthetic round, plus the server context."""
     specs, context = make_round_specs(num_clients, seed)
     model = _round_model()
-    global_state = get_weights(model)
+    global_state = model.state_dict()
     strategy = create_strategy(strategy_name)
     results = [run_client(strategy, model, spec, global_state, context)
                for spec in specs]
@@ -246,7 +267,7 @@ class TestPermutationInvariance:
         """Clients finishing in reverse order leave the same global state and
         EMA as the serial round, because the thread executor re-orders them."""
         specs, _ = make_round_specs()
-        global_state = get_weights(_round_model())
+        global_state = _round_model().state_dict()
         reverse = _ReverseCompletionStrategy(create_strategy(strategy_name),
                                              len(specs))
         outcomes = []
@@ -339,7 +360,7 @@ class TestRoundFailFast:
         every one of them trained to completion and was then discarded."""
         specs, model_fn, context = self._make_round()
         strategy = _FailFastStrategy(fail_client=specs[0].client_id)
-        global_state = get_weights(model_fn())
+        global_state = model_fn().state_dict()
         with create_executor("thread", max_workers=1) as executor:
             with pytest.raises(RuntimeError, match="boom"):
                 fail_fast_round(executor, strategy, model_fn, specs,
@@ -355,7 +376,7 @@ class TestRoundFailFast:
     def test_failure_propagates_and_pool_reusable(self, backend):
         specs, model_fn, context = self._make_round(num_clients=4)
         strategy = _FailFastStrategy(fail_client=specs[1].client_id, delay=0.0)
-        global_state = get_weights(model_fn())
+        global_state = model_fn().state_dict()
         with create_executor(backend, max_workers=2) as executor:
             with pytest.raises(RuntimeError, match="boom"):
                 fail_fast_round(executor, strategy, model_fn, specs,

@@ -56,7 +56,7 @@ from repro.fl.strategies import create_strategy
 from repro.fl.strategies.base import FLContext
 from repro.fl.training import ClientResult
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import StateLayout, get_weights, states_equal
+from repro.nn.serialization import StateLayout, states_equal
 from repro.store.checkpoint import read_checkpoint
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -255,7 +255,7 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(
-                strategy, model_fn, jobs, get_weights(model_fn()), context))
+                strategy, model_fn, jobs, model_fn().state_dict(), context))
         for position, outcome in enumerate(outcomes):
             if position == fail_position:
                 assert isinstance(outcome, ClientFailure)
@@ -282,7 +282,7 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(
-                strategy, model_fn, jobs, get_weights(model_fn()), context))
+                strategy, model_fn, jobs, model_fn().state_dict(), context))
         assert isinstance(outcomes[0], ClientFailure)
         assert isinstance(outcomes[1], ClientResult)
         assert outcomes[1].client_id == selected[1].client_id
@@ -303,7 +303,7 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(
-                strategy, model_fn, jobs, get_weights(model_fn()), context))
+                strategy, model_fn, jobs, model_fn().state_dict(), context))
         assert all(isinstance(outcome, WorkerDied) for outcome in outcomes)
         assert {outcome.kind for outcome in outcomes} == {"worker_died"}
 
@@ -328,7 +328,7 @@ class TestExecutorFailurePaths:
             with pytest.raises(ClientFailure, match="header boom"):
                 _, results, _ = run_tolerant_round(
                     executor, create_strategy("fedavg"), model_fn, selected,
-                    get_weights(model_fn()), context, policy)
+                    model_fn().state_dict(), context, policy)
                 list(results)
         assert shm_entries() <= before
 
@@ -347,7 +347,7 @@ class TestExecutorFailurePaths:
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(
                 strategy, model_fn, [(spec, 0) for spec in selected],
-                get_weights(model_fn()), context))
+                model_fn().state_dict(), context))
         assert all(isinstance(outcome, RoundTimeout) for outcome in outcomes)
         assert "deadline" in str(outcomes[0])
 
@@ -519,8 +519,8 @@ class TestQuorum:
 
 class TestSanitization:
     def test_sanitize_result_catches_poison(self):
-        layout = StateLayout(get_weights(model_fn()))
-        clean_state = get_weights(model_fn())
+        layout = StateLayout(model_fn().state_dict())
+        clean_state = model_fn().state_dict()
         ok = ClientResult(state=clean_state, num_samples=4, train_loss=0.5,
                           init_loss=0.6)
         assert sanitize_result(ok, layout) is None

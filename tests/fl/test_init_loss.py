@@ -16,7 +16,6 @@ from repro.fl import training
 from repro.fl.config import FLConfig
 from repro.fl.strategies import STRATEGY_REGISTRY, FLContext, create_strategy
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights
 
 # evaluate_loss calls per client update.
 EVALUATIONS = {
@@ -57,7 +56,7 @@ def test_every_registered_strategy_has_an_expectation():
 def test_evaluate_loss_calls_per_client_update(name, monkeypatch):
     spec, context = _client_round()
     model = _model()
-    global_state = get_weights(model)
+    global_state = model.state_dict()
     calls = []
     original = training.evaluate_loss
 

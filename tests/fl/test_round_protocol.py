@@ -37,7 +37,7 @@ from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
 from repro.fl.strategies.base import FLContext
 from repro.fl.training import ClientResult
-from repro.nn.serialization import get_weights, state_fingerprint
+from repro.nn.serialization import state_fingerprint
 
 BACKENDS = ["serial", "thread"] + (["shm"] if HAS_SHM else [])
 CLIENTS_PER_ROUND = make_config().clients_per_round
@@ -102,7 +102,7 @@ def test_round_protocol_matches_serial(executors, draw):
     context = FLContext(config=config, ema=EMALossTracker())
     selected = CLIENTS[:CLIENTS_PER_ROUND]
     jobs = list(zip(selected, attempts))
-    global_state = get_weights(model_fn())
+    global_state = model_fn().state_dict()
     outcomes = list(executor.iter_round(STRATEGY, model_fn, jobs, global_state,
                                         context))
     reference = list(serial.iter_round(STRATEGY, model_fn, jobs, global_state,

@@ -48,7 +48,7 @@ from repro.fl.training import ClientResult
 from repro.nn import functional as F
 from repro.nn.models import SimpleMLP
 from repro.nn.optim import SGD
-from repro.nn.serialization import get_weights, state_fingerprint
+from repro.nn.serialization import state_fingerprint
 
 requires_shm = pytest.mark.skipif(
     not HAS_FORK or sys.platform == "darwin" or not os.path.isdir("/dev/shm"),
@@ -106,7 +106,7 @@ def make_round(num_clients, **population_kwargs):
                       num_rounds=1, local_epochs=1, batch_size=4,
                       learning_rate=0.05, seed=0)
     context = FLContext(config=config, ema=EMALossTracker())
-    return specs, get_weights(model_fn()), context, model_fn
+    return specs, model_fn().state_dict(), context, model_fn
 
 
 class _ExplodingStrategy(FedAvg):

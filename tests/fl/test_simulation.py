@@ -9,7 +9,7 @@ from repro.fl.async_sim import AsyncFederatedSimulation, FedAsync
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, FLHistory
 from repro.fl.strategies import FedAvg, create_strategy
-from repro.nn.serialization import state_dict_to_vector, states_equal
+from repro.nn.serialization import StateLayout, states_equal
 
 
 def build_sync(model_fn, clients, test_sets, config):
@@ -163,9 +163,10 @@ class TestSimulationRun:
     def test_global_weights_change(self, tiny_bundle, tiny_clients, tiny_fl_config, tiny_model_fn):
         sim = FederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test, FedAvg(),
                                   tiny_fl_config)
-        before = state_dict_to_vector(sim.global_state)
+        layout = StateLayout(sim.global_state)
+        before = layout.pack(sim.global_state)
         sim.run()
-        after = state_dict_to_vector(sim.global_state)
+        after = layout.pack(sim.global_state)
         assert not np.allclose(before, after)
 
     def test_ema_tracked_each_round(self, tiny_bundle, tiny_clients, tiny_fl_config, tiny_model_fn):
@@ -210,9 +211,8 @@ class TestSimulationRun:
                                   tiny_fl_config)
         sim.run()
         model = sim.global_model()
-        np.testing.assert_allclose(
-            state_dict_to_vector(model.state_dict()), state_dict_to_vector(sim.global_state)
-        )
+        layout = StateLayout(sim.global_state)
+        np.testing.assert_allclose(layout.pack(model.state_dict()), layout.pack(sim.global_state))
 
     def test_final_train_loss_property(self, tiny_bundle, tiny_clients, tiny_fl_config,
                                        tiny_model_fn):

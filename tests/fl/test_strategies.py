@@ -18,7 +18,7 @@ from repro.fl.strategies import (
 )
 from repro.fl.training import ClientResult
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import get_weights, state_dict_to_vector
+from repro.nn.serialization import StateLayout
 
 
 def make_context(config=None, seed=0):
@@ -104,11 +104,11 @@ class TestFedAvgAggregation:
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         result = strategy.client_update(model, spec, global_state, context)
         assert result.metadata["device"] == "S6"
-        assert not np.allclose(state_dict_to_vector(result.state),
-                               state_dict_to_vector(global_state))
+        layout = StateLayout(global_state)
+        assert not np.allclose(layout.pack(result.state), layout.pack(global_state))
 
 
 class TestQFedAvg:
@@ -150,11 +150,11 @@ class TestQFedAvg:
         """q-FedAvg differs only at aggregation; its client update is FedAvg's."""
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         fed = FedAvg().client_update(model, spec, global_state, make_context())
         qfed = QFedAvg().client_update(model, spec, global_state, make_context())
-        np.testing.assert_allclose(state_dict_to_vector(fed.state),
-                                   state_dict_to_vector(qfed.state))
+        layout = StateLayout(global_state)
+        np.testing.assert_allclose(layout.pack(fed.state), layout.pack(qfed.state))
 
 
 class TestFedProx:
@@ -165,25 +165,26 @@ class TestFedProx:
     def test_large_mu_limits_drift(self):
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec(n=20)
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         # Keep lr * mu well below 1 so the proximal update stays contractive.
         config = FLConfig(num_clients=4, clients_per_round=2, num_rounds=1,
                           batch_size=5, learning_rate=0.1, local_epochs=5, seed=0)
         free = FedProx(mu=0.0).client_update(model, spec, global_state, make_context(config))
         constrained = FedProx(mu=2.0).client_update(model, spec, global_state, make_context(config))
-        global_vec = state_dict_to_vector(global_state)
-        drift_free = np.linalg.norm(state_dict_to_vector(free.state) - global_vec)
-        drift_constrained = np.linalg.norm(state_dict_to_vector(constrained.state) - global_vec)
+        layout = StateLayout(global_state)
+        global_vec = layout.pack(global_state)
+        drift_free = np.linalg.norm(layout.pack(free.state) - global_vec)
+        drift_constrained = np.linalg.norm(layout.pack(constrained.state) - global_vec)
         assert drift_constrained < drift_free
 
     def test_mu_zero_matches_fedavg(self):
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         fed = FedAvg().client_update(model, spec, global_state, make_context())
         prox = FedProx(mu=0.0).client_update(model, spec, global_state, make_context())
-        np.testing.assert_allclose(state_dict_to_vector(fed.state),
-                                   state_dict_to_vector(prox.state), atol=1e-10)
+        layout = StateLayout(global_state)
+        np.testing.assert_allclose(layout.pack(fed.state), layout.pack(prox.state), atol=1e-10)
 
 
 class TestScaffold:
@@ -193,7 +194,7 @@ class TestScaffold:
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        strategy.client_update(model, spec, get_weights(model), context)
+        strategy.client_update(model, spec, model.state_dict(), context)
         assert context.server_storage == {}
         assert context.client_storage == {}
 
@@ -201,7 +202,7 @@ class TestScaffold:
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         spec = make_spec()
         result = strategy.client_update(model, spec, global_state, context)
         result.client_id = spec.client_id
@@ -219,7 +220,7 @@ class TestScaffold:
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
-        global_state = get_weights(model)
+        global_state = model.state_dict()
         specs = [make_spec(i, seed=i) for i in range(2)]
         results = [strategy.client_update(model, spec, global_state, context)
                    for spec in specs]
@@ -234,6 +235,6 @@ class TestScaffold:
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
-        result = strategy.client_update(model, make_spec(), get_weights(model), context)
+        result = strategy.client_update(model, make_spec(), model.state_dict(), context)
         assert "c_delta" in result.metadata
         assert "new_c_i" in result.metadata

@@ -167,17 +167,21 @@ class TestCheckpointResumeThroughFlat:
 
 
 class TestFlatAggregationPrimitives:
-    def test_average_states_flat_matches_reference(self):
-        from repro.nn.serialization import average_states
+    def test_streaming_average_flat_matches_reference(self):
+        from repro.nn.serialization import StreamingAverager
 
         rng = np.random.default_rng(0)
         states = [{"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
                   for _ in range(5)]
         weights = [3, 1, 4, 1, 5]
-        with seed_engine.engine("reference"):
-            reference = average_states(states, weights)
-        flat = average_states(states, weights)
-        assert states_equal(reference, flat)
+        averages = {}
+        for mode in seed_engine.ENGINES:
+            with seed_engine.engine(mode):
+                averager = StreamingAverager(len(states), weights)
+                for state in states:
+                    averager.add(state)
+                averages[mode] = averager.finalize()
+        assert states_equal(averages["reference"], averages["flat"])
 
     def test_qfedavg_aggregate_flat_matches_reference(self, tiny_fl_config):
         from repro.core.ema import EMALossTracker
@@ -231,24 +235,19 @@ class TestFlatAggregationPrimitives:
         assert states_equal(averages["reference"], averages["flat"])
 
     def test_weight_averager_arena_fast_path_matches_dict_path(self):
+        """``update_from_model`` (the arena) folds what ``update(state_dict())`` folds."""
         from repro.core.swad import WeightAverager
-        from repro.nn.flat import FlatParams
         from repro.nn.models import SimpleMLP
 
-        plain_model = SimpleMLP(4, 2, hidden=3, seed=0)
-        flat_model = SimpleMLP(4, 2, hidden=3, seed=0)
-        FlatParams.from_module(flat_model)
+        model = SimpleMLP(4, 2, hidden=3, seed=0)
         rng = np.random.default_rng(3)
-        plain_avg, flat_avg = WeightAverager(), WeightAverager()
+        dict_avg, arena_avg = WeightAverager(), WeightAverager()
         for _ in range(5):
-            noise = {name: rng.normal(scale=0.1, size=param.data.shape)
-                     for name, param in plain_model.named_parameters()}
-            for model in (plain_model, flat_model):
-                for name, param in model.named_parameters():
-                    param.data += noise[name]
-            plain_avg.update_from_model(plain_model)
-            flat_avg.update_from_model(flat_model)
-        assert states_equal(plain_avg.average(), flat_avg.average())
+            for param in model.parameters():
+                param.data += rng.normal(scale=0.1, size=param.data.shape)
+            dict_avg.update(model.state_dict())
+            arena_avg.update_from_model(model)
+        assert states_equal(dict_avg.average(), arena_avg.average())
 
 
 class TestTable4Step:

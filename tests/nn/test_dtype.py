@@ -27,7 +27,6 @@ from repro.nn.models import SimpleMLP
 from repro.nn.serialization import (
     StateLayout,
     StreamingAverager,
-    average_states,
     states_allclose,
     states_equal,
 )
@@ -181,15 +180,22 @@ class TestAggregationDtype:
         return [{"w": rng.normal(size=(3, 2)).astype(dtype),
                  "b": rng.normal(size=4).astype(dtype)} for _ in range(n)]
 
+    @staticmethod
+    def _average(states, weights):
+        averager = StreamingAverager(len(states), weights)
+        for state in states:
+            averager.add(state)
+        return averager.finalize()
+
     @pytest.mark.parametrize("engine", ["flat", "reference"])
-    def test_average_states_float32_accumulates_in_float64(self, engine):
+    def test_streaming_average_float32_accumulates_in_float64(self, engine):
         states32 = self._states(np.float32)
         states64 = [{k: v.astype(np.float64) for k, v in s.items()}
                     for s in states32]
         weights = [3.0, 1.0, 4.0, 1.0]
         with seed_engine.engine(engine):
-            avg32 = average_states(states32, weights)
-            avg64 = average_states(states64, weights)
+            avg32 = self._average(states32, weights)
+            avg64 = self._average(states64, weights)
         for key, value in avg32.items():
             assert value.dtype == np.float32
             # The float64 accumulator means the float32 result is the float64
@@ -197,16 +203,28 @@ class TestAggregationDtype:
             np.testing.assert_array_equal(
                 value, avg64[key].astype(np.float32))
 
+    def test_streaming_averager_float32_matches_oracle(self):
+        states = self._states(np.float32, n=5)
+        weights = [2.0, 5.0, 1.0, 3.0, 4.0]
+        with seed_engine.engine("reference"):
+            expected = self._average(states, weights)
+        streamed = self._average(states, weights)
+        assert all(v.dtype == np.float32 for v in streamed.values())
+        assert states_equal(streamed, expected)
+
     @pytest.mark.parametrize("engine", ["flat", "reference"])
     def test_streaming_averager_matches_materialized(self, engine):
         states = self._states(np.float32, n=5)
         weights = [2.0, 5.0, 1.0, 3.0, 4.0]
+        normalized = np.asarray(weights) / np.sum(weights)
+        materialized = {}
+        for key in states[0]:
+            total = np.zeros(states[0][key].shape, dtype=np.float64)
+            for weight, state in zip(normalized, states):
+                total += weight * state[key]
+            materialized[key] = total.astype(np.float32)
         with seed_engine.engine(engine):
-            averager = StreamingAverager(len(states), weights)
-            for state in states:
-                averager.add(state)
-            streamed = averager.finalize()
-            materialized = average_states(states, weights)
+            streamed = self._average(states, weights)
         assert all(v.dtype == np.float32 for v in streamed.values())
         assert states_equal(streamed, materialized)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.flat import FlatParams, flat_arena_of
+from repro.nn.flat import FlatParams
 from repro.nn.layers import Linear, Parameter, Sequential
 from repro.nn.models import SimpleMLP
 from repro.nn.serialization import states_equal
@@ -46,6 +46,15 @@ class TestArenaConstruction:
     def test_from_module_caches(self):
         model = small_model()
         assert FlatParams.from_module(model) is FlatParams.from_module(model)
+
+    def test_from_module_rebuilds_after_rebinding(self):
+        model = small_model()
+        arena = FlatParams.from_module(model)
+        model.fc1.weight.data = model.fc1.weight.data + 1.0
+        rebuilt = FlatParams.from_module(model)
+        assert rebuilt is not arena and rebuilt.is_valid()
+        np.testing.assert_array_equal(rebuilt.vector[: model.fc1.weight.size],
+                                      model.fc1.weight.data.ravel())
 
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
@@ -204,11 +213,3 @@ class TestTrainingThroughArena:
         assert opt._flat.is_valid()
         assert not np.array_equal(model.parameters()[0].data, before), \
             "step wrote into the orphaned arena instead of the live weights"
-
-    def test_flat_arena_of(self):
-        model = small_model()
-        assert flat_arena_of(model) is None
-        arena = FlatParams.from_module(model)
-        assert flat_arena_of(model) is arena
-        model.fc1.weight.data = model.fc1.weight.data.copy()
-        assert flat_arena_of(model) is None

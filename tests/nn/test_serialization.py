@@ -1,4 +1,4 @@
-"""Tests for state-dict arithmetic and flattening (the FL weight-exchange layer)."""
+"""Tests for state-dict arithmetic, flattening and averaging (the FL weight-exchange layer)."""
 
 import numpy as np
 import pytest
@@ -11,17 +11,10 @@ from repro.nn.serialization import (
     StateLayout,
     StreamingAverager,
     add_states,
-    average_states,
-    clone_state,
-    get_weights,
     scale_state,
-    set_weights,
-    state_dict_to_vector,
     state_fingerprint,
-    state_norm,
     states_equal,
     subtract_states,
-    vector_to_state_dict,
     zeros_like_state,
 )
 
@@ -31,53 +24,73 @@ def model():
                       Linear(8, 2, rng=np.random.default_rng(1)))
 
 
-class TestGetSetWeights:
+def average(states, weights=None):
+    """The weighted average of ``states``, folded by :class:`StreamingAverager`."""
+    averager = StreamingAverager(len(states), weights)
+    for state in states:
+        averager.add(state)
+    return averager.finalize()
+
+
+def materialized_average(states, weights=None):
+    """The seed reduction written out over the whole list: weights normalized
+    up front, then a per-key float64 multiply-add, states outermost."""
+    weights = np.full(len(states), 1.0 / len(states)) if weights is None else (
+        np.asarray(weights, dtype=np.float64) / np.sum(weights, dtype=np.float64))
+    result = {key: np.zeros_like(value, dtype=np.float64) for key, value in states[0].items()}
+    for weight, state in zip(weights, states):
+        for key in result:
+            result[key] += weight * state[key]
+    return {key: value.astype(states[0][key].dtype) for key, value in result.items()}
+
+
+def copy_state(state):
+    return {key: value.copy() for key, value in state.items()}
+
+
+class TestModuleStateDict:
     def test_round_trip(self, model):
-        state = get_weights(model)
+        state = model.state_dict()
         other = Sequential(Linear(4, 8, rng=np.random.default_rng(7)), ReLU(),
                            Linear(8, 2, rng=np.random.default_rng(8)))
-        set_weights(other, state)
-        for key, value in get_weights(other).items():
+        other.load_state_dict(state)
+        for key, value in other.state_dict().items():
             np.testing.assert_allclose(value, state[key])
 
-    def test_get_weights_returns_copies(self, model):
-        state = get_weights(model)
+    def test_state_dict_returns_copies(self, model):
+        state = model.state_dict()
         state["layer0.weight"][...] = 42.0
-        assert not np.allclose(get_weights(model)["layer0.weight"], 42.0)
+        assert not np.allclose(model.state_dict()["layer0.weight"], 42.0)
 
 
-class TestVectorConversion:
+class TestStateLayoutRoundTrip:
     def test_round_trip(self, model):
-        state = get_weights(model)
-        vector = state_dict_to_vector(state)
-        rebuilt = vector_to_state_dict(vector, state)
-        for key in state:
-            np.testing.assert_allclose(rebuilt[key], state[key])
+        state = model.state_dict()
+        layout = StateLayout(state)
+        assert states_equal(layout.unpack(layout.pack(state)), state)
 
     def test_vector_length(self, model):
-        state = get_weights(model)
-        assert state_dict_to_vector(state).size == sum(v.size for v in state.values())
+        state = model.state_dict()
+        assert StateLayout(state).pack(state).size == sum(v.size for v in state.values())
 
     def test_length_mismatch_raises(self, model):
-        state = get_weights(model)
-        with pytest.raises(ValueError):
-            vector_to_state_dict(np.zeros(3), state)
+        with pytest.raises(ValueError, match="does not match layout size"):
+            StateLayout(model.state_dict()).unpack(np.zeros(3))
 
     def test_empty_state(self):
-        assert state_dict_to_vector({}).size == 0
+        assert StateLayout({}).pack({}).size == 0
 
 
 class TestStateArithmetic:
     def test_add_subtract_inverse(self, model):
-        a = get_weights(model)
+        a = model.state_dict()
         b = scale_state(a, 0.5)
+        layout = StateLayout(a)
         np.testing.assert_allclose(
-            state_dict_to_vector(subtract_states(add_states(a, b), b)),
-            state_dict_to_vector(a),
-        )
+            layout.pack(subtract_states(add_states(a, b), b)), layout.pack(a))
 
     def test_zeros_like(self, model):
-        zeros = zeros_like_state(get_weights(model))
+        zeros = zeros_like_state(model.state_dict())
         assert all(np.all(value == 0) for value in zeros.values())
 
     def test_scale(self):
@@ -88,60 +101,60 @@ class TestStateArithmetic:
         with pytest.raises(KeyError):
             add_states({"a": np.zeros(2)}, {"b": np.zeros(2)})
 
-    def test_state_norm(self):
+    def test_oracle_state_norm(self):
         state = {"a": np.array([3.0]), "b": np.array([4.0])}
-        assert state_norm(state) == pytest.approx(5.0)
+        assert seed_engine.state_norm(state) == pytest.approx(5.0)
 
 
-class TestAverageStates:
+class TestWeightedAverage:
     def test_uniform_average(self):
         states = [{"w": np.array([0.0])}, {"w": np.array([2.0])}]
-        np.testing.assert_allclose(average_states(states)["w"], [1.0])
+        np.testing.assert_allclose(average(states)["w"], [1.0])
 
     def test_weighted_average(self):
         states = [{"w": np.array([0.0])}, {"w": np.array([10.0])}]
-        np.testing.assert_allclose(average_states(states, [3, 1])["w"], [2.5])
+        np.testing.assert_allclose(average(states, [3, 1])["w"], [2.5])
 
     def test_weights_normalized(self):
         states = [{"w": np.array([1.0])}, {"w": np.array([3.0])}]
         np.testing.assert_allclose(
-            average_states(states, [10, 10])["w"], average_states(states, [1, 1])["w"]
+            average(states, [10, 10])["w"], average(states, [1, 1])["w"]
         )
 
     def test_single_state_identity(self):
         state = {"w": np.array([1.5, 2.5])}
-        np.testing.assert_allclose(average_states([state])["w"], state["w"])
+        np.testing.assert_allclose(average([state])["w"], state["w"])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            average_states([])
+            StreamingAverager(0)
 
     def test_bad_weights_length(self):
         with pytest.raises(ValueError):
-            average_states([{"w": np.zeros(1)}], [1, 2])
+            average([{"w": np.zeros(1)}], [1, 2])
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
-            average_states([{"w": np.zeros(1)}, {"w": np.ones(1)}], [0, 0])
+            average([{"w": np.zeros(1)}, {"w": np.ones(1)}], [0, 0])
 
     def test_nan_weight_rejected(self):
         """Regression: NaN weights used to sail past the ``total <= 0`` check
         (``nan <= 0`` is False) and silently poison every averaged weight."""
         states = [{"w": np.zeros(1)}, {"w": np.ones(1)}]
         with pytest.raises(ValueError, match="finite"):
-            average_states(states, [np.nan, 1.0])
+            average(states, [np.nan, 1.0])
 
     def test_infinite_weight_rejected(self):
         states = [{"w": np.zeros(1)}, {"w": np.ones(1)}]
         with pytest.raises(ValueError, match="finite"):
-            average_states(states, [np.inf, 1.0])
+            average(states, [np.inf, 1.0])
 
     def test_negative_weight_rejected(self):
         """Regression: weights like [-1, 3] summed positive and passed the old
         guard, producing an 'average' outside the convex hull of the states."""
         states = [{"w": np.zeros(1)}, {"w": np.ones(1)}]
         with pytest.raises(ValueError, match="non-negative"):
-            average_states(states, [-1.0, 3.0])
+            average(states, [-1.0, 3.0])
 
     @pytest.mark.parametrize("engine", ["flat", "reference"])
     def test_weight_validation_parity_across_engines(self, engine):
@@ -150,13 +163,13 @@ class TestAverageStates:
         with seed_engine.engine(engine):
             for bad in ([np.nan, 1.0], [-1.0, 3.0], [0.0, 0.0], [1.0]):
                 with pytest.raises(ValueError):
-                    average_states(states, bad)
+                    average(states, bad)
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_average_between_min_and_max(self, values):
         states = [{"w": np.array([v])} for v in values]
-        avg = average_states(states)["w"][0]
+        avg = average(states)["w"][0]
         assert min(values) - 1e-9 <= avg <= max(values) + 1e-9
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=5),
@@ -164,7 +177,7 @@ class TestAverageStates:
     @settings(max_examples=30, deadline=None)
     def test_average_of_identical_states_is_identity(self, values, weight):
         state = {"w": np.asarray(values)}
-        avg = average_states([state, state, state], [weight, weight, weight])
+        avg = average([state, state, state], [weight, weight, weight])
         np.testing.assert_allclose(avg["w"], state["w"], atol=1e-9)
 
 
@@ -190,7 +203,7 @@ class TestStateLayoutValidation:
         bad = {"w": np.ones((3, 2))}
         with seed_engine.engine(engine):
             with pytest.raises(ValueError):
-                average_states([good, bad])
+                average([good, bad])
 
 
 class TestStreamingAverager:
@@ -201,14 +214,11 @@ class TestStreamingAverager:
 
     @pytest.mark.parametrize("engine", ["flat", "reference"])
     @pytest.mark.parametrize("weights", [None, [1, 2, 3, 4]])
-    def test_bitwise_matches_average_states(self, engine, weights):
+    def test_bitwise_matches_materialized_average(self, engine, weights):
         states = self._states(4)
         with seed_engine.engine(engine):
-            expected = average_states(states, weights)
-            averager = StreamingAverager(len(states), weights)
-            for state in states:
-                averager.add(state)
-            assert states_equal(averager.finalize(), expected)
+            assert states_equal(average(states, weights),
+                                materialized_average(states, weights))
 
     def test_too_many_states_rejected(self):
         averager = StreamingAverager(1)
@@ -229,21 +239,11 @@ class TestStreamingAverager:
             StreamingAverager(2, [-1.0, 2.0])
 
 
-class TestCloneState:
-    def test_copies_are_independent_and_contiguous(self):
-        state = {"w": np.arange(8.0).reshape(2, 4)[:, ::2]}  # non-contiguous view
-        cloned = clone_state(state)
-        assert cloned["w"].flags["C_CONTIGUOUS"]
-        assert not np.shares_memory(cloned["w"], state["w"])
-        cloned["w"][0, 0] = 99.0
-        assert state["w"][0, 0] == 0.0
-
-
 class TestStateFingerprint:
     def test_equal_iff_states_equal(self, model):
-        state = get_weights(model)
-        assert state_fingerprint(state) == state_fingerprint(clone_state(state))
-        nudged = clone_state(state)
+        state = model.state_dict()
+        assert state_fingerprint(state) == state_fingerprint(copy_state(state))
+        nudged = copy_state(state)
         key = next(iter(nudged))
         nudged[key].flat[0] = np.nextafter(nudged[key].flat[0], np.inf)
         assert state_fingerprint(state) != state_fingerprint(nudged)
@@ -264,7 +264,7 @@ class TestStateFingerprint:
 class TestStatesEqual:
     def test_equal_states(self):
         a = {"w": np.array([1.0, 2.0]), "b": np.zeros(3)}
-        assert states_equal(a, clone_state(a))
+        assert states_equal(a, copy_state(a))
 
     def test_value_difference_detected(self):
         a = {"w": np.array([1.0])}

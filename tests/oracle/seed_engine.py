@@ -49,9 +49,7 @@ import repro.nn.serialization as serialization
 from repro.nn.serialization import (
     _check_keys,
     add_states,
-    get_weights,
     scale_state,
-    state_norm,
     subtract_states,
     zeros_like_state,
 )
@@ -217,7 +215,7 @@ def swad_update(self, state) -> None:
 
 
 def swad_update_from_model(self, model) -> None:
-    self.update(get_weights(model))
+    self.update(model.state_dict())
 
 
 def swad_average(self):
@@ -230,6 +228,18 @@ def swad_average(self):
 def swad_reset(self) -> None:
     self._seed_average = None
     self._count = 0
+
+
+def state_norm(state) -> float:
+    """L2 norm of the flattened state (q-FedAvg's Lipschitz estimate).
+
+    Squares and sums in float64 whatever the state's compute dtype (a no-op
+    for the float64 golden path), following the accumulate-in-float64 rule.
+    """
+    return float(np.sqrt(sum(
+        float(np.sum(np.asarray(value, dtype=np.float64) ** 2))
+        for value in state.values()
+    )))
 
 
 def qfedavg_reduce(self, global_state, ordered, context):

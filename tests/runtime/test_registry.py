@@ -133,3 +133,16 @@ class TestDeviceCaptureISPOverride:
             DATASET_REGISTRY.create("device_capture", scale=get_scale("smoke"), seed=0,
                                     isp_override={"gama": "srgb"})
         assert calls == []
+
+    def test_unknown_method_refused_naming_the_kwarg(self, monkeypatch):
+        from repro.eval.scale import get_scale
+
+        calls = []
+        monkeypatch.setattr("repro.runtime.registries.build_device_datasets",
+                            lambda **kwargs: calls.append(kwargs))
+        with pytest.raises(ValueError, match=r"^isp_override: unknown method 'foo' "
+                                             r"for ISP stage 'denoise'") as info:
+            DATASET_REGISTRY.create("device_capture", scale=get_scale("smoke"), seed=0,
+                                    isp_override={"denoise": "foo"})
+        assert isinstance(info.value.__cause__, ValueError)
+        assert calls == []

@@ -16,7 +16,7 @@ from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
 from repro.fl.training import local_train
-from repro.nn.serialization import get_weights, states_equal
+from repro.nn.serialization import states_equal
 from repro.runtime import Runner, RunSpec
 
 DEVICES = ["Pixel5", "S6", "G7"]
@@ -246,18 +246,13 @@ class TestDatasetCache:
         other = spec.with_overrides(dataset_kwargs={"devices": DEVICES[:2]})
         assert runner.build_bundle(spec, seed=0) is not runner.build_bundle(other, seed=0)
 
-    def test_cache_can_be_disabled(self):
-        runner = Runner(cache_datasets=False)
-        spec = RunSpec(dataset_kwargs={"devices": DEVICES}, seeds=[0])
-        assert runner.build_bundle(spec, seed=0) is not runner.build_bundle(spec, seed=0)
-
 
 def _hand_trained(bundle, train_set, **kwargs):
     """A centralized smoke run assembled by hand: one ``local_train`` call."""
     model = make_model_factory(SMOKE, bundle.num_classes, bundle.image_size, seed=0)()
     config = FLConfig(num_clients=1, clients_per_round=1, local_epochs=SMOKE.central_epochs,
                       batch_size=SMOKE.batch_size, learning_rate=SMOKE.learning_rate)
-    local_train(model, train_set, config, get_weights(model), seed=0, **kwargs)
+    local_train(model, train_set, config, model.state_dict(), seed=0, **kwargs)
     return model
 
 
@@ -288,7 +283,7 @@ class TestCentralizedKind:
         averager = SWADAverager()
         _hand_trained(bundle, bundle.train["scenes"], batch_hook=averager.on_batch_end)
         assert averager.count > 0
-        assert states_equal(get_weights(runner.run(spec).models[0]), averager.average())
+        assert states_equal(runner.run(spec).models[0].state_dict(), averager.average())
 
     def test_swa_averages_once_per_epoch(self, runner, monkeypatch):
         averagers = []
@@ -313,7 +308,7 @@ class TestCentralizedKind:
         model = _hand_trained(bundle, bundle.train["Pixel5"].merge(bundle.train["G7"]))
         result = runner.run(spec)
         assert list(result.metrics[0]) == DEVICES
-        assert states_equal(get_weights(result.models[0]), get_weights(model))
+        assert states_equal(result.models[0].state_dict(), model.state_dict())
 
     @pytest.mark.parametrize("exclude, message", [
         (["Pixel5"], r"partition_kwargs\.exclude names unknown device\(s\) \['Pixel5'\]"),

@@ -8,7 +8,7 @@ import pytest
 
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.models import MODEL_REGISTRY, create_model
-from repro.nn.serialization import get_weights, set_weights, states_equal
+from repro.nn.serialization import states_equal
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -100,16 +100,16 @@ class TestRoundTrip:
         assert set(_MODEL_KWARGS) == set(MODEL_REGISTRY), \
             "update _MODEL_KWARGS when registering a new model"
         for name, kwargs in _MODEL_KWARGS.items():
-            state = get_weights(create_model(name, **kwargs))
+            state = create_model(name, **kwargs).state_dict()
             loaded, _ = roundtrip(tmp_path, {"global_state": state})
             assert list(loaded["global_state"]) == list(state), name
             assert states_equal(state, loaded["global_state"]), name
 
     def test_loaded_state_drives_a_model(self, tmp_path):
         model, other = _mlp(0), _mlp(9)
-        loaded, _ = roundtrip(tmp_path, {"global_state": get_weights(model)})
-        set_weights(other, loaded["global_state"])
-        assert states_equal(get_weights(other), get_weights(model))
+        loaded, _ = roundtrip(tmp_path, {"global_state": model.state_dict()})
+        other.load_state_dict(loaded["global_state"])
+        assert states_equal(other.state_dict(), model.state_dict())
 
     def test_extra_meta_round_trips(self, tmp_path):
         _, meta = roundtrip(tmp_path, {"x": 1}, extra_meta={"round": 5})
