@@ -36,7 +36,7 @@ from repro.fl.execution import create_executor
 from repro.fl.strategies import create_strategy
 from repro.fl.strategies.base import FLContext
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import state_fingerprint
+from repro.nn.serialization import StateLayout, state_fingerprint
 
 FLEET_SIZES = (8, 64, 256)
 SAMPLES_PER_CLIENT = 6
@@ -78,20 +78,22 @@ def _run_round(executor_name: str, num_clients: int):
                       batch_size=SAMPLES_PER_CLIENT, learning_rate=0.05, seed=0)
     context = FLContext(config=config, ema=EMALossTracker())
     strategy = create_strategy("fedavg")
-    global_state = _model_fn().state_dict()
+    state = _model_fn().state_dict()
+    layout = StateLayout(state)
+    global_vec = layout.pack(state)
     start = time.perf_counter()
     with create_executor(executor_name) as executor:
         stream = executor.iter_round(strategy, _model_fn,
                                      [(spec, 0) for spec in specs],
-                                     global_state, context)
+                                     global_vec, context)
         tracemalloc.start()
-        new_state, results = strategy.aggregate_stream(
-            global_state, specs, stream, context)
+        new_vec, results = strategy.aggregate_stream(
+            global_vec, specs, stream, context)
         _, agg_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     round_s = time.perf_counter() - start
     assert len(results) == num_clients
-    return state_fingerprint(new_state), round_s, agg_peak
+    return state_fingerprint(layout.unpack(new_vec)), round_s, agg_peak
 
 
 def _rss_kb() -> int:

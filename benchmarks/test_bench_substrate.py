@@ -18,6 +18,7 @@ from repro.fl.training import local_train
 from repro.isp.pipeline import BASELINE_CONFIG, ISPPipeline
 from repro.isp.raw import RawBatch, bayer_mosaic_batch
 from repro.nn import functional as F
+from repro.nn.flat import FlatParams
 from repro.nn.models import MobileNetV3Small
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
@@ -70,7 +71,7 @@ def test_bench_fl_client_update(benchmark):
     dataset = ArrayDataset(rng.random((20, 3, 16, 16)), rng.integers(0, 6, size=20))
     config = FLConfig(num_clients=4, clients_per_round=2, num_rounds=1,
                       batch_size=10, learning_rate=0.1, seed=0)
-    global_state = model.state_dict()
+    global_vec = FlatParams.from_module(model).pack()
 
-    result = benchmark(local_train, model, dataset, config, global_state)
+    result = benchmark(local_train, model, dataset, config, global_vec)
     assert result.num_samples == 20

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..data.partition import ClientSpec
-from ..fl.strategies.base import FLContext, StateDict, Strategy
+from ..fl.strategies.base import FLContext, Strategy
 from ..fl.training import ClientResult, local_train, measure_init_loss
 from ..nn.layers import Module
 from .swad import SWADAverager
@@ -44,7 +46,7 @@ class _GeneralizingStrategy(Strategy):
     def _use_swad_weights(self, switch1: bool, train_loss: float, context: FLContext) -> bool:
         raise NotImplementedError
 
-    def client_update(self, model: Module, spec: ClientSpec, global_state: StateDict,
+    def client_update(self, model: Module, spec: ClientSpec, global_vec: np.ndarray,
                       context: FLContext) -> ClientResult:
         config = context.config
         # Private per-client stream: identical regardless of which execution
@@ -54,18 +56,18 @@ class _GeneralizingStrategy(Strategy):
 
         # Bias measurement (Algorithm 1): L_init is measured before training
         # because switch 1 decides how the client trains.
-        init_loss = measure_init_loss(model, spec.dataset, config, global_state)
+        init_loss = measure_init_loss(model, spec.dataset, config, global_vec)
         switch1 = self._use_transform(init_loss, context)
 
         # Switch 1 turns on the random ISP transform and SWAD's per-batch average.
         averager = SWADAverager()
         result = local_train(
-            model, spec.dataset, config, global_state,
+            model, spec.dataset, config, global_vec,
             transform=(lambda features, labels: self.transform(features, rng)) if switch1 else None,
             batch_hook=averager.on_batch_end if switch1 else None, seed=seed)
         switch2 = self._use_swad_weights(switch1, result.train_loss, context)
         if switch2 and averager.count > 0:
-            result.state = averager.average()
+            result.vector = averager.average()
 
         result.init_loss = init_loss
         result.metadata["device"] = spec.device

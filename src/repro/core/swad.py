@@ -33,19 +33,22 @@ StateDict = Dict[str, np.ndarray]
 
 
 class WeightAverager:
-    """Running average of model state dicts (Algorithm 1, line 17).
+    """Running average of model weights (Algorithm 1, line 17).
 
     The update follows the incremental-mean form used in the paper:
     ``W_avg <- (W_avg * k + W) / (k + 1)`` where ``k`` counts prior updates.
 
-    Internally the average lives as one flat vector: SWAD folds a state in
-    after *every* batch, and the incremental mean over the concatenated
-    vector is elementwise — hence bitwise — identical to a per-key dict
-    loop, at a fraction of the interpreter overhead.
-    :meth:`update_from_model` flattens straight from the model's
+    The average lives as one flat vector in :class:`StateLayout` order:
+    SWAD folds the weights in after *every* batch, and the incremental mean
+    over the concatenated vector is elementwise — hence bitwise — identical
+    to a per-key dict loop, at a fraction of the interpreter overhead.
+    :meth:`update_from_model` packs straight from the model's
     :class:`~repro.nn.flat.FlatParams` arena (built on first use; inside
-    ``local_train`` it already exists) without materialising an intermediate
-    state dict at all.
+    ``local_train`` it already exists) without materialising a state dict.
+
+    Precision: the mean is computed in the weights' own dtype, so under
+    float32 every fold rounds to float32 (unlike the server folds, which
+    accumulate in float64).
     """
 
     def __init__(self) -> None:
@@ -60,9 +63,12 @@ class WeightAverager:
 
     def _fold(self, vector: np.ndarray) -> None:
         if self._flat is None:
-            self._flat = vector.copy() if vector.base is not None else vector
+            self._flat = vector
             self._count = 1
             return
+        if vector.shape != self._flat.shape:
+            raise ValueError(f"weights of shape {vector.shape} do not match the "
+                             f"averaged shape {self._flat.shape}")
         k = self._count
         self._flat = (self._flat * k + vector) / (k + 1)
         self._count += 1
@@ -71,25 +77,17 @@ class WeightAverager:
         """Fold one state dict into the running average."""
         if self._layout is None:
             self._layout = StateLayout(state)
-        elif set(state.keys()) != set(self._layout.keys):
-            raise KeyError("state dict keys do not match the averaged state")
         self._fold(self._layout.pack(state))
 
     def update_from_model(self, model: Module) -> None:
         """Fold the model's current weights (parameters and buffers) into the average."""
-        keys, shapes, vector = FlatParams.from_module(model).pack_with_buffers()
-        if self._layout is None:
-            self._layout = StateLayout.from_keys_shapes(keys, shapes,
-                                                        dtype=vector.dtype)
-        elif list(keys) != self._layout.keys:
-            raise KeyError("state dict keys do not match the averaged state")
-        self._fold(vector)
+        self._fold(FlatParams.from_module(model).pack())
 
-    def average(self) -> StateDict:
-        """Return a copy of the current average."""
+    def average(self) -> np.ndarray:
+        """A copy of the current average, packed in :class:`StateLayout` order."""
         if self._flat is None:
             raise RuntimeError("no states have been averaged yet")
-        return {key: value.copy() for key, value in self._layout.unpack(self._flat).items()}
+        return self._flat.copy()
 
     def reset(self) -> None:
         self._layout = None

@@ -116,12 +116,12 @@ class _PendingJob:
     lost: bool = False
 
 
-def _weightless_result(data: Mapping[str, object],
-                       metadata: Dict[str, object]) -> ClientResult:
-    """A :class:`ClientResult` without weights, from a commit entry or a
+def _client_result(data: Mapping[str, object], metadata: Dict[str, object],
+                   vector: Optional[np.ndarray] = None) -> ClientResult:
+    """A :class:`ClientResult` from a commit entry (no weights) or a
     checkpointed update.  ``init_loss`` stays ``None`` where unmeasured."""
     init_loss = data.get("init_loss")
-    return ClientResult(state={}, num_samples=int(data["num_samples"]),
+    return ClientResult(vector=vector, num_samples=int(data["num_samples"]),
                         train_loss=float(data["train_loss"]),
                         init_loss=None if init_loss is None else float(init_loss),
                         client_id=int(data["client_id"]), metadata=metadata)
@@ -402,7 +402,8 @@ class AsyncFederatedSimulation(BaseSimulation):
             # derivation; a client appears at most once per batch, so every
             # (batch, client) training stream is unique.
             self.context.round_index = batch_id
-            broadcast = self._layout.unpack(batch["vec"])
+            broadcast = batch["vec"].view()
+            broadcast.flags.writeable = False
             with self._obs_span("flush_batch", batch=batch_id,
                                 jobs=len(specs)) as flush_span:
                 _, stream, _ = run_tolerant_round(
@@ -413,10 +414,8 @@ class AsyncFederatedSimulation(BaseSimulation):
                 merge_client_spans(self.tracer, flush_span.start, results,
                                    {spec.client_id: spec.device for spec in specs})
             for job, result in zip(jobs, results):
-                vec = self._layout.pack(result.state)
-                result.state = {}  # the packed vector is the payload now
                 self._results[job.job_id] = AsyncUpdate(
-                    result=result, vec=vec, delta=vec - batch["vec"],
+                    result=result, delta=result.vector - batch["vec"],
                     dispatch_version=job.dispatch_version,
                 )
             batch["flushed"] = len(batch["jobs"])
@@ -503,7 +502,7 @@ class AsyncFederatedSimulation(BaseSimulation):
         self._emit("commit", version=self._version,
                    clients=[int(e["client_id"]) for e in entries])
         if self._active_callbacks is not None:
-            results = [_weightless_result(e, {"device": e.get("device", "")})
+            results = [_client_result(e, {"device": e.get("device", "")})
                        for e in entries]
             self._active_callbacks.on_round_end(self, record, results)
 
@@ -522,7 +521,7 @@ class AsyncFederatedSimulation(BaseSimulation):
             "jobs": [dataclasses.asdict(self._jobs[jid]) for jid in sorted(self._jobs)],
             "results": {
                 int(jid): {
-                    "vec": update.vec,
+                    "vec": update.result.vector,
                     "delta": update.delta,
                     "dispatch_version": int(update.dispatch_version),
                     "client_id": int(update.result.client_id),
@@ -558,8 +557,8 @@ class AsyncFederatedSimulation(BaseSimulation):
         self._results = {}
         for jid, data in snapshot["results"].items():
             self._results[int(jid)] = AsyncUpdate(
-                result=_weightless_result(data, dict(data.get("metadata", {}))),
-                vec=np.asarray(data["vec"]),
+                result=_client_result(data, dict(data.get("metadata", {})),
+                                      vector=np.asarray(data["vec"])),
                 delta=np.asarray(data["delta"]),
                 dispatch_version=int(data["dispatch_version"]),
             )

@@ -61,15 +61,14 @@ def polynomial_staleness(staleness: int, exponent: float) -> float:
 class AsyncUpdate:
     """One client's completed local update, as the async server consumes it.
 
-    ``vec`` is the trained weights packed by the run's
-    :class:`~repro.nn.serialization.StateLayout`; ``delta`` is ``vec`` minus
-    the (packed) weights the client was dispatched with.  ``dispatch_version``
+    ``result.vector`` is the trained weights packed by the run's
+    :class:`~repro.nn.serialization.StateLayout`; ``delta`` is that vector
+    minus the (packed) weights the client was dispatched with.  ``dispatch_version``
     is the server commit count at dispatch time, so the staleness of the
     update at arrival is ``server_version - dispatch_version``.
     """
 
     result: ClientResult
-    vec: np.ndarray
     delta: np.ndarray
     dispatch_version: int
 
@@ -140,7 +139,7 @@ class AsyncStrategy(Strategy):
         """Buffered-but-uncommitted update records (empty unless buffering)."""
         return []
 
-    def aggregate_stream(self, global_state, selected, stream, context):
+    def aggregate_stream(self, global_vec, selected, stream, context):
         raise RuntimeError(
             f"strategy '{self.name}' is asynchronous-only and has no "
             f"round-based aggregation; run it with kind='federated_async' "
@@ -172,7 +171,7 @@ class FedAsync(AsyncStrategy):
 
     def server_update(self, global_vec, update, staleness, context):
         mix = self.alpha * polynomial_staleness(staleness, self.staleness_exponent)
-        vector = (1.0 - mix) * global_vec + mix * update.vec
+        vector = (1.0 - mix) * global_vec + mix * update.result.vector
         return AsyncCommit(vector=vector, entries=[update.entry(staleness)])
 
 

@@ -18,12 +18,18 @@ backends are registered in :data:`EXECUTOR_REGISTRY`:
   (large BLAS calls) and for exercising the parallel protocol cheaply.
 * ``shm``    — the multi-core backend: a *persistent* fork-based worker pool
   plus a ``multiprocessing.shared_memory`` broadcast segment.  The server
-  packs the global weights into the segment once per round
-  (:class:`~repro.nn.serialization.StateLayout` order); workers attach
-  read-only views, train, and ship back only a compact packed update vector.
+  copies the packed global vector into the segment once per round; workers
+  map it read-only, train, and ship back the packed vector their client
+  returned.
   Outcomes stream back as they complete, so together with the strategies'
   streaming reductions one round is O(1) in clients/round on the server
   side.  Dead workers are respawned in place mid-round.
+
+Weights cross the protocol in one format both ways: the global vector
+packed in the run's :class:`~repro.nn.serialization.StateLayout` order goes
+down (read-only, never copied per client), and each
+:class:`~repro.fl.training.ClientResult` carries its trained weights back as
+``vector`` in the same order.
 
 Determinism contract (why every backend produces bit-identical runs):
 
@@ -70,7 +76,6 @@ import numpy as np
 
 from ..data.partition import ClientSpec
 from ..nn.engine import dtype_mode
-from ..nn.serialization import StateLayout
 from ..obs.profiling import PROFILER
 from ..registry import Registry
 from .errors import ClientFailure, ExecutorError, RoundTimeout, WorkerDied
@@ -195,25 +200,23 @@ def _inject_pre_compute_fault(fault: str, spec: ClientSpec,
 def _poison_result(fault: str, result: ClientResult) -> None:
     """Corrupt a computed update the way a buggy/hostile client would.
 
-    ``nan`` flips the first element of the first tensor to NaN (enough to
-    poison every weighted average it touches); ``shape`` prepends a unit axis
-    to the first tensor, taking it out of the global layout.  Both mutate
-    fresh copies so a shared parameter arena is never corrupted in place.
+    ``nan`` sets the first element to NaN (enough to poison every weighted
+    average it touches); ``shape`` drops the last element, taking the update
+    out of the global layout.  Neither writes into the returned vector, so a
+    vector shared with a parameter arena is never corrupted in place.
     """
-    key = next(iter(result.state))
-    value = np.asarray(result.state[key]).copy()
     if fault == "nan":
-        value.reshape(-1)[0] = np.nan
-        result.state[key] = value
+        result.vector = result.vector.copy()
+        result.vector[0] = np.nan
     else:  # "shape"
-        result.state[key] = value.reshape((1,) + value.shape)
+        result.vector = result.vector[:-1]
 
 
 def run_client(
     strategy: "Strategy",
     model: "Module",
     spec: ClientSpec,
-    global_state: Dict[str, np.ndarray],
+    global_vec: np.ndarray,
     context: "FLContext",
     attempt: int = 0,
 ) -> ClientResult:
@@ -268,13 +271,13 @@ def run_client(
                 PROFILER.drain()  # drop residue from a previously aborted client
                 PROFILER.activate()
                 try:
-                    result = strategy.client_update(model, spec, global_state,
+                    result = strategy.client_update(model, spec, global_vec,
                                                     context)
                 finally:
                     PROFILER.deactivate()
                 kernels = PROFILER.drain()
             else:
-                result = strategy.client_update(model, spec, global_state,
+                result = strategy.client_update(model, spec, global_vec,
                                                 context)
                 kernels = {}
     except ExecutorError:
@@ -305,7 +308,7 @@ def run_client(
 
 
 def _capture_attempt(strategy: "Strategy", model: "Module", spec: ClientSpec,
-                     global_state: Dict[str, np.ndarray],
+                     global_vec: np.ndarray,
                      context: "FLContext", attempt: int) -> Outcome:
     """Run one attempt, returning failures as values instead of raising.
 
@@ -315,7 +318,7 @@ def _capture_attempt(strategy: "Strategy", model: "Module", spec: ClientSpec,
     non-``Exception`` escapes like ``KeyboardInterrupt`` still propagate.
     """
     try:
-        return run_client(strategy, model, spec, global_state, context,
+        return run_client(strategy, model, spec, global_vec, context,
                           attempt=attempt)
     except ExecutorError as exc:
         if exc.remote_traceback is None:
@@ -362,10 +365,13 @@ class ClientExecutor:
         strategy: "Strategy",
         model_fn: ModelFactory,
         jobs: Sequence[AttemptJob],
-        global_state: Dict[str, np.ndarray],
+        global_vec: np.ndarray,
         context: "FLContext",
     ) -> Iterator[Outcome]:
         """Train ``(spec, attempt)`` jobs; yield one outcome per job, in job order.
+
+        Every job trains from ``global_vec``, the packed global weights,
+        which no job may write to.
 
         An outcome is the job's :class:`ClientResult`, or the
         :class:`~repro.fl.errors.ExecutorError` it failed with.  Client
@@ -405,10 +411,10 @@ class SerialExecutor(ClientExecutor):
 
     name = "serial"
 
-    def iter_round(self, strategy, model_fn, jobs, global_state, context):
+    def iter_round(self, strategy, model_fn, jobs, global_vec, context):
         model = _scratch_model(self, model_fn, context.config.dtype)
         for spec, attempt in jobs:
-            yield _capture_attempt(strategy, model, spec, global_state, context,
+            yield _capture_attempt(strategy, model, spec, global_vec, context,
                                    attempt)
 
 
@@ -435,19 +441,19 @@ class ThreadExecutor(ClientExecutor):
             self._pool_workers = workers
         return self._pool
 
-    def _attempt_one(self, strategy, model_fn, spec, global_state, context,
+    def _attempt_one(self, strategy, model_fn, spec, global_vec, context,
                      attempt):
         model = _scratch_model(self._local, model_fn, context.config.dtype)
-        return _capture_attempt(strategy, model, spec, global_state, context,
+        return _capture_attempt(strategy, model, spec, global_vec, context,
                                 attempt)
 
-    def iter_round(self, strategy, model_fn, jobs, global_state, context):
+    def iter_round(self, strategy, model_fn, jobs, global_vec, context):
         jobs = list(jobs)
         if not jobs:
             return
         pool = self._ensure_pool(self._effective_workers(len(jobs)))
         futures = [pool.submit(self._attempt_one, strategy, model_fn, spec,
-                               global_state, context, attempt)
+                               global_vec, context, attempt)
                    for spec, attempt in jobs]
         try:
             for future in futures:
@@ -496,38 +502,34 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
     Protocol (all messages are tuples tagged by their first element):
 
     * ``("round", header)`` — start-of-round broadcast.  The header names the
-      shared-memory segment holding the packed global weights plus the layout
-      (keys/shapes) to interpret it, and carries the round's context snapshot
+      shared-memory segment holding the packed global vector plus its
+      element count and dtype, and carries the round's context snapshot
       (config, EMA state, selection, server storage).
     * ``("client", position, spec, storage, attempt)`` — train one client;
       reply on the shared result queue with ``("ok", worker_index, position,
       vector, num_samples, train_loss, init_loss, client_id, metadata)``
-      where ``vector`` is the layout-packed update — the model weights
-      themselves never travel back as a dict.  ``attempt`` feeds the fault
-      layer only (see :func:`run_client`).
+      where ``vector`` is the client's ``ClientResult.vector``, shipped as
+      returned.  ``attempt`` feeds the fault layer only (see
+      :func:`run_client`).
     * ``("stop",)`` — exit the loop.
 
     Failures reply ``("err", worker_index, position, failure)`` — a pickled
     :class:`~repro.fl.errors.ExecutorError` carrying the client/round/attempt
     context and the worker-side traceback text — and keep the worker alive.
     A failure on a ``"round"`` message replies with position ``-1``; the
-    server fails the whole round with it.  An update that does not fit the
-    broadcast layout (wrong shape/keys) is rejected *here*, at the streaming
-    aggregation boundary, as a ``ClientFailure(kind="sanitize")``: a
-    misshapen tensor cannot travel through the packed vector at all.  The
-    segment is mapped read-only via ``np.memmap`` on its ``/dev/shm`` backing
-    file rather than ``SharedMemory(name=...)``:
-    attaching through the class would enroll the segment with this process's
-    ``resource_tracker``, whose cleanup would fight the parent's over who
-    unlinks it.
+    server fails the whole round with it.  Updates are validated by the
+    server, as on every backend.  The segment is mapped read-only via
+    ``np.memmap`` on its ``/dev/shm`` backing file rather than
+    ``SharedMemory(name=...)``: attaching through the class would enroll the
+    segment with this process's ``resource_tracker``, whose cleanup would
+    fight the parent's over who unlinks it.
     """
     static = _SHM_STATIC
     assert static is not None, "worker forked without a staged (strategy, model_fn)"
     strategy, model_fn = static
     scratch = types.SimpleNamespace()
-    layout: Optional[StateLayout] = None
     shm_name: Optional[str] = None
-    shm_vector: Optional[np.ndarray] = None
+    global_vec: Optional[np.ndarray] = None
     round_context: Optional["FLContext"] = None
     while True:
         message = task_queue.get()
@@ -542,17 +544,15 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                 from .strategies.base import FLContext
 
                 header = message[1]
-                layout = StateLayout.from_keys_shapes(
-                    header["keys"], header["shapes"],
-                    dtype=np.dtype(header["dtype"]))
                 if shm_name != header["shm_name"]:
                     # The segment name changes whenever the server re-creates
                     # the segment — including on a dtype change — so keying
                     # the mapping on the name alone stays sufficient.
+                    # Read-only, and a plain ndarray view of the mapping.
                     shm_name = header["shm_name"]
-                    shm_vector = np.memmap("/dev/shm/" + shm_name,
-                                           dtype=layout.dtype, mode="r",
-                                           shape=(layout.size,))
+                    global_vec = np.asarray(np.memmap(
+                        "/dev/shm/" + shm_name, dtype=np.dtype(header["dtype"]),
+                        mode="r", shape=(header["size"],)))
                 ema = EMALossTracker(alpha=header["config"].ema_alpha)
                 ema.load_state_dict(header["ema"])
                 round_context = FLContext(
@@ -565,24 +565,10 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                 position, spec, storage = message[1], message[2], message[3]
                 attempt = message[4]
                 round_context.client_storage[spec.client_id] = storage
-                # Zero-copy broadcast: read-only views into the shared segment.
-                # Safe because client_update treats global_state as read-only
-                # and model loading copies values in (load_state_dict).
-                global_state = layout.unpack(np.asarray(shm_vector))
                 model = _scratch_model(scratch, model_fn, round_context.config.dtype)
-                result = run_client(strategy, model, spec, global_state,
+                result = run_client(strategy, model, spec, global_vec,
                                     round_context, attempt=attempt)
-                try:
-                    vector = layout.pack(result.state)
-                except Exception as exc:
-                    raise ClientFailure(
-                        f"client {spec.client_id} update rejected at the shm "
-                        f"boundary on attempt {attempt} of round "
-                        f"{round_context.round_index}: {exc}",
-                        client_id=spec.client_id,
-                        round_index=round_context.round_index,
-                        attempt=attempt, kind="sanitize") from exc
-                result_queue.put(("ok", worker_index, position, vector,
+                result_queue.put(("ok", worker_index, position, result.vector,
                                   result.num_samples, result.train_loss,
                                   result.init_loss, result.client_id,
                                   result.metadata))
@@ -617,9 +603,11 @@ class SharedMemoryExecutor(ClientExecutor):
     * **Shared-memory broadcast** — the global weights are packed once into a
       named ``multiprocessing.shared_memory`` segment; workers map it
       read-only.  Per-round communication to each worker is a small header
-      (segment name, layout, context snapshot), not a copy of the model.
-    * **Compact returns** — workers reply with the layout-packed update
-      vector; the server unpacks straight into the streaming aggregation.
+      (segment name, element count and dtype, context snapshot), not a copy
+      of the model.
+    * **Compact returns** — workers reply with the client's packed weight
+      vector, which the server folds straight into the streaming
+      aggregation.
     * **Streaming rounds** — :meth:`iter_round` yields each outcome as soon
       as every earlier position is in (a reorder buffer bridges completion
       order to job order), so the simulation folds each update into the
@@ -642,7 +630,6 @@ class SharedMemoryExecutor(ClientExecutor):
         self._static: Optional[Tuple["Strategy", ModelFactory]] = None
         self._segment = None
         self._segment_vector: Optional[np.ndarray] = None
-        self._segment_size = 0
 
     # -- pool lifecycle --------------------------------------------------- #
     def _ensure_pool(self, strategy: "Strategy", model_fn: ModelFactory,
@@ -741,20 +728,20 @@ class SharedMemoryExecutor(ClientExecutor):
         self._workers[index] = (replacement, fresh_queue)
 
     # -- broadcast segment ------------------------------------------------ #
-    def _ensure_segment(self, layout: StateLayout) -> None:
-        # Keyed on (element count, dtype): a dtype flip re-creates the segment
+    def _broadcast(self, global_vec: np.ndarray) -> None:
+        """Copy the global vector into the segment, re-creating it on a new shape or dtype."""
+        # Keyed on (shape, dtype): a dtype flip re-creates the segment
         # (fresh name), which is what tells workers to re-map it.
-        if (self._segment is not None and self._segment_size == layout.size
-                and self._segment_vector.dtype == layout.dtype):
-            return
-        self._release_segment()
-        from multiprocessing import shared_memory
+        if (self._segment is None or self._segment_vector.shape != global_vec.shape
+                or self._segment_vector.dtype != global_vec.dtype):
+            self._release_segment()
+            from multiprocessing import shared_memory
 
-        self._segment = shared_memory.SharedMemory(
-            create=True, size=layout.size * layout.dtype.itemsize)
-        self._segment_size = layout.size
-        self._segment_vector = np.ndarray((layout.size,), dtype=layout.dtype,
-                                          buffer=self._segment.buf)
+            self._segment = shared_memory.SharedMemory(
+                create=True, size=global_vec.nbytes)
+            self._segment_vector = np.ndarray(global_vec.shape, dtype=global_vec.dtype,
+                                              buffer=self._segment.buf)
+        self._segment_vector[...] = global_vec
 
     def _release_segment(self) -> None:
         if self._segment is None:
@@ -768,16 +755,13 @@ class SharedMemoryExecutor(ClientExecutor):
         except FileNotFoundError:  # pragma: no cover - already reaped
             pass
         self._segment = None
-        self._segment_size = 0
 
-    def _round_header(self, layout: StateLayout,
-                      context: "FLContext") -> Dict[str, object]:
+    def _round_header(self, context: "FLContext") -> Dict[str, object]:
         """The start-of-round broadcast message (see :func:`_shm_worker_main`)."""
         return {
             "shm_name": self._segment.name,
-            "keys": list(layout.keys),
-            "shapes": [tuple(shape) for shape in layout.shapes],
-            "dtype": layout.dtype.str,
+            "size": self._segment_vector.size,
+            "dtype": self._segment_vector.dtype.str,
             "config": context.config,
             "ema": context.ema.state_dict(),
             "round_index": context.round_index,
@@ -785,7 +769,7 @@ class SharedMemoryExecutor(ClientExecutor):
         }
 
     # -- round execution -------------------------------------------------- #
-    def iter_round(self, strategy, model_fn, jobs, global_state, context):
+    def iter_round(self, strategy, model_fn, jobs, global_vec, context):
         """Stream one wave through the pool, healing dead workers in place.
 
         A worker found dead has its in-flight job yielded as a
@@ -802,10 +786,8 @@ class SharedMemoryExecutor(ClientExecutor):
         _require_fork_platform(self.name)
         workers = self._effective_workers(len(jobs))
         self._ensure_pool(strategy, model_fn, workers)
-        layout = StateLayout(global_state)
-        self._ensure_segment(layout)
-        layout.pack(global_state, out=self._segment_vector)
-        header = self._round_header(layout, context)
+        self._broadcast(global_vec)
+        header = self._round_header(context)
         active = range(workers)
         for index in active:
             self._workers[index][1].put(("round", header))
@@ -845,7 +827,7 @@ class SharedMemoryExecutor(ClientExecutor):
                         (_, _, _, vector, num_samples, train_loss, init_loss,
                          client_id, metadata) = message
                         buffered[position] = ClientResult(
-                            state=layout.unpack(vector), num_samples=num_samples,
+                            vector=vector, num_samples=num_samples,
                             train_loss=train_loss, init_loss=init_loss,
                             client_id=client_id, metadata=metadata)
                     else:

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from ..nn.serialization import StateLayout
 from .errors import ClientFailure, ExecutorError, RoundFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -224,32 +223,25 @@ class FaultPolicy:
         return dataclasses.asdict(self)
 
 
-def sanitize_result(result: "ClientResult", layout: StateLayout) -> Optional[str]:
-    """Validate one client update against the global layout; reason or ``None``.
+def sanitize_result(result: "ClientResult", global_vec: np.ndarray) -> Optional[str]:
+    """Validate one client update against the broadcast vector; reason or ``None``.
 
     The aggregation boundary's defense: a single NaN/Inf element or a
-    wrong-shape tensor in one client's update would silently poison the
+    wrong-length update from one client would silently poison the
     aggregated global model (NaN absorbs every weighted sum it touches).
     Returns a human-readable rejection reason, or ``None`` for a clean
     update.
     """
-    state = result.state
-    if state is None:
+    vector = result.vector
+    if vector is None:
         return None  # already folded into a streaming accumulator
-    if list(state) != layout.keys:
-        missing = set(layout.keys) - set(state)
-        extra = set(state) - set(layout.keys)
-        return (f"state keys diverge from the global layout "
-                f"(missing={sorted(missing)}, unexpected={sorted(extra)})")
-    for key, shape in zip(layout.keys, layout.shapes):
-        value = np.asarray(state[key])
-        if value.shape != tuple(shape):
-            return (f"shape mismatch for '{key}': got {value.shape}, "
-                    f"layout records {tuple(shape)}")
-        # A float64 sum propagates every NaN/Inf without materialising the
-        # bool mask np.isfinite(value) would — one reduction per tensor.
-        if not math.isfinite(value.sum(dtype=np.float64)):
-            return f"non-finite values in '{key}'"
+    if vector.shape != global_vec.shape:
+        return (f"weights of shape {vector.shape} do not fit the broadcast's "
+                f"{global_vec.shape}")
+    # A float64 sum propagates every NaN/Inf without materialising the bool
+    # mask np.isfinite(vector) would.
+    if not math.isfinite(vector.sum(dtype=np.float64)):
+        return "non-finite values in the weights"
     if not (math.isfinite(result.train_loss)
             and (result.init_loss is None or math.isfinite(result.init_loss))):
         return (f"non-finite reported losses (train={result.train_loss}, "
@@ -278,7 +270,7 @@ def run_tolerant_round(
     strategy: "Strategy",
     model_fn: "ModelFactory",
     selected: Sequence["ClientSpec"],
-    global_state: Dict[str, np.ndarray],
+    global_vec: np.ndarray,
     context: "FLContext",
     policy: Optional[FaultPolicy] = None,
 ) -> Tuple[List["ClientSpec"], Iterable["ClientResult"], Optional[RoundFaultReport]]:
@@ -305,12 +297,11 @@ def run_tolerant_round(
     if policy is None:
         outcomes = executor.iter_round(strategy, model_fn,
                                        [(spec, 0) for spec in selected],
-                                       global_state, context)
+                                       global_vec, context)
         return selected, _raise_first_error(outcomes), None
 
     from .training import ClientResult  # runtime import: cycle-free leaf
 
-    layout = StateLayout(global_state) if policy.sanitize else None
     plan = context.config.faults
     backoff_seed = plan.seed if plan is not None else context.config.seed
     results_by_pos: Dict[int, "ClientResult"] = {}
@@ -321,12 +312,12 @@ def run_tolerant_round(
         jobs = [(selected[pos], attempt) for pos, attempt in wave]
         retry: List[Tuple[int, int]] = []
         with closing(executor.iter_round(strategy, model_fn, jobs,
-                                         global_state, context)) as outcomes:
+                                         global_vec, context)) as outcomes:
             for (pos, attempt), outcome in zip(wave, outcomes, strict=True):
                 spec = selected[pos]
                 if isinstance(outcome, ClientResult):
-                    reason = (sanitize_result(outcome, layout)
-                              if layout is not None else None)
+                    reason = (sanitize_result(outcome, global_vec)
+                              if policy.sanitize else None)
                     if reason is None:
                         results_by_pos[pos] = outcome
                         continue

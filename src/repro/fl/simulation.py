@@ -12,10 +12,11 @@ adds its loop and the loop's own checkpoint state.
 :class:`FederatedSimulation` adds the round loop of Section 2.1: each round
 the server samples ``K`` of the ``N`` clients with a
 :class:`~repro.fl.sampling.ClientSampler` (a pure function of ``(seed,
-round_index)``), broadcasts a copy of the global weights, and folds the
-results into the new global model with one ``aggregate_stream`` call.  The
-clients train through a :class:`~repro.fl.execution.ClientExecutor` (serial,
-thread pool or shared-memory pool) under the fault layer
+round_index)``), broadcasts a read-only view of the packed global vector,
+and folds the results into the new global vector with one
+``aggregate_stream`` call.  The clients train through a
+:class:`~repro.fl.execution.ClientExecutor` (serial, thread pool or
+shared-memory pool) under the fault layer
 (:func:`~repro.fl.faults.run_tolerant_round`), which fails fast without a
 fault policy and retries and degrades to a quorum under one.  Every backend
 gives bit-identical runs: client randomness derives from ``(seed, round,
@@ -256,6 +257,7 @@ class BaseSimulation:
         self.context = FLContext(
             config=config,
             ema=EMALossTracker(alpha=config.ema_alpha),
+            layout=self._layout,
         )
         self._history: Optional[FLHistory] = None
         self._active_callbacks: Optional[CallbackList] = None
@@ -516,6 +518,11 @@ class FederatedSimulation(BaseSimulation):
         self.context.round_index = round_index
         callbacks.on_round_start(self, round_index)
         selected = self.select_clients(round_index)
+        # Clients and the fold read the global weights through one read-only
+        # view: a strategy that writes into its broadcast fails loudly
+        # instead of corrupting the server's weights.
+        broadcast = self._global_vec.view()
+        broadcast.flags.writeable = False
         # One path for every backend and policy: the fault layer runs the
         # client jobs (fail-fast without a policy, retries and quorum under
         # one) and hands back the cohort whose results the strategy folds
@@ -525,16 +532,14 @@ class FederatedSimulation(BaseSimulation):
                             count=len(selected)) as clients_span:
             cohort, results, report = run_tolerant_round(
                 self._executor, self.strategy, self.model_fn, selected,
-                self.global_state, self.context, self.config.fault_policy)
+                broadcast, self.context, self.config.fault_policy)
             # Aggregation (and the strategies' stream-order checks) must
             # see exactly the surviving cohort: a degraded round is then
             # bitwise-identical to a round that selected only the survivors.
             # The fold runs under the configured compute dtype.
             with dtype_mode(self.config.dtype):
-                new_state, results = self.strategy.aggregate_stream(
-                    self._layout.unpack(self._global_vec), cohort, results,
-                    self.context)
-            self._global_vec = self._layout.pack(new_state)
+                self._global_vec, results = self.strategy.aggregate_stream(
+                    broadcast, cohort, results, self.context)
         with self._obs_span("aggregate", round=round_index, survivors=len(cohort)):
             with dtype_mode(self.config.dtype):
                 self.strategy.on_round_end(self.context, results)

@@ -7,6 +7,12 @@ A *strategy* owns the two points where FL algorithms differ:
 * ``aggregate_stream`` — how the server folds the returned client results,
   one at a time, into the next global model.
 
+Weights cross both ways as vectors packed in the run's
+:class:`~repro.nn.serialization.StateLayout` order: ``client_update``
+receives the global vector (read-only) and returns
+``ClientResult.vector``; ``aggregate_stream`` receives the same global
+vector and returns the new one.
+
 Per-round shared state (the EMA loss tracker, per-client persistent storage
 such as SCAFFOLD's control variates, the round index) travels in an
 :class:`FLContext` owned by the simulation loop.
@@ -26,21 +32,19 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...core.ema import EMALossTracker
 from ...data.partition import ClientSpec
 from ...nn.layers import Module
-from ...nn.serialization import StreamingAverager
+from ...nn.serialization import StateLayout, StreamingAverager
 from ..config import FLConfig
 from ..execution import derive_client_seed
 from ..training import ClientResult, local_train
 
 __all__ = ["FLContext", "Strategy", "FedAvg", "consume_stream"]
-
-StateDict = Dict[str, np.ndarray]
 
 
 @dataclass
@@ -51,6 +55,10 @@ class FLContext:
     (``aggregate_stream`` / ``on_round_end``); during ``client_update`` it is
     read-only shared state that worker threads/processes observe as a
     start-of-round snapshot.
+
+    ``layout`` is the run's :class:`~repro.nn.serialization.StateLayout`,
+    set by the simulation for server-side reductions that work per key
+    (q-FedAvg's delta norm); a worker process's context carries none.
     """
 
     config: FLConfig
@@ -58,6 +66,7 @@ class FLContext:
     round_index: int = 0
     client_storage: Dict[int, dict] = field(default_factory=dict)
     server_storage: dict = field(default_factory=dict)
+    layout: Optional[StateLayout] = None
 
     def storage_for(self, client_id: int) -> dict:
         """Per-client persistent dictionary (created lazily; server-side only)."""
@@ -78,19 +87,25 @@ class FLContext:
         return np.random.default_rng(self.client_seed(client_id))
 
 
-def consume_stream(selected: Sequence[ClientSpec],
-                   stream: Iterable[ClientResult]) -> Iterator[ClientResult]:
-    """Validate a streaming round's results against the selection order.
+def consume_stream(selected: Sequence[ClientSpec], stream: Iterable[ClientResult],
+                   global_vec: np.ndarray) -> Iterator[ClientResult]:
+    """Validate a streaming round's results against the selection and broadcast.
 
     The executor yields results in selection order, which is the reduction
     order of every strategy.  This wrapper enforces that loudly —
     an out-of-order or short stream raises instead of silently producing a
     differently-associated float reduction — and checks the invariant the
     up-front weight computation relies on (``num_samples == len(spec.dataset)``
-    for every strategy built on ``local_train``).
+    for every strategy built on ``local_train``).  An update whose vector
+    does not have the broadcast's shape is refused with ``ValueError``
+    before anything is folded, on every execution backend alike.
     """
     count = 0
     for spec, result in zip(selected, stream):
+        if result.vector.shape != global_vec.shape:
+            raise ValueError(
+                f"client {result.client_id} returned weights of shape "
+                f"{result.vector.shape}; the broadcast has {global_vec.shape}")
         if result.client_id != spec.client_id:
             raise RuntimeError(
                 f"streaming round out of order: expected client "
@@ -122,30 +137,30 @@ class Strategy:
         self,
         model: Module,
         spec: ClientSpec,
-        global_state: StateDict,
+        global_vec: np.ndarray,
         context: FLContext,
     ) -> ClientResult:
         """Default ClientUpdate: plain local SGD (FedAvg's client behaviour)."""
         config = context.config
         seed = context.client_seed(spec.client_id)
-        result = local_train(model, spec.dataset, config, global_state, seed=seed)
+        result = local_train(model, spec.dataset, config, global_vec, seed=seed)
         result.metadata["device"] = spec.device
         return result
 
     def aggregate_stream(
         self,
-        global_state: StateDict,
+        global_vec: np.ndarray,
         selected: Sequence[ClientSpec],
         stream: Iterable[ClientResult],
         context: FLContext,
-    ) -> Tuple[StateDict, List[ClientResult]]:
+    ) -> Tuple[np.ndarray, List[ClientResult]]:
         """Aggregate a round whose results arrive one at a time.
 
         ``stream`` yields :class:`ClientResult`\\ s in selection order
         (:func:`consume_stream` refuses any other); each result is folded
         into the accumulator and released before the next arrives, so the
         server's peak memory is independent of clients/round.  Returns the
-        new global state plus the consumed results with their ``state``
+        new global vector plus the consumed results with their ``vector``
         dropped (losses, sample counts and metadata survive for
         ``on_round_end`` and the round record).
 
@@ -161,9 +176,9 @@ class Strategy:
         averager = StreamingAverager(
             len(selected), [len(spec.dataset) for spec in selected])
         results: List[ClientResult] = []
-        for result in consume_stream(selected, stream):
-            averager.add(result.state)
-            result.state = None
+        for result in consume_stream(selected, stream, global_vec):
+            averager.add(result.vector)
+            result.vector = None
             results.append(result)
         return averager.finalize(), results
 

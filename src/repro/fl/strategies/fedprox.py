@@ -7,11 +7,13 @@ heterogeneity.  The paper's appendix selects ``mu = 0.1`` from a grid search.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...data.partition import ClientSpec
 from ...nn.layers import Module
 from ...nn.optim import ProximalSGD
 from ..training import ClientResult, local_train
-from .base import FLContext, StateDict, Strategy
+from .base import FLContext, Strategy
 
 __all__ = ["FedProx"]
 
@@ -30,7 +32,7 @@ class FedProx(Strategy):
         self,
         model: Module,
         spec: ClientSpec,
-        global_state: StateDict,
+        global_vec: np.ndarray,
         context: FLContext,
     ) -> ClientResult:
         config = context.config
@@ -38,15 +40,15 @@ class FedProx(Strategy):
         # The proximal reference must follow the parameter iteration order of
         # model.parameters(); build the optimizer after weights are loaded by
         # local_train, so instead we construct it here and set the reference
-        # from the broadcast global state keyed by parameter names.
+        # from the broadcast global weights keyed by parameter names.
         from ..training import broadcast_weights
 
-        broadcast_weights(model, global_state)
+        broadcast_weights(model, global_vec)
         optimizer = ProximalSGD(model.parameters(), lr=config.learning_rate, mu=self.mu,
                                 momentum=config.momentum, weight_decay=config.weight_decay)
         named = dict(model.named_parameters())
         optimizer.set_reference([named[name].data for name in named])
-        result = local_train(model, spec.dataset, config, global_state,
+        result = local_train(model, spec.dataset, config, global_vec,
                              optimizer=optimizer, seed=seed)
         result.metadata["device"] = spec.device
         return result

@@ -20,9 +20,8 @@ import numpy as np
 
 from ...data.partition import ClientSpec
 from ...nn.layers import Module
-from ...nn.serialization import StateLayout
 from ..training import ClientResult, measure_init_loss
-from .base import FLContext, StateDict, Strategy, consume_stream
+from .base import FLContext, Strategy, consume_stream
 
 __all__ = ["QFedAvg"]
 
@@ -37,21 +36,21 @@ class QFedAvg(Strategy):
             raise ValueError(f"q must be non-negative, got {q}")
         self.q = q
 
-    def client_update(self, model: Module, spec: ClientSpec, global_state: StateDict,
+    def client_update(self, model: Module, spec: ClientSpec, global_vec: np.ndarray,
                       context: FLContext) -> ClientResult:
         """FedAvg's local SGD, reporting ``F_k`` (the client's ``L_init``)."""
-        init_loss = measure_init_loss(model, spec.dataset, context.config, global_state)
-        result = super().client_update(model, spec, global_state, context)
+        init_loss = measure_init_loss(model, spec.dataset, context.config, global_vec)
+        result = super().client_update(model, spec, global_vec, context)
         result.init_loss = init_loss
         return result
 
     def aggregate_stream(
         self,
-        global_state: StateDict,
+        global_vec: np.ndarray,
         selected: Sequence[ClientSpec],
         stream: Iterable[ClientResult],
         context: FLContext,
-    ) -> Tuple[StateDict, List[ClientResult]]:
+    ) -> Tuple[np.ndarray, List[ClientResult]]:
         """Streaming q-FedAvg: one accumulator pass, O(1) in clients/round.
 
         The q-FFL normalizer ``h_sum`` is applied once after the loop, so
@@ -61,17 +60,17 @@ class QFedAvg(Strategy):
         if not selected:
             raise ValueError("cannot aggregate an empty list of client results")
         return self._reduce(
-            global_state, consume_stream(selected, stream), context)
+            global_vec, consume_stream(selected, stream, global_vec), context)
 
     def _reduce(
         self,
-        global_state: StateDict,
+        global_vec: np.ndarray,
         ordered: Iterable[ClientResult],
         context: FLContext,
-    ) -> Tuple[StateDict, List[ClientResult]]:
+    ) -> Tuple[np.ndarray, List[ClientResult]]:
         """The q-FFL server update over results in selection order.
 
-        ``ordered`` may be a lazy stream: each result's state is folded into
+        ``ordered`` may be a lazy stream: each result's vector is folded into
         the accumulator as it arrives and then released.
         """
         lipschitz = 1.0 / context.config.learning_rate
@@ -82,27 +81,22 @@ class QFedAvg(Strategy):
         # flattened; the delta norm replays the oracle's per-key partial sums
         # (its state_norm) segment by segment in layout (key-insertion) order,
         # including the sqrt-then-square round trip, so h_k matches bit-for-bit.
-        layout = StateLayout(global_state)
-        global_vec = layout.pack(global_state)
         # The running sum always accumulates in float64 (cast back to the
-        # compute dtype once on commit below); the pack buffer keeps the
-        # states' own dtype so promotion happens inside the multiply-add.
-        weighted_delta_sum = np.zeros(layout.size, dtype=np.float64)
-        delta_buf = np.empty(layout.size, dtype=layout.dtype)
+        # compute dtype once on commit below).
+        weighted_delta_sum = np.zeros(global_vec.size, dtype=np.float64)
         h_sum = 0.0
         consumed: List[ClientResult] = []
         for result in ordered:
-            layout.pack(result.state, out=delta_buf)
-            result.state = None
+            delta = (global_vec - result.vector) * lipschitz
+            result.vector = None
             consumed.append(result)
-            delta = (global_vec - delta_buf) * lipschitz
             # Use the client's *initial* loss F_k (loss of the global model on the
             # client's data), as in the q-FFL formulation.
             loss = max(result.init_loss, 1e-10)
             loss_pow_q = loss ** self.q
             norm = float(np.sqrt(sum(
                 float(np.sum(np.asarray(segment, dtype=np.float64) ** 2))
-                for _, segment in layout.segments(delta))))
+                for _, segment in context.layout.segments(delta))))
             delta_norm_sq = norm ** 2
             h_k = self.q * (loss ** (self.q - 1.0)) * delta_norm_sq + lipschitz * loss_pow_q
             weighted_delta_sum += delta * loss_pow_q
@@ -111,9 +105,7 @@ class QFedAvg(Strategy):
             raise RuntimeError("q-FedAvg aggregation produced a non-positive normalizer")
         update = weighted_delta_sum * (1.0 / h_sum)
         new_vec = global_vec - update
-        if new_vec.dtype != layout.dtype:
-            new_vec = new_vec.astype(layout.dtype)
-        return layout.unpack(new_vec), consumed
+        return new_vec.astype(global_vec.dtype, copy=False), consumed
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"QFedAvg(q={self.q})"

@@ -26,27 +26,30 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ...data.partition import ClientSpec
+from ...nn.flat import FlatParams
 from ...nn.layers import Module
-from ...nn.serialization import (
-    StreamingAverager,
-    add_states,
-    scale_state,
-    subtract_states,
-    zeros_like_state,
-)
+from ...nn.serialization import StateLayout, StreamingAverager
 from ..training import ClientResult, local_train
-from .base import FLContext, StateDict, Strategy, consume_stream
+from .base import FLContext, Strategy, consume_stream
 
 __all__ = ["Scaffold"]
 
 
-def _parameter_state(model: Module) -> StateDict:
-    """State dict restricted to trainable parameters (control variates skip buffers)."""
-    return {name: param.data.copy() for name, param in model.named_parameters()}
+def _pack_or_zeros(layout: StateLayout, variate) -> np.ndarray:
+    """A stored control variate packed by ``layout``; zeros while it is absent."""
+    if variate is None:
+        return np.zeros(layout.size, dtype=layout.dtype)
+    return layout.pack(variate)
 
 
 class Scaffold(Strategy):
-    """SCAFFOLD baseline strategy."""
+    """SCAFFOLD baseline strategy.
+
+    Control variates cover the parameters only, which lead the packed weight
+    vector: the arithmetic runs on that block, ``vector[:arena.size]``,
+    while ``c``/``c_i`` are stored as per-parameter dicts (the checkpoint
+    format).
+    """
 
     name = "scaffold"
 
@@ -54,46 +57,33 @@ class Scaffold(Strategy):
         self,
         model: Module,
         spec: ClientSpec,
-        global_state: StateDict,
+        global_vec: np.ndarray,
         context: FLContext,
     ) -> ClientResult:
         config = context.config
         seed = context.client_seed(spec.client_id)
-
-        from ..training import broadcast_weights
-
-        arena = broadcast_weights(model, global_state)
-        param_template = _parameter_state(model)
+        arena = FlatParams.from_module(model)
+        params = StateLayout({name: param.data for name, param in model.named_parameters()})
 
         # Read-only context access: absent control variates mean zeros, but the
         # shared storage is never written from the (possibly concurrent) client
         # step — the server commits state in aggregate_stream.
-        server_c: StateDict = context.server_storage.get("scaffold_c")
-        if server_c is None:
-            server_c = zeros_like_state(param_template)
-        storage = context.client_storage.get(spec.client_id, {})
-        client_c: StateDict = storage.get("c_i")
-        if client_c is None:
-            client_c = zeros_like_state(param_template)
-
-        correction = subtract_states(server_c, client_c)  # (c - c_i)
-        lr = config.learning_rate
-        named_params = dict(model.named_parameters())
-        steps = {"count": 0}
-
+        server_c = _pack_or_zeros(params, context.server_storage.get("scaffold_c"))
+        client_c = _pack_or_zeros(
+            params, context.client_storage.get(spec.client_id, {}).get("c_i"))
         # The drift correction w <- w - lr * (c - c_i), applied after each
         # plain SGD step, is one whole-vector axpy on the arena — elementwise
         # identical to a per-parameter loop.
-        correction_flat = np.concatenate(
-            [correction[name].reshape(-1) for name in named_params]
-        )
+        correction = server_c - client_c
+        lr = config.learning_rate
+        steps = {"count": 0}
 
         def batch_hook(hook_model: Module, batch_index: int, epoch_index: int) -> None:
             del hook_model, batch_index, epoch_index
-            arena.vector -= lr * correction_flat
+            arena.vector -= lr * correction
             steps["count"] += 1
 
-        result = local_train(model, spec.dataset, config, global_state,
+        result = local_train(model, spec.dataset, config, global_vec,
                              batch_hook=batch_hook, seed=seed)
         result.metadata["device"] = spec.device
 
@@ -101,27 +91,24 @@ class Scaffold(Strategy):
         # the server variate update) and the exact new value (committed to
         # this client's storage in aggregate_stream) travel back via metadata.
         num_steps = max(steps["count"], 1)
-        local_params = {name: param.data.copy() for name, param in named_params.items()}
-        global_params = {name: global_state[name] for name in param_template}
-        drift = scale_state(subtract_states(global_params, local_params), 1.0 / (num_steps * lr))
-        new_client_c = add_states(subtract_states(client_c, server_c), drift)
-        result.metadata["c_delta"] = subtract_states(new_client_c, client_c)
-        result.metadata["new_c_i"] = new_client_c
+        drift = (global_vec[:arena.size] - result.vector[:arena.size]) * (1.0 / (num_steps * lr))
+        new_client_c = (client_c - server_c) + drift
+        result.metadata["c_delta"] = new_client_c - client_c
+        result.metadata["new_c_i"] = params.unpack(new_client_c)
         return result
 
     def aggregate_stream(
         self,
-        global_state: StateDict,
+        global_vec: np.ndarray,
         selected: Sequence[ClientSpec],
         stream: Iterable[ClientResult],
         context: FLContext,
-    ) -> Tuple[StateDict, List[ClientResult]]:
+    ) -> Tuple[np.ndarray, List[ClientResult]]:
         """Streaming SCAFFOLD: fold weights *and* c-deltas in a single pass.
 
         Two accumulators, the sample-weighted weight average and the uniform
         c-delta average, are fed per client; each keeps its own multiply-add
-        sequence, so the single pass needs only two pack buffers — O(1) in
-        clients/round.
+        sequence, so the single pass is O(1) in clients/round.
 
         Each client's refreshed control variate is committed to the context
         as its result streams in.  A round never selects the same client
@@ -135,19 +122,17 @@ class Scaffold(Strategy):
             len(selected), [len(spec.dataset) for spec in selected])
         delta_avg = StreamingAverager(len(selected))
         consumed: List[ClientResult] = []
-        for result in consume_stream(selected, stream):
-            state_avg.add(result.state)
-            result.state = None
+        for result in consume_stream(selected, stream, global_vec):
+            state_avg.add(result.vector)
+            result.vector = None
             delta_avg.add(result.metadata.pop("c_delta"))
-            context.storage_for(result.client_id)["c_i"] = \
-                result.metadata.pop("new_c_i")
+            new_c_i = result.metadata.pop("new_c_i")
+            context.storage_for(result.client_id)["c_i"] = new_c_i
             consumed.append(result)
-        new_state = state_avg.finalize()
-        mean_delta = delta_avg.finalize()
-        server_c: StateDict = context.server_storage.get("scaffold_c")
-        if server_c is None:
-            server_c = zeros_like_state(mean_delta)
+        # The stored variates name the parameter block's keys and shapes.
+        params = StateLayout(new_c_i)
+        server_c = _pack_or_zeros(params, context.server_storage.get("scaffold_c"))
         fraction = len(selected) / context.config.num_clients
-        context.server_storage["scaffold_c"] = add_states(
-            server_c, scale_state(mean_delta, fraction))
-        return new_state, consumed
+        context.server_storage["scaffold_c"] = params.unpack(
+            server_c + delta_avg.finalize() * fraction)
+        return state_avg.finalize(), consumed

@@ -29,7 +29,6 @@ from .metrics import accuracy, heart_rate_deviation, mean_average_precision
 __all__ = ["ClientResult", "broadcast_weights", "compute_loss", "evaluate_loss",
            "evaluate_metric", "local_train", "measure_init_loss"]
 
-StateDict = Dict[str, np.ndarray]
 BatchHook = Callable[[Module, int, int], None]
 
 
@@ -37,13 +36,17 @@ BatchHook = Callable[[Module, int, int], None]
 class ClientResult:
     """What a client returns to the server after a round of local training.
 
-    ``client_id`` identifies the reporting client (stamped by the execution
-    backend); aggregation uses it to check that results arrive in selection
-    order no matter which order the parallel workers completed in.
-    ``init_loss`` is ``None`` unless the strategy measured ``L_init``.
+    ``vector`` is the trained weights packed in the run's
+    :class:`~repro.nn.serialization.StateLayout` order (what
+    :meth:`~repro.nn.flat.FlatParams.pack` returns); the aggregation drops
+    it to ``None`` once folded.  ``client_id`` identifies the reporting
+    client (stamped by the execution backend); aggregation uses it to check
+    that results arrive in selection order no matter which order the
+    parallel workers completed in.  ``init_loss`` is ``None`` unless the
+    strategy measured ``L_init``.
     """
 
-    state: StateDict
+    vector: Optional[np.ndarray]
     num_samples: int
     train_loss: float
     init_loss: Optional[float] = None
@@ -51,17 +54,17 @@ class ClientResult:
     metadata: Dict[str, object] = field(default_factory=dict)
 
 
-def broadcast_weights(model: Module, global_state: StateDict) -> FlatParams:
-    """Load the broadcast global weights into the model's parameter arena.
+def broadcast_weights(model: Module, global_vec: np.ndarray) -> FlatParams:
+    """Load the packed global weights into the model's parameter arena.
 
     The model's parameters live in one contiguous
     :class:`~repro.nn.flat.FlatParams` arena (built and cached on first use),
-    so the load writes straight into it and collecting the trained weights is
-    a single vector copy; the cached arena is returned.  The dict
-    ``StateDict`` stays the wire/serialization format.
+    so the load is one vector copy plus the buffers, and so is collecting the
+    trained weights (:meth:`~repro.nn.flat.FlatParams.pack`); the cached
+    arena is returned.  ``global_vec`` is only read.
     """
     arena = FlatParams.from_module(model)
-    arena.load_state_dict(global_state)
+    arena.load(global_vec)
     return arena
 
 
@@ -127,9 +130,9 @@ def evaluate_metric(model: Module, dataset: ArrayDataset, task: str, batch_size:
 
 
 def measure_init_loss(model: Module, dataset: ArrayDataset, config: FLConfig,
-                      global_state: StateDict) -> float:
-    """``L_init``: load ``global_state`` and evaluate it on the client's data."""
-    broadcast_weights(model, global_state)
+                      global_vec: np.ndarray) -> float:
+    """``L_init``: load ``global_vec`` and evaluate it on the client's data."""
+    broadcast_weights(model, global_vec)
     return evaluate_loss(model, dataset, config.task, batch_size=max(config.batch_size, 32))
 
 
@@ -137,7 +140,7 @@ def local_train(
     model: Module,
     dataset: ArrayDataset,
     config: FLConfig,
-    global_state: StateDict,
+    global_vec: np.ndarray,
     optimizer: Optional[Optimizer] = None,
     transform: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     batch_hook: Optional[BatchHook] = None,
@@ -149,14 +152,15 @@ def local_train(
     ----------
     model:
         The (shared) model instance; its weights are overwritten with
-        ``global_state`` before training, so the caller can reuse one model
+        ``global_vec`` before training, so the caller can reuse one model
         object across clients.
     dataset:
         The client's local dataset (features already in model layout).
     config:
         FL hyperparameters (epochs ``E``, batch size ``B``, learning rate).
-    global_state:
-        Weights broadcast by the server this round.
+    global_vec:
+        Weights broadcast by the server this round, packed in
+        :class:`~repro.nn.serialization.StateLayout` order; only read.
     optimizer:
         Optional pre-built optimizer (FedProx passes a :class:`ProximalSGD`);
         defaults to plain SGD with the config's learning rate.
@@ -174,10 +178,10 @@ def local_train(
     Returns
     -------
     ClientResult
-        Updated weights, sample count and running average train loss over all
-        batches (the paper's ``L_train``); ``init_loss`` is ``None``.
+        Updated weights (packed), sample count and running average train loss
+        over all batches (the paper's ``L_train``); ``init_loss`` is ``None``.
     """
-    arena = broadcast_weights(model, global_state)
+    arena = broadcast_weights(model, global_vec)
 
     if optimizer is None:
         optimizer = SGD(model.parameters(), lr=config.learning_rate,
@@ -202,7 +206,7 @@ def local_train(
             batch_index += 1
 
     return ClientResult(
-        state=arena.state_dict(),
+        vector=arena.pack(),
         num_samples=len(dataset),
         train_loss=train_loss,
     )

@@ -30,13 +30,7 @@ from .layers import (
     Tanh,
 )
 from .optim import SGD, Optimizer, ProximalSGD
-from .serialization import (
-    StateLayout,
-    add_states,
-    scale_state,
-    subtract_states,
-    zeros_like_state,
-)
+from .serialization import StateLayout
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -67,8 +61,4 @@ __all__ = [
     "Optimizer",
     "SGD",
     "ProximalSGD",
-    "zeros_like_state",
-    "add_states",
-    "subtract_states",
-    "scale_state",
 ]

@@ -15,16 +15,18 @@ counterpart: the fusions only batch element-wise arithmetic, which rounds
 identically whether it runs per-parameter or over the concatenated vector
 (``tests/nn/test_flat.py`` and ``tests/nn/test_optim.py`` pin this).
 
-The dict ``StateDict`` stays the serialization and compatibility boundary:
-:meth:`FlatParams.state_dict` returns a name->array mapping (parameter entries
-are views into a single fresh copy of the arena, so collecting weights is one
-big memcpy), and :meth:`FlatParams.load_state_dict` performs the same
-validation as :meth:`repro.nn.layers.Module.load_state_dict`.
+Weights enter and leave the arena as one vector: :meth:`FlatParams.pack`
+copies the parameters and then the module's buffers into a fresh vector
+(one memcpy of the arena plus the buffers), and :meth:`FlatParams.load`
+copies such a vector back.  The order is ``Module.state_dict``'s, so the
+vector is the model's state packed by its
+:class:`~repro.nn.serialization.StateLayout`: the format in which the FL
+round protocol moves weights between server and clients.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +34,6 @@ from .engine import current_dtype
 from .layers import Module, Parameter
 
 __all__ = ["FlatParams"]
-
-StateDict = Dict[str, np.ndarray]
 
 
 class FlatParams:
@@ -45,26 +45,15 @@ class FlatParams:
         The parameters, in the order that defines the arena layout (for a
         module this is ``named_parameters()`` order).  Their current values
         are copied into the arena and their ``.data`` is rebound to views.
-    names:
-        Optional parameter names aligned with ``params`` (required for
-        :meth:`state_dict` / :meth:`load_state_dict`).
     module:
-        Optional owning module; needed so :meth:`state_dict` /
-        :meth:`load_state_dict` can include non-trainable buffers.
+        Optional owning module; its non-trainable buffers follow the
+        parameters in :meth:`pack` and :meth:`load`.
     """
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        names: Optional[Sequence[str]] = None,
-        module: Optional[Module] = None,
-    ) -> None:
+    def __init__(self, params: Sequence[Parameter], module: Optional[Module] = None) -> None:
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ValueError("cannot build a flat arena over an empty parameter list")
-        if names is not None and len(names) != len(self.params):
-            raise ValueError("names length does not match parameter count")
-        self.names: Optional[List[str]] = list(names) if names is not None else None
         self.module = module
 
         dtype = current_dtype()
@@ -101,8 +90,7 @@ class FlatParams:
         arena = getattr(module, "_flat_arena", None)
         if isinstance(arena, FlatParams) and arena.is_valid():
             return arena
-        named = list(module.named_parameters())
-        arena = cls([p for _, p in named], names=[n for n, _ in named], module=module)
+        arena = cls(module.parameters(), module=module)
         object.__setattr__(module, "_flat_arena", arena)
         return arena
 
@@ -168,64 +156,33 @@ class FlatParams:
         return slice(offset, offset + self.params[index].data.size)
 
     # ------------------------------------------------------------------ #
-    # State-dict boundary (serialization / FL compat)
+    # The packed-vector boundary (weights in and out of the model)
     # ------------------------------------------------------------------ #
-    def _require_names(self) -> List[str]:
-        if self.names is None:
-            raise RuntimeError("this arena was built from a bare parameter list; "
-                               "state-dict access requires a module-backed arena")
-        return self.names
+    def _buffers(self) -> List[np.ndarray]:
+        return [] if self.module is None else [buf for _, buf in self.module.named_buffers()]
 
-    def load_state_dict(self, state: StateDict) -> None:
-        """Load a state dict through the arena (same checks as ``Module``)."""
-        names = self._require_names()
-        for name, view in zip(names, self._views):
-            if name not in state:
-                raise KeyError(f"missing parameter '{name}' in state dict")
-            value = np.asarray(state[name], dtype=self.dtype)
-            if value.shape != view.shape:
-                raise ValueError(
-                    f"shape mismatch for '{name}': {value.shape} vs {view.shape}"
-                )
-            view[...] = value
-        if self.module is not None:
-            self.module._load_buffers(state, prefix="")
+    def pack(self) -> np.ndarray:
+        """A fresh vector of the parameters, then the module's buffers.
 
-    def state_dict(self) -> StateDict:
-        """Collect weights as a dict whose parameter entries share ONE copy.
-
-        The arena is copied once; each parameter's entry is a reshaped view
-        into that copy, so collecting a model's weights costs a single memcpy
-        instead of one allocation per parameter.  Buffers are copied
-        individually (they live outside the arena).  Key order matches
-        :meth:`repro.nn.layers.Module.state_dict`.
+        The order is :meth:`repro.nn.layers.Module.state_dict`'s (parameters
+        first, then buffers), so the vector is the model's state packed by
+        its :class:`~repro.nn.serialization.StateLayout`.
         """
-        names = self._require_names()
-        snapshot = self.vector.copy()
-        state: StateDict = {}
-        for name, param, offset in zip(names, self.params, self.offsets):
-            state[name] = snapshot[offset : offset + param.data.size].reshape(param.data.shape)
-        if self.module is not None:
-            for name, buf in self.module.named_buffers():
-                state[name] = buf.copy()
-        return state
+        buffers = [buf.reshape(-1) for buf in self._buffers()]
+        return np.concatenate([self.vector, *buffers]) if buffers else self.vector.copy()
 
-    def pack_with_buffers(self) -> Tuple[List[str], List[Tuple[int, ...]], np.ndarray]:
-        """Flatten parameters *and* buffers into one vector (for SWAD/SWA).
-
-        Returns ``(keys, shapes, vector)`` where keys/shapes follow the
-        ``state_dict`` layout.  The vector is freshly allocated each call.
-        """
-        names = self._require_names()
-        keys = list(names)
-        shapes: List[Tuple[int, ...]] = [tuple(p.data.shape) for p in self.params]
-        arrays: List[np.ndarray] = [self.vector]
-        if self.module is not None:
-            for name, buf in self.module.named_buffers():
-                keys.append(name)
-                shapes.append(tuple(buf.shape))
-                arrays.append(buf.reshape(-1))
-        return keys, shapes, np.concatenate(arrays) if len(arrays) > 1 else self.vector.copy()
+    def load(self, vector: np.ndarray) -> None:
+        """Copy a :meth:`pack`-ed vector into the parameters and buffers."""
+        buffers = self._buffers()
+        total = self.size + sum(buf.size for buf in buffers)
+        if vector.shape != (total,):
+            raise ValueError(f"packed weights of shape {vector.shape} do not fit "
+                             f"this model's {total} elements")
+        self.vector[...] = vector[: self.size]
+        offset = self.size
+        for buf in buffers:
+            buf[...] = vector[offset : offset + buf.size].reshape(buf.shape)
+            offset += buf.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlatParams(size={self.size}, params={len(self.params)})"

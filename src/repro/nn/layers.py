@@ -2,8 +2,9 @@
 
 The module system mirrors the small subset of ``torch.nn`` that the paper's
 model zoo needs: parameter registration, train/eval mode, ``state_dict`` /
-``load_state_dict`` round-tripping (the FL framework exchanges model weights
-as state dicts), and a handful of standard layers.
+``load_state_dict`` round-tripping (the format of checkpoints; the FL round
+protocol moves the same state packed into one vector), and a handful of
+standard layers.
 """
 
 from __future__ import annotations

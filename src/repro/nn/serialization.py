@@ -1,18 +1,21 @@
-"""State-dict helpers of the FL framework.
+"""Weight formats of the FL framework: the packed vector and the state dict.
 
-A model's weights leave and enter it one way: ``Module.state_dict()`` and
-``Module.load_state_dict(state)`` (or, on the hot path, the
-:class:`~repro.nn.flat.FlatParams` arena's methods of the same names).  This
-module holds what the framework does with those dicts:
+Weights cross the federated round protocol in one format: a vector packed
+in :class:`StateLayout` order (the state dict's insertion order:
+parameters, then buffers).  The server broadcasts the global vector,
+clients load it with :meth:`~repro.nn.flat.FlatParams.load` and return
+:meth:`~repro.nn.flat.FlatParams.pack`, and the aggregation rules fold the
+returned vectors.  ``Module.state_dict()``/``load_state_dict(state)`` stay
+the dict boundary for checkpoints, ``global_state`` and centralized runs.
+This module holds:
 
-* :class:`StateLayout` — the one flatten order (the dict's insertion order)
-  that the simulations, executors and aggregation rules pack states in;
-* :class:`StreamingAverager` — the one weighted fold of client states;
-* the per-key arithmetic of the strategies (``add_states``, ``scale_state``,
-  ``subtract_states``, ``zeros_like_state``);
-* comparisons: :func:`states_equal` (bitwise), :func:`states_allclose`
-  (within tolerance) and :func:`state_fingerprint`, a hash of the raw bytes
-  so two runs can be compared for bit-identity without shipping the weights.
+* :class:`StateLayout` — the one flatten order, with ``pack``/``unpack``
+  between the two formats and per-key ``segments`` of a vector;
+* :class:`StreamingAverager` — the one weighted fold of client vectors;
+* comparisons of state dicts: :func:`states_equal` (bitwise),
+  :func:`states_allclose` (within tolerance) and :func:`state_fingerprint`,
+  a hash of the raw bytes so two runs can be compared for bit-identity
+  without shipping the weights.
 
 States are persisted by the run store's checkpoint codec
 (:mod:`repro.store.checkpoint`).
@@ -29,10 +32,6 @@ __all__ = [
     "StateLayout",
     "states_equal",
     "states_allclose",
-    "zeros_like_state",
-    "add_states",
-    "scale_state",
-    "subtract_states",
     "StreamingAverager",
     "state_fingerprint",
 ]
@@ -43,12 +42,14 @@ StateDict = Dict[str, np.ndarray]
 class StateLayout:
     """Flat-vector layout of a state dict, preserving the template's key order.
 
-    Aggregation rules reduce many client state dicts; packing each dict into
-    one contiguous vector turns the per-key Python loops into whole-vector
-    NumPy ops.  The layout keeps the *insertion* order of the template's keys
-    (not sorted order): per-key reductions such as q-FedAvg's delta norm sum
-    their per-key partials in iteration order, and replaying that exact order
-    segment-by-segment is what keeps flat reductions bitwise-identical to the
+    Packing a state into one contiguous vector turns per-key Python loops
+    into whole-vector NumPy ops; the vector is what crosses the round
+    protocol.  The layout keeps the *insertion* order of the template's keys
+    (not sorted order), which is ``Module.state_dict``'s parameters-then-
+    buffers order and so the order of :meth:`repro.nn.flat.FlatParams.pack`.
+    Per-key reductions such as q-FedAvg's delta norm sum their per-key
+    partials in iteration order, and replaying that exact order through
+    :meth:`segments` is what keeps flat reductions bitwise-identical to the
     seed dict-based reductions (the test oracle).
     """
 
@@ -57,25 +58,11 @@ class StateLayout:
         self.shapes = [np.asarray(template[key]).shape for key in self.keys]
         dtypes = {np.asarray(template[key]).dtype for key in self.keys}
         self.dtype = np.result_type(*dtypes) if dtypes else np.dtype(np.float64)
-        self._finalize()
-
-    @classmethod
-    def from_keys_shapes(cls, keys, shapes, dtype=np.float64) -> "StateLayout":
-        """Build a layout directly from aligned key/shape/dtype metadata."""
-        layout = cls.__new__(cls)
-        layout.keys = list(keys)
-        layout.shapes = [tuple(shape) for shape in shapes]
-        layout.dtype = np.dtype(dtype)
-        layout._finalize()
-        return layout
-
-    def _finalize(self) -> None:
         sizes = [int(np.prod(shape)) if shape else 1 for shape in self.shapes]
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
         self.size = int(self.offsets[-1])
-        self._template = dict.fromkeys(self.keys)
 
-    def pack(self, state: StateDict, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def pack(self, state: StateDict) -> np.ndarray:
         """Flatten ``state`` into one vector (in the layout's dtype) in layout order.
 
         Every entry must match the layout's recorded shape exactly.  A
@@ -83,9 +70,10 @@ class StateLayout:
         records ``(4,)``) would otherwise flatten silently in the wrong
         element order; a dict-based reduction refuses it, and so must this.
         """
-        _check_keys(self._template, state)
-        if out is None:
-            out = np.empty(self.size, dtype=self.dtype)
+        if state.keys() != set(self.keys):
+            raise KeyError(f"state keys do not match the layout's: "
+                           f"{sorted(set(state) ^ set(self.keys))[:5]}")
+        out = np.empty(self.size, dtype=self.dtype)
         for key, shape, start, end in zip(
             self.keys, self.shapes, self.offsets[:-1], self.offsets[1:]
         ):
@@ -172,7 +160,8 @@ def states_allclose(
     distance — for every entry that is not, so a failing equivalence test
     says *how far* the precisions drifted, not just that they did.
     """
-    _check_keys(a, b)
+    if a.keys() != b.keys():
+        raise KeyError(f"state dicts have mismatched keys: {sorted(set(a) ^ set(b))[:5]}")
     failures = []
     for key in a:
         x, y = np.asarray(a[key]), np.asarray(b[key])
@@ -198,28 +187,6 @@ def states_allclose(
             + "\n  ".join(failures)
         )
     return True
-
-
-def zeros_like_state(state: StateDict) -> StateDict:
-    """Return a state dict of zeros with the same structure."""
-    return {key: np.zeros_like(value) for key, value in state.items()}
-
-
-def add_states(a: StateDict, b: StateDict) -> StateDict:
-    """Elementwise sum of two state dicts."""
-    _check_keys(a, b)
-    return {key: a[key] + b[key] for key in a}
-
-
-def subtract_states(a: StateDict, b: StateDict) -> StateDict:
-    """Elementwise difference ``a - b``."""
-    _check_keys(a, b)
-    return {key: a[key] - b[key] for key in a}
-
-
-def scale_state(state: StateDict, factor: float) -> StateDict:
-    """Multiply every entry by ``factor``."""
-    return {key: value * factor for key, value in state.items()}
 
 
 def _normalized_weights(weights: Iterable[float] | None, count: int) -> np.ndarray:
@@ -251,29 +218,28 @@ def _normalized_weights(weights: Iterable[float] | None, count: int) -> np.ndarr
 
 
 class StreamingAverager:
-    """Weighted state average consuming one state at a time in O(1) memory.
+    """Weighted average of packed state vectors, one vector at a time in O(1) memory.
 
-    The number of states (and their weights) must be known up front — the
+    The number of vectors (and their weights) must be known up front — the
     seed reduction normalizes weights by their total *before* the first
     multiply-add, so a one-pass streaming reduction can only replay its exact
-    float ops if the normalizer is available before the first state arrives.
-    Given that, :meth:`add` packs each state into one reused buffer and folds
-    it into a single flat accumulator, so peak memory is independent of how
-    many states are averaged — the property the fleet-scale execution path
-    relies on.
+    float ops if the normalizer is available before the first vector
+    arrives.  Given that, :meth:`add` folds each vector into a single flat
+    accumulator, so peak memory is independent of how many vectors are
+    averaged — the property the fleet-scale execution path relies on.
 
     Element for element this is the multiply-add sequence of the seed
-    per-key reduction (states outermost, starting from zeros, weights
+    per-key reduction (vectors outermost, starting from zeros, weights
     normalized up front), so streaming is bitwise-identical to materializing
     the full list first.
 
     Precision: the running accumulator is **always float64**, whatever the
-    input states' compute dtype; the result is cast back to the input dtype
+    input vectors' compute dtype; the result is cast back to the input dtype
     exactly once in :meth:`finalize`.  Under the float64 golden path the
     accumulate-then-cast is a bitwise no-op, and under float32 the reduction
     over many clients keeps full double precision until the single commit
-    cast — the "accumulate in float64, cast on commit" rule every aggregation
-    primitive in this repository follows (pinned in tests/nn/test_dtype.py).
+    cast — the "accumulate in float64, cast on commit" rule every server
+    aggregation in this repository follows (pinned in tests/nn/test_dtype.py).
     """
 
     def __init__(self, count: int, weights: Iterable[float] | None = None) -> None:
@@ -282,34 +248,31 @@ class StreamingAverager:
         self._weights = _normalized_weights(weights, count)
         self._count = count
         self._index = 0
-        self._layout: Optional[StateLayout] = None
         self._accumulator: Optional[np.ndarray] = None
-        self._buffer: Optional[np.ndarray] = None
+        self._dtype: Optional[np.dtype] = None
 
-    def add(self, state: StateDict) -> None:
-        """Fold the next state into the running average (in declared order)."""
+    def add(self, vector: np.ndarray) -> None:
+        """Fold the next vector into the running average (in declared order)."""
         if self._index >= self._count:
             raise ValueError(f"received more states than the declared {self._count}")
-        # Accumulate over the whole vector, always in float64; the buffer
-        # keeps the states' own dtype so the promotion happens inside the
-        # multiply-add, not per input element.
-        if self._layout is None:
-            self._layout = StateLayout(state)
-            self._accumulator = np.zeros(self._layout.size, dtype=np.float64)
-            self._buffer = np.empty(self._layout.size, dtype=self._layout.dtype)
-        self._layout.pack(state, out=self._buffer)
-        self._accumulator += self._weights[self._index] * self._buffer
+        if self._accumulator is None:
+            self._accumulator = np.zeros(vector.shape, dtype=np.float64)
+            self._dtype = vector.dtype
+        elif vector.shape != self._accumulator.shape:
+            raise ValueError(f"vector of shape {vector.shape} does not match the "
+                             f"averaged shape {self._accumulator.shape}")
+        # The vector keeps its own dtype, so the promotion to float64 happens
+        # inside the multiply-add, not per input element.
+        self._accumulator += self._weights[self._index] * vector
         self._index += 1
 
-    def finalize(self) -> StateDict:
-        """The average, once exactly ``count`` states have been folded in."""
+    def finalize(self) -> np.ndarray:
+        """The average, once exactly ``count`` vectors have been folded in."""
         if self._index != self._count:
             raise ValueError(
                 f"expected {self._count} states, received {self._index}"
             )
-        if self._layout.dtype == np.float64:
-            return self._layout.unpack(self._accumulator)
-        return self._layout.unpack(self._accumulator.astype(self._layout.dtype))
+        return self._accumulator.astype(self._dtype, copy=False)
 
 
 def state_fingerprint(state: StateDict) -> str:
@@ -329,8 +292,3 @@ def state_fingerprint(state: StateDict) -> str:
         digest.update(value.tobytes())
     return digest.hexdigest()
 
-
-def _check_keys(a: StateDict, b: StateDict) -> None:
-    if a.keys() != b.keys():
-        missing = set(a).symmetric_difference(b)
-        raise KeyError(f"state dicts have mismatched keys: {sorted(missing)[:5]}")

@@ -41,6 +41,7 @@ from ..fl.strategies import create_strategy
 from ..fl.training import local_train
 from ..data.dataset import ArrayDataset
 from ..data.partition import build_client_specs
+from ..nn.flat import FlatParams
 from ..nn.layers import Module
 from ..obs import Tracer, export_run_obs
 from ..store import CheckpointError, RunStore
@@ -361,11 +362,12 @@ class Runner:
             seed=seed,
         )
         model = factory()
-        local_train(model, train_set, config, model.state_dict(), transform=transform,
+        arena = FlatParams.from_module(model)
+        local_train(model, train_set, config, arena.pack(), transform=transform,
                     batch_hook=averager.on_batch_end if averager is not None else None,
                     seed=seed)
         if averager is not None and averager.count:
-            model.load_state_dict(averager.average())
+            arena.load(averager.average())
         return model, evaluate_on_devices(model, bundle.test, bundle.task)
 
     # -- summary ------------------------------------------------------------ #

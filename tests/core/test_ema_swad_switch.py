@@ -9,6 +9,7 @@ from repro.core.ema import EMALossTracker
 from repro.core.swad import SWAAverager, SWADAverager, WeightAverager
 from repro.core.switch import SwitchDecision, decide_switch1, decide_switch2
 from repro.nn.models import SimpleMLP
+from repro.nn.serialization import StateLayout
 
 
 class TestEMALossTracker:
@@ -85,18 +86,23 @@ class TestEMALossTracker:
         assert tracker.value == pytest.approx(1.0, abs=1e-6)
 
 
+def unpack(model, vector):
+    """The averaged vector as a state dict of ``model``'s keys and shapes."""
+    return StateLayout(model.state_dict()).unpack(vector)
+
+
 class TestWeightAverager:
     def test_single_update_is_identity(self):
         averager = WeightAverager()
         state = {"w": np.array([1.0, 2.0])}
         averager.update(state)
-        np.testing.assert_allclose(averager.average()["w"], [1.0, 2.0])
+        np.testing.assert_allclose(averager.average(), [1.0, 2.0])
 
     def test_incremental_mean(self):
         averager = WeightAverager()
         for value in (0.0, 2.0, 4.0):
             averager.update({"w": np.array([value])})
-        np.testing.assert_allclose(averager.average()["w"], [2.0])
+        np.testing.assert_allclose(averager.average(), [2.0])
         assert averager.count == 3
 
     def test_average_before_update_raises(self):
@@ -113,8 +119,8 @@ class TestWeightAverager:
         averager = WeightAverager()
         averager.update({"w": np.array([1.0])})
         avg = averager.average()
-        avg["w"][...] = 99.0
-        np.testing.assert_allclose(averager.average()["w"], [1.0])
+        avg[...] = 99.0
+        np.testing.assert_allclose(averager.average(), [1.0])
 
     def test_reset(self):
         averager = WeightAverager()
@@ -127,7 +133,7 @@ class TestWeightAverager:
         averager = WeightAverager()
         averager.update_from_model(model)
         np.testing.assert_allclose(
-            averager.average()["fc1.weight"], model.state_dict()["fc1.weight"]
+            unpack(model, averager.average())["fc1.weight"], model.state_dict()["fc1.weight"]
         )
 
     def test_update_from_model_reads_rebound_parameters(self):
@@ -138,7 +144,7 @@ class TestWeightAverager:
         model.fc1.weight.data = model.fc1.weight.data + 2.0
         averager.update_from_model(model)
         np.testing.assert_allclose(
-            averager.average()["fc1.weight"], model.state_dict()["fc1.weight"] - 1.0
+            unpack(model, averager.average())["fc1.weight"], model.state_dict()["fc1.weight"] - 1.0
         )
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20))
@@ -147,7 +153,7 @@ class TestWeightAverager:
         averager = WeightAverager()
         for value in values:
             averager.update({"w": np.array([value])})
-        np.testing.assert_allclose(averager.average()["w"], [np.mean(values)], atol=1e-9)
+        np.testing.assert_allclose(averager.average(), [np.mean(values)], atol=1e-9)
 
 
 class TestSWADvsSWA:
@@ -177,7 +183,7 @@ class TestSWADvsSWA:
         for p in model.parameters():
             p.data += 1.0
         averager.update_from_model(model)
-        avg = averager.average()["fc1.weight"]
+        avg = unpack(model, averager.average())["fc1.weight"]
         assert (avg >= np.minimum(first, first + 1.0) - 1e-12).all()
         assert (avg <= np.maximum(first, first + 1.0) + 1e-12).all()
 

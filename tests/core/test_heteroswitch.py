@@ -10,8 +10,8 @@ from repro.data.dataset import ArrayDataset
 from repro.data.partition import ClientSpec
 from repro.fl.config import FLConfig
 from repro.fl.strategies.base import FLContext
+from repro.nn.flat import FlatParams
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import StateLayout
 
 
 def make_image_spec(client_id=0, n=12, size=8, classes=3, seed=0):
@@ -33,6 +33,11 @@ def make_context(ema_value=None, seed=0):
 
 def make_model(size=8, classes=3):
     return SimpleMLP(3 * size * size, classes, hidden=8, seed=0)
+
+
+def packed(model):
+    """The model's weights as the round protocol broadcasts them."""
+    return FlatParams.from_module(model).pack()
 
 
 class TestNCHWTransforms:
@@ -72,7 +77,7 @@ class TestSwitchBehaviour:
         model = make_model()
         spec = make_image_spec()
         context = make_context(ema_value=None)
-        result = strategy.client_update(model, spec, model.state_dict(), context)
+        result = strategy.client_update(model, spec, packed(model), context)
         decision = result.metadata["switch"]
         assert decision.switch1 is False and decision.switch2 is False
 
@@ -82,7 +87,7 @@ class TestSwitchBehaviour:
         model = make_model()
         spec = make_image_spec()
         context = make_context(ema_value=100.0)
-        result = strategy.client_update(model, spec, model.state_dict(), context)
+        result = strategy.client_update(model, spec, packed(model), context)
         assert result.metadata["switch"].switch1 is True
 
     def test_low_ema_keeps_switches_off(self):
@@ -90,7 +95,7 @@ class TestSwitchBehaviour:
         model = make_model()
         spec = make_image_spec()
         context = make_context(ema_value=1e-6)
-        result = strategy.client_update(model, spec, model.state_dict(), context)
+        result = strategy.client_update(model, spec, packed(model), context)
         decision = result.metadata["switch"]
         assert decision.switch1 is False and decision.switch2 is False
 
@@ -99,23 +104,21 @@ class TestSwitchBehaviour:
         which differs from the weights a plain FedAvg update would return."""
         model = make_model()
         spec = make_image_spec(n=16)
-        global_state = model.state_dict()
+        global_vec = packed(model)
 
         hetero = HeteroSwitch(transform=default_isp_transform(wb_degree=0.0, gamma_degree=0.0))
-        hetero_result = hetero.client_update(model, spec, global_state, make_context(100.0))
+        hetero_result = hetero.client_update(model, spec, global_vec, make_context(100.0))
         assert hetero_result.metadata["switch"].switch2 is True
 
         from repro.fl.strategies.base import FedAvg
 
-        fedavg_result = FedAvg().client_update(model, spec, global_state, make_context(100.0))
-        layout = StateLayout(global_state)
-        assert not np.allclose(layout.pack(hetero_result.state),
-                               layout.pack(fedavg_result.state))
+        fedavg_result = FedAvg().client_update(model, spec, global_vec, make_context(100.0))
+        assert not np.allclose(hetero_result.vector, fedavg_result.vector)
 
     def test_records_device_in_metadata(self):
         strategy = HeteroSwitch()
         model = make_model()
-        result = strategy.client_update(model, make_image_spec(), model.state_dict(),
+        result = strategy.client_update(model, make_image_spec(), packed(model),
                                         make_context(1.0))
         assert result.metadata["device"] == "S6"
 
@@ -124,7 +127,7 @@ class TestAblations:
     def test_isp_transform_only_always_switch1_never_switch2(self):
         strategy = ISPTransformOnly()
         model = make_model()
-        result = strategy.client_update(model, make_image_spec(), model.state_dict(),
+        result = strategy.client_update(model, make_image_spec(), packed(model),
                                         make_context(None))
         decision = result.metadata["switch"]
         assert decision.switch1 is True and decision.switch2 is False
@@ -132,7 +135,7 @@ class TestAblations:
     def test_isp_swad_always_both(self):
         strategy = ISPTransformWithSWAD()
         model = make_model()
-        result = strategy.client_update(model, make_image_spec(), model.state_dict(),
+        result = strategy.client_update(model, make_image_spec(), packed(model),
                                         make_context(None))
         decision = result.metadata["switch"]
         assert decision.switch1 is True and decision.switch2 is True
@@ -147,7 +150,7 @@ class TestAblations:
 
         strategy = ISPTransformOnly(transform=CountingTransform())
         model = make_model()
-        strategy.client_update(model, make_image_spec(), model.state_dict(), make_context(None))
+        strategy.client_update(model, make_image_spec(), packed(model), make_context(None))
         assert calls["count"] > 0
 
     def test_heteroswitch_with_ecg_transform_on_signals(self):
@@ -163,6 +166,6 @@ class TestAblations:
         context.ema.update(1e6)  # force the switches on
         model = SimpleMLP(32, 1, hidden=8, seed=0)
         strategy = HeteroSwitch(transform=ecg_transform())
-        result = strategy.client_update(model, spec, model.state_dict(), context)
+        result = strategy.client_update(model, spec, packed(model), context)
         assert result.metadata["switch"].switch1 is True
         assert np.isfinite(result.train_loss)

@@ -11,6 +11,7 @@ from repro.eval.centralized import evaluate_on_devices, evaluate_under_transform
 from repro.fl.config import FLConfig
 from repro.fl.training import evaluate_loss, evaluate_metric, local_train
 from repro.isp.transforms import GaussianNoise
+from repro.nn.flat import FlatParams
 from repro.nn.models import SimpleMLP
 
 
@@ -33,7 +34,8 @@ def train(model, dataset, epochs, learning_rate, **kwargs):
     """Centralized SGD: ``epochs`` local epochs from the model's own weights."""
     config = FLConfig(num_clients=1, clients_per_round=1, local_epochs=epochs,
                       batch_size=6, learning_rate=learning_rate)
-    local_train(model, dataset, config, model.state_dict(), seed=0, **kwargs)
+    local_train(model, dataset, config, FlatParams.from_module(model).pack(), seed=0,
+                **kwargs)
     return model
 
 

@@ -22,10 +22,10 @@ from repro.fl.training import ClientResult
 def make_update(vec, dispatched, num_samples=10, client_id=0, loss=1.0):
     vec = np.asarray(vec, dtype=np.float64)
     dispatched = np.asarray(dispatched, dtype=np.float64)
-    result = ClientResult(state={}, num_samples=num_samples, train_loss=loss,
+    result = ClientResult(vector=vec, num_samples=num_samples, train_loss=loss,
                           init_loss=loss, client_id=client_id,
                           metadata={"device": "S6"})
-    return AsyncUpdate(result=result, vec=vec, delta=vec - dispatched,
+    return AsyncUpdate(result=result, delta=vec - dispatched,
                        dispatch_version=0)
 
 
@@ -59,7 +59,7 @@ class TestFedAsync:
         commit = strategy.server_update(global_vec, update, staleness=1,
                                         context=make_context())
         # mix = 0.5 * (1 + 1)^-1 = 0.25
-        assert np.allclose(commit.vector, 0.75 * global_vec + 0.25 * update.vec)
+        assert np.allclose(commit.vector, 0.75 * global_vec + 0.25 * update.result.vector)
 
     def test_every_update_commits(self):
         strategy = FedAsync()

@@ -7,8 +7,8 @@ from repro.data.dataset import ArrayDataset
 from repro.fl.config import FLConfig
 from repro.fl.training import (ClientResult, compute_loss, evaluate_loss, evaluate_metric,
                                local_train, measure_init_loss)
+from repro.nn.flat import FlatParams
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import StateLayout, states_equal
 
 
 class TestFLConfig:
@@ -91,12 +91,17 @@ class TestComputeAndEvaluate:
         assert metric <= 1.0
 
 
+def packed(model):
+    """The model's weights as the round protocol broadcasts them."""
+    return FlatParams.from_module(model).pack()
+
+
 class TestLocalTrain:
     def test_returns_client_result(self, classification_setup):
         model, dataset, config = classification_setup
-        global_state = model.state_dict()
-        init_loss = measure_init_loss(model, dataset, config, global_state)
-        result = local_train(model, dataset, config, global_state, seed=0)
+        global_vec = packed(model)
+        init_loss = measure_init_loss(model, dataset, config, global_vec)
+        result = local_train(model, dataset, config, global_vec, seed=0)
         assert isinstance(result, ClientResult)
         assert result.num_samples == len(dataset)
         assert result.train_loss > 0
@@ -106,37 +111,36 @@ class TestLocalTrain:
 
     def test_training_changes_weights(self, classification_setup):
         model, dataset, config = classification_setup
-        global_state = model.state_dict()
-        result = local_train(model, dataset, config, global_state, seed=0)
-        layout = StateLayout(global_state)
-        assert not np.allclose(layout.pack(result.state), layout.pack(global_state))
+        global_vec = packed(model)
+        result = local_train(model, dataset, config, global_vec, seed=0)
+        assert not np.allclose(result.vector, global_vec)
 
     def test_training_reduces_loss(self, classification_setup):
         model, dataset, _ = classification_setup
         config = FLConfig(num_clients=4, clients_per_round=2, num_rounds=1,
                           batch_size=5, learning_rate=0.3, local_epochs=10, seed=0)
-        global_state = model.state_dict()
-        init_loss = measure_init_loss(model, dataset, config, global_state)
-        local_train(model, dataset, config, global_state, seed=0)
+        global_vec = packed(model)
+        init_loss = measure_init_loss(model, dataset, config, global_vec)
+        local_train(model, dataset, config, global_vec, seed=0)
         final_loss = evaluate_loss(model, dataset, "classification")
         assert final_loss < init_loss
 
     def test_starts_from_global_state(self, classification_setup):
         """local_train must overwrite whatever weights the model currently holds."""
         model, dataset, config = classification_setup
-        global_state = model.state_dict()
+        global_vec = packed(model)
         clean = local_train(SimpleMLP(6, 2, hidden=8, seed=0), dataset, config,
-                            global_state, seed=0)
+                            global_vec, seed=0)
         # Scramble the model weights.
         for p in model.parameters():
             p.data += 10.0
-        result = local_train(model, dataset, config, global_state, seed=0)
-        assert states_equal(result.state, clean.state)
+        result = local_train(model, dataset, config, global_vec, seed=0)
+        assert result.vector.tobytes() == clean.vector.tobytes()
         # The L_init helper loads the global weights too, so it measures a
         # sane cross-entropy value, not the loss of the scrambled model.
         for p in model.parameters():
             p.data += 10.0
-        assert measure_init_loss(model, dataset, config, global_state) < 20.0
+        assert measure_init_loss(model, dataset, config, global_vec) < 20.0
 
     def test_transform_hook_called(self, classification_setup):
         model, dataset, config = classification_setup
@@ -146,7 +150,7 @@ class TestLocalTrain:
             calls["count"] += 1
             return features
 
-        local_train(model, dataset, config, model.state_dict(), transform=transform, seed=0)
+        local_train(model, dataset, config, packed(model), transform=transform, seed=0)
         assert calls["count"] > 0
 
     def test_batch_hook_called_once_per_batch(self, classification_setup):
@@ -156,22 +160,20 @@ class TestLocalTrain:
         def hook(hook_model, batch_index, epoch_index):
             seen.append((epoch_index, batch_index))
 
-        local_train(model, dataset, config, model.state_dict(), batch_hook=hook, seed=0)
+        local_train(model, dataset, config, packed(model), batch_hook=hook, seed=0)
         batches_per_epoch = int(np.ceil(len(dataset) / config.batch_size))
         assert len(seen) == batches_per_epoch * config.local_epochs
 
     def test_deterministic_given_seed(self, classification_setup):
         model, dataset, config = classification_setup
-        global_state = model.state_dict()
-        a = local_train(model, dataset, config, global_state, seed=7)
-        b = local_train(model, dataset, config, global_state, seed=7)
-        layout = StateLayout(global_state)
-        np.testing.assert_allclose(layout.pack(a.state), layout.pack(b.state))
+        global_vec = packed(model)
+        a = local_train(model, dataset, config, global_vec, seed=7)
+        b = local_train(model, dataset, config, global_vec, seed=7)
+        np.testing.assert_allclose(a.vector, b.vector)
 
     def test_different_seeds_differ(self, classification_setup):
         model, dataset, config = classification_setup
-        global_state = model.state_dict()
-        a = local_train(model, dataset, config, global_state, seed=1)
-        b = local_train(model, dataset, config, global_state, seed=2)
-        layout = StateLayout(global_state)
-        assert not np.allclose(layout.pack(a.state), layout.pack(b.state))
+        global_vec = packed(model)
+        a = local_train(model, dataset, config, global_vec, seed=1)
+        b = local_train(model, dataset, config, global_vec, seed=2)
+        assert not np.allclose(a.vector, b.vector)

@@ -41,7 +41,7 @@ from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import FLContext, create_strategy
 from repro.fl.training import local_train
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import states_equal
+from repro.nn.serialization import StateLayout, states_equal
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -188,11 +188,17 @@ def _round_model():
     return SimpleMLP(3 * 4 * 4, 2, hidden=8, seed=0)
 
 
+def packed(state):
+    """``state`` as the packed vector the round protocol carries."""
+    return StateLayout(state).pack(state)
+
+
 def make_round_specs(num_clients=3, seed=0):
     """One synthetic round's selection plus a fresh server context."""
     config = FLConfig(num_clients=num_clients, clients_per_round=num_clients,
                       num_rounds=1, batch_size=4, learning_rate=0.1, seed=seed)
-    context = FLContext(config=config, ema=EMALossTracker())
+    context = FLContext(config=config, ema=EMALossTracker(),
+                        layout=StateLayout(_round_model().state_dict()))
     context.ema.update(1.0)
     rng = np.random.default_rng(seed)
     specs = []
@@ -208,11 +214,11 @@ def make_round_results(strategy_name, num_clients=3, seed=0):
     """Real client updates for one synthetic round, plus the server context."""
     specs, context = make_round_specs(num_clients, seed)
     model = _round_model()
-    global_state = model.state_dict()
+    global_vec = packed(model.state_dict())
     strategy = create_strategy(strategy_name)
-    results = [run_client(strategy, model, spec, global_state, context)
+    results = [run_client(strategy, model, spec, global_vec, context)
                for spec in specs]
-    return strategy, global_state, specs, results, context
+    return strategy, global_vec, specs, results, context
 
 
 class _ReverseCompletionStrategy:
@@ -230,11 +236,11 @@ class _ReverseCompletionStrategy:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def client_update(self, model, spec, global_state, context):
+    def client_update(self, model, spec, global_vec, context):
         position = spec.client_id
         if position + 1 < len(self._finished):
             assert self._finished[position + 1].wait(timeout=30)
-        result = self._inner.client_update(model, spec, global_state, context)
+        result = self._inner.client_update(model, spec, global_vec, context)
         self.completion_order.append(spec.client_id)
         self._finished[position].set()
         return result
@@ -250,16 +256,16 @@ class TestPermutationInvariance:
     @pytest.mark.parametrize("strategy_name", AGGREGATING_STRATEGIES)
     def test_aggregate_is_permutation_invariant(self, strategy_name):
         """Only the selection order folds; every other order is refused."""
-        strategy, global_state, specs, results, context = \
+        strategy, global_vec, specs, results, context = \
             make_round_results(strategy_name)
         for order in itertools.permutations(range(len(results))):
             stream = iter(copy.deepcopy([results[i] for i in order]))
             if list(order) == sorted(order):
-                strategy.aggregate_stream(global_state, specs, stream,
+                strategy.aggregate_stream(global_vec, specs, stream,
                                           copy.deepcopy(context))
             else:
                 with pytest.raises(RuntimeError, match="out of order"):
-                    strategy.aggregate_stream(global_state, specs, stream,
+                    strategy.aggregate_stream(global_vec, specs, stream,
                                               copy.deepcopy(context))
 
     @pytest.mark.parametrize("strategy_name", AGGREGATING_STRATEGIES)
@@ -267,7 +273,7 @@ class TestPermutationInvariance:
         """Clients finishing in reverse order leave the same global state and
         EMA as the serial round, because the thread executor re-orders them."""
         specs, _ = make_round_specs()
-        global_state = _round_model().state_dict()
+        global_vec = packed(_round_model().state_dict())
         reverse = _ReverseCompletionStrategy(create_strategy(strategy_name),
                                              len(specs))
         outcomes = []
@@ -276,25 +282,25 @@ class TestPermutationInvariance:
             _, context = make_round_specs()
             with create_executor(backend, max_workers=len(specs)) as executor:
                 _, stream, _ = run_tolerant_round(
-                    executor, strategy, _round_model, specs, global_state,
+                    executor, strategy, _round_model, specs, global_vec,
                     context)
-                new_state, results = strategy.aggregate_stream(
-                    global_state, specs, stream, context)
+                new_vec, results = strategy.aggregate_stream(
+                    global_vec, specs, stream, context)
             strategy.on_round_end(context, results)
-            outcomes.append((new_state, context.ema.value))
+            outcomes.append((new_vec, context.ema.value))
         assert reverse.completion_order == [2, 1, 0]
-        assert states_equal(outcomes[0][0], outcomes[1][0])
+        assert outcomes[0][0].tobytes() == outcomes[1][0].tobytes()
         assert outcomes[0][1] == outcomes[1][1]
 
     @pytest.mark.parametrize("strategy_name", AGGREGATING_STRATEGIES)
     def test_aggregate_stream_refuses_short_or_mismatched_stream(self, strategy_name):
         """Every strategy, not only bare ``consume_stream``, refuses a short
         stream and a sample-count mismatch (out-of-order streams: above)."""
-        strategy, global_state, specs, results, context = \
+        strategy, global_vec, specs, results, context = \
             make_round_results(strategy_name)
 
         def fold(stream):
-            return strategy.aggregate_stream(global_state, specs, iter(stream),
+            return strategy.aggregate_stream(global_vec, specs, iter(stream),
                                              copy.deepcopy(context))
 
         with pytest.raises(RuntimeError, match="ended early"):
@@ -317,20 +323,20 @@ class _FailFastStrategy:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def client_update(self, model, spec, global_state, context):
+    def client_update(self, model, spec, global_vec, context):
         import time
 
         if spec.client_id == self.fail_client:
             raise RuntimeError("boom: synthetic client failure")
         time.sleep(self.delay)
         self.trained.append(spec.client_id)
-        return self._inner.client_update(model, spec, global_state, context)
+        return self._inner.client_update(model, spec, global_vec, context)
 
 
-def fail_fast_round(executor, strategy, model_fn, specs, global_state, context):
+def fail_fast_round(executor, strategy, model_fn, specs, global_vec, context):
     """A round without a fault policy: results, or the first failure raised."""
     _, results, _ = run_tolerant_round(executor, strategy, model_fn, specs,
-                                       global_state, context)
+                                       global_vec, context)
     return list(results)
 
 
@@ -360,29 +366,29 @@ class TestRoundFailFast:
         every one of them trained to completion and was then discarded."""
         specs, model_fn, context = self._make_round()
         strategy = _FailFastStrategy(fail_client=specs[0].client_id)
-        global_state = model_fn().state_dict()
+        global_vec = packed(model_fn().state_dict())
         with create_executor("thread", max_workers=1) as executor:
             with pytest.raises(RuntimeError, match="boom"):
                 fail_fast_round(executor, strategy, model_fn, specs,
-                                global_state, context)
+                                global_vec, context)
             # At most the one job the worker raced into before cancel landed.
             assert len(strategy.trained) <= 1
             # The pool drained cleanly and stays usable.
             results = fail_fast_round(executor, create_strategy("fedavg"),
-                                      model_fn, specs, global_state, context)
+                                      model_fn, specs, global_vec, context)
             assert [r.client_id for r in results] == [s.client_id for s in specs]
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_failure_propagates_and_pool_reusable(self, backend):
         specs, model_fn, context = self._make_round(num_clients=4)
         strategy = _FailFastStrategy(fail_client=specs[1].client_id, delay=0.0)
-        global_state = model_fn().state_dict()
+        global_vec = packed(model_fn().state_dict())
         with create_executor(backend, max_workers=2) as executor:
             with pytest.raises(RuntimeError, match="boom"):
                 fail_fast_round(executor, strategy, model_fn, specs,
-                                global_state, context)
+                                global_vec, context)
             results = fail_fast_round(executor, create_strategy("fedavg"),
-                                      model_fn, specs, global_state, context)
+                                      model_fn, specs, global_vec, context)
             assert [r.client_id for r in results] == [s.client_id for s in specs]
 
 
@@ -436,7 +442,7 @@ class TestDerivedClientStreams:
         historical ``(seed, round, client_id)`` formula."""
         sim = FederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
                                   create_strategy("fedavg"), tiny_fl_config)
-        global_before = sim.global_state
+        global_before = packed(sim.global_state)
         sim.context.round_index = 0
         selected = sim.select_clients(0)
         results = list(sim.executor.iter_round(
@@ -447,7 +453,7 @@ class TestDerivedClientStreams:
             expected = local_train(tiny_model_fn(), spec.dataset, tiny_fl_config,
                                    global_before, seed=seed)
             assert result.client_id == spec.client_id
-            assert states_equal(result.state, expected.state)
+            assert result.vector.tobytes() == expected.vector.tobytes()
             assert result.train_loss == expected.train_loss
             # FedAvg does not read L_init, so neither path measures it.
             assert result.init_loss is None and expected.init_loss is None
@@ -457,6 +463,6 @@ class TestReadOnlyClientContext:
     @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
     def test_client_update_never_writes_context(self, strategy_name):
         """The contract that makes shm workers safe: client steps only read."""
-        strategy, global_state, _, _, context = make_round_results(strategy_name)
+        strategy, global_vec, _, _, context = make_round_results(strategy_name)
         assert context.client_storage == {}
         assert context.server_storage == {}

@@ -53,7 +53,7 @@ from repro.fl.faults import (
 from repro.fl.sampling import ClientSampler
 from repro.fl.simulation import FederatedSimulation, RoundRecord
 from repro.fl.strategies import create_strategy
-from repro.fl.strategies.base import FLContext
+from repro.fl.strategies.base import FedAvg, FLContext
 from repro.fl.training import ClientResult
 from repro.nn.models import SimpleMLP
 from repro.nn.serialization import StateLayout, states_equal
@@ -96,6 +96,12 @@ def make_population(num_clients=NUM_CLIENTS, samples=4, seed=0):
 
 def model_fn():
     return SimpleMLP(3 * IMAGE_SIZE * IMAGE_SIZE, NUM_CLASSES, hidden=8, seed=0)
+
+
+def global_vec():
+    """A fresh model's weights, packed as the round protocol broadcasts them."""
+    state = model_fn().state_dict()
+    return StateLayout(state).pack(state)
 
 
 def make_test_sets(seed=99):
@@ -255,7 +261,7 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(
-                strategy, model_fn, jobs, model_fn().state_dict(), context))
+                strategy, model_fn, jobs, global_vec(), context))
         for position, outcome in enumerate(outcomes):
             if position == fail_position:
                 assert isinstance(outcome, ClientFailure)
@@ -282,7 +288,7 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(
-                strategy, model_fn, jobs, model_fn().state_dict(), context))
+                strategy, model_fn, jobs, global_vec(), context))
         assert isinstance(outcomes[0], ClientFailure)
         assert isinstance(outcomes[1], ClientResult)
         assert outcomes[1].client_id == selected[1].client_id
@@ -303,7 +309,7 @@ class TestExecutorFailurePaths:
         strategy = create_strategy("fedavg")
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(
-                strategy, model_fn, jobs, model_fn().state_dict(), context))
+                strategy, model_fn, jobs, global_vec(), context))
         assert all(isinstance(outcome, WorkerDied) for outcome in outcomes)
         assert {outcome.kind for outcome in outcomes} == {"worker_died"}
 
@@ -328,7 +334,7 @@ class TestExecutorFailurePaths:
             with pytest.raises(ClientFailure, match="header boom"):
                 _, results, _ = run_tolerant_round(
                     executor, create_strategy("fedavg"), model_fn, selected,
-                    model_fn().state_dict(), context, policy)
+                    global_vec(), context, policy)
                 list(results)
         assert shm_entries() <= before
 
@@ -347,7 +353,7 @@ class TestExecutorFailurePaths:
         with create_executor(backend, max_workers=2) as executor:
             outcomes = list(executor.iter_round(
                 strategy, model_fn, [(spec, 0) for spec in selected],
-                model_fn().state_dict(), context))
+                global_vec(), context))
         assert all(isinstance(outcome, RoundTimeout) for outcome in outcomes)
         assert "deadline" in str(outcomes[0])
 
@@ -519,31 +525,32 @@ class TestQuorum:
 
 class TestSanitization:
     def test_sanitize_result_catches_poison(self):
-        layout = StateLayout(model_fn().state_dict())
-        clean_state = model_fn().state_dict()
-        ok = ClientResult(state=clean_state, num_samples=4, train_loss=0.5,
+        broadcast = global_vec()
+        ok = ClientResult(vector=global_vec(), num_samples=4, train_loss=0.5,
                           init_loss=0.6)
-        assert sanitize_result(ok, layout) is None
+        assert sanitize_result(ok, broadcast) is None
 
-        poisoned = {k: v.copy() for k, v in clean_state.items()}
-        first = next(iter(poisoned))
-        poisoned[first].reshape(-1)[0] = np.nan
-        bad = dataclasses.replace(ok, state=poisoned)
-        assert "non-finite" in sanitize_result(bad, layout)
+        poisoned = ok.vector.copy()
+        poisoned[0] = np.nan
+        bad = dataclasses.replace(ok, vector=poisoned)
+        assert "non-finite" in sanitize_result(bad, broadcast)
 
-        reshaped = {k: v.copy() for k, v in clean_state.items()}
-        reshaped[first] = reshaped[first].reshape((1,) + reshaped[first].shape)
-        assert "shape mismatch" in sanitize_result(
-            dataclasses.replace(ok, state=reshaped), layout)
-
-        missing = {k: v for k, v in clean_state.items() if k != first}
-        assert "diverge" in sanitize_result(
-            dataclasses.replace(ok, state=missing), layout)
+        assert "do not fit" in sanitize_result(
+            dataclasses.replace(ok, vector=ok.vector[:-1]), broadcast)
 
         assert "losses" in sanitize_result(
-            dataclasses.replace(ok, train_loss=float("nan")), layout)
+            dataclasses.replace(ok, train_loss=float("nan")), broadcast)
         # Streaming results already folded into an accumulator pass through.
-        assert sanitize_result(dataclasses.replace(ok, state=None), layout) is None
+        assert sanitize_result(dataclasses.replace(ok, vector=None), broadcast) is None
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_misshapen_update_fails_alike_without_policy(self, backend):
+        """Without a policy, a wrong-length update fails the round with the
+        same error on every backend: the server refuses it before folding."""
+        config = make_config(faults=FaultPlan(seed=0, shape_rate=1.0))
+        with pytest.raises(ValueError, match=r"returned weights of shape \(\d+,\); "
+                                             r"the broadcast has"):
+            run_sim(config, backend)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_poisoned_updates_rejected_and_recovered(self, backend):
@@ -562,6 +569,30 @@ class TestSanitization:
         assert kinds == {"sanitize"}
         assert np.all(np.isfinite(np.concatenate(
             [value.reshape(-1) for value in state.values()])))
+
+
+class _BroadcastWriter(FedAvg):
+    """A buggy client that writes into the broadcast weights it was handed."""
+
+    def client_update(self, model, spec, global_vec, context):
+        global_vec[0] = 1.0
+        return super().client_update(model, spec, global_vec, context)
+
+
+class TestReadOnlyBroadcast:
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_write_into_broadcast_fails_and_server_weights_survive(self, backend):
+        """Clients share one read-only view of the server's weights, not a
+        copy each: writing into it fails the client, and the server's
+        weights stay as they were."""
+        with create_executor(backend, max_workers=2) as executor:
+            sim = FederatedSimulation(model_fn, make_population(), make_test_sets(),
+                                      _BroadcastWriter(), make_config(),
+                                      executor=executor)
+            before = sim.global_state
+            with pytest.raises(ClientFailure, match="read-only"):
+                sim.run_round(0)
+        assert states_equal(before, sim.global_state)
 
 
 class TestDegradedResume:

@@ -15,6 +15,7 @@ from repro.data.partition import ClientSpec
 from repro.fl import training
 from repro.fl.config import FLConfig
 from repro.fl.strategies import STRATEGY_REGISTRY, FLContext, create_strategy
+from repro.nn.flat import FlatParams
 from repro.nn.models import SimpleMLP
 
 # evaluate_loss calls per client update.
@@ -56,7 +57,7 @@ def test_every_registered_strategy_has_an_expectation():
 def test_evaluate_loss_calls_per_client_update(name, monkeypatch):
     spec, context = _client_round()
     model = _model()
-    global_state = model.state_dict()
+    global_vec = FlatParams.from_module(model).pack()
     calls = []
     original = training.evaluate_loss
 
@@ -66,11 +67,11 @@ def test_evaluate_loss_calls_per_client_update(name, monkeypatch):
 
     # Looked up at call time, as perfbench's fl.evaluate_loss hook relies on.
     monkeypatch.setattr(training, "evaluate_loss", counting)
-    result = create_strategy(name).client_update(model, spec, global_state, context)
+    result = create_strategy(name).client_update(model, spec, global_vec, context)
     assert len(calls) == EVALUATIONS[name]
     if EVALUATIONS[name]:
         expected = training.measure_init_loss(_model(), spec.dataset, context.config,
-                                              global_state)
+                                              global_vec)
         assert result.init_loss == expected
     else:
         assert result.init_loss is None

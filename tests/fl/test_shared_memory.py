@@ -48,7 +48,7 @@ from repro.fl.training import ClientResult
 from repro.nn import functional as F
 from repro.nn.models import SimpleMLP
 from repro.nn.optim import SGD
-from repro.nn.serialization import state_fingerprint
+from repro.nn.serialization import StateLayout
 
 requires_shm = pytest.mark.skipif(
     not HAS_FORK or sys.platform == "darwin" or not os.path.isdir("/dev/shm"),
@@ -61,8 +61,8 @@ ALL_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold", "heteroswitch"]
 def _stamped(strategy_name):
     """``strategy_name``'s strategy, stamping the kernels each client trained on."""
     class Stamped(type(create_strategy(strategy_name))):
-        def client_update(self, model, spec, global_state, context):
-            result = super().client_update(model, spec, global_state, context)
+        def client_update(self, model, spec, global_vec, context):
+            result = super().client_update(model, spec, global_vec, context)
             result.metadata["kernels"] = (F.linear.__module__, SGD.step.__module__)
             return result
     return Stamped()
@@ -94,7 +94,7 @@ def make_population(num_clients, samples=4, image_size=4, num_classes=2, seed=0)
 
 
 def make_round(num_clients, **population_kwargs):
-    """(strategy-agnostic) specs, global state, context and model factory."""
+    """(strategy-agnostic) specs, packed global weights, context and model factory."""
     specs = make_population(num_clients, **population_kwargs)
     image_size = population_kwargs.get("image_size", 4)
     num_classes = population_kwargs.get("num_classes", 2)
@@ -106,7 +106,8 @@ def make_round(num_clients, **population_kwargs):
                       num_rounds=1, local_epochs=1, batch_size=4,
                       learning_rate=0.05, seed=0)
     context = FLContext(config=config, ema=EMALossTracker())
-    return specs, model_fn().state_dict(), context, model_fn
+    state = model_fn().state_dict()
+    return specs, StateLayout(state).pack(state), context, model_fn
 
 
 class _ExplodingStrategy(FedAvg):
@@ -115,10 +116,10 @@ class _ExplodingStrategy(FedAvg):
     def __init__(self, fail_client):
         self.fail_client = fail_client
 
-    def client_update(self, model, spec, global_state, context):
+    def client_update(self, model, spec, global_vec, context):
         if spec.client_id == self.fail_client:
             raise RuntimeError("boom: synthetic client failure")
-        return super().client_update(model, spec, global_state, context)
+        return super().client_update(model, spec, global_vec, context)
 
 
 class _CrashingStrategy(FedAvg):
@@ -127,10 +128,10 @@ class _CrashingStrategy(FedAvg):
     def __init__(self, crash_client):
         self.crash_client = crash_client
 
-    def client_update(self, model, spec, global_state, context):
+    def client_update(self, model, spec, global_vec, context):
         if spec.client_id == self.crash_client:
             os._exit(3)
-        return super().client_update(model, spec, global_state, context)
+        return super().client_update(model, spec, global_vec, context)
 
 
 class _RaisingCallback(Callback):
@@ -216,17 +217,17 @@ class TestFleetSmoke:
         before = shm_entries()
         fingerprints = {}
         for executor_name in ["serial", "shm"]:
-            specs, global_state, context, model_fn = make_round(64)
+            specs, global_vec, context, model_fn = make_round(64)
             strategy = create_strategy("fedavg")
             with create_executor(executor_name) as executor:
                 stream = executor.iter_round(strategy, model_fn,
                                              [(spec, 0) for spec in specs],
-                                             global_state, context)
-                new_state, results = strategy.aggregate_stream(
-                    global_state, specs, stream, context)
+                                             global_vec, context)
+                new_vec, results = strategy.aggregate_stream(
+                    global_vec, specs, stream, context)
             assert len(results) == 64
             assert [r.client_id for r in results] == [s.client_id for s in specs]
-            fingerprints[executor_name] = state_fingerprint(new_state)
+            fingerprints[executor_name] = new_vec.tobytes()
         assert fingerprints["shm"] == fingerprints["serial"]
         assert shm_entries() <= before, "leaked /dev/shm segments"
 
@@ -258,31 +259,31 @@ class TestShmLifecycle:
         assert shm_entries() <= before, "leaked /dev/shm segments"
 
     def test_failing_client_propagates_and_unlinks(self):
-        specs, global_state, context, model_fn = make_round(6)
+        specs, global_vec, context, model_fn = make_round(6)
         before = shm_entries()
         executor = create_executor("shm", max_workers=2)
         try:
             strategy = _ExplodingStrategy(fail_client=specs[2].client_id)
             with pytest.raises(RuntimeError, match="boom"):
                 fail_fast_round(executor, strategy, model_fn, specs,
-                                global_state, context)
+                                global_vec, context)
             # The executor stays usable: the next round forks a fresh pool.
             results = fail_fast_round(executor, FedAvg(), model_fn, specs,
-                                      global_state, context)
+                                      global_vec, context)
             assert [r.client_id for r in results] == [s.client_id for s in specs]
         finally:
             executor.close()
         assert shm_entries() <= before, "leaked /dev/shm segments"
 
     def test_worker_crash_detected_and_unlinks(self):
-        specs, global_state, context, model_fn = make_round(4)
+        specs, global_vec, context, model_fn = make_round(4)
         before = shm_entries()
         executor = create_executor("shm", max_workers=2)
         try:
             strategy = _CrashingStrategy(crash_client=specs[1].client_id)
             with pytest.raises(RuntimeError, match="died"):
                 fail_fast_round(executor, strategy, model_fn, specs,
-                                global_state, context)
+                                global_vec, context)
         finally:
             executor.close()
         assert shm_entries() <= before, "leaked /dev/shm segments"
@@ -307,28 +308,36 @@ class TestStreamingProtocol:
 
     def test_out_of_order_stream_rejected(self):
         specs = make_population(3, samples=2, image_size=2)
-        results = [ClientResult(state={"w": np.zeros(1)}, num_samples=2,
+        results = [ClientResult(vector=np.zeros(1), num_samples=2,
                                 train_loss=0.0, init_loss=0.0,
                                 client_id=spec.client_id) for spec in specs]
         swapped = [results[1], results[0], results[2]]
         with pytest.raises(RuntimeError, match="out of order"):
-            list(consume_stream(specs, iter(swapped)))
+            list(consume_stream(specs, iter(swapped), np.zeros(1)))
 
     def test_short_stream_rejected(self):
         specs = make_population(3, samples=2, image_size=2)
-        results = [ClientResult(state={"w": np.zeros(1)}, num_samples=2,
+        results = [ClientResult(vector=np.zeros(1), num_samples=2,
                                 train_loss=0.0, init_loss=0.0,
                                 client_id=spec.client_id) for spec in specs[:2]]
         with pytest.raises(RuntimeError, match="ended early"):
-            list(consume_stream(specs, iter(results)))
+            list(consume_stream(specs, iter(results), np.zeros(1)))
 
     def test_sample_count_mismatch_rejected(self):
         specs = make_population(2, samples=2, image_size=2)
-        results = [ClientResult(state={"w": np.zeros(1)}, num_samples=99,
+        results = [ClientResult(vector=np.zeros(1), num_samples=99,
                                 train_loss=0.0, init_loss=0.0,
                                 client_id=spec.client_id) for spec in specs]
         with pytest.raises(RuntimeError, match="num_samples"):
-            list(consume_stream(specs, iter(results)))
+            list(consume_stream(specs, iter(results), np.zeros(1)))
+
+    def test_misshapen_update_rejected(self):
+        specs = make_population(2, samples=2, image_size=2)
+        results = [ClientResult(vector=np.zeros(2), num_samples=2,
+                                train_loss=0.0, init_loss=0.0,
+                                client_id=spec.client_id) for spec in specs]
+        with pytest.raises(ValueError, match="the broadcast has"):
+            list(consume_stream(specs, iter(results), np.zeros(1)))
 
 
 class TestStreamingMemoryFlat:
@@ -339,31 +348,31 @@ class TestStreamingMemoryFlat:
         specs = make_population(num_clients, samples=2, image_size=2)
         config = FLConfig(num_clients=num_clients, clients_per_round=num_clients,
                           num_rounds=1, batch_size=2, learning_rate=0.05, seed=0)
-        context = FLContext(config=config, ema=EMALossTracker())
-        global_state = {"w": np.zeros(state_size)}
+        global_vec = np.zeros(state_size)
+        context = FLContext(config=config, ema=EMALossTracker(),
+                            layout=StateLayout({"w": global_vec}))
         strategy = create_strategy(strategy_name)
 
         def stream():
             for position, spec in enumerate(specs):
                 result = ClientResult(
-                    state={"w": np.full(state_size, float(position + 1))},
+                    vector=np.full(state_size, float(position + 1)),
                     num_samples=len(spec.dataset), train_loss=0.5,
                     init_loss=1.0, client_id=spec.client_id)
                 if strategy_name == "scaffold":
-                    result.metadata["c_delta"] = {
-                        "w": np.full(state_size, 0.01 * position)}
+                    result.metadata["c_delta"] = np.full(state_size, 0.01 * position)
                     result.metadata["new_c_i"] = {
                         "w": np.full(state_size, 0.02 * position)}
                 yield result
 
         tracemalloc.start()
-        new_state, results = strategy.aggregate_stream(
-            global_state, specs, stream(), context)
+        new_vec, results = strategy.aggregate_stream(
+            global_vec, specs, stream(), context)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(results) == num_clients
-        assert all(result.state is None for result in results)
-        assert new_state["w"].shape == (state_size,)
+        assert all(result.vector is None for result in results)
+        assert new_vec.shape == (state_size,)
         # Scaffold's per-client control variates are persistent algorithm
         # state, not transient round memory; exclude them from the peak
         # comparison by releasing the context afterwards (tracemalloc peak

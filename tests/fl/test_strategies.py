@@ -35,16 +35,26 @@ def make_spec(client_id=0, device="S6", n=12, seed=0):
 
 
 def make_result(value, num_samples=1, loss=1.0):
-    return ClientResult(state={"w": np.array([float(value)])}, num_samples=num_samples,
+    """A client's update of the one-entry state ``{"w": [value]}``, packed."""
+    return ClientResult(vector=np.array([float(value)]), num_samples=num_samples,
                         train_loss=loss, init_loss=loss)
+
+
+def packed(model):
+    """The model's weights as the round protocol broadcasts them."""
+    state = model.state_dict()
+    return StateLayout(state).pack(state)
 
 
 def aggregate(strategy, global_state, results, context):
     """Fold ``results`` as one round's cohort through ``aggregate_stream``.
 
-    Each result gets the client id of its position, and its client a dataset
-    of exactly ``num_samples`` rows, as ``consume_stream`` requires.
+    The global state crosses packed by its layout, which the context
+    carries; the new global vector comes back unpacked.  Each result gets
+    the client id of its position, and its client a dataset of exactly
+    ``num_samples`` rows, as ``consume_stream`` requires.
     """
+    context.layout = StateLayout(global_state)
     specs = []
     for client_id, result in enumerate(results):
         result.client_id = client_id
@@ -52,9 +62,9 @@ def aggregate(strategy, global_state, results, context):
         specs.append(ClientSpec(client_id=client_id, device="S6",
                                 dataset=ArrayDataset(np.zeros((rows, 1)),
                                                      np.zeros(rows, dtype=int))))
-    new_state, _ = strategy.aggregate_stream(global_state, specs, iter(results),
-                                             context)
-    return new_state
+    new_vec, _ = strategy.aggregate_stream(context.layout.pack(global_state), specs,
+                                           iter(results), context)
+    return context.layout.unpack(new_vec)
 
 
 class TestRegistry:
@@ -104,11 +114,10 @@ class TestFedAvgAggregation:
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        global_state = model.state_dict()
-        result = strategy.client_update(model, spec, global_state, context)
+        global_vec = packed(model)
+        result = strategy.client_update(model, spec, global_vec, context)
         assert result.metadata["device"] == "S6"
-        layout = StateLayout(global_state)
-        assert not np.allclose(layout.pack(result.state), layout.pack(global_state))
+        assert not np.allclose(result.vector, global_vec)
 
 
 class TestQFedAvg:
@@ -124,9 +133,9 @@ class TestQFedAvg:
     def test_higher_loss_client_weighted_more(self):
         strategy = QFedAvg(q=2.0)
         global_state = {"w": np.array([0.0])}
-        low_loss = ClientResult(state={"w": np.array([1.0])}, num_samples=1,
+        low_loss = ClientResult(vector=np.array([1.0]), num_samples=1,
                                 train_loss=0.1, init_loss=0.1)
-        high_loss = ClientResult(state={"w": np.array([-1.0])}, num_samples=1,
+        high_loss = ClientResult(vector=np.array([-1.0]), num_samples=1,
                                  train_loss=5.0, init_loss=5.0)
         out = aggregate(strategy, global_state, [low_loss, high_loss], make_context())
         # The high-loss client (pushing negative) should dominate the update.
@@ -139,9 +148,9 @@ class TestQFedAvg:
     def test_aggregation_finite(self):
         strategy = QFedAvg(q=1e-6)
         global_state = {"w": np.array([0.5, -0.5])}
-        results = [ClientResult(state={"w": np.array([0.3, -0.2])}, num_samples=4,
+        results = [ClientResult(vector=np.array([0.3, -0.2]), num_samples=4,
                                 train_loss=1.2, init_loss=1.5),
-                   ClientResult(state={"w": np.array([0.6, -0.9])}, num_samples=4,
+                   ClientResult(vector=np.array([0.6, -0.9]), num_samples=4,
                                 train_loss=0.8, init_loss=0.9)]
         out = aggregate(strategy, global_state, results, make_context())
         assert np.isfinite(out["w"]).all()
@@ -150,11 +159,10 @@ class TestQFedAvg:
         """q-FedAvg differs only at aggregation; its client update is FedAvg's."""
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        global_state = model.state_dict()
-        fed = FedAvg().client_update(model, spec, global_state, make_context())
-        qfed = QFedAvg().client_update(model, spec, global_state, make_context())
-        layout = StateLayout(global_state)
-        np.testing.assert_allclose(layout.pack(fed.state), layout.pack(qfed.state))
+        global_vec = packed(model)
+        fed = FedAvg().client_update(model, spec, global_vec, make_context())
+        qfed = QFedAvg().client_update(model, spec, global_vec, make_context())
+        np.testing.assert_allclose(fed.vector, qfed.vector)
 
 
 class TestFedProx:
@@ -165,26 +173,23 @@ class TestFedProx:
     def test_large_mu_limits_drift(self):
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec(n=20)
-        global_state = model.state_dict()
+        global_vec = packed(model)
         # Keep lr * mu well below 1 so the proximal update stays contractive.
         config = FLConfig(num_clients=4, clients_per_round=2, num_rounds=1,
                           batch_size=5, learning_rate=0.1, local_epochs=5, seed=0)
-        free = FedProx(mu=0.0).client_update(model, spec, global_state, make_context(config))
-        constrained = FedProx(mu=2.0).client_update(model, spec, global_state, make_context(config))
-        layout = StateLayout(global_state)
-        global_vec = layout.pack(global_state)
-        drift_free = np.linalg.norm(layout.pack(free.state) - global_vec)
-        drift_constrained = np.linalg.norm(layout.pack(constrained.state) - global_vec)
+        free = FedProx(mu=0.0).client_update(model, spec, global_vec, make_context(config))
+        constrained = FedProx(mu=2.0).client_update(model, spec, global_vec, make_context(config))
+        drift_free = np.linalg.norm(free.vector - global_vec)
+        drift_constrained = np.linalg.norm(constrained.vector - global_vec)
         assert drift_constrained < drift_free
 
     def test_mu_zero_matches_fedavg(self):
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        global_state = model.state_dict()
-        fed = FedAvg().client_update(model, spec, global_state, make_context())
-        prox = FedProx(mu=0.0).client_update(model, spec, global_state, make_context())
-        layout = StateLayout(global_state)
-        np.testing.assert_allclose(layout.pack(fed.state), layout.pack(prox.state), atol=1e-10)
+        global_vec = packed(model)
+        fed = FedAvg().client_update(model, spec, global_vec, make_context())
+        prox = FedProx(mu=0.0).client_update(model, spec, global_vec, make_context())
+        np.testing.assert_allclose(fed.vector, prox.vector, atol=1e-10)
 
 
 class TestScaffold:
@@ -194,7 +199,7 @@ class TestScaffold:
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
         spec = make_spec()
-        strategy.client_update(model, spec, model.state_dict(), context)
+        strategy.client_update(model, spec, packed(model), context)
         assert context.server_storage == {}
         assert context.client_storage == {}
 
@@ -202,12 +207,12 @@ class TestScaffold:
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
-        global_state = model.state_dict()
+        global_vec = packed(model)
         spec = make_spec()
-        result = strategy.client_update(model, spec, global_state, context)
+        result = strategy.client_update(model, spec, global_vec, context)
         result.client_id = spec.client_id
         shipped = result.metadata["new_c_i"]
-        _, consumed = strategy.aggregate_stream(global_state, [spec], iter([result]),
+        _, consumed = strategy.aggregate_stream(global_vec, [spec], iter([result]),
                                                 context)
         c_i = context.client_storage[spec.client_id]["c_i"]
         assert c_i is shipped
@@ -220,14 +225,14 @@ class TestScaffold:
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
-        global_state = model.state_dict()
+        global_vec = packed(model)
         specs = [make_spec(i, seed=i) for i in range(2)]
-        results = [strategy.client_update(model, spec, global_state, context)
+        results = [strategy.client_update(model, spec, global_vec, context)
                    for spec in specs]
         for spec, result in zip(specs, results):
             result.client_id = spec.client_id
         assert "scaffold_c" not in context.server_storage
-        strategy.aggregate_stream(global_state, specs, iter(results), context)
+        strategy.aggregate_stream(global_vec, specs, iter(results), context)
         after = context.server_storage["scaffold_c"]
         assert any(np.abs(value).max() > 0 for value in after.values())
 
@@ -235,6 +240,6 @@ class TestScaffold:
         strategy = Scaffold()
         context = make_context()
         model = SimpleMLP(5, 2, hidden=8, seed=0)
-        result = strategy.client_update(model, make_spec(), model.state_dict(), context)
+        result = strategy.client_update(model, make_spec(), packed(model), context)
         assert "c_delta" in result.metadata
         assert "new_c_i" in result.metadata

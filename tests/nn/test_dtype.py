@@ -182,10 +182,11 @@ class TestAggregationDtype:
 
     @staticmethod
     def _average(states, weights):
+        layout = StateLayout(states[0])
         averager = StreamingAverager(len(states), weights)
         for state in states:
-            averager.add(state)
-        return averager.finalize()
+            averager.add(layout.pack(state))
+        return layout.unpack(averager.finalize())
 
     @pytest.mark.parametrize("engine", ["flat", "reference"])
     def test_streaming_average_float32_accumulates_in_float64(self, engine):

@@ -6,7 +6,7 @@ import pytest
 from repro.nn.flat import FlatParams
 from repro.nn.layers import Linear, Parameter, Sequential
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import states_equal
+from repro.nn.serialization import StateLayout, states_equal
 from repro.nn.tensor import Tensor
 
 
@@ -121,60 +121,50 @@ class TestGatherGrad:
         assert grad is None and any_grad
 
 
-class TestStateDictBoundary:
-    def test_state_dict_matches_module(self):
-        model = small_model()
-        reference = model.state_dict()
-        arena = FlatParams.from_module(model)
-        assert states_equal(arena.state_dict(), reference)
-        assert list(arena.state_dict()) == list(reference)
+def bn_model():
+    from repro.nn.layers import BatchNorm1d
 
-    def test_state_dict_param_entries_share_one_copy(self):
+    return Sequential(Linear(4, 3, rng=np.random.default_rng(0)), BatchNorm1d(3))
+
+
+class TestPackedBoundary:
+    def test_pack_matches_module_state(self):
+        """``pack`` is ``Module.state_dict`` packed by its layout: parameters,
+        then buffers."""
+        model = bn_model()
+        state = model.state_dict()
+        packed = FlatParams.from_module(model).pack()
+        assert packed.tobytes() == StateLayout(state).pack(state).tobytes()
+
+    def test_pack_is_detached(self):
         model = small_model()
         arena = FlatParams.from_module(model)
-        state = arena.state_dict()
-        bases = {id(value.base) for name, value in state.items()
-                 if name in dict(model.named_parameters())}
-        assert len(bases) == 1
-        # The snapshot is detached from the live arena.
+        packed = arena.pack()
         arena.vector[:] = -1.0
-        assert not (next(iter(state.values())) == -1.0).all()
+        assert not (packed == -1.0).all()
 
-    def test_load_state_dict_round_trip(self):
-        model = small_model()
+    def test_load_round_trip(self):
+        model = bn_model()
         arena = FlatParams.from_module(model)
         state = {key: np.full_like(value, 0.5) for key, value in model.state_dict().items()}
-        arena.load_state_dict(state)
+        arena.load(StateLayout(state).pack(state))
         assert states_equal(model.state_dict(), state)
 
-    def test_load_missing_key_raises(self):
-        model = small_model()
-        arena = FlatParams.from_module(model)
-        with pytest.raises(KeyError):
-            arena.load_state_dict({})
+    def test_load_size_mismatch_raises(self):
+        arena = FlatParams.from_module(bn_model())
+        with pytest.raises(ValueError, match="do not fit"):
+            arena.load(np.zeros(arena.pack().size - 1))
 
-    def test_load_shape_mismatch_raises(self):
-        model = small_model()
-        arena = FlatParams.from_module(model)
-        state = model.state_dict()
-        first = next(iter(state))
-        state[first] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            arena.load_state_dict(state)
+    def test_bare_arena_packs_parameters_only(self):
+        arena = FlatParams.adopt([Parameter(np.arange(2.0))])
+        np.testing.assert_array_equal(arena.pack(), [0.0, 1.0])
 
-    def test_bare_arena_has_no_state_dict(self):
-        arena = FlatParams.adopt([Parameter(np.zeros(2))])
-        with pytest.raises(RuntimeError):
-            arena.state_dict()
-
-    def test_load_state_dict_updates_buffers(self):
-        from repro.nn.layers import BatchNorm1d
-
-        model = Sequential(Linear(4, 3, rng=np.random.default_rng(0)), BatchNorm1d(3))
+    def test_load_updates_buffers(self):
+        model = bn_model()
         arena = FlatParams.from_module(model)
         state = model.state_dict()
         state["layer1.running_mean"] = np.array([1.0, 2.0, 3.0])
-        arena.load_state_dict(state)
+        arena.load(StateLayout(state).pack(state))
         np.testing.assert_array_equal(
             model.state_dict()["layer1.running_mean"], [1.0, 2.0, 3.0]
         )

@@ -1,21 +1,18 @@
-"""Tests for state-dict arithmetic, flattening and averaging (the FL weight-exchange layer)."""
+"""Tests for flattening, averaging and comparing weights (the FL weight-exchange layer)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import seed_engine
+from oracle.seed_engine import add_states, scale_state, subtract_states, zeros_like_state
 
 from repro.nn.layers import Linear, Sequential, ReLU
 from repro.nn.serialization import (
     StateLayout,
     StreamingAverager,
-    add_states,
-    scale_state,
     state_fingerprint,
     states_equal,
-    subtract_states,
-    zeros_like_state,
 )
 
 @pytest.fixture
@@ -25,11 +22,13 @@ def model():
 
 
 def average(states, weights=None):
-    """The weighted average of ``states``, folded by :class:`StreamingAverager`."""
+    """The weighted average of ``states``: their :class:`StateLayout`-packed
+    vectors folded by :class:`StreamingAverager`, unpacked again."""
+    layout = StateLayout(states[0])
     averager = StreamingAverager(len(states), weights)
     for state in states:
-        averager.add(state)
-    return averager.finalize()
+        averager.add(layout.pack(state))
+    return layout.unpack(averager.finalize())
 
 
 def materialized_average(states, weights=None):
@@ -197,13 +196,13 @@ class TestStateLayoutValidation:
 
     @pytest.mark.parametrize("engine", ["flat", "reference"])
     def test_refusal_parity_with_reference(self, engine):
-        """Flat (layout-packed) and reference (dict-op) averaging refuse the
-        same shape-mismatched input — neither silently mis-reduces."""
-        good = {"w": np.zeros((2, 3))}
-        bad = {"w": np.ones((3, 2))}
+        """The flat fold and the oracle's refuse the same wrong-length
+        vector — neither silently mis-reduces."""
         with seed_engine.engine(engine):
-            with pytest.raises(ValueError):
-                average([good, bad])
+            averager = StreamingAverager(2)
+            averager.add(np.zeros(6))
+            with pytest.raises(ValueError, match="does not match"):
+                averager.add(np.ones(5))
 
 
 class TestStreamingAverager:
@@ -222,13 +221,13 @@ class TestStreamingAverager:
 
     def test_too_many_states_rejected(self):
         averager = StreamingAverager(1)
-        averager.add({"w": np.zeros(2)})
+        averager.add(np.zeros(2))
         with pytest.raises(ValueError):
-            averager.add({"w": np.zeros(2)})
+            averager.add(np.zeros(2))
 
     def test_finalize_before_complete_rejected(self):
         averager = StreamingAverager(2)
-        averager.add({"w": np.zeros(2)})
+        averager.add(np.zeros(2))
         with pytest.raises(ValueError, match="expected 2"):
             averager.finalize()
 

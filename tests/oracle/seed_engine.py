@@ -11,8 +11,18 @@ This module holds the seed compositions those kernels replaced:
 * ``conv2d`` without the pointwise shortcut, over the seed im2col gather
   (per-call indices, ``np.pad``, fancy indexing), ``np.einsum``
   contractions and the ``np.add.at`` col2im scatter;
-* the per-parameter SGD step, the per-key streaming average, the per-key
-  SWAD mean and the dict-based q-FedAvg reduction.
+* the per-parameter SGD step, the streaming average, the per-key SWAD mean
+  and the dict-based q-FedAvg reduction, with the per-key state arithmetic
+  (``add_states``, ``subtract_states``, ``scale_state``,
+  ``zeros_like_state``) they are written in.
+
+Weights cross the ``repro`` round protocol as packed
+:class:`~repro.nn.serialization.StateLayout` vectors, so the dict-based
+oracles convert only at their patched entry points: the SWAD mean packs its
+average on ``average()``, and q-FedAvg unpacks the global and client vectors
+through ``context.layout`` and packs its result.  The streaming average
+receives keyless vectors; its seed form is the float64 fold over the
+vector, clients outermost.
 
 :func:`install` rebinds the ``repro`` names to these versions for the
 duration of a ``monkeypatch`` scope: public kernels and every ``repro``
@@ -46,13 +56,6 @@ import repro.fl.strategies.qfedavg as qfedavg
 import repro.nn.functional as F
 import repro.nn.optim as optim
 import repro.nn.serialization as serialization
-from repro.nn.serialization import (
-    _check_keys,
-    add_states,
-    scale_state,
-    subtract_states,
-    zeros_like_state,
-)
 from repro.nn.tensor import Tensor
 
 ENGINES = ("flat", "reference")
@@ -175,28 +178,54 @@ def sgd_step(self) -> None:
         param.data -= self.lr * update
 
 
-def streaming_add(self, state) -> None:
-    """Seed streaming average: per-key float64 accumulation, clients outermost."""
+def streaming_add(self, vector) -> None:
+    """Seed streaming average: float64 accumulation, clients outermost."""
     if self._index >= self._count:
         raise ValueError(f"received more states than the declared {self._count}")
     weight = self._weights[self._index]
     result = self.__dict__.get("_seed_result")
     if result is None:
-        result = self._seed_result = {
-            key: np.zeros_like(value, dtype=np.float64) for key, value in state.items()}
-        self._seed_dtypes = {key: np.asarray(value).dtype for key, value in state.items()}
-    _check_keys(result, state)
-    for key in result:
-        result[key] += weight * state[key]
+        result = self._seed_result = np.zeros(vector.shape, dtype=np.float64)
+        self._seed_dtype = vector.dtype
+    if vector.shape != result.shape:
+        raise ValueError(f"vector of shape {vector.shape} does not match the "
+                         f"averaged shape {result.shape}")
+    result += weight * vector
     self._index += 1
 
 
 def streaming_finalize(self):
     if self._index != self._count:
         raise ValueError(f"expected {self._count} states, received {self._index}")
-    return {key: value if value.dtype == self._seed_dtypes[key]
-            else value.astype(self._seed_dtypes[key])
-            for key, value in self._seed_result.items()}
+    return self._seed_result.astype(self._seed_dtype, copy=False)
+
+
+def _check_keys(a, b) -> None:
+    if a.keys() != b.keys():
+        missing = set(a).symmetric_difference(b)
+        raise KeyError(f"state dicts have mismatched keys: {sorted(missing)[:5]}")
+
+
+def zeros_like_state(state):
+    """A state dict of zeros with the same structure."""
+    return {key: np.zeros_like(value) for key, value in state.items()}
+
+
+def add_states(a, b):
+    """Elementwise sum of two state dicts."""
+    _check_keys(a, b)
+    return {key: a[key] + b[key] for key in a}
+
+
+def subtract_states(a, b):
+    """Elementwise difference ``a - b``."""
+    _check_keys(a, b)
+    return {key: a[key] - b[key] for key in a}
+
+
+def scale_state(state, factor: float):
+    """Multiply every entry by ``factor``."""
+    return {key: value * factor for key, value in state.items()}
 
 
 def swad_update(self, state) -> None:
@@ -206,8 +235,7 @@ def swad_update(self, state) -> None:
         self._seed_average = {key: value.copy() for key, value in state.items()}
         self._count = 1
         return
-    if state.keys() != average.keys():
-        raise KeyError("state dict keys do not match the averaged state")
+    _check_keys(state, average)
     k = self._count
     for key, value in state.items():
         average[key] = (average[key] * k + value) / (k + 1)
@@ -219,10 +247,11 @@ def swad_update_from_model(self, model) -> None:
 
 
 def swad_average(self):
+    """The per-key average, packed in its (``state_dict``) key order."""
     average = self.__dict__.get("_seed_average")
     if average is None:
         raise RuntimeError("no states have been averaged yet")
-    return {key: value.copy() for key, value in average.items()}
+    return serialization.StateLayout(average).pack(average)
 
 
 def swad_reset(self) -> None:
@@ -242,15 +271,18 @@ def state_norm(state) -> float:
     )))
 
 
-def qfedavg_reduce(self, global_state, ordered, context):
+def qfedavg_reduce(self, global_vec, ordered, context):
     """Seed dict-based q-FFL server update over results in selection order."""
+    layout = context.layout
+    global_state = layout.unpack(global_vec)
     lipschitz = 1.0 / context.config.learning_rate
     weighted_delta_sum = zeros_like_state(global_state)
     h_sum = 0.0
     consumed = []
     for result in ordered:
-        delta = scale_state(subtract_states(global_state, result.state), lipschitz)
-        result.state = None
+        delta = scale_state(subtract_states(global_state, layout.unpack(result.vector)),
+                            lipschitz)
+        result.vector = None
         consumed.append(result)
         loss = max(result.init_loss, 1e-10)
         loss_pow_q = loss ** self.q
@@ -261,7 +293,7 @@ def qfedavg_reduce(self, global_state, ordered, context):
     if h_sum <= 0:
         raise RuntimeError("q-FedAvg aggregation produced a non-positive normalizer")
     update = scale_state(weighted_delta_sum, 1.0 / h_sum)
-    return subtract_states(global_state, update), consumed
+    return layout.pack(subtract_states(global_state, update)), consumed
 
 
 # --------------------------------------------------------------------------- #
