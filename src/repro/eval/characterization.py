@@ -215,8 +215,11 @@ def fig3_isp_stage_ablation(scale: "str | ExperimentScale" = "smoke",
     for variant in stage_variants(BASELINE_CONFIG):
         variant_spec = spec.with_overrides(dataset_kwargs={
             "devices": device_names, "isp_override": dataclasses.asdict(variant)})
-        # Each variant's bundle is used once: build it, keep only its test sets.
-        test_sets = build_dataset(variant_spec.dataset, scale=variant_spec.resolve_scale(),
+        # Each variant's bundle is used once, for its test sets.  Test
+        # captures have their own scene pool and noise seeds, so one train
+        # scene per class leaves them unchanged and skips the unused captures.
+        variant_scale = variant_spec.resolve_scale().with_overrides(samples_per_class_train=1)
+        test_sets = build_dataset(variant_spec.dataset, scale=variant_scale,
                                   seed=seed, **variant_spec.dataset_kwargs).test
         accuracy = mean_value(evaluate_on_devices(model, test_sets))
         degradation = model_quality_degradation(baseline_accuracy, accuracy)

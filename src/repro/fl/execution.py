@@ -20,10 +20,11 @@ backends are registered in :data:`EXECUTOR_REGISTRY`:
   plus a ``multiprocessing.shared_memory`` broadcast segment.  The server
   copies the packed global vector into the segment once per round; workers
   map it read-only, train, and ship back the packed vector their client
-  returned.
-  Outcomes stream back as they complete, so together with the strategies'
-  streaming reductions one round is O(1) in clients/round on the server
-  side.  Dead workers are respawned in place mid-round.
+  returned over their own duplex pipe, the one channel between a worker and
+  the server.  Outcomes stream back as they complete, so together with the
+  strategies' streaming reductions one round is O(1) in clients/round on the
+  server side.  A worker that dies breaks only its own pipe; it is respawned
+  in place mid-round.
 
 Weights cross the protocol in one format both ways: the global vector
 packed in the run's :class:`~repro.nn.serialization.StateLayout` order goes
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 import sys
 import threading
 import time
@@ -59,6 +59,9 @@ import types
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
 from concurrent.futures import wait as _futures_wait
+from multiprocessing.connection import Connection
+from multiprocessing.connection import wait as _wait_ready
+from multiprocessing.reduction import ForkingPickler
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -147,30 +150,20 @@ def validate_max_workers(max_workers: Optional[int]) -> None:
         )
 
 
-class _InjectedKill(BaseException):
-    """An injected ``kill`` fault inside an shm worker.
-
-    A ``BaseException`` so no handler on the way up mistakes it for a client
-    failure; :func:`_shm_worker_main` catches it and exits the process with
-    ``os._exit`` — no reply, no cleanup handlers, the realistic OOM-kill
-    shape — once the worker's earlier replies are fully written.
-    """
-
-
 def _inject_pre_compute_fault(fault: str, spec: ClientSpec,
                               context: "FLContext", attempt: int,
                               client_timeout: Optional[float]) -> None:
     """Apply an injected fault that fires *before* the local update runs.
 
-    ``crash`` raises a :class:`ClientFailure`; ``kill`` terminates an shm
-    worker mid-task (see :class:`_InjectedKill`) or, in the main process
-    where dying would take the server down, degrades to a raised
-    :class:`WorkerDied` so the failure schedule and retry behaviour stay
-    identical across backends; ``hang`` sleeps for the plan's
-    ``hang_seconds``.  A hang is judged against the policy's per-client
-    deadline *deterministically* — configured value against configured
-    value, with the sleep capped at the deadline — so a chaos run's timeouts
-    replay bit-for-bit regardless of host speed.
+    ``crash`` raises a :class:`ClientFailure`; ``kill`` exits an shm worker
+    on the spot with ``os._exit`` — no reply, no cleanup handlers, the
+    realistic OOM-kill shape — or, in the main process where dying would take
+    the server down, degrades to a raised :class:`WorkerDied` so the failure
+    schedule and retry behaviour stay identical across backends; ``hang``
+    sleeps for the plan's ``hang_seconds``.  A hang is judged against the
+    policy's per-client deadline *deterministically* — configured value
+    against configured value, with the sleep capped at the deadline — so a
+    chaos run's timeouts replay bit-for-bit regardless of host speed.
     """
     client_id, round_index = spec.client_id, context.round_index
     if fault == "crash":
@@ -180,7 +173,7 @@ def _inject_pre_compute_fault(fault: str, spec: ClientSpec,
             round_index=round_index, attempt=attempt, kind="crash")
     if fault == "kill":
         if multiprocessing.current_process().name != "MainProcess":
-            raise _InjectedKill
+            os._exit(_KILL_EXIT_CODE)
         raise WorkerDied(
             f"injected kill: the worker training client {client_id} died on "
             f"attempt {attempt} of round {round_index} (simulated in-process)",
@@ -231,7 +224,7 @@ def run_client(
     update is wall-clock timed — and, under ``profile``, run with the kernel
     timers active — and a compact scalar payload is packed into
     ``result.metadata["obs"]``.  Metadata already rides the result path of
-    every backend (including the shm result queue), so this is the single
+    every backend (including each shm worker's pipe), so this is the single
     cross-process collection point; the server merges the payloads into the
     run-level trace.  Purely observational: the training computation is
     identical with and without it.
@@ -490,34 +483,49 @@ def _require_fork_platform(executor_name: str) -> None:
 
 
 # Fork handoff for the persistent shared-memory pool: the (strategy, model
-# factory) pair is staged here immediately before the workers fork and cleared
+# factory) pair is staged here immediately before a worker forks and cleared
 # right after, so neither object (the factory is usually a closure) is ever
 # pickled — children inherit it by copy-on-write for the pool's lifetime.
 _SHM_STATIC: Optional[Tuple["Strategy", ModelFactory]] = None
 
 
-def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
+def _send(conn: Connection, message: tuple) -> None:
+    """Write one message to ``conn``; a dead peer is left for its reader to find.
+
+    Pickled and framed the way ``multiprocessing``'s queues do it (through
+    ``send_bytes``/``recv_bytes``, which ``Connection.send`` bypasses).
+    """
+    try:
+        conn.send_bytes(ForkingPickler.dumps(message))
+    except ConnectionError:  # the pipe has ended: the peer is dead
+        pass
+
+
+def _shm_worker_main(conn: Connection) -> None:
     """Long-lived shm worker loop: attach → train clients → ship packed vectors.
 
-    Protocol (all messages are tuples tagged by their first element):
+    The worker talks to the server over one duplex pipe, ``conn``: tasks come
+    down it and replies go back up it.  Protocol (all messages are tuples
+    tagged by their first element):
 
-    * ``("round", header)`` — start-of-round broadcast.  The header names the
-      shared-memory segment holding the packed global vector plus its
-      element count and dtype, and carries the round's context snapshot
-      (config, EMA state, selection, server storage).
+    * ``("round", header)`` — start-of-round broadcast, no reply.  The
+      header names the shared-memory segment holding the packed global
+      vector plus its element count and dtype, and carries the round's
+      context snapshot (config, EMA state, server storage).
     * ``("client", position, spec, storage, attempt)`` — train one client;
-      reply on the shared result queue with ``("ok", worker_index, position,
-      vector, num_samples, train_loss, init_loss, client_id, metadata)``
-      where ``vector`` is the client's ``ClientResult.vector``, shipped as
-      returned.  ``attempt`` feeds the fault layer only (see
-      :func:`run_client`).
+      reply ``("ok", position, vector, num_samples, train_loss, init_loss,
+      client_id, metadata)``: the :class:`ClientResult` fields in order,
+      ``vector`` shipped as returned.  ``attempt`` feeds the fault layer only
+      (see :func:`run_client`).
     * ``("stop",)`` — exit the loop.
 
-    Failures reply ``("err", worker_index, position, failure)`` — a pickled
+    Failures reply ``("err", position, failure)`` — a pickled
     :class:`~repro.fl.errors.ExecutorError` carrying the client/round/attempt
     context and the worker-side traceback text — and keep the worker alive.
     A failure on a ``"round"`` message replies with position ``-1``; the
-    server fails the whole round with it.  Updates are validated by the
+    server fails the whole round with it.  A dying worker (an injected
+    ``kill`` included) just ends its pipe: pipe writes are synchronous, so
+    every earlier reply is already whole.  Updates are validated by the
     server, as on every backend.  The segment is mapped read-only via
     ``np.memmap`` on its ``/dev/shm`` backing file rather than
     ``SharedMemory(name=...)``: attaching through the class would enroll the
@@ -532,7 +540,7 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
     global_vec: Optional[np.ndarray] = None
     round_context: Optional["FLContext"] = None
     while True:
-        message = task_queue.get()
+        message = ForkingPickler.loads(conn.recv_bytes())
         kind = message[0]
         if kind == "stop":
             return
@@ -568,17 +576,9 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                 model = _scratch_model(scratch, model_fn, round_context.config.dtype)
                 result = run_client(strategy, model, spec, global_vec,
                                     round_context, attempt=attempt)
-                result_queue.put(("ok", worker_index, position, result.vector,
-                                  result.num_samples, result.train_loss,
-                                  result.init_loss, result.client_id,
-                                  result.metadata))
-        except _InjectedKill:
-            # Flush before dying: a kill landing while this worker's queue
-            # feeder thread holds the shared result queue's write lock would
-            # strand the lock and block every other worker's replies.
-            result_queue.close()
-            result_queue.join_thread()
-            os._exit(_KILL_EXIT_CODE)
+                _send(conn, ("ok", position, result.vector, result.num_samples,
+                             result.train_loss, result.init_loss,
+                             result.client_id, result.metadata))
         except BaseException as exc:
             position = message[1] if kind == "client" else -1
             if isinstance(exc, ExecutorError):
@@ -589,7 +589,7 @@ def _shm_worker_main(worker_index: int, task_queue, result_queue) -> None:
                     + traceback.format_exc())
             if failure.remote_traceback is None:
                 failure.remote_traceback = traceback.format_exc()
-            result_queue.put(("err", worker_index, position, failure))
+            _send(conn, ("err", position, failure))
 
 
 class SharedMemoryExecutor(ClientExecutor):
@@ -605,9 +605,10 @@ class SharedMemoryExecutor(ClientExecutor):
       read-only.  Per-round communication to each worker is a small header
       (segment name, element count and dtype, context snapshot), not a copy
       of the model.
-    * **Compact returns** — workers reply with the client's packed weight
-      vector, which the server folds straight into the streaming
-      aggregation.
+    * **One pipe per worker** — a worker's tasks go down and its clients'
+      packed vectors come back up its own duplex pipe, and the server waits
+      on the busy workers' pipes and process sentinels together: a worker
+      dying, even halfway through a reply, breaks only its own pipe.
     * **Streaming rounds** — :meth:`iter_round` yields each outcome as soon
       as every earlier position is in (a reorder buffer bridges completion
       order to job order), so the simulation folds each update into the
@@ -625,8 +626,7 @@ class SharedMemoryExecutor(ClientExecutor):
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         super().__init__(max_workers)
-        self._workers: List[Tuple[Any, Any]] = []  # (Process, SimpleQueue)
-        self._result_queue = None
+        self._workers: List[Tuple[Any, Connection]] = []  # (Process, server end)
         self._static: Optional[Tuple["Strategy", ModelFactory]] = None
         self._segment = None
         self._segment_vector: Optional[np.ndarray] = None
@@ -634,7 +634,6 @@ class SharedMemoryExecutor(ClientExecutor):
     # -- pool lifecycle --------------------------------------------------- #
     def _ensure_pool(self, strategy: "Strategy", model_fn: ModelFactory,
                      workers: int) -> None:
-        global _SHM_STATIC
         if self._workers:
             reusable = (
                 self._static is not None
@@ -646,42 +645,37 @@ class SharedMemoryExecutor(ClientExecutor):
             if reusable:
                 return
             self._shutdown_pool(graceful=True)
+        self._static = (strategy, model_fn)
+        for _ in range(workers):
+            self._workers.append(self._fork_worker())
+
+    def _fork_worker(self) -> Tuple[Any, Connection]:
+        """Fork one worker with the staged ``(strategy, model_fn)``; return it and its pipe end."""
+        global _SHM_STATIC
         mp_context = multiprocessing.get_context("fork")
-        self._result_queue = mp_context.Queue()
-        # Task queues are SimpleQueues on purpose: their put() writes the pipe
-        # synchronously under a lock, so the parent never owns Queue feeder
-        # threads whose locks a later fork could copy in a held state.
-        _SHM_STATIC = (strategy, model_fn)
+        server_end, worker_end = mp_context.Pipe()
+        _SHM_STATIC = self._static
         try:
-            for index in range(workers):
-                task_queue = mp_context.SimpleQueue()
-                process = mp_context.Process(
-                    target=_shm_worker_main,
-                    args=(index, task_queue, self._result_queue),
-                    daemon=True,
-                )
-                process.start()
-                self._workers.append((process, task_queue))
+            process = mp_context.Process(target=_shm_worker_main,
+                                         args=(worker_end,), daemon=True)
+            process.start()
         finally:
             _SHM_STATIC = None
-        self._static = (strategy, model_fn)
+            # Only the worker may hold its end: then its death always ends
+            # the pipe, and workers forked later never inherit the end.
+            worker_end.close()
+        return process, server_end
 
     def _shutdown_pool(self, graceful: bool) -> None:
         workers, self._workers = self._workers, []
         self._static = None
-        # One shared wall-clock budget for the whole pool: the joins below
-        # used to allow up to 5s *per worker* (10s with the terminate
-        # fallback), so one wedged 8-worker pool could stall teardown for
-        # over a minute.  Now the budget is pool-wide; workers that ignore
-        # it are terminated, then SIGKILLed.
+        # One shared wall-clock budget for the whole pool: workers that
+        # ignore it are terminated, then SIGKILLed.
         deadline = time.monotonic() + (5.0 if graceful else 1.0)
-        for process, task_queue in workers:
+        for process, conn in workers:
             if graceful and process.is_alive():
-                try:
-                    task_queue.put(("stop",))
-                except (OSError, ValueError):  # pragma: no cover - dying pipe
-                    pass
-        for process, task_queue in workers:
+                _send(conn, ("stop",))
+        for process, conn in workers:
             process.join(timeout=max(0.0, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()
@@ -689,43 +683,7 @@ class SharedMemoryExecutor(ClientExecutor):
             if process.is_alive():  # pragma: no cover - wedged in a syscall
                 process.kill()
                 process.join(timeout=1.0)
-            try:
-                task_queue.close()
-            except (OSError, ValueError):  # pragma: no cover - dying pipe
-                pass
-        if self._result_queue is not None:
-            self._result_queue.close()
-            self._result_queue = None
-
-    def _respawn_worker(self, index: int) -> None:
-        """Replace one dead worker in place; the pool and segment survive.
-
-        The replacement forks with the same ``(strategy, model_fn)`` handoff
-        as the original pool and takes over the dead worker's slot (same
-        worker index, fresh task queue, the shared result queue), so the
-        round keeps streaming without re-broadcasting the global weights —
-        the /dev/shm segment is untouched.
-        """
-        global _SHM_STATIC
-        process, task_queue = self._workers[index]
-        process.join(timeout=1.0)  # reap: it is already dead
-        try:
-            task_queue.close()
-        except (OSError, ValueError):  # pragma: no cover - dying pipe
-            pass
-        mp_context = multiprocessing.get_context("fork")
-        _SHM_STATIC = self._static
-        try:
-            fresh_queue = mp_context.SimpleQueue()
-            replacement = mp_context.Process(
-                target=_shm_worker_main,
-                args=(index, fresh_queue, self._result_queue),
-                daemon=True,
-            )
-            replacement.start()
-        finally:
-            _SHM_STATIC = None
-        self._workers[index] = (replacement, fresh_queue)
+            conn.close()
 
     # -- broadcast segment ------------------------------------------------ #
     def _broadcast(self, global_vec: np.ndarray) -> None:
@@ -772,13 +730,15 @@ class SharedMemoryExecutor(ClientExecutor):
     def iter_round(self, strategy, model_fn, jobs, global_vec, context):
         """Stream one wave through the pool, healing dead workers in place.
 
-        A worker found dead has its in-flight job yielded as a
+        The server blocks, with no timeout, until a busy worker's pipe or
+        process sentinel is ready.  A worker whose pipe ends — between
+        replies or halfway through one — has its in-flight job yielded as a
         :class:`~repro.fl.errors.WorkerDied` outcome (consuming that job's
-        attempt) and is respawned *in place* — same slot, same result queue,
-        same broadcast segment — so the pool is back at full strength for the
-        remaining jobs without re-packing the weights.  A worker that fails
-        on the round header itself fails the whole round with that error: it
-        has no valid context to train any job with.
+        attempt) and is respawned *in place* — same slot, same broadcast
+        segment — so the pool is back at full strength for the remaining jobs
+        without re-packing the weights.  A worker that fails on the round
+        header itself fails the whole round with that error: it has no valid
+        context to train any job with.
         """
         jobs = list(jobs)
         if not jobs:
@@ -787,10 +747,7 @@ class SharedMemoryExecutor(ClientExecutor):
         workers = self._effective_workers(len(jobs))
         self._ensure_pool(strategy, model_fn, workers)
         self._broadcast(global_vec)
-        header = self._round_header(context)
-        active = range(workers)
-        for index in active:
-            self._workers[index][1].put(("round", header))
+        header = ("round", self._round_header(context))
         pending = deque(range(len(jobs)))
         in_flight: Dict[int, int] = {}  # worker slot -> job position
         buffered: Dict[int, Outcome] = {}  # job position -> outcome
@@ -799,40 +756,42 @@ class SharedMemoryExecutor(ClientExecutor):
             if pending:
                 position = pending.popleft()
                 spec, attempt = jobs[position]
-                self._send_client(self._workers[index][1], position, spec,
-                                  context, attempt)
+                _send(self._workers[index][1], (
+                    "client", position, spec,
+                    context.client_storage.get(spec.client_id, {}), attempt))
                 in_flight[index] = position
 
-        for index in active:
+        for index in range(workers):
+            _send(self._workers[index][1], header)
             dispatch(index)
         try:
-            # Invariant: pending jobs imply in-flight jobs — every arrival
-            # dispatches the next pending job, and healing re-dispatches after
-            # a respawn — so a position not yet buffered is always in flight.
+            # Invariant: pending jobs imply in-flight jobs — every reply
+            # dispatches the next pending job, and so does every respawn — so
+            # a position not yet buffered is always in flight.
             for next_position in range(len(jobs)):
                 while next_position not in buffered:
-                    try:
-                        message = self._result_queue.get(timeout=0.25)
-                    except queue_module.Empty:
-                        self._heal_workers(active, in_flight, jobs, buffered,
-                                           header, dispatch, context)
-                        continue
-                    tag, worker_index, position = message[0], message[1], message[2]
-                    if position < 0:
-                        # The worker failed on the ("round", header) message.
-                        raise message[3]
-                    if in_flight.get(worker_index) == position:
-                        del in_flight[worker_index]
-                    if tag == "ok":
-                        (_, _, _, vector, num_samples, train_loss, init_loss,
-                         client_id, metadata) = message
-                        buffered[position] = ClientResult(
-                            vector=vector, num_samples=num_samples,
-                            train_loss=train_loss, init_loss=init_loss,
-                            client_id=client_id, metadata=metadata)
-                    else:
-                        buffered[position] = message[3]
-                    dispatch(worker_index)
+                    handles = {handle: index for index in in_flight
+                               for handle in (self._workers[index][1],
+                                              self._workers[index][0].sentinel)}
+                    ready = [handles[handle] for handle in _wait_ready(list(handles))]
+                    # Each ready worker once, however many of its handles are
+                    # ready: both of a dead worker's count as one death.
+                    for index in dict.fromkeys(ready):
+                        message = self._read_reply(index)
+                        if message is None:
+                            position = in_flight.pop(index)
+                            buffered[position] = self._respawn(
+                                index, jobs[position], context)
+                            _send(self._workers[index][1], header)
+                        elif message[1] < 0:
+                            # The worker failed on the ("round", header) message.
+                            raise message[2]
+                        else:
+                            del in_flight[index]
+                            buffered[message[1]] = (
+                                ClientResult(*message[2:]) if message[0] == "ok"
+                                else message[2])
+                        dispatch(index)
                 yield buffered.pop(next_position)
         except BaseException:
             # A failed or abandoned round (GeneratorExit lands here too) may
@@ -846,32 +805,32 @@ class SharedMemoryExecutor(ClientExecutor):
                 self._shutdown_pool(graceful=False)
             raise
 
-    def _heal_workers(self, active, in_flight, jobs, buffered, header,
-                      dispatch, context) -> None:
-        """Detect dead workers, fail their in-flight jobs, respawn in place."""
-        for index in active:
-            process, _ = self._workers[index]
-            if process.is_alive():
-                continue
-            position = in_flight.pop(index, None)
-            if position is not None:
-                spec, attempt = jobs[position]
-                buffered[position] = WorkerDied(
-                    f"shm worker (pid {process.pid}) died with exit code "
-                    f"{process.exitcode} while training client "
-                    f"{spec.client_id} on attempt {attempt} of round "
-                    f"{context.round_index}", client_id=spec.client_id,
-                    round_index=context.round_index, attempt=attempt)
-            self._respawn_worker(index)
-            self._workers[index][1].put(("round", header))
-            dispatch(index)
+    def _read_reply(self, index: int) -> Optional[tuple]:
+        """Worker ``index``'s next reply, or ``None`` once its pipe has ended.
 
-    @staticmethod
-    def _send_client(task_queue, position: int, spec: ClientSpec,
-                     context: "FLContext", attempt: int = 0) -> None:
-        task_queue.put(("client", position, spec,
-                        context.client_storage.get(spec.client_id, {}),
-                        attempt))
+        A reply written whole before a death is still read; a death between
+        replies raises ``EOFError``, one halfway through a reply ``OSError``.
+        """
+        conn = self._workers[index][1]
+        try:
+            return ForkingPickler.loads(conn.recv_bytes()) if conn.poll() else None
+        except (EOFError, OSError):
+            return None
+
+    def _respawn(self, index: int, job: AttemptJob,
+                 context: "FLContext") -> WorkerDied:
+        """Reap the dead worker in slot ``index``, fork its replacement there, report the death."""
+        process, conn = self._workers[index]
+        conn.close()
+        process.join(timeout=1.0)  # reap: its pipe has ended
+        self._workers[index] = self._fork_worker()
+        spec, attempt = job
+        return WorkerDied(
+            f"shm worker (pid {process.pid}) died with exit code "
+            f"{process.exitcode} while training client {spec.client_id} on "
+            f"attempt {attempt} of round {context.round_index}",
+            client_id=spec.client_id, round_index=context.round_index,
+            attempt=attempt)
 
     def close(self) -> None:
         # The segment must be unlinked even if a wedged worker makes the

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...data.partition import ClientSpec
+from ...nn.flat import FlatParams
 from ...nn.layers import Module
 from ...nn.optim import ProximalSGD
 from ..training import ClientResult, local_train
@@ -37,17 +38,13 @@ class FedProx(Strategy):
     ) -> ClientResult:
         config = context.config
         seed = context.client_seed(spec.client_id)
-        # The proximal reference must follow the parameter iteration order of
-        # model.parameters(); build the optimizer after weights are loaded by
-        # local_train, so instead we construct it here and set the reference
-        # from the broadcast global weights keyed by parameter names.
-        from ..training import broadcast_weights
-
-        broadcast_weights(model, global_vec)
+        # The optimizer adopts the model's arena, so the proximal reference
+        # is the broadcast's parameter block as it stands; local_train then
+        # loads the broadcast into that arena, once.
+        arena = FlatParams.from_module(model)
         optimizer = ProximalSGD(model.parameters(), lr=config.learning_rate, mu=self.mu,
                                 momentum=config.momentum, weight_decay=config.weight_decay)
-        named = dict(model.named_parameters())
-        optimizer.set_reference([named[name].data for name in named])
+        optimizer.set_reference(global_vec[:arena.size])
         result = local_train(model, spec.dataset, config, global_vec,
                              optimizer=optimizer, seed=seed)
         result.metadata["device"] = spec.device

@@ -175,32 +175,30 @@ class ProximalSGD(SGD):
         if mu < 0:
             raise ValueError(f"mu must be non-negative, got {mu}")
         self.mu = mu
-        self._reference: Optional[List[np.ndarray]] = None
-        self._reference_flat: Optional[np.ndarray] = None
+        self._reference: Optional[np.ndarray] = None
 
-    def set_reference(self, reference: Iterable[np.ndarray]) -> None:
-        """Record the global weights ``w_global`` for the proximal term."""
-        reference = list(reference)
-        if len(reference) != len(self.params):
-            raise ValueError("reference length does not match parameter count")
-        self._reference = [
-            np.asarray(r, dtype=p.data.dtype).copy()
-            for r, p in zip(reference, self.params)
-        ]
-        for ref, param in zip(self._reference, self.params):
-            if ref.shape != param.data.shape:
-                raise ValueError(
-                    f"reference shape {ref.shape} does not match parameter "
-                    f"shape {param.data.shape}"
-                )
-        self._reference_flat = np.concatenate([ref.reshape(-1) for ref in self._reference])
+    def set_reference(self, reference: np.ndarray) -> None:
+        """Record the global weights ``w_global`` for the proximal term.
+
+        ``reference`` is the flat parameter block, laid out like the
+        optimizer's arena — ``global_vec[:arena.size]`` of a packed global
+        vector.  It is held and read as given (cast only if its dtype
+        differs from the arena's), never written.
+        """
+        reference = np.asarray(reference, dtype=self._flat.dtype)
+        if reference.shape != (self._flat.size,):
+            raise ValueError(
+                f"reference of shape {reference.shape} does not match the "
+                f"{self._flat.size}-element parameter block")
+        self._reference = reference
 
     def _adjusted_grad(self, index: int, param: Parameter, grad: np.ndarray) -> np.ndarray:
         if self.mu and self._reference is not None:
-            return grad + self.mu * (param.data - self._reference[index])
+            reference = self._reference[self._flat.grad_segment(index)]
+            return grad + self.mu * (param.data - reference.reshape(param.data.shape))
         return grad
 
     def _adjust_flat_grad(self, grad: np.ndarray) -> np.ndarray:
-        if self.mu and self._reference_flat is not None:
-            return grad + self.mu * (self._flat.vector - self._reference_flat)
+        if self.mu and self._reference is not None:
+            return grad + self.mu * (self._flat.vector - self._reference)
         return grad

@@ -10,6 +10,8 @@ The guarantees under test (see :mod:`repro.fl.execution` and the strategies'
 * the broadcast segment's lifecycle is leak-free: it is unlinked on normal
   close, after a failing client, after a crashing worker, and after a
   raising callback;
+* a worker that dies halfway through writing its reply fails only its own
+  job: the round finishes with every other client's result, without hanging;
 * streaming aggregation is O(1) in clients/round: the server's peak
   allocation while reducing 64 clients is flat versus 8;
 * the streaming protocol fails loudly on out-of-order, short, or
@@ -17,7 +19,9 @@ The guarantees under test (see :mod:`repro.fl.execution` and the strategies'
 """
 
 import os
+import struct
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -35,7 +39,9 @@ from repro.core.ema import EMALossTracker
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import ClientSpec
 from repro.fl.callbacks import Callback
+from repro.fl import execution
 from repro.fl.config import FLConfig
+from repro.fl.errors import WorkerDied
 from repro.fl.execution import (
     EXECUTOR_REGISTRY,
     SharedMemoryExecutor,
@@ -131,6 +137,26 @@ class _CrashingStrategy(FedAvg):
     def client_update(self, model, spec, global_vec, context):
         if spec.client_id == self.crash_client:
             os._exit(3)
+        return super().client_update(model, spec, global_vec, context)
+
+
+class _TruncatedReplyStrategy(FedAvg):
+    """Writes the start of a reply frame for one client, then dies mid-message.
+
+    ``stash`` holds the worker's pipe end (stashed there by a wrapped
+    ``_shm_worker_main``); the frame header promises 1 MiB and only 64 bytes
+    follow, so the server's read hits the end of the pipe inside a message.
+    """
+
+    def __init__(self, die_client, stash):
+        self.die_client = die_client
+        self.stash = stash
+
+    def client_update(self, model, spec, global_vec, context):
+        if spec.client_id == self.die_client:
+            os.write(self.stash["conn"].fileno(),
+                     struct.pack("!i", 1 << 20) + b"x" * 64)
+            os._exit(9)
         return super().client_update(model, spec, global_vec, context)
 
 
@@ -287,6 +313,50 @@ class TestShmLifecycle:
         finally:
             executor.close()
         assert shm_entries() <= before, "leaked /dev/shm segments"
+
+    def test_worker_dying_mid_reply_fails_only_its_job(self, monkeypatch):
+        """A death halfway through a reply breaks only that worker's pipe.
+
+        The round runs on a watchdog thread: a shared reply channel whose
+        lock or frame a dying worker could leave behind would hang it.
+        """
+        stash = {}
+        worker_main = execution._shm_worker_main
+
+        def stashing_main(conn):
+            stash["conn"] = conn
+            worker_main(conn)
+
+        # Patched before the pool forks, so every worker runs the wrapper.
+        monkeypatch.setattr(execution, "_shm_worker_main", stashing_main)
+        specs, global_vec, context, model_fn = make_round(6)
+        jobs = [(spec, 0) for spec in specs]
+        with create_executor("serial") as serial:
+            expected = list(serial.iter_round(FedAvg(), model_fn, jobs,
+                                              global_vec, context))
+        before = shm_entries()
+        executor = create_executor("shm", max_workers=2)
+        strategy = _TruncatedReplyStrategy(specs[2].client_id, stash)
+        outcomes = []
+        runner = threading.Thread(target=lambda: outcomes.extend(
+            executor.iter_round(strategy, model_fn, jobs, global_vec, context)),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        if runner.is_alive():
+            for process, _ in executor._workers:
+                process.kill()
+            pytest.fail("the round hung on a worker that died mid-reply")
+        executor.close()
+        assert shm_entries() <= before, "leaked /dev/shm segments"
+        assert len(outcomes) == len(specs)
+        assert isinstance(outcomes[2], WorkerDied)
+        assert "exit code 9" in str(outcomes[2])
+        for position in (0, 1, 3, 4, 5):
+            assert isinstance(outcomes[position], ClientResult)
+            assert outcomes[position].client_id == specs[position].client_id
+            assert np.array_equal(outcomes[position].vector,
+                                  expected[position].vector)
 
     def test_raising_callback_unlinks(self, tiny_bundle, tiny_clients,
                                       tiny_fl_config, tiny_model_fn):

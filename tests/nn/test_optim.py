@@ -81,7 +81,7 @@ class TestProximalSGD:
     def test_pulls_towards_reference(self):
         p = make_param([0.0])
         opt = ProximalSGD([p], lr=0.1, mu=1.0)
-        opt.set_reference([np.array([10.0])])
+        opt.set_reference(np.array([10.0]))
         for _ in range(50):
             p.grad = np.array([0.0])  # no task gradient; only proximal pull
             opt.step()
@@ -92,7 +92,7 @@ class TestProximalSGD:
     def test_mu_zero_equals_sgd(self):
         p1, p2 = make_param([1.0]), make_param([1.0])
         prox = ProximalSGD([p1], lr=0.1, mu=0.0)
-        prox.set_reference([np.array([100.0])])
+        prox.set_reference(np.array([100.0]))
         sgd = SGD([p2], lr=0.1)
         p1.grad = np.array([1.0])
         p2.grad = np.array([1.0])
@@ -105,7 +105,7 @@ class TestProximalSGD:
         def run(mu):
             p = make_param([0.0])
             opt = ProximalSGD([p], lr=0.1, mu=mu)
-            opt.set_reference([np.array([0.0])])
+            opt.set_reference(np.array([0.0]))
             for _ in range(20):
                 p.grad = np.array([-1.0])  # constant pull away from the reference
                 opt.step()
@@ -113,10 +113,10 @@ class TestProximalSGD:
 
         assert run(mu=10.0) < run(mu=0.0)
 
-    def test_reference_length_mismatch(self):
+    def test_reference_size_mismatch(self):
         opt = ProximalSGD([make_param([1.0])], lr=0.1, mu=0.1)
-        with pytest.raises(ValueError):
-            opt.set_reference([np.array([1.0]), np.array([2.0])])
+        with pytest.raises(ValueError, match="1-element parameter block"):
+            opt.set_reference(np.array([1.0, 2.0]))
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ class TestProximalSGD:
         model = Linear(4, 2, rng=rng)
         reference = [p.data.copy() for p in model.parameters()]
         opt = ProximalSGD(model.parameters(), lr=0.1, mu=0.5)
-        opt.set_reference(reference)
+        opt.set_reference(np.concatenate([r.reshape(-1) for r in reference]))
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 2, size=8)
         for _ in range(5):
@@ -184,8 +184,8 @@ class TestFusedMatchesReference:
                             weight_decay=weight_decay)
         ref = ProximalSGD(params_r, lr=0.05, mu=mu, momentum=momentum,
                           weight_decay=weight_decay)
-        fused.set_reference([r.copy() for r in refs])
-        ref.set_reference([r.copy() for r in refs])
+        fused.set_reference(np.concatenate([r.reshape(-1) for r in refs]))
+        ref.set_reference(np.concatenate([r.reshape(-1) for r in refs]))
         self._step_pair(fused, ref, params_f, params_r)
 
     def test_partial_grad_coverage_matches(self):
@@ -278,7 +278,7 @@ class TestProximalGradNotMutated:
         for step in (ProximalSGD.step, seed_engine.sgd_step):
             param = make_param([2.0, -1.0])
             opt = ProximalSGD([param], lr=0.1, mu=0.5)
-            opt.set_reference([np.zeros(2)])
+            opt.set_reference(np.zeros(2))
             grad = np.array([0.25, 0.75])
             param.grad = grad
             step(opt)
@@ -290,7 +290,7 @@ class TestOptimizerValidation:
     def test_reference_shape_mismatch_rejected(self):
         opt = ProximalSGD([make_param([1.0, 2.0])], lr=0.1, mu=0.1)
         with pytest.raises(ValueError):
-            opt.set_reference([np.zeros((2, 2))])
+            opt.set_reference(np.zeros((2, 2)))
 
     def test_fused_optimizer_adopts_module_arena(self):
         from repro.nn.flat import FlatParams

@@ -53,7 +53,7 @@ def test_traced_run_matches_untraced_golden(tmp_path, strategy):
 
 @pytest.mark.parametrize("strategy", ["fedavg", "heteroswitch"])
 def test_traced_shm_run_matches_untraced_golden(tmp_path, strategy):
-    """Cross-process collection (packed scalars over the shm result queue)
+    """Cross-process collection (packed scalars over each shm worker's pipe)
     must also leave results untouched."""
     golden, _ = run_fingerprint_of(
         tmp_path, "golden", make_spec(strategy, traced=False))
