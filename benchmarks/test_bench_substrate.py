@@ -50,7 +50,7 @@ def test_bench_device_capture(benchmark, scene):
 
 def test_bench_mobilenet_forward_backward(benchmark):
     model = MobileNetV3Small(num_classes=12, seed=0)
-    optimizer = SGD(model.parameters(), lr=0.1)
+    optimizer = SGD(FlatParams.from_module(model), lr=0.1)
     x = np.random.default_rng(0).random((10, 3, 32, 32))
     y = np.arange(10) % 12
 

@@ -152,31 +152,18 @@ class SwitchTelemetry(Callback):
 
 
 class FaultTelemetry(Callback):
-    """Counts failures/retries/drops and records run-level fault totals.
+    """Records run-level fault totals.
 
     Per-round counts already live on each :class:`RoundRecord` (filled from
-    the fault layer's report in ``run_round``); this callback streams them into a
-    :class:`repro.obs.MetricsRegistry` (labeled ``client_failures`` counters,
-    one series per failure kind, plus ``client_retries`` and
-    ``dropped_clients``) and, like :class:`SwitchTelemetry`, derives run
-    totals from the *history* at run end — so a run resumed from a checkpoint
-    reports the same totals as an uninterrupted one.  ``history.metadata``
-    gains a ``"faults"`` block only when something actually failed, keeping
-    fault-free histories byte-identical to runs without the callback.
+    the fault layer's report in ``run_round``); like :class:`SwitchTelemetry`,
+    this callback derives run totals from the *history* at run end — so a run
+    resumed from a checkpoint reports the same totals as an uninterrupted
+    one.  ``history.metadata`` gains a ``"faults"`` block only when something
+    actually failed, keeping fault-free histories byte-identical to runs
+    without the callback.
     """
 
     name = "fault_telemetry"
-
-    def __init__(self) -> None:
-        from ..obs import MetricsRegistry
-
-        self.metrics = MetricsRegistry()
-
-    def on_round_end(self, sim, record, results) -> None:
-        for kind, count in record.failure_kinds.items():
-            self.metrics.counter("client_failures", kind=kind).inc(count)
-        self.metrics.counter("client_retries").inc(record.num_retries)
-        self.metrics.counter("dropped_clients").inc(len(record.dropped_clients))
 
     def on_run_end(self, sim, history) -> None:
         rounds = [r for r in history.rounds if getattr(r, "num_failures", 0)]

@@ -38,11 +38,11 @@ class FedProx(Strategy):
     ) -> ClientResult:
         config = context.config
         seed = context.client_seed(spec.client_id)
-        # The optimizer adopts the model's arena, so the proximal reference
-        # is the broadcast's parameter block as it stands; local_train then
-        # loads the broadcast into that arena, once.
+        # The optimizer steps the model's cached arena, the one local_train
+        # loads the broadcast into; the proximal reference is the broadcast's
+        # parameter block as it stands.
         arena = FlatParams.from_module(model)
-        optimizer = ProximalSGD(model.parameters(), lr=config.learning_rate, mu=self.mu,
+        optimizer = ProximalSGD(arena, lr=config.learning_rate, mu=self.mu,
                                 momentum=config.momentum, weight_decay=config.weight_decay)
         optimizer.set_reference(global_vec[:arena.size])
         result = local_train(model, spec.dataset, config, global_vec,

@@ -162,8 +162,9 @@ def local_train(
         Weights broadcast by the server this round, packed in
         :class:`~repro.nn.serialization.StateLayout` order; only read.
     optimizer:
-        Optional pre-built optimizer (FedProx passes a :class:`ProximalSGD`);
-        defaults to plain SGD with the config's learning rate.
+        Optional pre-built optimizer over ``FlatParams.from_module(model)``
+        (FedProx passes a :class:`ProximalSGD`); defaults to plain SGD with
+        the config's learning rate.
     transform:
         Optional data transformation applied to each batch's features before
         the forward pass; receives ``(features, labels)`` and returns features.
@@ -184,7 +185,7 @@ def local_train(
     arena = broadcast_weights(model, global_vec)
 
     if optimizer is None:
-        optimizer = SGD(model.parameters(), lr=config.learning_rate,
+        optimizer = SGD(arena, lr=config.learning_rate,
                         momentum=config.momentum, weight_decay=config.weight_decay)
 
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, seed=seed)

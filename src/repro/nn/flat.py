@@ -4,11 +4,16 @@ A :class:`FlatParams` owns one contiguous vector — in the engine's compute
 dtype (float64 by default, float32 under ``dtype_mode("float32")``) —
 holding *all* of a model's trainable parameters; every :class:`~repro.nn.layers.Parameter`'s
 ``.data`` becomes a reshaped view into that vector.  Because NumPy views
-share memory, all existing in-place code paths (``param.data -= ...`` in the
-optimizers, ``param.data[...] = value`` in ``load_state_dict``, SCAFFOLD's
-drift-correction hook) keep working unchanged — but whole-model operations
-(optimizer steps, weight broadcast/collect, SWAD averaging) collapse from a
-per-parameter Python loop into a handful of whole-vector NumPy ops.
+share memory, in-place code paths (``param.data[...] = value`` in
+``load_state_dict``, SCAFFOLD's drift-correction hook) keep working
+unchanged — but whole-model operations (optimizer steps, weight
+broadcast/collect, SWAD averaging) collapse from a per-parameter Python loop
+into a handful of whole-vector NumPy ops.
+
+A model's arena is built once and cached on it (:meth:`FlatParams.from_module`);
+the training loop loads the broadcast into it and the optimizer steps it, so
+both always hold the same object.  A bare parameter list gets its own arena
+through the constructor.
 
 Every fused operation is **bitwise identical** to its per-parameter
 counterpart: the fusions only batch element-wise arithmetic, which rounds
@@ -26,7 +31,7 @@ round protocol moves weights between server and clients.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -77,7 +82,6 @@ class FlatParams:
             view = self.vector[offset : offset + param.data.size].reshape(param.data.shape)
             view[...] = param.data
             param.data = view
-            param._arena = self  # backref so optimizers can adopt the arena
             self._views.append(view)
         self._grad_buf: Optional[np.ndarray] = None
 
@@ -94,27 +98,6 @@ class FlatParams:
         object.__setattr__(module, "_flat_arena", arena)
         return arena
 
-    @classmethod
-    def adopt(cls, params: Sequence[Parameter]) -> "FlatParams":
-        """Reuse the arena ``params`` already live in, or build a fresh one.
-
-        Optimizers call this: when the training loop has already flattened the
-        model (:meth:`from_module`), adoption is free; bare parameter lists
-        (unit tests, ad-hoc training) get their own anonymous arena.
-        """
-        params = list(params)
-        if not params:
-            raise ValueError("cannot build a flat arena over an empty parameter list")
-        arena = getattr(params[0], "_arena", None)
-        if (
-            isinstance(arena, FlatParams)
-            and len(arena.params) == len(params)
-            and all(a is b for a, b in zip(arena.params, params))
-            and arena.is_valid()
-        ):
-            return arena
-        return cls(params)
-
     def is_valid(self) -> bool:
         """True while every parameter's ``.data`` is still its arena view."""
         return all(p.data is v for p, v in zip(self.params, self._views))
@@ -122,38 +105,25 @@ class FlatParams:
     # ------------------------------------------------------------------ #
     # Gradient gathering
     # ------------------------------------------------------------------ #
-    def gather_grad(self) -> Tuple[Optional[np.ndarray], bool]:
-        """Copy per-parameter gradients into one flat vector.
+    def gather_grad(self) -> np.ndarray:
+        """Copy every parameter's gradient into one flat vector and return it.
 
-        Returns ``(grad_vector, any_grad)``.  The buffer is filled and
-        returned only when *every* parameter contributed a gradient; with
-        partial coverage the result is ``(None, True)`` — coverage is checked
-        before any copying, so partial steps (which must fall back to the
-        per-parameter "skip missing grads" semantics anyway) never pay a
-        wasted whole-model memcpy.  ``(None, False)`` means no parameter has
-        a gradient at all.
+        The vector is a buffer the arena reuses across calls.  A parameter
+        without a gradient raises :class:`ValueError` naming its index and
+        shape: every model trains all of its parameters, so a missing
+        gradient means the backward pass never reached it.
         """
-        any_grad = False
-        complete = True
-        for param in self.params:
+        for index, param in enumerate(self.params):
             if param.grad is None:
-                complete = False
-            else:
-                any_grad = True
-        if not complete:
-            return None, any_grad
+                raise ValueError(f"parameter {index} (shape {param.data.shape}) has no "
+                                 f"gradient; a step needs a gradient for every parameter")
         buf = self._grad_buf
         if buf is None:
             buf = self._grad_buf = np.empty(self.size, dtype=self.dtype)
         for param, offset in zip(self.params, self.offsets):
             grad = param.grad
             buf[offset : offset + grad.size] = grad.reshape(-1)
-        return buf, True
-
-    def grad_segment(self, index: int) -> slice:
-        """The arena slice covered by parameter ``index``."""
-        offset = self.offsets[index]
-        return slice(offset, offset + self.params[index].data.size)
+        return buf
 
     # ------------------------------------------------------------------ #
     # The packed-vector boundary (weights in and out of the model)

@@ -284,22 +284,19 @@ def _contract(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Linear / convolution
 # --------------------------------------------------------------------------- #
-def _linear_composed(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Operator-composed affine transform: three graph nodes, any ``x.ndim``."""
-    out = x @ weight.T
-    if bias is not None:
-        out = out + bias
-    return out
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine transform ``x @ weight.T + bias`` of a 2-D ``(batch, features)`` input.
 
-
-def _linear_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
-    """Single-node affine transform, bitwise-equal to the composed graph.
-
-    Forward and backward evaluate exactly the expressions the composed
-    ``transpose -> matmul -> add`` graph evaluates — ``x @ W.T``, then
-    ``grad @ W``, ``(x.T @ grad).T`` and ``grad.sum(axis=0)`` — just without
-    building the two intermediate tensors and their closures per call.
+    A single autograd node, bitwise-equal to the composed
+    ``transpose -> matmul -> add`` graph: forward and backward evaluate
+    exactly its expressions — ``x @ W.T``, then ``grad @ W``,
+    ``(x.T @ grad).T`` and ``grad.sum(axis=0)`` — without building the two
+    intermediate tensors and their closures per call.  Those gradients hold
+    for 2-D ``x`` only (``x.T`` reverses every axis), so other ranks are
+    refused; models flatten first.
     """
+    if x.ndim != 2:
+        raise ValueError(f"linear takes a 2-D (batch, features) input, got shape {x.shape}")
     out_data = x.data @ weight.data.transpose()
     if bias is not None:
         out_data = out_data + bias.data
@@ -312,13 +309,6 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
             out._send(bias, grad.sum(axis=0))
 
     return Tensor._make(out_data, parents, backward)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine transform ``x @ weight.T + bias``: fused for 2-D ``x``, composed otherwise."""
-    if x.ndim != 2:
-        return _linear_composed(x, weight, bias)
-    return _linear_fused(x, weight, bias)
 
 
 def batch_norm_train(

@@ -4,10 +4,12 @@ Only first-order methods are needed by the paper's experiments: plain SGD with
 optional momentum and weight decay, which is what FedAvg-style local training
 uses, plus a proximal variant used by the FedProx baseline.
 
-Parameters are flattened into a contiguous :class:`~repro.nn.flat.FlatParams`
-arena and every step is a handful of whole-vector NumPy ops (gather grads,
-one fused momentum/weight-decay/proximal update, one axpy into the weights),
-with no per-parameter Python loop on the training hot path.
+An optimizer steps the :class:`~repro.nn.flat.FlatParams` arena it is given
+(``FlatParams.from_module(model)``, which is also the arena the training loop
+loads the broadcast into).  A step is a handful of whole-vector NumPy ops:
+gather the gradients, one fused momentum/weight-decay/proximal update, one
+axpy into the weights.  Every parameter must carry a gradient; a step that
+finds one without raises rather than skipping it.
 
 The fusion is exact because every update is element-wise: ``v = m*v + g`` and
 ``w -= lr*u`` round identically whether applied per-parameter or over the
@@ -20,29 +22,26 @@ it is keyed by parameter position, never by ``id(param)``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from .flat import FlatParams
-from .layers import Parameter
 
 __all__ = ["Optimizer", "SGD", "ProximalSGD"]
 
 
 class Optimizer:
-    """Base optimizer interface."""
+    """Base optimizer interface over one parameter arena."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float) -> None:
-        self.params: List[Parameter] = list(params)
-        if not self.params:
-            raise ValueError("optimizer received an empty parameter list")
+    def __init__(self, arena: FlatParams, lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
+        self.arena = arena
         self.lr = lr
 
     def zero_grad(self) -> None:
-        for param in self.params:
+        for param in self.arena.params:
             param.zero_grad()
 
     def step(self) -> None:  # pragma: no cover - abstract
@@ -50,106 +49,41 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay.
-
-    .. note::
-       Constructing the optimizer flattens the parameters into a contiguous
-       arena: each ``param.data`` is rebound to a view of the arena (values
-       preserved, in-place update semantics preserved).  Hold references to :class:`Parameter` objects — not to
-       their ``.data`` arrays — across optimizer construction; an array
-       reference captured beforehand stops tracking updates.
-    """
+    """Stochastic gradient descent with optional momentum and weight decay."""
 
     def __init__(
         self,
-        params: Iterable[Parameter],
+        arena: FlatParams,
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr)
+        super().__init__(arena, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if weight_decay < 0.0:
             raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        # The arena and one flat velocity vector.
-        self._flat = FlatParams.adopt(self.params)
-        self._velocity_flat: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------ #
-    # Per-parameter gradient adjustments (overridden by ProximalSGD).
-    # ------------------------------------------------------------------ #
-    def _adjusted_grad(self, index: int, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        """Per-parameter hook: extra gradient terms applied *before* weight decay."""
-        del index, param
-        return grad
+        self._velocity: Optional[np.ndarray] = None
 
     def _adjust_flat_grad(self, grad: np.ndarray) -> np.ndarray:
-        """Whole-vector counterpart of :meth:`_adjusted_grad`."""
+        """Extra gradient terms applied *before* weight decay (ProximalSGD's hook)."""
         return grad
 
-    # ------------------------------------------------------------------ #
-    # Steps
-    # ------------------------------------------------------------------ #
     def step(self) -> None:
-        flat = self._flat
-        if not flat.is_valid():
-            # The parameters were re-flattened into a different arena after
-            # this optimizer was built (e.g. the training loop called
-            # FlatParams.from_module on the model).  Writing into the
-            # orphaned vector would silently update nothing, so re-adopt the
-            # parameters' current arena; the velocity layout (same params,
-            # same order) stays valid.
-            flat = self._flat = FlatParams.adopt(self.params)
-        grad, any_grad = flat.gather_grad()
-        if not any_grad:
-            return
-        if grad is not None:
-            self._flat_step(grad)
-        else:
-            # Some parameters have no gradient this step: skip them, as the
-            # per-parameter loop would, by updating only the covered arena
-            # segments (velocity stays a flat vector, so fused and partial
-            # steps can interleave freely).
-            self._partial_flat_step()
-
-    def _flat_step(self, grad: np.ndarray) -> None:
-        flat = self._flat
-        grad = self._adjust_flat_grad(grad)
+        arena = self.arena
+        grad = self._adjust_flat_grad(arena.gather_grad())
         if self.weight_decay:
-            grad = grad + self.weight_decay * flat.vector
+            grad = grad + self.weight_decay * arena.vector
         if self.momentum:
-            velocity = self._velocity_flat
+            velocity = self._velocity
             if velocity is None:
-                velocity = self._velocity_flat = np.zeros(flat.size, dtype=flat.dtype)
+                velocity = self._velocity = np.zeros(arena.size, dtype=arena.dtype)
             velocity *= self.momentum
             velocity += grad
-            update = velocity
-        else:
-            update = grad
-        flat.vector -= self.lr * update
-
-    def _partial_flat_step(self) -> None:
-        flat = self._flat
-        velocity_flat = self._velocity_flat
-        if self.momentum and velocity_flat is None:
-            velocity_flat = self._velocity_flat = np.zeros(flat.size, dtype=flat.dtype)
-        for index, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = self._adjusted_grad(index, param, param.grad)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                segment = velocity_flat[flat.grad_segment(index)].reshape(param.data.shape)
-                segment *= self.momentum
-                segment += grad
-                update = segment
-            else:
-                update = grad
-            param.data -= self.lr * update
+            grad = velocity
+        arena.vector -= self.lr * grad
 
 
 class ProximalSGD(SGD):
@@ -165,13 +99,13 @@ class ProximalSGD(SGD):
 
     def __init__(
         self,
-        params: Iterable[Parameter],
+        arena: FlatParams,
         lr: float,
         mu: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr, momentum=momentum, weight_decay=weight_decay)
+        super().__init__(arena, lr, momentum=momentum, weight_decay=weight_decay)
         if mu < 0:
             raise ValueError(f"mu must be non-negative, got {mu}")
         self.mu = mu
@@ -185,20 +119,14 @@ class ProximalSGD(SGD):
         vector.  It is held and read as given (cast only if its dtype
         differs from the arena's), never written.
         """
-        reference = np.asarray(reference, dtype=self._flat.dtype)
-        if reference.shape != (self._flat.size,):
+        reference = np.asarray(reference, dtype=self.arena.dtype)
+        if reference.shape != (self.arena.size,):
             raise ValueError(
                 f"reference of shape {reference.shape} does not match the "
-                f"{self._flat.size}-element parameter block")
+                f"{self.arena.size}-element parameter block")
         self._reference = reference
-
-    def _adjusted_grad(self, index: int, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        if self.mu and self._reference is not None:
-            reference = self._reference[self._flat.grad_segment(index)]
-            return grad + self.mu * (param.data - reference.reshape(param.data.shape))
-        return grad
 
     def _adjust_flat_grad(self, grad: np.ndarray) -> np.ndarray:
         if self.mu and self._reference is not None:
-            return grad + self.mu * (self._flat.vector - self._reference)
+            return grad + self.mu * (self.arena.vector - self._reference)
         return grad

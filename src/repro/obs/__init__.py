@@ -6,8 +6,9 @@ results or fingerprints):
 - :class:`Tracer` / :class:`SpanRecord` (``obs.trace``): nested spans over
   wall clock and — in async runs — the simulated virtual clock, in a
   bounded ring buffer.
-- :class:`MetricsRegistry` (``obs.metrics``): labeled counter/gauge/
-  histogram series backing `FaultTelemetry`/`AsyncTelemetry`.
+- :class:`MetricsRegistry` (``obs.metrics``): labeled counter and
+  histogram series backing the tracer's per-client counts and
+  `AsyncTelemetry`.
 - :data:`PROFILER` (``obs.profiling``): per-kernel timers wrapped around
   the engine kernels only while ``FLConfig.profile`` is on; off, the
   kernels are the undecorated functions.
@@ -25,13 +26,12 @@ from .export import (
     write_events_jsonl,
     write_obs_summary,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .profiling import PROFILER, KernelProfiler, profile_kernels
 from .trace import SpanRecord, Tracer, merge_client_spans
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "KernelProfiler",
     "MetricsRegistry",

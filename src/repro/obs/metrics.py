@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and histograms with labeled series.
+"""Metrics registry: counters and histograms with labeled series.
 
 A :class:`MetricsRegistry` hands out instruments keyed by ``(name, labels)``
 — asking twice for the same key returns the same instrument, so callers can
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 _LabelKey = Tuple[Tuple[str, Any], ...]
 
@@ -38,25 +38,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
         self.value += amount
-
-    def summary(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-
-class Gauge:
-    """Last-write-wins scalar (queue depth, clock reading, ...)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: Dict[str, Any]):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
     def summary(self) -> Dict[str, Any]:
         return {"value": self.value}
@@ -101,7 +82,7 @@ class Histogram:
                 "min": self.min, "max": self.max, "mean": self.mean}
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = {"counter": Counter, "histogram": Histogram}
 
 
 class MetricsRegistry:
@@ -122,9 +103,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get("counter", name, labels)
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get("gauge", name, labels)
-
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get("histogram", name, labels)
 
@@ -140,21 +118,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._series)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s series into this registry (worker -> run merge)."""
-        for (kind, name, _), inst in sorted(other._series.items(),
-                                            key=lambda kv: kv[0]):
-            mine = self._get(kind, name, inst.labels)
-            if kind == "counter":
-                mine.value += inst.value
-            elif kind == "gauge":
-                mine.value = inst.value
-            else:
-                mine.count += inst.count
-                mine.total += inst.total
-                mine.min = min(mine.min, inst.min)
-                mine.max = max(mine.max, inst.max)
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """JSON-compatible dump of every series, deterministically ordered."""

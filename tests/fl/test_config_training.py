@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from store.test_checkpoint import _MODEL_KWARGS
 
 from repro.data.dataset import ArrayDataset
 from repro.fl.config import FLConfig
 from repro.fl.training import (ClientResult, compute_loss, evaluate_loss, evaluate_metric,
                                local_train, measure_init_loss)
 from repro.nn.flat import FlatParams
-from repro.nn.models import SimpleMLP
+from repro.nn.models import MODEL_REGISTRY, SimpleMLP, create_model
 
 
 class TestFLConfig:
@@ -177,3 +178,58 @@ class TestLocalTrain:
         a = local_train(model, dataset, config, global_vec, seed=1)
         b = local_train(model, dataset, config, global_vec, seed=2)
         assert not np.allclose(a.vector, b.vector)
+
+    def test_optimizer_steps_the_model_arena(self, classification_setup, monkeypatch):
+        """local_train's SGD and FedProx's ProximalSGD step the object
+        ``FlatParams.from_module`` returns, the arena the broadcast lands in."""
+        from repro.core.ema import EMALossTracker
+        from repro.data.partition import ClientSpec
+        from repro.fl.strategies import FedProx, FLContext
+        from repro.nn.optim import SGD
+
+        model, dataset, config = classification_setup
+        stepped = []
+        step = SGD.step
+
+        def recording_step(self):
+            stepped.append((type(self).__name__, self.arena))
+            step(self)
+
+        monkeypatch.setattr(SGD, "step", recording_step)
+        local_train(model, dataset, config, packed(model), seed=0)
+        FedProx(mu=0.1).client_update(
+            model, ClientSpec(client_id=0, device="S6", dataset=dataset), packed(model),
+            FLContext(config=config, ema=EMALossTracker()))
+        assert {name for name, _ in stepped} == {"SGD", "ProximalSGD"}
+        arena = FlatParams.from_module(model)
+        assert all(stepped_arena is arena for _, stepped_arena in stepped)
+
+
+@pytest.mark.parametrize("name", sorted(_MODEL_KWARGS))
+def test_every_registered_model_step_has_every_gradient(name):
+    """A step needs a gradient for every parameter (``FlatParams.gather_grad``
+    refuses otherwise): one ``local_train`` step of each registered model
+    leaves none without one."""
+    assert set(_MODEL_KWARGS) == set(MODEL_REGISTRY), \
+        "update _MODEL_KWARGS when registering a new model"
+    model = create_model(name, **_MODEL_KWARGS[name])
+    rng = np.random.default_rng(0)
+    if name == "ecg_regressor":
+        features, labels, task = rng.normal(size=(4, 16)), rng.normal(size=(4, 1)), "regression"
+    elif name == "multilabel_cnn":
+        features = rng.normal(size=(4, 3, 8, 8))
+        labels, task = rng.integers(0, 2, size=(4, 3)).astype(float), "multilabel"
+    else:
+        features = rng.normal(size=(4, 3, 8, 8))
+        labels, task = np.array([0, 1, 2, 0]), "classification"
+    config = FLConfig(num_clients=4, clients_per_round=2, num_rounds=1, batch_size=4,
+                      learning_rate=0.01, task=task, seed=0)
+    missing = []
+
+    def hook(hook_model, batch_index, epoch_index):
+        missing.extend(pname for pname, param in hook_model.named_parameters()
+                       if param.grad is None)
+
+    local_train(model, ArrayDataset(features, labels), config, packed(model),
+                batch_hook=hook, seed=0)
+    assert missing == []

@@ -32,7 +32,7 @@ from oracle import seed_engine
 from repro.core.ema import EMALossTracker
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import ClientSpec
-from repro.fl.callbacks import CheckpointCallback, FaultTelemetry
+from repro.fl.callbacks import CheckpointCallback
 from repro.fl.config import FLConfig
 from repro.fl.errors import (
     ClientFailure,
@@ -654,14 +654,3 @@ class TestFaultTelemetry:
         assert faults["total_failures"] == sum(
             r.num_failures for r in chaos_history.rounds)
         assert faults["failure_kinds"] == {"crash": faults["total_failures"]}
-
-    def test_counters_stream_per_kind(self):
-        telemetry = FaultTelemetry()
-        _, _ = run_sim(make_config(
-            faults=FaultPlan(seed=23, crash_rate=0.5),
-            fault_policy=FaultPolicy(max_retries=0, min_clients=1)),
-            "serial", callbacks=[telemetry])
-        counters = {tuple(sorted(series.labels.items())): series.value
-                    for series in telemetry.metrics.series("client_failures")}
-        assert counters  # at least one kind counted
-        assert all(value > 0 for value in counters.values())

@@ -31,6 +31,7 @@ from repro.fl.execution import create_executor
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import FLContext, create_strategy
 from repro.nn import functional as F
+from repro.nn.flat import FlatParams
 from repro.nn.optim import SGD
 from repro.nn.serialization import StateLayout, state_fingerprint, states_equal
 from repro.store.checkpoint import read_checkpoint, write_checkpoint
@@ -286,7 +287,7 @@ class TestTable4Step:
         factory = make_model_factory(get_scale("default"), 8, 24)
         with seed_engine.engine(engine):
             model = factory()
-            optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
+            optimizer = SGD(FlatParams.from_module(model), lr=0.1, momentum=0.9, weight_decay=1e-4)
             loss = F.cross_entropy(model(Tensor(features)), labels)
             optimizer.zero_grad()
             loss.backward()

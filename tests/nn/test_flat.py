@@ -67,58 +67,28 @@ class TestArenaConstruction:
             FlatParams([param])
 
 
-class TestAdopt:
-    def test_adopt_reuses_module_arena(self):
-        model = small_model()
-        arena = FlatParams.from_module(model)
-        assert FlatParams.adopt(model.parameters()) is arena
-
-    def test_adopt_builds_fresh_for_bare_params(self):
+class TestBareArena:
+    def test_bare_params_get_their_own_arena(self):
         params = [Parameter(np.arange(3, dtype=float)), Parameter(np.ones((2, 2)))]
-        arena = FlatParams.adopt(params)
-        assert arena.size == 7
+        arena = FlatParams(params)
+        assert arena.size == 7 and arena.is_valid()
         np.testing.assert_array_equal(arena.vector[:3], [0, 1, 2])
-
-    def test_adopt_rejects_stale_views(self):
-        model = small_model()
-        arena = FlatParams.from_module(model)
-        # Rebinding a parameter's data invalidates the arena...
-        model.fc1.weight.data = model.fc1.weight.data.copy()
-        assert not arena.is_valid()
-        # ...so adoption (and the module cache) build a fresh one.
-        assert FlatParams.adopt(model.parameters()) is not arena
-        assert FlatParams.from_module(model) is not arena
-
-    def test_adopt_subset_gets_own_arena(self):
-        model = small_model()
-        arena = FlatParams.from_module(model)
-        subset = model.parameters()[:2]
-        assert FlatParams.adopt(subset) is not arena
 
 
 class TestGatherGrad:
-    def test_no_grads_returns_none(self):
-        arena = FlatParams.adopt([Parameter(np.zeros(3))])
-        grad, complete = arena.gather_grad()
-        assert grad is None and not complete
-
     def test_full_coverage(self):
         params = [Parameter(np.zeros(2)), Parameter(np.zeros((2, 2)))]
-        arena = FlatParams.adopt(params)
+        arena = FlatParams(params)
         params[0].grad = np.array([1.0, 2.0])
         params[1].grad = np.arange(4.0).reshape(2, 2)
-        grad, complete = arena.gather_grad()
-        assert complete
-        np.testing.assert_array_equal(grad, [1, 2, 0, 1, 2, 3])
+        np.testing.assert_array_equal(arena.gather_grad(), [1, 2, 0, 1, 2, 3])
 
-    def test_partial_coverage_skips_the_copy(self):
-        params = [Parameter(np.zeros(2)), Parameter(np.zeros(2))]
-        arena = FlatParams.adopt(params)
+    def test_partial_coverage_raises_naming_the_missing_parameter(self):
+        params = [Parameter(np.zeros(2)), Parameter(np.zeros((1, 2)))]
+        arena = FlatParams(params)
         params[0].grad = np.ones(2)
-        grad, any_grad = arena.gather_grad()
-        # Partial coverage: no buffer is filled (the caller falls back to the
-        # per-parameter path), but the presence flag is set.
-        assert grad is None and any_grad
+        with pytest.raises(ValueError, match=r"parameter 1 \(shape \(1, 2\)\) has no gradient"):
+            arena.gather_grad()
 
 
 def bn_model():
@@ -156,7 +126,7 @@ class TestPackedBoundary:
             arena.load(np.zeros(arena.pack().size - 1))
 
     def test_bare_arena_packs_parameters_only(self):
-        arena = FlatParams.adopt([Parameter(np.arange(2.0))])
+        arena = FlatParams([Parameter(np.arange(2.0))])
         np.testing.assert_array_equal(arena.pack(), [0.0, 1.0])
 
     def test_load_updates_buffers(self):
@@ -185,21 +155,3 @@ class TestTrainingThroughArena:
             loss.backward()
         for p_plain, p_flat in zip(plain.parameters(), flat.parameters()):
             assert p_plain.grad.tobytes() == p_flat.grad.tobytes()
-
-    def test_stale_arena_readopted_by_optimizer_step(self):
-        """Regression: an optimizer built before the training loop flattens
-        the model must not write updates into an orphaned arena."""
-        from repro.nn.optim import SGD
-
-        model = small_model()
-        opt = SGD(model.parameters(), lr=0.5)  # anonymous arena
-        # The training loop re-flattens the model, invalidating opt's arena.
-        FlatParams.from_module(model)
-        assert not opt._flat.is_valid()
-        before = model.parameters()[0].data.copy()
-        for param in model.parameters():
-            param.grad = np.ones_like(param.data)
-        opt.step()
-        assert opt._flat.is_valid()
-        assert not np.array_equal(model.parameters()[0].data, before), \
-            "step wrote into the orphaned arena instead of the live weights"

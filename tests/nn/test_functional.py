@@ -438,6 +438,12 @@ class TestEngineKernelEquivalence:
 
         self._assert_bitwise(*self._run_both(build))
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5)])
+    def test_linear_refuses_non_2d_input(self, shape):
+        x = Tensor(np.zeros(shape))
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]},"):
+            F.linear(x, Tensor(np.zeros((4, 5))))
+
     def test_linear_without_bias_fused_bitwise(self):
         rng = np.random.default_rng(1)
         x_np, w_np = rng.normal(size=(3, 5)), rng.normal(size=(2, 5))

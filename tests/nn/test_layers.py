@@ -191,13 +191,14 @@ class TestIndividualLayers:
     def test_end_to_end_training_reduces_loss(self):
         """A small Sequential model should fit a separable toy problem."""
         from repro.nn import functional as F
+        from repro.nn.flat import FlatParams
         from repro.nn.optim import SGD
 
         rng = np.random.default_rng(0)
         x = rng.normal(size=(32, 4))
         y = (x[:, 0] > 0).astype(int)
         model = Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
-        opt = SGD(model.parameters(), lr=0.5)
+        opt = SGD(FlatParams.from_module(model), lr=0.5)
         first_loss = None
         for _ in range(30):
             loss = F.cross_entropy(model(Tensor(x)), y)

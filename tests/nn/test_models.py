@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.flat import FlatParams
 from repro.nn.models import (
     MODEL_REGISTRY,
     ECGRegressor,
@@ -59,7 +60,7 @@ class TestImageModels:
         x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 16, 16)))
         loss = F.cross_entropy(model(x), np.array([0, 1, 2, 0]))
         loss.backward()
-        SGD(model.parameters(), lr=0.1).step()
+        SGD(FlatParams.from_module(model), lr=0.1).step()
         changed = any(not np.allclose(before[name], p.data)
                       for name, p in model.named_parameters())
         assert changed
@@ -123,7 +124,7 @@ class TestAuxModels:
         x = rng.normal(size=(64, 6))
         y = (x[:, 0] + x[:, 1] > 0).astype(int)
         model = SimpleMLP(6, 2, hidden=16, seed=0)
-        opt = SGD(model.parameters(), lr=0.5)
+        opt = SGD(FlatParams.from_module(model), lr=0.5)
         for _ in range(60):
             loss = F.cross_entropy(model(Tensor(x)), y)
             opt.zero_grad()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracle import seed_engine
 
+from repro.nn.flat import FlatParams
 from repro.nn.layers import Linear, Parameter
 from repro.nn.optim import SGD, ProximalSGD
 from repro.nn.tensor import Tensor
@@ -18,33 +19,34 @@ class TestSGD:
     def test_basic_step(self):
         p = make_param([1.0, 2.0])
         p.grad = np.array([0.5, 1.0])
-        SGD([p], lr=0.1).step()
+        SGD(FlatParams([p]), lr=0.1).step()
         np.testing.assert_allclose(p.data, [0.95, 1.9])
 
-    def test_skips_params_without_grad(self):
-        p = make_param([1.0])
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [1.0])
+    def test_step_without_grad_raises_naming_the_parameter(self):
+        params = [make_param([1.0]), make_param([[1.0, 2.0]])]
+        params[0].grad = np.ones(1)
+        with pytest.raises(ValueError, match=r"parameter 1 \(shape \(1, 2\)\) has no gradient"):
+            SGD(FlatParams(params), lr=0.1).step()
 
     def test_zero_grad(self):
         p = make_param([1.0])
         p.grad = np.array([1.0])
-        opt = SGD([p], lr=0.1)
+        opt = SGD(FlatParams([p]), lr=0.1)
         opt.zero_grad()
         assert p.grad is None
 
     def test_weight_decay_shrinks_weights(self):
         p = make_param([10.0])
         p.grad = np.array([0.0])
-        SGD([p], lr=0.1, weight_decay=0.5).step()
+        SGD(FlatParams([p]), lr=0.1, weight_decay=0.5).step()
         assert p.data[0] < 10.0
 
     def test_momentum_accelerates(self):
         # With a constant gradient, momentum accumulates larger steps.
         plain = make_param([0.0])
         momentum = make_param([0.0])
-        opt_plain = SGD([plain], lr=0.1)
-        opt_momentum = SGD([momentum], lr=0.1, momentum=0.9)
+        opt_plain = SGD(FlatParams([plain]), lr=0.1)
+        opt_momentum = SGD(FlatParams([momentum]), lr=0.1, momentum=0.9)
         for _ in range(5):
             plain.grad = np.array([1.0])
             momentum.grad = np.array([1.0])
@@ -54,23 +56,23 @@ class TestSGD:
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            SGD([make_param([1.0])], lr=0.0)
+            SGD(FlatParams([make_param([1.0])]), lr=0.0)
 
     def test_invalid_momentum(self):
         with pytest.raises(ValueError):
-            SGD([make_param([1.0])], lr=0.1, momentum=1.5)
+            SGD(FlatParams([make_param([1.0])]), lr=0.1, momentum=1.5)
 
     def test_invalid_weight_decay(self):
         with pytest.raises(ValueError):
-            SGD([make_param([1.0])], lr=0.1, weight_decay=-1.0)
+            SGD(FlatParams([make_param([1.0])]), lr=0.1, weight_decay=-1.0)
 
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            SGD(FlatParams([]), lr=0.1)
 
     def test_converges_on_quadratic(self):
         p = make_param([5.0])
-        opt = SGD([p], lr=0.1)
+        opt = SGD(FlatParams([p]), lr=0.1)
         for _ in range(100):
             p.grad = 2 * p.data  # d/dp p^2
             opt.step()
@@ -80,7 +82,7 @@ class TestSGD:
 class TestProximalSGD:
     def test_pulls_towards_reference(self):
         p = make_param([0.0])
-        opt = ProximalSGD([p], lr=0.1, mu=1.0)
+        opt = ProximalSGD(FlatParams([p]), lr=0.1, mu=1.0)
         opt.set_reference(np.array([10.0]))
         for _ in range(50):
             p.grad = np.array([0.0])  # no task gradient; only proximal pull
@@ -91,9 +93,9 @@ class TestProximalSGD:
 
     def test_mu_zero_equals_sgd(self):
         p1, p2 = make_param([1.0]), make_param([1.0])
-        prox = ProximalSGD([p1], lr=0.1, mu=0.0)
+        prox = ProximalSGD(FlatParams([p1]), lr=0.1, mu=0.0)
         prox.set_reference(np.array([100.0]))
-        sgd = SGD([p2], lr=0.1)
+        sgd = SGD(FlatParams([p2]), lr=0.1)
         p1.grad = np.array([1.0])
         p2.grad = np.array([1.0])
         prox.step()
@@ -104,7 +106,7 @@ class TestProximalSGD:
         """With a large mu the iterate stays closer to the reference point."""
         def run(mu):
             p = make_param([0.0])
-            opt = ProximalSGD([p], lr=0.1, mu=mu)
+            opt = ProximalSGD(FlatParams([p]), lr=0.1, mu=mu)
             opt.set_reference(np.array([0.0]))
             for _ in range(20):
                 p.grad = np.array([-1.0])  # constant pull away from the reference
@@ -114,13 +116,13 @@ class TestProximalSGD:
         assert run(mu=10.0) < run(mu=0.0)
 
     def test_reference_size_mismatch(self):
-        opt = ProximalSGD([make_param([1.0])], lr=0.1, mu=0.1)
+        opt = ProximalSGD(FlatParams([make_param([1.0])]), lr=0.1, mu=0.1)
         with pytest.raises(ValueError, match="1-element parameter block"):
             opt.set_reference(np.array([1.0, 2.0]))
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
-            ProximalSGD([make_param([1.0])], lr=0.1, mu=-0.1)
+            ProximalSGD(FlatParams([make_param([1.0])]), lr=0.1, mu=-0.1)
 
     def test_works_through_model_training(self):
         from repro.nn import functional as F
@@ -128,7 +130,7 @@ class TestProximalSGD:
         rng = np.random.default_rng(0)
         model = Linear(4, 2, rng=rng)
         reference = [p.data.copy() for p in model.parameters()]
-        opt = ProximalSGD(model.parameters(), lr=0.1, mu=0.5)
+        opt = ProximalSGD(FlatParams.from_module(model), lr=0.1, mu=0.5)
         opt.set_reference(np.concatenate([r.reshape(-1) for r in reference]))
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 2, size=8)
@@ -167,8 +169,8 @@ class TestFusedMatchesReference:
         values = [rng.normal(size=shape) for shape in self.SHAPES]
         params_f = [make_param(v.copy()) for v in values]
         params_r = [make_param(v.copy()) for v in values]
-        fused = SGD(params_f, lr=0.05, momentum=momentum, weight_decay=weight_decay)
-        ref = SGD(params_r, lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        fused = SGD(FlatParams(params_f), lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        ref = SGD(FlatParams(params_r), lr=0.05, momentum=momentum, weight_decay=weight_decay)
         self._step_pair(fused, ref, params_f, params_r)
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -180,39 +182,28 @@ class TestFusedMatchesReference:
         refs = [rng.normal(size=shape) for shape in self.SHAPES]
         params_f = [make_param(v.copy()) for v in values]
         params_r = [make_param(v.copy()) for v in values]
-        fused = ProximalSGD(params_f, lr=0.05, mu=mu, momentum=momentum,
+        fused = ProximalSGD(FlatParams(params_f), lr=0.05, mu=mu, momentum=momentum,
                             weight_decay=weight_decay)
-        ref = ProximalSGD(params_r, lr=0.05, mu=mu, momentum=momentum,
+        ref = ProximalSGD(FlatParams(params_r), lr=0.05, mu=mu, momentum=momentum,
                           weight_decay=weight_decay)
         fused.set_reference(np.concatenate([r.reshape(-1) for r in refs]))
         ref.set_reference(np.concatenate([r.reshape(-1) for r in refs]))
         self._step_pair(fused, ref, params_f, params_r)
 
-    def test_partial_grad_coverage_matches(self):
-        """Params without grads are skipped identically in both paths,
-        including their momentum state, even when coverage changes per step."""
-        rng = np.random.default_rng(2)
-        values = [rng.normal(size=(3,)) for _ in range(3)]
-        params_f = [make_param(v.copy()) for v in values]
-        params_r = [make_param(v.copy()) for v in values]
-        fused = SGD(params_f, lr=0.1, momentum=0.9)
-        ref = SGD(params_r, lr=0.1, momentum=0.9)
-        coverage = [(0, 2), (0, 1, 2), (1,), (0, 1, 2)]
-        for step, present in enumerate(coverage):
-            for index in range(3):
-                grad = rng.normal(size=3)
-                params_f[index].grad = grad.copy() if index in present else None
-                params_r[index].grad = grad.copy() if index in present else None
-            fused.step()
-            seed_engine.sgd_step(ref)
-            for p_f, p_r in zip(params_f, params_r):
-                assert p_f.data.tobytes() == p_r.data.tobytes(), f"step {step}"
-
-    def test_no_grads_is_a_noop(self):
-        param = make_param([1.0, 2.0])
-        before = param.data.copy()
-        SGD([param], lr=0.1).step()
-        np.testing.assert_array_equal(param.data, before)
+    def test_missing_grad_raises_before_any_update(self):
+        """A step that finds a gradient missing writes neither the weights
+        nor the momentum: the refusal comes before the fused update."""
+        params = [make_param([1.0, 2.0]), make_param([3.0])]
+        opt = SGD(FlatParams(params), lr=0.1, momentum=0.9)
+        for param in params:
+            param.grad = np.ones_like(param.data)
+        opt.step()
+        weights, velocity = opt.arena.vector.copy(), opt._velocity.copy()
+        params[0].grad = None
+        with pytest.raises(ValueError, match="parameter 0"):
+            opt.step()
+        assert opt.arena.vector.tobytes() == weights.tobytes()
+        assert opt._velocity.tobytes() == velocity.tobytes()
 
     def test_fused_through_model_training_matches(self):
         from repro.nn import functional as F
@@ -225,7 +216,7 @@ class TestFusedMatchesReference:
         for mode in seed_engine.ENGINES:
             with seed_engine.engine(mode):
                 model = SimpleMLP(6, 3, hidden=4, seed=0)
-                opt = SGD(model.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
+                opt = SGD(FlatParams.from_module(model), lr=0.05, momentum=0.9, weight_decay=1e-4)
                 for _ in range(4):
                     loss = F.cross_entropy(model(Tensor(x)), y)
                     opt.zero_grad()
@@ -242,14 +233,14 @@ class TestVelocityKeyedByIndex:
 
     def test_reference_velocity_uses_indices(self):
         params = [make_param([1.0]), make_param([2.0])]
-        opt = SGD(params, lr=0.1, momentum=0.9)
+        opt = SGD(FlatParams(params), lr=0.1, momentum=0.9)
         for param in params:
             param.grad = np.ones(1)
         seed_engine.sgd_step(opt)
         assert set(opt._seed_velocity) <= {0, 1}
         # The fused step keeps one velocity vector laid out like the arena.
         opt.step()
-        assert opt._velocity_flat.shape == (opt._flat.size,)
+        assert opt._velocity.shape == (opt.arena.size,)
 
     def test_velocity_survives_id_reuse(self):
         """Replacing a parameter list entry cannot alias old velocity state:
@@ -257,7 +248,7 @@ class TestVelocityKeyedByIndex:
         from zero momentum."""
         def run_with_gc_churn():
             param = make_param([0.0])
-            opt = SGD([param], lr=0.1, momentum=0.9)
+            opt = SGD(FlatParams([param]), lr=0.1, momentum=0.9)
             param.grad = np.ones(1)
             opt.step()
             return param.data.copy()
@@ -277,7 +268,7 @@ class TestProximalGradNotMutated:
         (batch hooks read .grad after the step)."""
         for step in (ProximalSGD.step, seed_engine.sgd_step):
             param = make_param([2.0, -1.0])
-            opt = ProximalSGD([param], lr=0.1, mu=0.5)
+            opt = ProximalSGD(FlatParams([param]), lr=0.1, mu=0.5)
             opt.set_reference(np.zeros(2))
             grad = np.array([0.25, 0.75])
             param.grad = grad
@@ -288,15 +279,20 @@ class TestProximalGradNotMutated:
 
 class TestOptimizerValidation:
     def test_reference_shape_mismatch_rejected(self):
-        opt = ProximalSGD([make_param([1.0, 2.0])], lr=0.1, mu=0.1)
+        opt = ProximalSGD(FlatParams([make_param([1.0, 2.0])]), lr=0.1, mu=0.1)
         with pytest.raises(ValueError):
             opt.set_reference(np.zeros((2, 2)))
 
-    def test_fused_optimizer_adopts_module_arena(self):
-        from repro.nn.flat import FlatParams
+    def test_optimizer_steps_the_arena_it_is_given(self):
         from repro.nn.models import SimpleMLP
 
         model = SimpleMLP(4, 2, hidden=3, seed=0)
         arena = FlatParams.from_module(model)
-        opt = SGD(model.parameters(), lr=0.1)
-        assert opt._flat is arena
+        opt = SGD(arena, lr=0.1)
+        assert opt.arena is arena
+        before = arena.vector.copy()
+        for param in model.parameters():
+            param.grad = np.ones_like(param.data)
+        opt.step()
+        np.testing.assert_array_equal(arena.vector, before - 0.1)
+        assert arena.is_valid()

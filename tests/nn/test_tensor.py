@@ -275,10 +275,11 @@ class TestGraphLifetime:
     def test_training_steps_leave_no_cyclic_garbage(self):
         from repro.fl.training import compute_loss
         from repro.nn.models import MobileNetV3Small
+        from repro.nn.flat import FlatParams
         from repro.nn.optim import SGD
 
         model = MobileNetV3Small(num_classes=4)
-        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
+        optimizer = SGD(FlatParams.from_module(model), lr=0.05, momentum=0.9)
         rng = np.random.default_rng(0)
         features = rng.normal(size=(4, 3, 16, 16))
         labels = np.array([0, 1, 2, 3])

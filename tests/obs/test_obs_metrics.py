@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -20,12 +20,6 @@ class TestInstruments:
             counter.inc(-1)
         with pytest.raises(ValueError, match=">= 0"):
             counter.add(-0.1)
-
-    def test_gauge_last_write_wins(self):
-        gauge = Gauge("depth", {})
-        gauge.set(3.0)
-        gauge.set(1.0)
-        assert gauge.value == 1.0
 
     def test_histogram_summary(self):
         hist = Histogram("latency", {})
@@ -70,21 +64,6 @@ class TestRegistry:
             registry.counter("busy_seconds", client=client).add(0.1)
         assert [c.labels["client"] for c in registry.series("busy_seconds")] \
             == [7, 1, 4]
-
-    def test_merge_folds_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("hits").inc(2)
-        b.counter("hits").inc(3)
-        b.counter("misses").inc()
-        a.histogram("lat").observe(1.0)
-        b.histogram("lat").observe(5.0)
-        b.gauge("depth").set(9.0)
-        a.merge(b)
-        assert a.counter("hits").value == 5
-        assert a.counter("misses").value == 1
-        assert a.histogram("lat").summary()["max"] == 5.0
-        assert a.histogram("lat").count == 2
-        assert a.gauge("depth").value == 9.0
 
     def test_snapshot_is_sorted_and_json_compatible(self):
         import json

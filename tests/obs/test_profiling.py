@@ -9,6 +9,7 @@ import pytest
 from oracle import seed_engine
 
 from repro.nn import functional as F
+from repro.nn.flat import FlatParams
 from repro.nn.layers import Parameter
 from repro.nn.models import create_model
 from repro.nn.optim import SGD
@@ -186,7 +187,7 @@ class TestDisabledOverhead:
             loss = F.cross_entropy(F.hardswish(F.linear(x, w)),
                                    np.zeros(8, dtype=int))
             loss.backward()
-            SGD([w], lr=0.1).step()
+            SGD(FlatParams([w]), lr=0.1).step()
 
         step()
         assert not PROFILER.enabled
@@ -226,7 +227,7 @@ class TestEngineIntegration:
         with profile_kernels() as profiler:
             loss = F.cross_entropy(F.linear(x, w), np.zeros(4, dtype=int))
             loss.backward()
-            SGD([w], lr=0.1).step()
+            SGD(FlatParams([w]), lr=0.1).step()
         assert profiler.drain()["optim.step"][0] == 1
 
     def test_profiled_results_match_unprofiled(self):
@@ -245,7 +246,7 @@ class TestEngineIntegration:
         drop calls from them."""
         model = create_model("mobilenetv3_small", num_classes=5)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 32, 32)))
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = SGD(FlatParams.from_module(model), lr=0.1)
         with profile_kernels() as profiler:
             F.cross_entropy(model(x), np.arange(4)).backward()
             optimizer.step()
@@ -277,7 +278,7 @@ class TestSeedOracleComposition:
                 # depthwise_conv2d is the engine's, reaching the oracle's
                 # helpers through the module.
                 F.depthwise_conv2d(x, w, padding=1).sum().backward()
-                SGD([w], lr=0.1).step()
+                SGD(FlatParams([w]), lr=0.1).step()
             rows = profiler.drain()
             assert {"im2col", "matmul", "col2im", "optim.step"} <= rows.keys()
             assert bound_kernels() == oracle

@@ -158,12 +158,24 @@ def cross_entropy(logits, targets):
 # Seed optimizer, averagers and q-FedAvg reduction
 # --------------------------------------------------------------------------- #
 def sgd_step(self) -> None:
-    """Seed per-parameter SGD step; momentum is keyed by parameter index."""
+    """Seed per-parameter SGD step; momentum is keyed by parameter index.
+
+    Parameters without a gradient are skipped.  On a :class:`ProximalSGD`
+    the FedProx term ``mu * (w - w_global)`` joins each gradient before
+    weight decay, read from the reference segment at the parameter's arena
+    offset.
+    """
     velocities: Dict[int, np.ndarray] = self.__dict__.setdefault("_seed_velocity", {})
-    for index, param in enumerate(self.params):
+    mu = getattr(self, "mu", 0.0)
+    reference = getattr(self, "_reference", None)
+    for index, param in enumerate(self.arena.params):
         if param.grad is None:
             continue
-        grad = self._adjusted_grad(index, param, param.grad)
+        grad = param.grad
+        if mu and reference is not None:
+            offset = self.arena.offsets[index]
+            segment = reference[offset : offset + param.data.size]
+            grad = grad + mu * (param.data - segment.reshape(param.data.shape))
         if self.weight_decay:
             grad = grad + self.weight_decay * param.data
         if self.momentum:
