@@ -14,10 +14,14 @@ through one ``np.take`` over a plan cached by ``(C, H, W, kernel, stride,
 padding)`` — the index arrays are a pure function of the geometry, which is
 fixed across the batches of a training run — and col2im scatters with
 ``np.bincount``.  Convolution contractions call ``np.matmul`` on exactly the
-operands ``np.einsum(optimize=True)``'s batch-matmul step would build,
-skipping einsum's per-call equation parse.  Pointwise convs (1x1 kernel,
-stride 1, no padding) skip im2col and col2im, and both convolutions scatter
-an input gradient only for an input that takes one.
+operands ``np.einsum(optimize=True)``'s batch-matmul step would build from
+``np.take``'s C-contiguous columns, skipping einsum's per-call equation
+parse.  Depthwise columns are gathered channel-major and pointwise convs
+(1x1 kernel, stride 1, no padding) skip im2col and col2im, reading their
+input's pixels in place, so those operands are views wherever the memory
+order allows.  Layouts still decide bits: ``matmul`` can round a strided
+view differently, so an operand not already C-contiguous is copied to it.
+Both convolutions scatter an input gradient only for an input that takes one.
 
 The seed compositions live on as a test-only oracle
 (``tests/oracle/seed_engine.py``).  The fused kernels match it bitwise
@@ -109,7 +113,7 @@ def _im2col_plan(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Gather/scatter index plan for im2col on an NCHW input.
 
     The plan depends only on the per-image geometry ``(C, H, W)`` plus the
@@ -119,15 +123,17 @@ def _im2col_plan(
     ``flat`` is the per-image flattened scatter target
     ``(k * padded_h + i) * padded_w + j`` used by the bincount col2im kernel
     (stored raveled alongside its 2-D shape so backward passes never rebuild
-    or re-ravel it).
+    or re-ravel it).  ``positions`` (``(P, kh*kw)``, channel 0's ``flat``
+    transposed) index each output pixel's taps in one padded plane.
     """
     c, h, w = chw
     ph, pw = padding
     k, i, j, out_h, out_w = _seed_im2col_indices(chw, kernel, stride, padding)
     flat = (k * (h + 2 * ph) + i) * (w + 2 * pw) + j
-    for array in (k, i, j, flat):
+    positions = np.ascontiguousarray(flat[: kernel[0] * kernel[1]].T)
+    for array in (k, i, j, flat, positions):
         array.flags.writeable = False
-    return k, i, j, flat, out_h, out_w
+    return k, i, j, flat, positions, out_h, out_w
 
 
 def _im2col(
@@ -135,21 +141,31 @@ def _im2col(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
+    channel_major: bool = False,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int, int]:
-    """Lower an NCHW batch to im2col columns.
+    """Lower an NCHW batch to ``(N, C*kh*kw, P)`` im2col columns.
 
     The (cached) plan's flattened index matrix is pulled through one
     ``np.take`` per batch, after zero-padding by slice assignment.
+    ``channel_major`` pads ``(C, N)`` planes instead and pulls each one's
+    taps through the plan's ``positions``: depthwise ``(C, N, P, kh*kw)``
+    columns, whose per-channel ``(N*P, kh*kw)`` matmul operands are views.
     """
     n, c, h, w = x.shape
     ph, pw = padding
-    k, i, j, flat, out_h, out_w = _im2col_plan((c, h, w), kernel, stride, padding)
+    k, i, j, flat, positions, out_h, out_w = _im2col_plan((c, h, w), kernel, stride, padding)
+    if channel_major:
+        x = x.transpose(1, 0, 2, 3)
     if ph or pw:
-        x_padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        x_padded = np.zeros(x.shape[:2] + (h + 2 * ph, w + 2 * pw), dtype=x.dtype)
         x_padded[:, :, ph : ph + h, pw : pw + w] = x
     else:
         x_padded = x
-    cols = np.take(x_padded.reshape(n, -1), flat, axis=1)
+    if channel_major:
+        cols = np.take(x_padded.reshape(c * n, -1), positions, axis=1)
+        cols = cols.reshape(c, n, out_h * out_w, -1)
+    else:
+        cols = np.take(x_padded.reshape(n, -1), flat, axis=1)
     return cols, (k, i, j, flat), out_h, out_w
 
 
@@ -212,17 +228,22 @@ def _col2im(
 # the same bits, and the result is the same (often non-contiguous) view —
 # without einsum's per-call parse.  Layout matters downstream: equal values in
 # another memory order make later reductions sum in another order.
+# Columns (``nfp``, ``nckp``) may be a view in any memory order; the
+# lowerings copy them to einsum's C-contiguous operand only where they are
+# not already in it, since ``matmul`` may round a strided view differently
+# (it does for the depthwise weight gradient's matrix-vector products).
 def _conv_out(w_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``of,nfp->nop``: conv2d forward."""
     n, f, p = cols.shape
-    product = np.matmul(cols.transpose(0, 2, 1).reshape(n * p, f), w_flat.T)
+    rows = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(n * p, f)
+    product = np.matmul(rows, w_flat.T)
     return product.reshape(n, p, -1).transpose(0, 2, 1)
 
 
 def _conv_grad_weight(grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``nop,nfp->of``: conv2d weight gradient."""
     n, f, p = cols.shape
-    columns = cols.transpose(1, 0, 2).reshape(f, n * p)
+    columns = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(f, n * p)
     return np.matmul(columns, grad_flat.transpose(0, 2, 1).reshape(n * p, -1)).T
 
 
@@ -236,7 +257,8 @@ def _conv_grad_cols(w_flat: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
 def _depthwise_out(w_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``ck,nckp->ncp``: depthwise forward, one matmul per channel."""
     n, c, k, p = cols.shape
-    product = np.matmul(cols.transpose(1, 0, 3, 2).reshape(c, n * p, k),
+    channel_major = cols.transpose(1, 0, 3, 2)
+    product = np.matmul(np.ascontiguousarray(channel_major).reshape(c, n * p, k),
                         w_flat.reshape(c, k, 1))
     return product.reshape(c, n, p).transpose(1, 0, 2)
 
@@ -244,7 +266,7 @@ def _depthwise_out(w_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _depthwise_grad_weight(grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``ncp,nckp->ck``: depthwise weight gradient."""
     n, c, k, p = cols.shape
-    product = np.matmul(cols.transpose(1, 2, 0, 3).reshape(c, k, n * p),
+    product = np.matmul(np.ascontiguousarray(cols.transpose(1, 2, 0, 3)).reshape(c, k, n * p),
                         grad_flat.transpose(1, 0, 2).reshape(c, n * p, 1))
     return product.reshape(c, k)
 
@@ -267,6 +289,7 @@ _LOWERINGS = {
     "ncp,nckp->ck": _depthwise_grad_weight,
     "ck,ncp->nckp": _depthwise_grad_cols,
 }
+_READS_COLUMNS = frozenset(("of,nfp->nop", "nop,nfp->of", "ck,nckp->ncp", "ncp,nckp->ck"))
 
 
 def _contract(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,9 +297,12 @@ def _contract(equation: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     einsum drops size-1 axes before its matmul step, which lays the operands
     out differently; such rare shapes (a batch of one, a 1x1 output map) keep
-    going through ``np.einsum`` so their bits match it too.
+    going through ``np.einsum`` so their bits match it too, reading
+    C-contiguous columns (``b`` of ``_READS_COLUMNS``) as ``np.take`` gathers them.
     """
     if 1 in a.shape or 1 in b.shape:
+        if equation in _READS_COLUMNS:
+            b = np.ascontiguousarray(b)
         return np.einsum(equation, a, b, optimize=True)
     return _LOWERINGS[equation](a, b)
 
@@ -372,7 +398,8 @@ def batch_norm_eval(
 ) -> Tensor:
     """Inference-mode batch norm using the running statistics."""
     inv = 1.0 / np.sqrt(var + eps)
-    normalized = (x.data - mean) * inv
+    normalized = x.data - mean
+    normalized *= inv
     w_r = weight.data.reshape(param_shape)
     out_data = normalized * w_r
     out_data += bias.data.reshape(param_shape)
@@ -397,9 +424,10 @@ def conv2d(
 
     ``weight`` has shape ``(out_channels, in_channels, kh, kw)``.  A
     pointwise conv (1x1 kernel, stride 1, no padding) skips im2col and
-    col2im: its columns are the input's pixels and its input
-    gradient is the column gradient, each made C-contiguous as the gather and
-    the scatter would leave them.
+    col2im: its columns are a view of the input's pixels, so its ``(n*p, c)``
+    matmul rows are a view of a channels-last input (a conv's output), and
+    its input gradient is the column gradient made C-contiguous as the
+    scatter would leave it.
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -410,7 +438,7 @@ def conv2d(
 
     pointwise = (kh, kw, stride, padding) == (1, 1, (1, 1), (0, 0))
     if pointwise:
-        cols = np.ascontiguousarray(x.data).reshape(n, c, h * w)
+        cols = x.data.reshape(n, c, h * w)
         indices, out_h, out_w = None, h, w
     else:
         cols, indices, out_h, out_w = _im2col(x.data, (kh, kw), stride, padding)
@@ -450,7 +478,8 @@ def depthwise_conv2d(
 ) -> Tensor:
     """Depthwise 2-D convolution: each input channel is filtered independently.
 
-    ``weight`` has shape ``(channels, 1, kh, kw)``.
+    ``weight`` has shape ``(channels, 1, kh, kw)``.  Columns are gathered
+    channel-major, so the forward's ``(n*p, kh*kw)`` operands are views.
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -459,9 +488,8 @@ def depthwise_conv2d(
     if wc != c or one != 1:
         raise ValueError("depthwise_conv2d expects weight of shape (C, 1, kh, kw)")
 
-    cols, indices, out_h, out_w = _im2col(x.data, (kh, kw), stride, padding)
-    # cols: (N, C*kh*kw, P) -> (N, C, kh*kw, P)
-    cols_grouped = cols.reshape(n, c, kh * kw, out_h * out_w)
+    cols, indices, out_h, out_w = _im2col(x.data, (kh, kw), stride, padding, channel_major=True)
+    cols_grouped = cols.transpose(1, 0, 3, 2)  # (N, C, kh*kw, P) view
     w_flat = weight.data.reshape(c, kh * kw)
     out_data = _contract("ck,nckp->ncp", w_flat, cols_grouped)
     out_data = out_data.reshape(n, c, out_h, out_w)

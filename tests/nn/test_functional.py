@@ -558,6 +558,75 @@ class TestEngineKernelEquivalence:
         assert flat[0].dtype == np.dtype(dtype)
         self._assert_bitwise(flat, reference)
 
+    def test_conv_outputs_leave_the_grid_layouts(self):
+        """The grid below lays its inputs out as the convolutions leave
+        their outputs: channels-last from a pointwise conv, channel-major
+        from a depthwise conv."""
+        x = Tensor(np.random.default_rng(10).normal(size=(4, 3, 6, 6)))
+        assert layout_of(F.conv2d(x, Tensor(np.ones((5, 3, 1, 1)))).data) == "nhwc"
+        assert layout_of(F.depthwise_conv2d(x, Tensor(np.ones((3, 1, 3, 3))),
+                                            padding=1).data) == "cnhw"
+
+    @pytest.mark.parametrize("out_map", ["6x6", "1x1"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 4, 10, 14, 32])
+    @pytest.mark.parametrize("layout", ["nhwc", "cnhw"])
+    @pytest.mark.parametrize("kernel", ["depthwise_conv2d", "conv2d"])
+    def test_conv_layout_grid_bitwise(self, kernel, layout, batch, stride, dtype, out_map,
+                                      monkeypatch):
+        """Depthwise and 1x1 convs match the seed composition bitwise on
+        every input layout a conv leaves, forward and every gradient.
+
+        The engine gathers depthwise columns channel-major and reads a 1x1
+        conv's pixels in place, so its matmul operands are views wherever
+        the layout allows; each must still reach ``matmul`` in the
+        C-contiguous layout einsum builds.  The transposed depthwise columns
+        reshape to the weight gradient's ``(c, k, n*p)`` operand as a free,
+        strided view, on which ``matmul`` rounds that gradient differently.
+        A batch of one or a 1x1 output map takes ``_contract``'s einsum
+        fallback.  With a 1x1 output map the seed gather's batch-fastest
+        columns reach einsum's matmul uncopied, so there the reference reads
+        the same columns C-contiguous, as ``np.take`` gathers them.  Under
+        float32 the depthwise input takes no gradient: the engine's col2im
+        sums overlapping taps in float64, the seed scatter in float32.
+        """
+        from repro.nn.engine import dtype_mode
+        from repro.nn.layers import Parameter
+
+        depthwise = kernel == "depthwise_conv2d"
+        rng = np.random.default_rng(11)
+        size = (6 if out_map == "6x6" else 1) * stride
+        x_np = in_layout(rng.normal(size=(batch, 8, size, size)), layout)
+        w_np = rng.normal(size=(8, 1, 3, 3) if depthwise else (12, 8, 1, 1))
+        b_np = rng.normal(size=w_np.shape[0])
+        x_grad = not (depthwise and dtype == "float32")
+        if out_map == "1x1":
+            seed_im2col = seed_engine._im2col
+
+            def contiguous_im2col(*args):
+                cols, *rest = seed_im2col(*args)
+                return (np.ascontiguousarray(cols), *rest)
+
+            monkeypatch.setattr(seed_engine, "_im2col", contiguous_im2col)
+
+        def build():
+            with dtype_mode(dtype):
+                x = Tensor(x_np.astype(dtype), requires_grad=x_grad)
+                w, b = Parameter(w_np.copy()), Parameter(b_np.copy())
+                conv = getattr(F, kernel)
+                out = conv(x, w, b, stride=stride, padding=1 if depthwise else 0)
+                # Non-uniform, channels-last upstream gradient.
+                upstream = in_layout(np.random.default_rng(12).normal(size=out.shape), "nhwc")
+                out.backward(upstream.astype(dtype))
+                return out.data, x.grad, w.grad, b.grad
+
+        flat, reference = self._run_both(build)
+        assert flat[0].shape[2:] == ((6, 6) if out_map == "6x6" else (1, 1))
+        assert flat[0].dtype == np.dtype(dtype)
+        assert (flat[1] is None) == (not x_grad)
+        self._assert_bitwise(flat, reference)
+
     @pytest.mark.parametrize("kernel", ["conv2d", "depthwise_conv2d"])
     def test_input_without_grad_skips_input_gradient(self, kernel):
         """An input that takes no gradient gets none and costs no col2im

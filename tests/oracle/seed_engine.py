@@ -8,9 +8,9 @@ This module holds the seed compositions those kernels replaced:
 * operator-composed ``linear``, ``batch_norm_train``, ``batch_norm_eval``,
   ``hardswish`` and ``cross_entropy`` graphs, each a chain of
   :class:`~repro.nn.tensor.Tensor` primitives with hand-written gradients;
-* ``conv2d`` without the pointwise shortcut, over the seed im2col gather
-  (per-call indices, ``np.pad``, fancy indexing), ``np.einsum``
-  contractions and the ``np.add.at`` col2im scatter;
+* ``conv2d`` without the pointwise shortcut and ``depthwise_conv2d``, over
+  the seed im2col gather (per-call indices, ``np.pad``, fancy indexing),
+  ``np.einsum`` contractions and the ``np.add.at`` col2im scatter;
 * the per-parameter SGD step, the streaming average, the per-key SWAD mean
   and the dict-based q-FedAvg reduction, with the per-key state arithmetic
   (``add_states``, ``subtract_states``, ``scale_state``,
@@ -26,19 +26,20 @@ vector, clients outermost.
 
 :func:`install` rebinds the ``repro`` names to these versions for the
 duration of a ``monkeypatch`` scope: public kernels and every ``repro``
-module alias of them, the gather/scatter/contraction helpers that
-``depthwise_conv2d`` and the pooling kernels call, and the optimizer,
-averager and strategy methods.  Worker processes forked inside the scope
-(the ``shm`` pool) inherit the rebinding.  :func:`engine` selects flat or
-oracle by name for parametrized tests.
+module alias of them, the gather and scatter helpers that the pooling
+kernels call, and the optimizer, averager and strategy methods.  Worker
+processes forked inside the scope (the ``shm`` pool) inherit the rebinding.
+:func:`engine` selects flat or oracle by name for parametrized tests.
 
 What the oracle pins: on inputs whose operands keep the same memory layout
 under both gather kernels and that pass through no batch norm (every MLP,
 every whole-run test fixture), the flat engine is bitwise equal to it.  Where
-the layouts differ — the conv weight gradient at Table 4 shapes — the two
-contractions round differently and only agree to about an ulp.  Batch norm's
-forward is bitwise the composed graph's; its textbook backward reassociates
-the composed gradient and agrees to a few ulp.  ``tests/nn/test_functional.py``
+the layouts differ — the conv weight gradient at Table 4 shapes, and any conv
+weight gradient on a 1x1 output map, where einsum's size-1 path reads the
+seed gather's batch-fastest columns uncopied — the two contractions round
+differently and only agree to about an ulp.  Batch norm's forward is
+bitwise the composed graph's; its textbook backward reassociates the
+composed gradient and agrees to a few ulp.  ``tests/nn/test_functional.py``
 and ``tests/fl/test_train_engine.py`` pin both bounds.
 """
 
@@ -110,6 +111,35 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         out._send(weight, _contract("nop,nfp->of", grad_flat, cols).reshape(weight.shape))
         if x.requires_grad:
             grad_cols = _contract("of,nop->nfp", w_flat, grad_flat)
+            out._send(x, _col2im(grad_cols, x.shape, indices, padding))
+        if bias is not None:
+            out._send(bias, grad.sum(axis=(0, 2, 3)))
+
+    return Tensor._make(out_data, parents, backward)
+
+
+def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
+    """Seed depthwise convolution: the im2col gather and three einsum contractions."""
+    stride = F._pair(stride)
+    padding = F._pair(padding)
+    n, c, h, w = x.shape
+    wc, one, kh, kw = weight.shape
+    if wc != c or one != 1:
+        raise ValueError("depthwise_conv2d expects weight of shape (C, 1, kh, kw)")
+    cols, indices, out_h, out_w = _im2col(x.data, (kh, kw), stride, padding)
+    cols = cols.reshape(n, c, kh * kw, out_h * out_w)
+    w_flat = weight.data.reshape(c, kh * kw)
+    out_data = _contract("ck,nckp->ncp", w_flat, cols).reshape(n, c, out_h, out_w)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, c, 1, 1)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad, out):
+        grad_flat = grad.reshape(n, c, out_h * out_w)
+        out._send(weight, _contract("ncp,nckp->ck", grad_flat, cols).reshape(weight.shape))
+        if x.requires_grad:
+            grad_cols = _contract("ck,ncp->nckp", w_flat, grad_flat)
+            grad_cols = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
             out._send(x, _col2im(grad_cols, x.shape, indices, padding))
         if bias is not None:
             out._send(bias, grad.sum(axis=(0, 2, 3)))
@@ -311,9 +341,9 @@ def qfedavg_reduce(self, global_vec, ordered, context):
 # --------------------------------------------------------------------------- #
 # Installation
 # --------------------------------------------------------------------------- #
-_KERNELS = ("conv2d", "linear", "batch_norm_train", "batch_norm_eval",
-            "hardswish", "cross_entropy")
-_HELPERS = ("_im2col", "_col2im", "_contract")
+_KERNELS = ("conv2d", "depthwise_conv2d", "linear", "batch_norm_train",
+            "batch_norm_eval", "hardswish", "cross_entropy")
+_HELPERS = ("_im2col", "_col2im")
 _METHODS: Tuple[Tuple[type, str, object], ...] = (
     (optim.SGD, "step", sgd_step),
     (serialization.StreamingAverager, "add", streaming_add),
