@@ -10,8 +10,6 @@ from .profiles import (
     DEVICE_PROFILES,
     DOMINANT_DEVICES,
     DeviceProfile,
-    devices_by_tier,
-    devices_by_vendor,
     get_device,
     market_shares,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "DEVICE_NAMES",
     "DOMINANT_DEVICES",
     "get_device",
-    "devices_by_vendor",
-    "devices_by_tier",
     "market_shares",
     "SensorModel",
     "SyntheticDeviceType",

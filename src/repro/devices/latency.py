@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Iterable, Union
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "build_latency_model",
     "build_latency_models",
     "mean_round_trip",
-    "describe_models",
 ]
 
 # Nominal local-training throughput per performance tier, in samples per
@@ -289,15 +288,3 @@ def build_latency_models(
 def mean_round_trip(model: DeviceLatencyModel, num_samples: int) -> float:
     """Expected round-trip seconds (no jitter); used for reporting only."""
     return num_samples / model.compute_rate + model.network_seconds
-
-
-def describe_models(models: Mapping[str, DeviceLatencyModel]) -> Dict[str, Dict[str, float]]:
-    """JSON-safe summary of a model population (for history metadata)."""
-    return {
-        name: {
-            "compute_rate": model.compute_rate,
-            "network_seconds": model.network_seconds,
-            "on_fraction": model.on_fraction,
-        }
-        for name, model in models.items()
-    }

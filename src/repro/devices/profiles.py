@@ -37,8 +37,6 @@ __all__ = [
     "DEVICE_NAMES",
     "DOMINANT_DEVICES",
     "get_device",
-    "devices_by_vendor",
-    "devices_by_tier",
     "market_shares",
 ]
 
@@ -156,24 +154,6 @@ def get_device(name: str) -> DeviceProfile:
         return DEVICE_PROFILES[name]
     except KeyError as exc:
         raise KeyError(f"unknown device '{name}'; available: {DEVICE_NAMES}") from exc
-
-
-def devices_by_vendor(vendor: str) -> List[DeviceProfile]:
-    """All profiles from one vendor ('samsung', 'lg' or 'google')."""
-    matches = [p for p in DEVICE_PROFILES.values() if p.vendor == vendor]
-    if not matches:
-        vendors = sorted({p.vendor for p in DEVICE_PROFILES.values()})
-        raise KeyError(f"unknown vendor '{vendor}'; available: {vendors}")
-    return matches
-
-
-def devices_by_tier(tier: str) -> List[DeviceProfile]:
-    """All profiles in one performance tier ('high', 'mid' or 'low')."""
-    matches = [p for p in DEVICE_PROFILES.values() if p.tier == tier]
-    if not matches:
-        tiers = sorted({p.tier for p in DEVICE_PROFILES.values()})
-        raise KeyError(f"unknown tier '{tier}'; available: {tiers}")
-    return matches
 
 
 def market_shares(normalize: bool = True) -> Dict[str, float]:

@@ -1,9 +1,9 @@
 """FL strategies: FedAvg baseline, prior works, and the HeteroSwitch family.
 
 The HeteroSwitch strategies live in :mod:`repro.core` (they are the paper's
-contribution); they are re-exported here lazily so the two packages can depend
-on each other without an import cycle, and the simulation layer can build any
-method in Table 4 from one registry.
+contribution and import from here).  The registry builds them through
+deferred imports, so the simulation layer can build any method in Table 4
+from one registry without an import cycle.
 """
 
 from __future__ import annotations
@@ -23,30 +23,16 @@ __all__ = [
     "FedProx",
     "QFedAvg",
     "Scaffold",
-    "HeteroSwitch",
-    "ISPTransformOnly",
-    "ISPTransformWithSWAD",
     "STRATEGY_REGISTRY",
     "ASYNC_STRATEGY_NAMES",
     "create_strategy",
 ]
-
-_CORE_STRATEGIES = ("HeteroSwitch", "ISPTransformOnly", "ISPTransformWithSWAD")
 
 # Asynchronous-only strategies (repro.fl.async_sim): their round-based
 # ``aggregate_stream`` raises and they run only under RunSpec
 # kind="federated_async".  Named here (next to their registration) so spec
 # validation can reject mismatched kinds without instantiating anything.
 ASYNC_STRATEGY_NAMES = frozenset({"fedasync", "fedbuff"})
-
-
-def __getattr__(name: str):
-    """Lazily resolve the HeteroSwitch strategy classes from :mod:`repro.core`."""
-    if name in _CORE_STRATEGIES:
-        from ...core import heteroswitch as _hs
-
-        return getattr(_hs, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _core_factory(name: str) -> Callable[..., Strategy]:

@@ -1,20 +1,17 @@
 """NumPy neural-network substrate for the HeteroSwitch reproduction.
 
 The original system is implemented in PyTorch; this package provides the
-minimal-yet-complete replacement used here: an autograd :class:`Tensor`,
-functional ops, layer modules, optimizers, model serialization helpers and
-the model zoo.
+minimal replacement used here: an autograd :class:`Tensor`, functional ops,
+layer modules, optimizers, model serialization helpers and the model zoo.
 """
 
 from . import functional
 from .flat import FlatParams
 from .layers import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     HardSwish,
@@ -26,8 +23,6 @@ from .layers import (
     ReLU,
     ReLU6,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from .optim import SGD, Optimizer, ProximalSGD
 from .serialization import StateLayout
@@ -50,13 +45,9 @@ __all__ = [
     "ReLU",
     "ReLU6",
     "HardSwish",
-    "Sigmoid",
-    "Tanh",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
-    "Dropout",
     "Identity",
     "Optimizer",
     "SGD",

@@ -49,24 +49,16 @@ __all__ = [
     "conv2d",
     "depthwise_conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
     "relu",
     "relu6",
     "hardswish",
     "hardsigmoid",
-    "sigmoid",
-    "tanh",
-    "softmax",
-    "log_softmax",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
     "mse_loss",
-    "l1_loss",
-    "dropout",
     "flatten",
     "channel_shuffle",
-    "pad2d",
 ]
 
 IntPair = Union[int, Tuple[int, int]]
@@ -540,42 +532,9 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     return Tensor._make(out_data, (x,), backward)
 
 
-def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None) -> Tensor:
-    """Average pooling on NCHW tensors."""
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    n, c, h, w = x.shape
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-
-    cols, indices, _, _ = _im2col(x.data, (kh, kw), (sh, sw), (0, 0))
-    cols_grouped = cols.reshape(n, c, kh * kw, out_h * out_w)
-    out_data = cols_grouped.mean(axis=2).reshape(n, c, out_h, out_w)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        grad_flat = grad.reshape(n, c, 1, out_h * out_w) / (kh * kw)
-        grad_cols = np.broadcast_to(grad_flat, cols_grouped.shape).copy()
-        grad_cols = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
-        grad_x = _col2im(grad_cols, x.shape, indices, (0, 0))
-        out._send(x, grad_x)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the spatial dimensions, returning an ``(N, C)`` tensor."""
     return x.mean(axis=(2, 3))
-
-
-def pad2d(x: Tensor, padding: IntPair) -> Tensor:
-    """Zero-pad the spatial dimensions of an NCHW tensor."""
-    ph, pw = _pair(padding)
-    out_data = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        out._send(x, grad[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]])
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -612,26 +571,6 @@ def hardswish(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return shifted - exp.sum(axis=axis, keepdims=True).log()
-
-
 def flatten(x: Tensor) -> Tensor:
     """Flatten all dimensions but the first."""
     return x.reshape(x.shape[0], -1)
@@ -643,16 +582,6 @@ def channel_shuffle(x: Tensor, groups: int) -> Tensor:
     if c % groups != 0:
         raise ValueError(f"channels {c} not divisible by groups {groups}")
     return x.reshape(n, groups, c // groups, h, w).transpose(0, 2, 1, 3, 4).reshape(n, c, h, w)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout.  No-op when not training or when ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    if rng is None:
-        rng = np.random.default_rng()
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return x * Tensor(mask)
 
 
 # --------------------------------------------------------------------------- #
@@ -714,8 +643,3 @@ def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
     diff = pred - Tensor(np.asarray(targets, dtype=pred.data.dtype))
     return (diff * diff).mean()
 
-
-def l1_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean absolute error (implemented via sqrt of squared error per element)."""
-    diff = pred - Tensor(np.asarray(targets, dtype=pred.data.dtype))
-    return ((diff * diff) + 1e-12).sqrt().mean()

@@ -1,4 +1,4 @@
-"""Weight initialization schemes for :mod:`repro.nn` layers."""
+"""Weight initialization for :mod:`repro.nn` layers."""
 
 from __future__ import annotations
 
@@ -6,46 +6,19 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "zeros", "ones"]
+__all__ = ["kaiming_uniform"]
 
 
-def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    """Compute fan-in / fan-out for linear and convolutional weight shapes."""
+def _fan_in(shape: Tuple[int, ...]) -> int:
+    """Fan-in of a linear or convolutional weight shape."""
     if len(shape) == 2:  # (out_features, in_features)
-        fan_out, fan_in = shape
-    elif len(shape) == 4:  # (out_channels, in_channels, kh, kw)
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        raise ValueError(f"unsupported weight shape {shape}")
-    return fan_in, fan_out
+        return shape[1]
+    if len(shape) == 4:  # (out_channels, in_channels, kh, kw)
+        return shape[1] * shape[2] * shape[3]
+    raise ValueError(f"unsupported weight shape {shape}")
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform initialization (gain for ReLU)."""
-    fan_in, _ = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / fan_in)
+    bound = np.sqrt(6.0 / _fan_in(shape))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal initialization (gain for ReLU)."""
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
-
-
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape)

@@ -31,13 +31,9 @@ __all__ = [
     "ReLU",
     "ReLU6",
     "HardSwish",
-    "Sigmoid",
-    "Tanh",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
-    "Dropout",
     "Identity",
 ]
 
@@ -336,16 +332,6 @@ class HardSwish(Module):
         return F.hardswish(x)
 
 
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
 class MaxPool2d(Module):
     def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
         super().__init__()
@@ -356,16 +342,6 @@ class MaxPool2d(Module):
         return F.max_pool2d(x, self.kernel_size, self.stride)
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
 class GlobalAvgPool2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool2d(x)
@@ -374,16 +350,6 @@ class GlobalAvgPool2d(Module):
 class Flatten(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.flatten(x)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.5, seed: int = 0) -> None:
-        super().__init__()
-        self.p = p
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self._rng)
 
 
 class Identity(Module):

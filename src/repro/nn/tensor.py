@@ -2,8 +2,13 @@
 
 This module is the computational substrate for the whole reproduction: the
 paper trains convolutional networks with PyTorch, which is not available in
-this environment, so we provide a compact but complete autograd ``Tensor``
-with the operations the model zoo (:mod:`repro.nn.models`) needs.
+this environment, so we provide a compact autograd ``Tensor`` holding the
+operations the model zoo (:mod:`repro.nn.models`) uses and no others:
+elementwise ``+``, ``-`` and ``*``, ``sum``/``mean``, ``reshape``/``transpose``,
+``exp``, ``log``, ``relu`` and ``clip``, plus :func:`concatenate`.  The
+kernels of :mod:`repro.nn.functional` add the layers' fused nodes.  One
+finite-difference test (``tests/nn/test_gradients.py``) checks every one of
+their backward functions.
 
 The design follows the familiar define-by-run pattern: every operation on
 :class:`Tensor` objects records a backward function and its input tensors on
@@ -161,10 +166,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -317,9 +318,6 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other_t)
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) + (-self)
-
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * other_t.data
@@ -331,30 +329,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other_t), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data / other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, _unbroadcast(grad / other_t.data, self.shape))
-            out._send(
-                other_t,
-                _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape),
-            )
-
-        return Tensor._make(out_data, (self, other_t), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Reductions
@@ -378,22 +352,6 @@ class Tensor:
         else:
             count = int(np.prod([self.data.shape[a] for a in axis]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            g = grad
-            expanded = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                expanded = np.expand_dims(out_data, axis=axis)
-            mask = (self.data == expanded).astype(self.data.dtype)
-            # Split gradient evenly among ties to keep the operator linear.
-            denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            out._send(self, mask * g / denom)
-
-        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -422,38 +380,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            out._send(self, full)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # Linear algebra
-    # ------------------------------------------------------------------ #
-    def matmul(self, other: "Tensor") -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data @ other_t.data
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            a, b = self.data, other_t.data
-            if a.ndim == 2 and b.ndim == 2:
-                out._send(self, grad @ b.T)
-                out._send(other_t, a.T @ grad)
-            else:  # batched matmul fallback
-                grad_a = grad @ np.swapaxes(b, -1, -2)
-                grad_b = np.swapaxes(a, -1, -2) @ grad
-                out._send(self, _unbroadcast(grad_a, a.shape))
-                out._send(other_t, _unbroadcast(grad_b, b.shape))
-
-        return Tensor._make(out_data, (self, other_t), backward)
-
-    __matmul__ = matmul
-
     # ------------------------------------------------------------------ #
     # Nonlinearities (exposed here; functional wrappers live in functional.py)
     # ------------------------------------------------------------------ #
@@ -473,31 +399,12 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
 
         def backward(grad: np.ndarray, out: "Tensor") -> None:
             out._send(self, grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray, out: "Tensor") -> None:
-            out._send(self, grad * (1.0 - out_data ** 2))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -526,14 +433,3 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor._make(out_data, tuple(tensors), backward)
 
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray, out: Tensor) -> None:
-        moved = np.moveaxis(grad, axis, 0)
-        for i, tensor in enumerate(tensors):
-            out._send(tensor, moved[i])
-
-    return Tensor._make(out_data, tuple(tensors), backward)

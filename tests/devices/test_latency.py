@@ -9,7 +9,6 @@ from repro.devices.latency import (
     LatencyRegime,
     build_latency_model,
     build_latency_models,
-    describe_models,
     get_regime,
     mean_round_trip,
 )
@@ -152,13 +151,3 @@ class TestPopulation:
     def test_build_models_dedupes_devices(self):
         models = build_latency_models(["S6", "S6", "S9"], "mild")
         assert set(models) == {"S6", "S9"}
-
-    def test_describe_models_is_json_safe(self):
-        import json
-
-        models = build_latency_models(["S6", "Pixel5"], "extreme")
-        described = describe_models(models)
-        assert set(described) == {"S6", "Pixel5"}
-        assert set(described["S6"]) == {"compute_rate", "network_seconds",
-                                        "on_fraction"}
-        json.dumps(described)

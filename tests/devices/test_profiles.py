@@ -8,13 +8,15 @@ from repro.devices.profiles import (
     DEVICE_PROFILES,
     DOMINANT_DEVICES,
     DeviceProfile,
-    devices_by_tier,
-    devices_by_vendor,
     get_device,
     market_shares,
 )
 from repro.devices.sensor import SensorModel
 from repro.isp.pipeline import ISPConfig
+
+
+def profiles_in_tier(tier):
+    return [p for p in DEVICE_PROFILES.values() if p.tier == tier]
 
 
 class TestTable1Composition:
@@ -33,7 +35,7 @@ class TestTable1Composition:
 
     def test_each_vendor_has_one_device_per_tier(self):
         for vendor in ("samsung", "lg", "google"):
-            tiers = [p.tier for p in devices_by_vendor(vendor)]
+            tiers = [p.tier for p in DEVICE_PROFILES.values() if p.vendor == vendor]
             assert sorted(tiers) == ["high", "low", "mid"]
 
     def test_market_shares_match_table1(self):
@@ -59,13 +61,13 @@ class TestProfiles:
             assert isinstance(profile.isp, ISPConfig)
 
     def test_lower_tiers_lower_resolution(self):
-        high = devices_by_tier("high")
-        low = devices_by_tier("low")
+        high = profiles_in_tier("high")
+        low = profiles_in_tier("low")
         assert min(p.sensor.resolution[0] for p in high) > max(p.sensor.resolution[0] for p in low)
 
     def test_lower_tiers_noisier(self):
-        high = devices_by_tier("high")
-        low = devices_by_tier("low")
+        high = profiles_in_tier("high")
+        low = profiles_in_tier("low")
         assert max(p.sensor.read_noise for p in high) < min(p.sensor.read_noise for p in low)
 
     def test_same_vendor_more_similar_color_response(self):
@@ -85,14 +87,6 @@ class TestProfiles:
     def test_get_device_unknown_raises(self):
         with pytest.raises(KeyError):
             get_device("iPhone15")
-
-    def test_devices_by_vendor_unknown_lists_available(self):
-        with pytest.raises(KeyError, match="google.*lg.*samsung"):
-            devices_by_vendor("nokia")
-
-    def test_devices_by_tier_unknown_lists_available(self):
-        with pytest.raises(KeyError, match="high.*low.*mid"):
-            devices_by_tier("ultra")
 
     def test_get_device_unknown_lists_available(self):
         with pytest.raises(KeyError, match="Pixel5"):

@@ -24,17 +24,14 @@ import sys
 import numpy as np
 import pytest
 from oracle import seed_engine
+from oracle.states import states_allclose, states_equal
 
 from repro.fl.async_sim import AsyncFederatedSimulation, FedAsync
 from repro.fl.config import FLConfig
 from repro.fl.execution import create_executor
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
-from repro.nn.serialization import (
-    state_fingerprint,
-    states_allclose,
-    states_equal,
-)
+from repro.nn.serialization import state_fingerprint
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")

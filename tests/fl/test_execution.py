@@ -20,6 +20,7 @@ import threading
 
 import numpy as np
 import pytest
+from oracle.states import states_equal
 
 from repro.core.ema import EMALossTracker
 from repro.data.dataset import ArrayDataset
@@ -41,7 +42,7 @@ from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import FLContext, create_strategy
 from repro.fl.training import local_train
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import StateLayout, states_equal
+from repro.nn.serialization import StateLayout
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 

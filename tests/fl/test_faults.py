@@ -28,6 +28,7 @@ import sys
 import numpy as np
 import pytest
 from oracle import seed_engine
+from oracle.states import states_equal
 
 from repro.core.ema import EMALossTracker
 from repro.data.dataset import ArrayDataset
@@ -56,7 +57,7 @@ from repro.fl.strategies import create_strategy
 from repro.fl.strategies.base import FedAvg, FLContext
 from repro.fl.training import ClientResult
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import StateLayout, states_equal
+from repro.nn.serialization import StateLayout
 from repro.store.checkpoint import read_checkpoint
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()

@@ -4,12 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracle.states import states_equal
 
 from repro.fl.async_sim import AsyncFederatedSimulation, FedAsync
 from repro.fl.config import FLConfig
 from repro.fl.simulation import FederatedSimulation, FLHistory
 from repro.fl.strategies import FedAvg, create_strategy
-from repro.nn.serialization import StateLayout, states_equal
+from repro.nn.serialization import StateLayout
 
 
 def build_sync(model_fn, clients, test_sets, config):

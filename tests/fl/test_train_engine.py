@@ -25,6 +25,7 @@ import sys
 import numpy as np
 import pytest
 from oracle import seed_engine
+from oracle.states import states_equal
 
 from repro.fl.config import FLConfig
 from repro.fl.execution import create_executor
@@ -33,7 +34,7 @@ from repro.fl.strategies import FLContext, create_strategy
 from repro.nn import functional as F
 from repro.nn.flat import FlatParams
 from repro.nn.optim import SGD
-from repro.nn.serialization import StateLayout, state_fingerprint, states_equal
+from repro.nn.serialization import StateLayout, state_fingerprint
 from repro.store.checkpoint import read_checkpoint, write_checkpoint
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 from oracle import seed_engine
+from oracle.states import states_allclose, states_equal
 
 from repro.fl.config import FLConfig
 from repro.nn import functional as F
@@ -24,12 +25,7 @@ from repro.nn.engine import (
 from repro.nn.flat import FlatParams
 from repro.nn.layers import Linear, Module
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import (
-    StateLayout,
-    StreamingAverager,
-    states_allclose,
-    states_equal,
-)
+from repro.nn.serialization import StateLayout, StreamingAverager
 from repro.nn.tensor import Tensor
 from repro.runtime import RunSpec
 from repro.store import spec_hash

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from oracle.states import states_equal
 
 from repro.nn.flat import FlatParams
 from repro.nn.layers import Linear, Parameter, Sequential
 from repro.nn.models import SimpleMLP
-from repro.nn.serialization import StateLayout, states_equal
+from repro.nn.serialization import StateLayout
 from repro.nn.tensor import Tensor
 
 

@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import seed_engine
 from oracle.seed_engine import add_states, scale_state, subtract_states, zeros_like_state
+from oracle.states import states_equal
 
 from repro.nn.layers import Linear, Sequential, ReLU
-from repro.nn.serialization import (
-    StateLayout,
-    StreamingAverager,
-    state_fingerprint,
-    states_equal,
-)
+from repro.nn.serialization import StateLayout, StreamingAverager, state_fingerprint
 
 @pytest.fixture
 def model():

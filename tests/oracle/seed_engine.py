@@ -7,7 +7,9 @@ This module holds the seed compositions those kernels replaced:
 
 * operator-composed ``linear``, ``batch_norm_train``, ``batch_norm_eval``,
   ``hardswish`` and ``cross_entropy`` graphs, each a chain of
-  :class:`~repro.nn.tensor.Tensor` primitives with hand-written gradients;
+  :class:`~repro.nn.tensor.Tensor` primitives with hand-written gradients
+  (the seed ``matmul``, ``**``, indexing and ``log_softmax`` among them,
+  kept here because no model uses them);
 * ``conv2d`` without the pointwise shortcut and ``depthwise_conv2d``, over
   the seed im2col gather (per-call indices, ``np.pad``, fancy indexing),
   ``np.einsum`` contractions and the ``np.add.at`` col2im scatter;
@@ -147,9 +149,51 @@ def depthwise_conv2d(x, weight, bias=None, stride=1, padding=0):
     return Tensor._make(out_data, parents, backward)
 
 
+# Seed operators that the compositions below use and no model does, so the
+# engine does not carry them.
+def _matmul(a, b):
+    """Seed ``Tensor.matmul`` (``a @ b``) on 2-D operands."""
+    out_data = a.data @ b.data
+
+    def backward(grad, out):
+        out._send(a, grad @ b.data.T)
+        out._send(b, a.data.T @ grad)
+
+    return Tensor._make(out_data, (a, b), backward)
+
+
+def _pow(x, exponent):
+    """Seed ``Tensor.__pow__`` (``x ** exponent``)."""
+    out_data = x.data ** exponent
+
+    def backward(grad, out):
+        out._send(x, grad * exponent * x.data ** (exponent - 1))
+
+    return Tensor._make(out_data, (x,), backward)
+
+
+def _getitem(x, index):
+    """Seed ``Tensor.__getitem__`` (``x[index]``)."""
+    out_data = x.data[index]
+
+    def backward(grad, out):
+        full = np.zeros_like(x.data)
+        np.add.at(full, index, grad)
+        out._send(x, full)
+
+    return Tensor._make(out_data, (x,), backward)
+
+
+def _log_softmax(x, axis=-1):
+    """Seed ``F.log_softmax``."""
+    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
+    exp = shifted.exp()
+    return shifted - exp.sum(axis=axis, keepdims=True).log()
+
+
 def linear(x, weight, bias=None):
     """Operator-composed affine transform: three graph nodes."""
-    out = x @ weight.T
+    out = _matmul(x, weight.transpose())
     if bias is not None:
         out = out + bias
     return out
@@ -160,7 +204,7 @@ def batch_norm_train(x, weight, bias, axes, param_shape, eps):
     mean = x.mean(axis=axes, keepdims=True)
     centered = x - mean
     var = (centered * centered).mean(axis=axes, keepdims=True)
-    inv_std = (var + eps) ** -0.5
+    inv_std = _pow(var + eps, -0.5)
     normalized = centered * inv_std
     out = normalized * weight.reshape(*param_shape) + bias.reshape(*param_shape)
     return out, mean.data, var.data
@@ -179,8 +223,8 @@ def cross_entropy(logits, targets):
     """Operator-composed cross-entropy: ~10 graph nodes."""
     targets = np.asarray(targets)
     n = logits.shape[0]
-    log_probs = F.log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(n), targets]
+    log_probs = _log_softmax(logits, axis=-1)
+    picked = _getitem(log_probs, (np.arange(n), targets))
     return -picked.mean()
 
 

@@ -12,10 +12,10 @@
 
 import numpy as np
 import pytest
+from oracle.states import states_equal
 
 from repro.cli import _apply_spec_overrides, build_parser, main
 from repro.fl.callbacks import CALLBACK_REGISTRY, Callback
-from repro.nn.serialization import states_equal
 from repro.runtime import Runner, RunSpec, RunStore
 from repro.store import CheckpointError
 from repro.store.checkpoint import read_checkpoint, write_checkpoint

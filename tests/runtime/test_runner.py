@@ -1,6 +1,7 @@
 """Tests for the Runner: spec execution, hand-built equivalence, callbacks, seeds."""
 
 import pytest
+from oracle.states import states_equal
 
 from repro.core.swad import SWAAverager, SWADAverager
 from repro.core.transforms import ecg_transform
@@ -17,7 +18,6 @@ from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
 from repro.fl.training import local_train
 from repro.nn.flat import FlatParams
-from repro.nn.serialization import states_equal
 from repro.runtime import Runner, RunSpec
 
 DEVICES = ["Pixel5", "S6", "G7"]

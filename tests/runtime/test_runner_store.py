@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from oracle.states import states_equal
 
 from repro.fl.callbacks import CALLBACK_REGISTRY, Callback
 from repro.fl.execution import EXECUTOR_REGISTRY, SerialExecutor
-from repro.nn.serialization import states_equal
 from repro.runtime import Runner, RunSpec, RunStore
 from repro.store import RunStoreError, run_fingerprint
 

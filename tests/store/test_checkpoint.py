@@ -5,10 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from oracle.states import states_equal
 
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.models import MODEL_REGISTRY, create_model
-from repro.nn.serialization import states_equal
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,

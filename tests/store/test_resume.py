@@ -15,6 +15,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracle.states import states_equal
 
 from repro.core.ema import EMALossTracker
 from repro.fl.callbacks import CheckpointCallback
@@ -22,7 +23,6 @@ from repro.fl.config import FLConfig
 from repro.fl.execution import create_executor
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import create_strategy
-from repro.nn.serialization import states_equal
 from repro.store.checkpoint import read_checkpoint
 
 ALL_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold", "heteroswitch"]
