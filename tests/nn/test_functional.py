@@ -83,6 +83,13 @@ class TestPooling:
         out = F.max_pool2d(Tensor(x_data), 2)
         np.testing.assert_allclose(out.data[0, 0], [[5, 7], [13, 15]])
 
+    def test_max_pool_grad_goes_to_max_position(self):
+        x = Tensor(np.arange(16, dtype=float).reshape(1, 1, 4, 4), requires_grad=True)
+        F.max_pool2d(x, 2).sum().backward()
+        expected = np.zeros((4, 4))
+        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
+        np.testing.assert_allclose(x.grad[0, 0], expected)
+
     def test_global_avg_pool(self):
         x = Tensor(np.ones((2, 3, 4, 4)) * 5.0)
         out = F.global_avg_pool2d(x)
@@ -226,6 +233,11 @@ class TestLosses:
         pred = Tensor(np.array([[1.0], [3.0]]))
         loss = F.mse_loss(pred, np.array([[0.0], [0.0]]))
         assert float(loss.data) == pytest.approx(5.0)
+
+    def test_mse_gradient(self):
+        pred = Tensor(np.array([[2.0]]), requires_grad=True)
+        F.mse_loss(pred, np.array([[0.0]])).backward()
+        np.testing.assert_allclose(pred.grad, [[4.0]])
 
 
 class TestEngineKernelEquivalence:
@@ -527,3 +539,17 @@ class TestEngineKernelEquivalence:
         with pytest.raises(ValueError):
             with seed_engine.engine("turbo"):
                 pass
+
+    def test_bce_gradients_still_flow(self):
+        """Regression: removing the dead zeros/max/abs tensors must not
+        change the BCE value or its gradient."""
+        rng = np.random.default_rng(6)
+        logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        targets = rng.integers(0, 2, size=(5, 3)).astype(float)
+        loss = F.binary_cross_entropy_with_logits(logits, targets)
+        loss.backward()
+        assert logits.grad is not None
+        # Stable formulation: matches the direct sigmoid-based gradient.
+        probs = 1.0 / (1.0 + np.exp(-logits.data))
+        np.testing.assert_allclose(logits.grad, (probs - targets) / logits.data.size,
+                                   atol=1e-12)

@@ -49,9 +49,17 @@ def check_gradients(forward, leaves, upstream):
                                    err_msg=f"leaf {position}")
 
 
-def _linear(leaf, rng):
-    x, w, b = leaf(4, 5), leaf(3, 5), leaf(3)
-    return lambda: F.linear(x, w, b), [x, w, b]
+def _present(*leaves):
+    """The leaves that were made; an omitted bias is ``None``."""
+    return [t for t in leaves if t is not None]
+
+
+def _linear(with_bias):
+    def case(leaf, rng):
+        x, w = leaf(4, 5), leaf(3, 5)
+        b = leaf(3) if with_bias else None
+        return lambda: F.linear(x, w, b), _present(x, w, b)
+    return case
 
 
 def _batch_norm_train(layout):
@@ -69,19 +77,33 @@ def _batch_norm_eval(leaf, rng):
     return lambda: F.batch_norm_eval(x, w, b, mean, var, (1, 2, 1, 1), 1e-5), [x, w, b]
 
 
-def _conv2d(batch, out_channels, in_channels, kernel, stride, padding):
+def _conv2d(batch, out_channels, in_channels, kernel, stride, padding, with_bias=True,
+            layout=None):
+    kh, kw = kernel if isinstance(kernel, tuple) else (kernel, kernel)
+
     def case(leaf, rng):
         x = leaf(batch, in_channels, 5, 5)
-        w, b = leaf(out_channels, in_channels, kernel, kernel), leaf(out_channels)
-        return lambda: F.conv2d(x, w, b, stride=stride, padding=padding), [x, w, b]
+        if layout:  # a conv's input as the previous conv leaves it
+            x.data = in_layout(x.data, layout)
+        w = leaf(out_channels, in_channels, kh, kw)
+        b = leaf(out_channels) if with_bias else None
+        return lambda: F.conv2d(x, w, b, stride=stride, padding=padding), _present(x, w, b)
     return case
 
 
-def _depthwise_conv2d(batch, stride):
+def _depthwise_conv2d(batch, stride, with_bias=True, layout=None):
     def case(leaf, rng):
-        x, w, b = leaf(batch, 3, 5, 5), leaf(3, 1, 3, 3), leaf(3)
-        return lambda: F.depthwise_conv2d(x, w, b, stride=stride, padding=1), [x, w, b]
+        x = leaf(batch, 3, 5, 5)
+        if layout:
+            x.data = in_layout(x.data, layout)
+        w, b = leaf(3, 1, 3, 3), leaf(3) if with_bias else None
+        return lambda: F.depthwise_conv2d(x, w, b, stride=stride, padding=1), _present(x, w, b)
     return case
+
+
+def _concatenate_three(leaf, rng):
+    parts = [leaf(1, 3), leaf(2, 3), leaf(3, 3)]
+    return lambda: concatenate(parts), parts
 
 
 def _unary(op, *shape, scale=1.0, positive=False):
@@ -124,6 +146,7 @@ CASES = {
     "sum-axis": _unary(lambda x: x.sum(axis=1), 2, 3, 4),
     "sum-axes-keepdims": _unary(lambda x: x.sum(axis=(0, 2), keepdims=True), 2, 3, 4),
     "mean": _unary(lambda x: x.mean(axis=(2, 3)), 2, 3, 4, 2),
+    "mean-all": _unary(lambda x: x.mean(), 3, 4),
     "reshape": _unary(lambda x: x.reshape(4, 6), 2, 3, 4),
     "transpose": _unary(lambda x: x.transpose(2, 0, 1), 2, 3, 4),
     "transpose-reversed": _unary(lambda x: x.transpose(), 3, 4),
@@ -133,18 +156,26 @@ CASES = {
     "relu-functional": _unary(F.relu, 3, 4),
     "clip": _unary(lambda x: x.clip(-0.5, 0.5), 4, 5),
     "concatenate": _binary(lambda a, b: concatenate([a, b], axis=1), (2, 2), (2, 3)),
+    "concatenate-three": _concatenate_three,
     # functional kernels
-    "linear": _linear,
+    "linear": _linear(with_bias=True),
+    "linear-no-bias": _linear(with_bias=False),
     "batch_norm_train": _batch_norm_train(None),
     "batch_norm_train-nhwc": _batch_norm_train("nhwc"),
     "batch_norm_train-cnhw": _batch_norm_train("cnhw"),
     "batch_norm_eval": _batch_norm_eval,
     "conv2d": _conv2d(2, 3, 2, kernel=3, stride=2, padding=1),
     "conv2d-pointwise": _conv2d(2, 3, 4, kernel=1, stride=1, padding=0),
+    "conv2d-pointwise-cnhw": _conv2d(2, 3, 4, kernel=1, stride=1, padding=0, layout="cnhw"),
     "conv2d-batch1": _conv2d(1, 3, 2, kernel=3, stride=1, padding=1),
+    "conv2d-no-bias": _conv2d(2, 3, 2, kernel=3, stride=1, padding=0, with_bias=False),
+    "conv2d-rectangular": _conv2d(2, 3, 2, kernel=(3, 1), stride=(2, 1), padding=(1, 0)),
     "depthwise_conv2d": _depthwise_conv2d(2, stride=1),
     "depthwise_conv2d-batch1": _depthwise_conv2d(1, stride=2),
+    "depthwise_conv2d-no-bias": _depthwise_conv2d(2, stride=2, with_bias=False),
+    "depthwise_conv2d-nhwc": _depthwise_conv2d(2, stride=1, layout="nhwc"),
     "max_pool2d": _unary(lambda x: F.max_pool2d(x, 2), 2, 2, 4, 4),
+    "max_pool2d-overlapping": _unary(lambda x: F.max_pool2d(x, 2, stride=1), 2, 2, 4, 4),
     "global_avg_pool2d": _unary(F.global_avg_pool2d, 2, 3, 4, 4),
     "relu6": _unary(F.relu6, 4, 5, scale=5.0),
     "hardswish": _unary(F.hardswish, 6, 5, scale=3.0),

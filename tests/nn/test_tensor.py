@@ -102,6 +102,14 @@ class TestGradients:
         (a * 2).sum().backward()
         np.testing.assert_allclose(a.grad, [4.0])
 
+    def test_broadcast_grad_sums_over_broadcast_dims(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((3,)), requires_grad=True)
+        (a * b).sum().backward()
+        assert a.grad.shape == (2, 3)
+        assert b.grad.shape == (3,)
+        np.testing.assert_allclose(b.grad, [2.0, 2.0, 2.0])
+
 
 class TestGraphControl:
     def test_no_grad_disables_graph(self):
@@ -186,6 +194,22 @@ class TestConcatenate:
         a, b = Tensor([1.0, 2.0]), Tensor([3.0])
         np.testing.assert_allclose(concatenate([a, b]).data, [1.0, 2.0, 3.0])
 
+    def test_concatenate_grad(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0], requires_grad=True)
+        (concatenate([a, b]) * Tensor([1.0, 2.0, 3.0])).sum().backward()
+        np.testing.assert_allclose(a.grad, [1.0, 2.0])
+        np.testing.assert_allclose(b.grad, [3.0])
+
+    def test_concatenate_axis1(self):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = concatenate([a, b], axis=1)
+        assert out.shape == (2, 5)
+        out.sum().backward()
+        assert a.grad.shape == (2, 2)
+        assert b.grad.shape == (2, 3)
+
 
 class TestPropertyBased:
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
@@ -193,3 +217,23 @@ class TestPropertyBased:
     def test_add_matches_numpy(self, values):
         arr = np.asarray(values, dtype=np.float64)
         np.testing.assert_allclose((Tensor(arr) + Tensor(arr)).data, arr + arr)
+
+    @given(st.lists(st.floats(-5, 5), min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_sum_grad_is_ones(self, values):
+        arr = np.asarray(values, dtype=np.float64)
+        t = Tensor(arr, requires_grad=True)
+        t.sum().backward()
+        np.testing.assert_allclose(t.grad, np.ones_like(arr))
+
+    @given(st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_mul_grad_symmetry(self, rows, cols):
+        rng = np.random.default_rng(rows * 10 + cols)
+        a_data = rng.normal(size=(rows, cols))
+        b_data = rng.normal(size=(rows, cols))
+        a = Tensor(a_data, requires_grad=True)
+        b = Tensor(b_data, requires_grad=True)
+        (a * b).sum().backward()
+        np.testing.assert_allclose(a.grad, b_data)
+        np.testing.assert_allclose(b.grad, a_data)
