@@ -59,8 +59,8 @@ def main() -> None:
     print(f"Available strategies: {', '.join(STRATEGY_REGISTRY.available())}")
 
     # Parallel execution is one more spec field: fan client training out over
-    # the shared-memory process pool (or "thread", or the CLI's
-    # --executor/--workers flags).
+    # the shared-memory process pool (or use the CLI's --executor/--workers
+    # flags).
     # Every backend produces bit-identical metrics and weights — the executor
     # only changes wall clock — so it is safe to flip on for any experiment.
     parallel = spec.with_overrides(executor="shm", max_workers=4)

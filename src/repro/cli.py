@@ -14,9 +14,9 @@ report directory with CSVs); ``run-all`` iterates over every experiment.
 ``bench`` executes one declarative :class:`~repro.runtime.RunSpec` (from a
 JSON file and/or CLI overrides); ``sweep`` replicates a spec over a strategy
 grid and multiple seeds and reports mean ± std summaries.  Both accept
-``--executor {serial,thread,shm}`` and ``--workers N`` to fan client
-training out over threads or a shared-memory process pool — results are
-bit-identical across backends, only the wall clock changes — plus ``--store DIR``, ``--checkpoint-every N``
+``--executor {serial,shm}`` and ``--workers N`` to fan client training out
+over a shared-memory process pool — results are bit-identical across
+backends, only the wall clock changes — plus ``--store DIR``, ``--checkpoint-every N``
 and ``--resume`` for durable, crash-safe runs: a killed bench/sweep resumes
 from its newest checkpoints with bitwise-identical final results.  ``--trace``
 records a run-level trace (``--profile`` adds per-kernel timings) exported
@@ -155,9 +155,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
                              "path, float32 the faster tolerance-validated path "
                              "(default: the spec's dtype, float64)")
     parser.add_argument("--executor", default=None, choices=sorted(EXECUTOR_REGISTRY),
-                        help="client-execution backend: serial, a thread pool, or "
-                             "shm, a persistent multi-core process pool (results "
-                             "are bit-identical; only wall clock changes)")
+                        help="client-execution backend: serial, or shm, a "
+                             "persistent multi-core process pool (results are "
+                             "bit-identical; only wall clock changes)")
     parser.add_argument("--workers", type=int, default=None,
                         help="max parallel client workers (default: one per CPU core)")
     parser.add_argument("--latency-regime", default=None,
@@ -246,7 +246,7 @@ def _apply_spec_overrides(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
         if (args.executor or spec.executor) == "serial":
             raise ValueError(
                 "--workers has no effect with the serial executor; "
-                "add --executor thread|shm (or set executor in the spec)"
+                "add --executor shm (or set executor in the spec)"
             )
         overrides["max_workers"] = args.workers
     config_overrides = dict(spec.config_overrides)

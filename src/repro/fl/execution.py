@@ -8,14 +8,11 @@ jobs and yields one outcome per job, in job order — the job's
 :class:`~repro.fl.errors.ExecutorError` it failed with.  The fault layer
 (:func:`repro.fl.faults.run_tolerant_round`) decides what a failure means
 (fatal without a policy; retried or dropped under one), and the simulation
-folds the surviving results into the aggregate one at a time.  Three
+folds the surviving results into the aggregate one at a time.  Two
 backends are registered in :data:`EXECUTOR_REGISTRY`:
 
 * ``serial`` — the reference path: one scratch model, jobs trained in order
   on the calling thread, each when the consumer asks for its outcome.
-* ``thread`` — a ``concurrent.futures.ThreadPoolExecutor`` with one scratch
-  model per worker thread.  Useful when the training step releases the GIL
-  (large BLAS calls) and for exercising the parallel protocol cheaply.
 * ``shm``    — the multi-core backend: a *persistent* fork-based worker pool
   plus a ``multiprocessing.shared_memory`` broadcast segment.  The server
   copies the packed global vector into the segment once per round; workers
@@ -52,13 +49,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-import threading
 import time
 import traceback
 import types
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
-from concurrent.futures import wait as _futures_wait
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _wait_ready
 from multiprocessing.reduction import ForkingPickler
@@ -95,7 +89,6 @@ __all__ = [
     "validate_max_workers",
     "ClientExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "SharedMemoryExecutor",
     "EXECUTOR_REGISTRY",
     "create_executor",
@@ -123,8 +116,8 @@ def derive_client_seed(seed: int, round_index: int, client_id: int) -> int:
     """The seed of one client's private RNG stream for one round.
 
     A pure function of ``(run seed, round, client)``: the stream is identical
-    whether the client trains serially, on a thread, or in a worker process,
-    and regardless of how many other clients train concurrently.
+    whether the client trains serially or in a worker process, and regardless
+    of how many other clients train concurrently.
     """
     return seed * _SEED_RUN_STRIDE + round_index * _SEED_ROUND_STRIDE + client_id
 
@@ -217,8 +210,8 @@ def run_client(
 
     The whole update — including strategy-side evaluation such as
     HeteroSwitch's bias measurement — runs under the config's compute dtype
-    (``float64`` or ``float32``); the dtype is thread-local, so concurrent
-    clients at different precisions cannot interfere.
+    (``float64`` or ``float32``), selected for this update only and restored
+    afterwards.
 
     When the config asks for observability (``trace``/``profile``), the
     update is wall-clock timed — and, under ``profile``, run with the kernel
@@ -322,8 +315,8 @@ def _capture_attempt(strategy: "Strategy", model: "Module", spec: ClientSpec,
 def _scratch_model(holder, model_fn: ModelFactory, dtype: str) -> "Module":
     """The scratch model cached on ``holder``, rebuilt when ``(model_fn, dtype)`` changes.
 
-    Each backend keeps its own holder — the executor, a thread-local or a
-    worker-local object.  The cache is keyed on the compute dtype too: the
+    Each backend keeps its own holder — the executor or a worker-local
+    object.  The cache is keyed on the compute dtype too: the
     same factory at a different precision must rebuild, or a float64 model
     would silently serve a float32 round (and vice versa).
     """
@@ -411,63 +404,6 @@ class SerialExecutor(ClientExecutor):
                                    attempt)
 
 
-class ThreadExecutor(ClientExecutor):
-    """Thread-pool backend with one scratch model per worker thread.
-
-    The pool is created lazily and survives across rounds (and runs), so
-    models are built once per thread rather than once per client.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers)
-        self._pool: Optional[_FuturesThreadPool] = None
-        self._pool_workers = 0
-        self._local = threading.local()
-
-    def _ensure_pool(self, workers: int) -> _FuturesThreadPool:
-        if self._pool is None or self._pool_workers < workers:
-            self.close()
-            self._pool = _FuturesThreadPool(max_workers=workers,
-                                            thread_name_prefix="fl-client")
-            self._pool_workers = workers
-        return self._pool
-
-    def _attempt_one(self, strategy, model_fn, spec, global_vec, context,
-                     attempt):
-        model = _scratch_model(self._local, model_fn, context.config.dtype)
-        return _capture_attempt(strategy, model, spec, global_vec, context,
-                                attempt)
-
-    def iter_round(self, strategy, model_fn, jobs, global_vec, context):
-        jobs = list(jobs)
-        if not jobs:
-            return
-        pool = self._ensure_pool(self._effective_workers(len(jobs)))
-        futures = [pool.submit(self._attempt_one, strategy, model_fn, spec,
-                               global_vec, context, attempt)
-                   for spec, attempt in jobs]
-        try:
-            for future in futures:
-                yield future.result()
-        finally:
-            # A consumer that stops early (a fail-fast round closes the
-            # generator on its first failure) must not wait for the later
-            # jobs one at a time, nor leave them running: cancel whatever has
-            # not started, then drain the running jobs so the pool is
-            # quiescent — and safely reusable — when control returns.
-            for future in futures:
-                future.cancel()
-            _futures_wait(futures)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_workers = 0
-
-
 def _require_fork_platform(executor_name: str) -> None:
     """Gate fork-based backends to platforms where forking is actually safe.
 
@@ -478,7 +414,7 @@ def _require_fork_platform(executor_name: str) -> None:
     if sys.platform == "darwin" or "fork" not in multiprocessing.get_all_start_methods():
         raise RuntimeError(
             f"the '{executor_name}' executor requires a fork-safe platform "
-            f"(Linux); use executor='thread' or 'serial' on this platform"
+            f"(Linux); use executor='serial' on this platform"
         )
 
 
@@ -850,7 +786,6 @@ class SharedMemoryExecutor(ClientExecutor):
 
 EXECUTOR_REGISTRY: Registry[ClientExecutor] = Registry("executor", {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "shm": SharedMemoryExecutor,
 })
 

@@ -15,8 +15,8 @@ the server samples ``K`` of the ``N`` clients with a
 round_index)``), broadcasts a read-only view of the packed global vector,
 and folds the results into the new global vector with one
 ``aggregate_stream`` call.  The clients train through a
-:class:`~repro.fl.execution.ClientExecutor` (serial, thread pool or
-shared-memory pool) under the fault layer
+:class:`~repro.fl.execution.ClientExecutor` (serial or shared-memory
+pool) under the fault layer
 (:func:`~repro.fl.faults.run_tolerant_round`), which fails fast without a
 fault policy and retries and degrades to a quorum under one.  Every backend
 gives bit-identical runs: client randomness derives from ``(seed, round,
@@ -203,9 +203,9 @@ class BaseSimulation:
     executor:
         Client-execution backend fanning out the per-client training step: a
         :class:`~repro.fl.execution.ClientExecutor` instance, a registry name
-        (``"serial"``, ``"thread"``, ``"shm"``), or ``None`` for serial.
+        (``"serial"`` or ``"shm"``), or ``None`` for serial.
         A bare name uses one worker per CPU core; pass a constructed instance
-        (``create_executor("thread", max_workers=4)``) to cap the pool.
+        (``create_executor("shm", max_workers=4)``) to cap the pool.
         Backends the simulation creates itself are closed at the end of each
         :meth:`run`; instances passed in are the caller's to close.
     """

@@ -18,8 +18,8 @@ such as SCAFFOLD's control variates, the round index) travels in an
 :class:`FLContext` owned by the simulation loop.
 
 Execution contract (see :mod:`repro.fl.execution`): ``client_update`` may run
-concurrently with other clients of the same round — on threads or in forked
-worker processes — so it must treat the context as **read-only** and derive
+concurrently with other clients of the same round — in forked worker
+processes — so it must treat the context as **read-only** and derive
 any randomness from its private stream (:meth:`FLContext.client_rng`), never
 from shared mutable generators.  Per-client state updates travel back in
 ``ClientResult.metadata`` and are applied server-side in ``aggregate_stream``
@@ -53,8 +53,8 @@ class FLContext:
 
     Strategies may mutate it only on the server side of a round
     (``aggregate_stream`` / ``on_round_end``); during ``client_update`` it is
-    read-only shared state that worker threads/processes observe as a
-    start-of-round snapshot.
+    read-only shared state that worker processes observe as a start-of-round
+    snapshot.
 
     ``layout`` is the run's :class:`~repro.nn.serialization.StateLayout`,
     set by the simulation for server-side reductions that work per key

@@ -3,9 +3,10 @@
 Every tensor, parameter arena, optimizer buffer and fused kernel allocates in
 the current thread's compute dtype: ``"float64"`` by default — the bitwise
 golden path — or ``"float32"``, which halves memory bandwidth on the Table 4
-workload.  The dtype is *thread-local* so concurrent clients on the thread
-executor can train at different precisions without interfering — the same
-reasoning that made gradient mode thread-local in :mod:`repro.nn.tensor`.
+workload.  The dtype is *thread-local* so models trained or evaluated on
+several threads of one process (two simulations run side by side, say) can
+use different precisions without interfering — the same reasoning that made
+gradient mode thread-local in :mod:`repro.nn.tensor`.
 Every site that builds a model, trains a client or aggregates results enters
 ``dtype_mode(config.dtype)`` so the whole pipeline agrees on one precision.
 
@@ -60,8 +61,8 @@ class dtype_mode:
 
     ``with dtype_mode("float32"): ...`` makes every tensor / arena / kernel
     allocation inside the block single precision; the previous dtype is
-    restored on exit.  The dtype is thread-local, so concurrent executor
-    threads can run different precisions independently.
+    restored on exit.  The dtype is thread-local, so concurrent threads can
+    run different precisions independently.
     """
 
     def __init__(self, name: str) -> None:

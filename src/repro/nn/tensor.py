@@ -41,9 +41,9 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 class _GradMode(threading.local):
     """Per-thread flag controlling whether operations build the graph.
 
-    Thread-local rather than process-wide: the FL thread executor trains
-    clients concurrently, and one client's ``no_grad`` evaluation must not
-    switch off graph construction under another client's training step.
+    Thread-local rather than process-wide: a model evaluated under
+    ``no_grad`` on one thread must not switch off graph construction under
+    another thread's training step in the same process.
     """
 
     def __init__(self) -> None:

@@ -10,11 +10,11 @@ carries no timing code and pays nothing for it.  Callers reach the kernels
 through their module (``F.linear``, ``SGD.step``), so a rebinding is seen on
 the next call.
 
-Accumulators are *thread-local*: each executor worker thread sums
-``name -> [calls, seconds]`` privately and :meth:`KernelProfiler.drain`
-returns-and-clears only the calling thread's totals, so concurrent clients
-on the thread executor never mix numbers.  The wrappers themselves are
-process-global behind a nesting counter, so overlapping clients keep them
+Accumulators are *thread-local*: each thread sums ``name -> [calls,
+seconds]`` privately and :meth:`KernelProfiler.drain` returns-and-clears
+only the calling thread's totals, so profiled scopes that overlap on several
+threads of one process never mix numbers.  The wrappers themselves are
+process-global behind a nesting counter, so overlapping scopes keep them
 installed until the last one finishes and every call made inside a scope is
 timed.  A wrapper only times and forwards, so installing it never perturbs
 results.

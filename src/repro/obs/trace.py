@@ -4,7 +4,7 @@ A :class:`Tracer` records :class:`SpanRecord` entries into a bounded ring
 buffer (``collections.deque(maxlen=...)``) so it is cheap enough to leave
 on for long runs — old spans fall off the front instead of growing memory.
 Each thread keeps its own current-span stack, so spans opened concurrently
-(thread executor) nest correctly without locking; the deque append itself
+on several threads nest correctly without locking; the deque append itself
 is atomic under the GIL.
 
 Two clocks can be recorded per span: wall time (``time.perf_counter``

@@ -15,7 +15,7 @@ The run directory is keyed by a sha256 hash of the spec's *result-affecting*
 fields: seeds are factored out (one directory per seed) and ``name`` /
 ``executor`` / ``max_workers`` are excluded because they change labels and
 wall clock, never results — so a run checkpointed under the serial executor
-resumes under the thread executor and still finishes bit-identical.
+resumes under the shm executor and still finishes bit-identical.
 
 Completion writes in crash-safe order — final checkpoint, then
 ``result.json``, then the manifest flips to ``completed`` — each via

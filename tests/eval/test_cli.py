@@ -56,10 +56,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--executor", "process"])
 
+    def test_bench_rejects_removed_thread_executor(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--executor", "thread"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        assert "serial" in err and "shm" in err
+
+    def test_sweep_rejects_removed_thread_executor(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["sweep", "--strategies", "fedavg", "--executor", "thread"])
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_sweep_executor_flags_parse(self):
         args = build_parser().parse_args(
-            ["sweep", "--strategies", "fedavg", "--executor", "thread", "--workers", "2"])
-        assert args.executor == "thread"
+            ["sweep", "--strategies", "fedavg", "--executor", "shm", "--workers", "2"])
+        assert args.executor == "shm"
         assert args.workers == 2
 
     def test_bench_rejects_unknown_strategy(self):
@@ -169,6 +182,16 @@ class TestBench:
         err = capsys.readouterr().err
         assert "unknown strategy 'heteroswich'" in err and "heteroswitch" in err
 
+    def test_bench_spec_naming_thread_executor_fails_cleanly(self, tmp_path, capsys):
+        """A spec file saved with the removed thread backend is refused when
+        loaded, and the error names the backends that remain."""
+        path = tmp_path / "thread.json"
+        path.write_text(json.dumps({"executor": "thread"}))
+        assert main(["bench", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown executor 'thread'" in err
+        assert "['serial', 'shm']" in err
+
     def test_bench_invalid_cli_override_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "central.json"
         path.write_text(json.dumps({"kind": "centralized", "dataset": "scenes"}))
@@ -195,7 +218,7 @@ class TestBench:
         """--executor/--workers change the wall clock, never the numbers."""
         assert main(["bench", "--spec", spec_file]) == 0
         serial = capsys.readouterr().out
-        assert main(["bench", "--spec", spec_file, "--executor", "thread",
+        assert main(["bench", "--spec", spec_file, "--executor", "shm",
                      "--workers", "2"]) == 0
         parallel = capsys.readouterr().out
         strip = lambda text: "\n".join(l for l in text.splitlines() if "completed in" not in l)

@@ -2,7 +2,7 @@
 
 The headline guarantees under test:
 
-* **Cross-executor bit-identity** — serial, thread and shm backends
+* **Cross-executor bit-identity** — the serial and shm backends
   produce identical final weights, commit records and metadata.
 * **Checkpoint/resume transparency** — a snapshot taken mid-event-queue
   (through the npz codec) restores into a fresh simulation that finishes
@@ -41,7 +41,6 @@ HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 
 EXECUTORS = [
     pytest.param("serial", id="serial"),
-    pytest.param("thread", id="thread"),
     pytest.param("shm", id="shm",
                  marks=pytest.mark.skipif(not HAS_SHM, reason="needs Linux fork + /dev/shm")),
 ]

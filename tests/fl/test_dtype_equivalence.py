@@ -3,7 +3,7 @@
 Guarantees under test (FLConfig.dtype="float32"):
 
 * **Cross-executor bit-identity is dtype-independent** — a float32 run is
-  bitwise identical across serial/thread/shm backends, exactly like
+  bitwise identical across the serial and shm backends, exactly like
   the float64 golden path.
 * **Tolerance equivalence to float64** — final weights and metrics of a
   float32 run match the float64 run of the same spec within
@@ -14,6 +14,8 @@ Guarantees under test (FLConfig.dtype="float32"):
   are pinned bitwise-equal per dtype for elementwise ops; reductions may
   associate differently).
 * **Async path** — the event-driven simulation honours the dtype too.
+* **Precision is per thread** — a float32 and a float64 run side by side on
+  two threads of one process each reproduce their sequential run bitwise.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 from oracle import seed_engine
 from oracle.states import states_allclose, states_equal
+from oracle.threads import side_by_side
 
 from repro.fl.async_sim import AsyncFederatedSimulation, FedAsync
 from repro.fl.config import FLConfig
@@ -38,7 +41,6 @@ HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 
 BACKENDS = [
     pytest.param("serial", id="serial"),
-    pytest.param("thread", id="thread"),
     pytest.param("shm", id="shm",
                  marks=pytest.mark.skipif(not HAS_SHM,
                                           reason="shm executor needs Linux fork + /dev/shm")),
@@ -107,6 +109,31 @@ class TestFloat32CrossExecutor:
         assert all(np.all(np.isfinite(value)) for value in state.values())
 
 
+class TestPrecisionsSideBySide:
+    @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
+    def test_float32_and_float64_runs_side_by_side(
+            self, strategy_name, tiny_bundle, tiny_clients, tiny_fl_config,
+            tiny_model_fn):
+        """The compute dtype is per thread, so neither run leaks its
+        precision into the other."""
+        dtypes = ("float32", "float64")
+        expected = [baseline(strategy_name, dtype, tiny_bundle, tiny_clients,
+                             tiny_fl_config, tiny_model_fn) for dtype in dtypes]
+        runs = side_by_side(*(
+            lambda dtype=dtype: run_simulation(
+                strategy_name, tiny_bundle, tiny_clients,
+                dataclasses.replace(tiny_fl_config, dtype=dtype),
+                tiny_model_fn)
+            for dtype in dtypes))
+        for dtype, (ref_history, ref_state), (history, state) in zip(
+                dtypes, expected, runs):
+            assert all(value.dtype == np.dtype(dtype) for value in state.values())
+            assert states_equal(ref_state, state)
+            assert history.per_device_metric == ref_history.per_device_metric
+            assert [r.mean_train_loss for r in history.rounds] == \
+                [r.mean_train_loss for r in ref_history.rounds]
+
+
 class TestFloat32MatchesFloat64:
     @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
     def test_weights_within_tolerance(self, strategy_name, tiny_bundle,
@@ -169,14 +196,29 @@ class TestAsyncFloat32:
         assert all(value.dtype == np.float32 for value in state.values())
         assert all(np.all(np.isfinite(value)) for value in state.values())
 
+    @pytest.mark.skipif(not HAS_SHM,
+                        reason="shm executor needs Linux fork + /dev/shm")
     def test_async_float32_bitwise_across_executors(self, tiny_bundle,
                                                     tiny_clients,
                                                     tiny_model_fn):
         _sh, serial_state = self._run(tiny_model_fn, tiny_clients, tiny_bundle)
-        with create_executor("thread", max_workers=2) as backend:
-            _th, thread_state = self._run(tiny_model_fn, tiny_clients,
-                                          tiny_bundle, executor=backend)
-        assert states_equal(serial_state, thread_state)
+        with create_executor("shm", max_workers=2) as backend:
+            _shm, shm_state = self._run(tiny_model_fn, tiny_clients,
+                                        tiny_bundle, executor=backend)
+        assert states_equal(serial_state, shm_state)
+
+    def test_async_float32_and_float64_runs_side_by_side(
+            self, tiny_bundle, tiny_clients, tiny_model_fn):
+        dtypes = ("float32", "float64")
+        expected = [self._run(tiny_model_fn, tiny_clients, tiny_bundle,
+                              dtype=dtype) for dtype in dtypes]
+        runs = side_by_side(*(
+            lambda dtype=dtype: self._run(tiny_model_fn, tiny_clients,
+                                          tiny_bundle, dtype=dtype)
+            for dtype in dtypes))
+        for (ref_history, ref_state), (history, state) in zip(expected, runs):
+            assert states_equal(ref_state, state)
+            assert history.per_device_metric == ref_history.per_device_metric
 
     def test_async_float32_metrics_match_float64(self, tiny_bundle,
                                                  tiny_clients, tiny_model_fn):

@@ -3,7 +3,7 @@
 The guarantees under test (see :mod:`repro.fl.execution`):
 
 * a short FL run produces **bit-identical** history metrics and final global
-  weights on the serial, thread, and shm backends, for any worker count;
+  weights on the serial and shm backends, for any worker count;
 * every aggregating strategy's ``aggregate_stream`` folds results only in
   selection order and refuses any other, so the order clients finish in
   cannot change the aggregated state;
@@ -12,15 +12,18 @@ The guarantees under test (see :mod:`repro.fl.execution`):
 """
 
 import copy
+import dataclasses
 import itertools
 import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from oracle.states import states_equal
+from oracle.threads import side_by_side
 
 from repro.core.ema import EMALossTracker
 from repro.data.dataset import ArrayDataset
@@ -31,7 +34,6 @@ from repro.fl.execution import (
     EXECUTOR_REGISTRY,
     SerialExecutor,
     SharedMemoryExecutor,
-    ThreadExecutor,
     client_rng,
     create_executor,
     derive_client_seed,
@@ -48,11 +50,9 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 
-PARALLEL_BACKENDS = [
-    pytest.param("thread", id="thread"),
-    pytest.param("shm", id="shm",
-                 marks=pytest.mark.skipif(not HAS_SHM, reason="needs Linux fork + /dev/shm")),
-]
+requires_shm = pytest.mark.skipif(not HAS_SHM, reason="needs Linux fork + /dev/shm")
+
+PARALLEL_BACKENDS = [pytest.param("shm", id="shm", marks=requires_shm)]
 
 AGGREGATING_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold"]
 ALL_STRATEGIES = AGGREGATING_STRATEGIES + ["heteroswitch"]
@@ -144,23 +144,75 @@ class TestCrossBackendEquivalence:
         assert_bit_identical(first, (history_b, sim_b.global_state))
 
 
+class TestSimulationsSideBySide:
+    @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
+    def test_two_runs_on_threads_match_serial(self, strategy_name, tiny_bundle,
+                                              tiny_clients, tiny_fl_config,
+                                              tiny_model_fn):
+        """Two simulations with different seeds on two threads of one
+        process each reproduce their sequential run bitwise: neither reaches
+        state the other one uses."""
+        configs = [tiny_fl_config,
+                   dataclasses.replace(tiny_fl_config, seed=tiny_fl_config.seed + 1)]
+        expected = [serial_baseline(strategy_name, tiny_bundle, tiny_clients,
+                                    config, tiny_model_fn) for config in configs]
+        runs = side_by_side(*(
+            lambda config=config: run_simulation(
+                strategy_name, tiny_bundle, tiny_clients, config, tiny_model_fn)
+            for config in configs))
+        for reference, candidate in zip(expected, runs):
+            assert_bit_identical(reference, candidate)
+        assert not states_equal(runs[0][1], runs[1][1])
+
+
 class TestExecutorRegistry:
     def test_backends_registered(self):
-        assert set(EXECUTOR_REGISTRY) == {"serial", "thread", "shm"}
+        assert set(EXECUTOR_REGISTRY) == {"serial", "shm"}
 
     def test_create_executor_types(self):
         assert isinstance(create_executor("serial"), SerialExecutor)
-        assert isinstance(create_executor("thread", max_workers=2), ThreadExecutor)
         assert isinstance(create_executor("shm"), SharedMemoryExecutor)
 
-    def test_unknown_backend_lists_available(self):
-        with pytest.raises(KeyError, match="serial"):
-            create_executor("gpu")
+    @pytest.mark.parametrize("name", ["gpu", "thread"])
+    def test_unknown_backend_lists_available(self, name):
+        with pytest.raises(KeyError, match=r"available: \['serial', 'shm'\]"):
+            create_executor(name)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "four"])
     def test_invalid_max_workers_rejected(self, bad):
         with pytest.raises(ValueError):
-            create_executor("thread", max_workers=bad)
+            create_executor("shm", max_workers=bad)
+
+
+class TestForkPlatformGate:
+    @pytest.mark.parametrize("platform, methods", [
+        pytest.param("darwin", ["spawn", "fork", "forkserver"], id="macos"),
+        pytest.param("linux", ["spawn"], id="no-fork"),
+    ])
+    def test_shm_refused_with_serial_suggested(self, monkeypatch, platform,
+                                               methods):
+        """Where forking is unsafe or missing, shm refuses the round before
+        forking and points to serial, which still runs it."""
+        from repro.fl import execution
+
+        monkeypatch.setattr(execution.sys, "platform", platform)
+        monkeypatch.setattr(execution.multiprocessing, "get_all_start_methods",
+                            lambda: methods)
+        specs, context = make_round_specs()
+        jobs = [(spec, 0) for spec in specs]
+        global_vec = packed(_round_model().state_dict())
+        with create_executor("shm", max_workers=2) as shm:
+            with pytest.raises(RuntimeError,
+                               match=r"the 'shm' executor requires a fork-safe "
+                                     r"platform \(Linux\); use executor='serial'"):
+                list(shm.iter_round(create_strategy("fedavg"), _round_model,
+                                    jobs, global_vec, context))
+            assert shm._workers == []
+        with create_executor("serial") as serial:
+            outcomes = list(serial.iter_round(create_strategy("fedavg"),
+                                              _round_model, jobs, global_vec,
+                                              context))
+        assert [o.client_id for o in outcomes] == [s.client_id for s in specs]
 
 
 class TestScratchModelCache:
@@ -222,27 +274,38 @@ def make_round_results(strategy_name, num_clients=3, seed=0):
     return strategy, global_vec, specs, results, context
 
 
-class _ReverseCompletionStrategy:
-    """Wraps a strategy so a round's clients finish in reverse selection order.
+class _OrderedCompletionStrategy:
+    """Wraps a strategy so a round's clients finish in a chosen order.
 
-    Client ``i`` starts training only once client ``i + 1`` has finished, so
-    with one thread per client the last selected client completes first.
+    ``order`` lists selection positions in the order they finish: each client
+    starts training only once the one before it in ``order`` has finished,
+    then pauses briefly so the server reads that earlier reply first.  With
+    one shm worker per client the round completes exactly in ``order``.  The
+    events and the completion counter exist before the pool forks, so every
+    worker inherits them; each result carries the rank it finished at in
+    ``metadata["completion_rank"]``.
     """
 
-    def __init__(self, inner, num_clients):
+    def __init__(self, inner, order):
+        fork = multiprocessing.get_context("fork")
         self._inner = inner
-        self._finished = [threading.Event() for _ in range(num_clients)]
-        self.completion_order = []
+        self._order = list(order)
+        self._finished = [fork.Event() for _ in self._order]
+        self._rank = fork.Value("i", 0)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
     def client_update(self, model, spec, global_vec, context):
         position = spec.client_id
-        if position + 1 < len(self._finished):
-            assert self._finished[position + 1].wait(timeout=30)
+        rank = self._order.index(position)
+        if rank > 0:
+            assert self._finished[self._order[rank - 1]].wait(timeout=30)
+            time.sleep(0.02)
         result = self._inner.client_update(model, spec, global_vec, context)
-        self.completion_order.append(spec.client_id)
+        with self._rank.get_lock():
+            result.metadata["completion_rank"] = self._rank.value
+            self._rank.value += 1
         self._finished[position].set()
         return result
 
@@ -269,17 +332,19 @@ class TestPermutationInvariance:
                     strategy.aggregate_stream(global_vec, specs, stream,
                                               copy.deepcopy(context))
 
+    @requires_shm
     @pytest.mark.parametrize("strategy_name", AGGREGATING_STRATEGIES)
     def test_on_round_end_is_permutation_invariant(self, strategy_name):
         """Clients finishing in reverse order leave the same global state and
-        EMA as the serial round, because the thread executor re-orders them."""
+        EMA as the serial round, because the shm reorder buffer yields them
+        in selection order."""
         specs, _ = make_round_specs()
         global_vec = packed(_round_model().state_dict())
-        reverse = _ReverseCompletionStrategy(create_strategy(strategy_name),
-                                             len(specs))
+        reverse = _OrderedCompletionStrategy(create_strategy(strategy_name),
+                                             reversed(range(len(specs))))
         outcomes = []
         for backend, strategy in (("serial", create_strategy(strategy_name)),
-                                  ("thread", reverse)):
+                                  ("shm", reverse)):
             _, context = make_round_specs()
             with create_executor(backend, max_workers=len(specs)) as executor:
                 _, stream, _ = run_tolerant_round(
@@ -289,9 +354,35 @@ class TestPermutationInvariance:
                     global_vec, specs, stream, context)
             strategy.on_round_end(context, results)
             outcomes.append((new_vec, context.ema.value))
-        assert reverse.completion_order == [2, 1, 0]
+        assert [r.metadata["completion_rank"] for r in results] == [2, 1, 0]
         assert outcomes[0][0].tobytes() == outcomes[1][0].tobytes()
         assert outcomes[0][1] == outcomes[1][1]
+
+    @requires_shm
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(range(3))),
+        ids=lambda order: "finish-" + "".join(map(str, order)))
+    def test_shm_yields_in_selection_order(self, order):
+        """Whatever order the clients finish in, the shm reorder buffer
+        yields each outcome at its selection position, bitwise equal to the
+        serial round's."""
+        specs, context = make_round_specs()
+        jobs = [(spec, 0) for spec in specs]
+        global_vec = packed(_round_model().state_dict())
+        with create_executor("serial") as serial:
+            expected = list(serial.iter_round(
+                create_strategy("fedavg"), _round_model, jobs, global_vec,
+                make_round_specs()[1]))
+        strategy = _OrderedCompletionStrategy(create_strategy("fedavg"), order)
+        with create_executor("shm", max_workers=len(specs)) as shm:
+            outcomes = list(shm.iter_round(strategy, _round_model, jobs,
+                                           global_vec, context))
+        assert [o.client_id for o in outcomes] == [s.client_id for s in specs]
+        assert [o.metadata["completion_rank"] for o in outcomes] == \
+            [order.index(position) for position in range(len(specs))]
+        for want, got in zip(expected, outcomes):
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert got.train_loss == want.train_loss
 
     @pytest.mark.parametrize("strategy_name", AGGREGATING_STRATEGIES)
     def test_aggregate_stream_refuses_short_or_mismatched_stream(self, strategy_name):
@@ -361,20 +452,18 @@ class TestRoundFailFast:
 
         return specs, model_fn, context
 
-    def test_thread_cancels_pending_on_failure(self):
-        """With one worker and the first client failing, the cancellation must
-        keep (nearly) all later clients from ever starting — before the fix,
-        every one of them trained to completion and was then discarded."""
+    def test_serial_trains_no_client_after_a_failure(self):
+        """The first client failing ends the round before any later client
+        starts: serial trains each job only when its outcome is asked for."""
         specs, model_fn, context = self._make_round()
         strategy = _FailFastStrategy(fail_client=specs[0].client_id)
         global_vec = packed(model_fn().state_dict())
-        with create_executor("thread", max_workers=1) as executor:
+        with create_executor("serial") as executor:
             with pytest.raises(RuntimeError, match="boom"):
                 fail_fast_round(executor, strategy, model_fn, specs,
                                 global_vec, context)
-            # At most the one job the worker raced into before cancel landed.
-            assert len(strategy.trained) <= 1
-            # The pool drained cleanly and stays usable.
+            assert strategy.trained == []
+            # The executor stays usable.
             results = fail_fast_round(executor, create_strategy("fedavg"),
                                       model_fn, specs, global_vec, context)
             assert [r.client_id for r in results] == [s.client_id for s in specs]

@@ -68,7 +68,6 @@ requires_shm = pytest.mark.skipif(
 
 ALL_BACKENDS = [
     pytest.param("serial", id="serial"),
-    pytest.param("thread", id="thread"),
     pytest.param("shm", id="shm",
                  marks=pytest.mark.skipif(not HAS_SHM, reason="needs shm")),
 ]
@@ -339,7 +338,9 @@ class TestExecutorFailurePaths:
                 list(results)
         assert shm_entries() <= before
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", [
+        pytest.param("serial", id="serial"),
+        pytest.param("shm", id="shm", marks=requires_shm)])
     def test_injected_hang_times_out(self, backend):
         config = make_config(
             clients_per_round=2,
@@ -452,7 +453,7 @@ class TestChaosDeterminism:
         config = make_config(
             faults=FaultPlan(seed=21, crash_rate=0.25, nan_rate=0.2),
             fault_policy=FaultPolicy(max_retries=1, min_clients=1))
-        backends = ["serial", "thread"]
+        backends = ["serial"]
         if HAS_SHM:
             backends.append("shm")
         runs = {backend: run_sim(config, backend) for backend in backends}

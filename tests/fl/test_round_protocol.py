@@ -1,6 +1,6 @@
 """Differential harness for the one round pipeline (executor → faults → fold).
 
-Hypothesis draws a backend (``serial``, ``thread`` or ``shm``), a worker
+Hypothesis draws a backend (``serial`` or ``shm``), a worker
 count and a seeded fault schedule with a fault policy, then checks the
 invariants every backend must share with the ``serial`` reference:
 
@@ -40,7 +40,7 @@ from repro.fl.strategies.base import FLContext
 from repro.fl.training import ClientResult
 from repro.nn.serialization import state_fingerprint
 
-BACKENDS = ["serial", "thread"] + (["shm"] if HAS_SHM else [])
+BACKENDS = ["serial"] + (["shm"] if HAS_SHM else [])
 CLIENTS_PER_ROUND = make_config().clients_per_round
 
 # One strategy and one factory for every example: the shm pool is keyed on

@@ -42,7 +42,6 @@ HAS_SHM = HAS_FORK and sys.platform != "darwin" and os.path.isdir("/dev/shm")
 
 BACKENDS = [
     pytest.param("serial", id="serial"),
-    pytest.param("thread", id="thread"),
     pytest.param("shm", id="shm",
                  marks=pytest.mark.skipif(not HAS_SHM, reason="needs Linux fork + /dev/shm")),
 ]

@@ -7,6 +7,8 @@ float64 result for each kernel, on the flat kernels and on the seed oracle.
 """
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,6 +54,36 @@ class TestEngineDtypeState:
         with dtype_mode("float32"):
             with dtype_mode("float64"):
                 assert current_dtype_name() == "float64"
+            assert current_dtype_name() == "float32"
+
+    @pytest.mark.parametrize("main, worker", [("float64", "float32"),
+                                              ("float32", "float64")])
+    def test_dtype_mode_is_per_thread(self, main, worker):
+        """Two threads inside different dtype modes at once each allocate in
+        their own precision, and neither restores the other's on exit."""
+        inside = threading.Barrier(2)
+
+        def allocate():
+            with dtype_mode(worker):
+                inside.wait(timeout=10)
+                tensor = Tensor([1.0])
+                inside.wait(timeout=10)
+            return current_dtype_name(), tensor.data.dtype
+
+        with dtype_mode(main):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                allocated = pool.submit(allocate)
+                inside.wait(timeout=10)
+                tensor = Tensor([1.0])
+                inside.wait(timeout=10)
+                assert allocated.result() == ("float64", np.dtype(worker))
+            assert current_dtype_name() == main
+            assert tensor.data.dtype == np.dtype(main)
+
+    def test_new_thread_starts_at_float64(self):
+        with dtype_mode("float32"):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(current_dtype_name).result() == "float64"
             assert current_dtype_name() == "float32"
 
     def test_validate_dtype_rejects_unknown(self):

@@ -6,13 +6,15 @@ Every op's gradient is checked against finite differences in
 """
 
 import gc
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import Tensor, concatenate, is_grad_enabled, no_grad
 
 
 class TestTensorBasics:
@@ -120,12 +122,36 @@ class TestGraphControl:
         assert out._backward is None
 
     def test_no_grad_restores_state(self):
-        from repro.nn.tensor import is_grad_enabled
-
         assert is_grad_enabled()
         with no_grad():
             assert not is_grad_enabled()
         assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """A thread evaluating under no_grad leaves another thread's training
+        step building its graph, while both are inside their blocks."""
+        inside, done = threading.Barrier(2), threading.Event()
+
+        def evaluate():
+            with no_grad():
+                inside.wait(timeout=10)
+                assert done.wait(timeout=10)
+                return (Tensor([1.0], requires_grad=True) * 2).requires_grad
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            evaluated = pool.submit(evaluate)
+            inside.wait(timeout=10)
+            out = Tensor([1.0], requires_grad=True) * 2
+            done.set()
+            assert evaluated.result() is False
+        assert out.requires_grad
+        assert out._backward is not None
+
+    def test_new_thread_starts_with_grad_enabled(self):
+        with no_grad():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                assert pool.submit(is_grad_enabled).result()
+            assert not is_grad_enabled()
 
     def test_non_requiring_parents_produce_detached_output(self):
         out = Tensor([1.0]) * Tensor([2.0])

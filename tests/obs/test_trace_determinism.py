@@ -2,14 +2,21 @@
 
 The headline guarantee of repro.obs — turning on tracing + per-kernel
 profiling changes *nothing* about a run's numbers.  Each strategy's golden
-fingerprint comes from an untraced serial run; traced runs (serial, thread
-and shm) must reproduce it bit-for-bit.
+fingerprint comes from an untraced serial run; traced runs (serial and shm)
+must reproduce it bit-for-bit.
 """
 
+import dataclasses
 import json
+import threading
 
 import pytest
+from oracle.threads import side_by_side
 
+from repro.fl.simulation import FederatedSimulation
+from repro.fl.strategies import create_strategy
+from repro.nn.serialization import state_fingerprint
+from repro.obs import summarize_trace
 from repro.obs.profiling import KERNELS, kernel_slot
 from repro.runtime import Runner, RunSpec, RunStore
 
@@ -49,6 +56,9 @@ def test_traced_run_matches_untraced_golden(tmp_path, strategy):
     assert entry.trace_path.exists()
     result = entry.load_result()
     assert "obs" not in json.dumps(result["history"])
+    # Once the run is over, every kernel is the undecorated function again.
+    for module, path, row in KERNELS:
+        assert not hasattr(getattr(*kernel_slot(module, path)), "__wrapped__"), row
 
 
 @pytest.mark.parametrize("strategy", ["fedavg", "heteroswitch"])
@@ -65,18 +75,53 @@ def test_traced_shm_run_matches_untraced_golden(tmp_path, strategy):
     assert summary["kernels"]  # with per-kernel breakdowns
 
 
+class _Lockstep:
+    """Wraps a strategy so each client update waits for one on the other
+    thread at its start and again at its end: two runs made side by side
+    are inside profiled client scopes at the same time on every client."""
+
+    def __init__(self, inner, barrier):
+        self._inner = inner
+        self._barrier = barrier
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def client_update(self, model, spec, global_vec, context):
+        self._barrier.wait(timeout=30)
+        try:
+            return self._inner.client_update(model, spec, global_vec, context)
+        finally:
+            self._barrier.wait(timeout=30)
+
+
 @pytest.mark.parametrize("strategy", ["fedavg", "heteroswitch"])
-def test_traced_thread_run_matches_untraced_golden(tmp_path, strategy):
-    """Concurrent clients on the thread executor nest the profiler's
-    install/uninstall; results stay untouched and, once the run is over,
-    every kernel is the undecorated function again."""
-    golden, _ = run_fingerprint_of(
-        tmp_path, "golden", make_spec(strategy, traced=False))
-    traced_thread, entry = run_fingerprint_of(
-        tmp_path, "thread", make_spec(strategy, traced=True, executor="thread"))
-    assert traced_thread == golden
-    summary = json.loads(entry.obs_summary_path.read_text())
-    assert summary["kernels"]
+def test_profiled_runs_side_by_side_keep_their_kernel_totals(
+        strategy, tiny_bundle, tiny_clients, tiny_fl_config, tiny_model_fn):
+    """Two traced, profiled runs on two threads of one process, their client
+    updates in lockstep: the profiler's activations nest and its per-thread
+    totals stay apart, so each run reproduces the untraced fingerprint and
+    the kernel call counts of a traced run made alone, and afterwards every
+    kernel is undecorated."""
+    def run(config, strategy_obj):
+        sim = FederatedSimulation(tiny_model_fn, tiny_clients, tiny_bundle.test,
+                                  strategy_obj, config)
+        sim.run()
+        calls = ({} if sim.tracer is None else
+                 {name: kernel["calls"] for name, kernel in
+                  summarize_trace(sim.tracer)["kernels"].items()})
+        return state_fingerprint(sim.global_state), calls
+
+    traced = dataclasses.replace(tiny_fl_config, trace=True, profile=True)
+    golden, _ = run(tiny_fl_config, create_strategy(strategy))
+    alone = run(traced, create_strategy(strategy))
+    lockstep = threading.Barrier(2)
+    runs = side_by_side(*(
+        lambda: run(traced, _Lockstep(create_strategy(strategy), lockstep))
+        for _ in range(2)))
+    assert alone[1]
+    assert alone == (golden, alone[1])
+    assert runs == [alone, alone]
     for module, path, row in KERNELS:
         assert not hasattr(getattr(*kernel_slot(module, path)), "__wrapped__"), row
 

@@ -1,13 +1,12 @@
 """Runner + RunStore integration: durable runs, resume, executor lifecycle."""
 
-import numpy as np
 import pytest
 from oracle.states import states_equal
 
 from repro.fl.callbacks import CALLBACK_REGISTRY, Callback
 from repro.fl.execution import EXECUTOR_REGISTRY, SerialExecutor
 from repro.runtime import Runner, RunSpec, RunStore
-from repro.store import RunStoreError, run_fingerprint
+from repro.store import run_fingerprint
 
 DEVICES = ["Pixel5", "S6", "G7"]
 

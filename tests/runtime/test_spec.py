@@ -35,6 +35,23 @@ class TestValidation:
         with pytest.raises(KeyError, match="unknown callback.*eval_every"):
             RunSpec(callbacks={"telemetry2": {}})
 
+    def test_removed_thread_executor_lists_available(self):
+        for kind in ("federated", "federated_async"):
+            with pytest.raises(KeyError, match=r"unknown executor 'thread'; "
+                                               r"available: \['serial', 'shm'\]"):
+                RunSpec(kind=kind, executor="thread")
+
+    def test_json_naming_thread_executor_is_refused(self):
+        with pytest.raises(KeyError, match=r"unknown executor 'thread'; "
+                                           r"available: \['serial', 'shm'\]"):
+            RunSpec.from_json('{"executor": "thread"}')
+
+    def test_override_to_thread_executor_is_refused(self):
+        spec = RunSpec(executor="shm")
+        with pytest.raises(KeyError, match=r"unknown executor 'thread'"):
+            spec.with_overrides(executor="thread")
+        assert spec.executor == "shm"
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind must be one of"):
             RunSpec(kind="quantum")
@@ -292,7 +309,7 @@ class TestAsyncSpec:
             RunSpec(kind="centralized", dataset="scenes", concurrency=2)
 
     def test_async_accepts_executor_and_callbacks(self):
-        spec = self._async_spec(executor="thread", max_workers=2,
+        spec = self._async_spec(executor="shm", max_workers=2,
                                 callbacks={"async_telemetry": {}})
-        assert spec.executor == "thread"
+        assert spec.executor == "shm"
         assert "async_telemetry" in spec.callbacks

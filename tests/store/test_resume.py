@@ -3,7 +3,7 @@
 The headline guarantee of :mod:`repro.store`: kill a run at any checkpoint
 boundary, resume it, and the final weights are **bitwise identical**
 (:func:`states_equal`) and the metrics equal to the uninterrupted run — for
-every strategy, under serial and thread executors, and even when the
+every strategy, under the serial and shm executors, and even when the
 checkpoint was written under a different executor than the resume.
 
 Checkpoints are written at the end of each round, so the snapshot at round
@@ -12,6 +12,9 @@ Checkpoints are written at the end of each round, so the snapshot at round
 """
 
 import dataclasses
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +29,12 @@ from repro.fl.strategies import create_strategy
 from repro.store.checkpoint import read_checkpoint
 
 ALL_STRATEGIES = ["fedavg", "fedprox", "qfedavg", "scaffold", "heteroswitch"]
-EXECUTORS = ["serial", "thread"]
+HAS_SHM = ("fork" in multiprocessing.get_all_start_methods()
+           and sys.platform != "darwin" and os.path.isdir("/dev/shm"))
+requires_shm = pytest.mark.skipif(not HAS_SHM,
+                                  reason="shm executor needs Linux fork + /dev/shm")
+
+EXECUTORS = ["serial", pytest.param("shm", marks=requires_shm)]
 
 NUM_ROUNDS = 3
 
@@ -95,16 +103,31 @@ class TestResumeEquivalence:
             )
             assert_resume_equivalent(reference, candidate)
 
+    @requires_shm
     @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
     def test_cross_executor_resume(self, strategy_name, tiny_bundle, tiny_clients,
                                    resume_config, tiny_model_fn, tmp_path):
         """A checkpoint written under the serial executor resumes under the
-        thread executor (and vice versa) with identical results: the run key
-        deliberately excludes the execution backend."""
+        shm executor with identical results: the run key deliberately
+        excludes the execution backend."""
         reference = reference_run(strategy_name, tiny_bundle, tiny_clients,
                                   resume_config, tiny_model_fn, "serial", tmp_path)
         candidate = resumed_run(strategy_name, tiny_bundle, tiny_clients,
-                                resume_config, tiny_model_fn, "thread",
+                                resume_config, tiny_model_fn, "shm",
+                                tmp_path / "round_00001.npz")
+        assert_resume_equivalent(reference, candidate)
+
+    @requires_shm
+    @pytest.mark.parametrize("strategy_name", ALL_STRATEGIES)
+    def test_shm_checkpoint_resumes_on_serial(self, strategy_name, tiny_bundle,
+                                              tiny_clients, resume_config,
+                                              tiny_model_fn, tmp_path):
+        """The other direction: a checkpoint written under the shm executor
+        resumes under the serial executor with identical results."""
+        reference = reference_run(strategy_name, tiny_bundle, tiny_clients,
+                                  resume_config, tiny_model_fn, "shm", tmp_path)
+        candidate = resumed_run(strategy_name, tiny_bundle, tiny_clients,
+                                resume_config, tiny_model_fn, "serial",
                                 tmp_path / "round_00001.npz")
         assert_resume_equivalent(reference, candidate)
 

@@ -42,7 +42,7 @@ class TestSpecHash:
         base = make_spec()
         assert spec_hash(base) == spec_hash(make_spec(name="renamed"))
         assert spec_hash(base) == spec_hash(make_spec(seeds=[3, 4]))
-        assert spec_hash(base) == spec_hash(make_spec(executor="thread", max_workers=2))
+        assert spec_hash(base) == spec_hash(make_spec(executor="shm", max_workers=2))
 
     def test_sensitive_to_result_affecting_fields(self):
         base = make_spec()
